@@ -41,6 +41,7 @@ from .channels import (
     channel_branches,
 )
 from .estimation import (
+    best_candidate,
     decompose_two_local,
     estimate_eps_x,
     estimate_eps_z_locc,
@@ -143,12 +144,7 @@ def _pick(flag_value, cfg: dict, key: str, default):
 
 
 def _emit(payload, out_path: str | None) -> None:
-    text = json.dumps(_jsonsafe(payload), sort_keys=True, separators=(",", ":"))
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        log.info("wrote %s", out_path)
-    print(text)
+    _emit_text(json.dumps(_jsonsafe(payload), sort_keys=True, separators=(",", ":")), out_path)
 
 
 def _emit_text(text: str, out_path: str | None) -> None:
@@ -389,7 +385,7 @@ def cmd_estimate(args) -> int:
     outcomes = np.where(rng.random(m_x) < p_plus, 1.0, -1.0)
     eps_x_hat = estimate_eps_x(outcomes)
 
-    decomps, results = [], []
+    results = []
     cand_payload = {}
     for name in candidates:
         tw = twisting_by_name(name)
@@ -402,7 +398,6 @@ def cmd_estimate(args) -> int:
             idx = rng.choice(len(products), size=m_prime, p=probs)
             records[(ja, jb)] = products[idx]
         res = estimate_eps_z_locc(records, dec)
-        decomps.append(dec)
         results.append(res)
         cand_payload[name] = {
             "out": res.out,
@@ -412,7 +407,7 @@ def cmd_estimate(args) -> int:
             "group_means": res.group_means,
             "group_counts": res.group_counts,
         }
-    best_idx = int(np.argmin([r.eps_z for r in results]))
+    best_idx = best_candidate(results)
     best = results[best_idx]
     payload = {
         "schema": SCHEMA,
@@ -461,20 +456,10 @@ def _protocol_config(args, cfg: dict) -> ProtocolConfig:
         raise UsageError(f"bad protocol config: {exc}") from exc
 
 
-def cmd_run_ppp(args) -> int:
-    cfg = _load_config(args.config)
-    config = _protocol_config(args, cfg)
-    transcript = run_ppp(config)
-    _emit_text(transcript.to_json(), args.out)
-    if transcript.abort:
-        log.info("run aborted: %s", transcript.abort_reason)
-    return EXIT_OK
-
-
-def cmd_run_pm(args) -> int:
-    cfg = _load_config(args.config)
-    config = _protocol_config(args, cfg)
-    transcript = run_pm(config)
+def cmd_run(args) -> int:
+    config = _protocol_config(args, _load_config(args.config))
+    # resolved at call time so a rebound module-level run_ppp / run_pm is used
+    transcript = run_ppp(config) if args.command == "run-ppp" else run_pm(config)
     _emit_text(transcript.to_json(), args.out)
     if transcript.abort:
         log.info("run aborted: %s", transcript.abort_reason)
@@ -590,8 +575,7 @@ def cmd_sweep(args) -> int:
         for row in rows:
             writer.writerow({k: ("" if row[k] is None else row[k]) for k in fields})
     log.info("wrote %d rows to %s", len(rows), args.out)
-    print(json.dumps({"schema": SCHEMA, "rows": len(rows), "out": args.out},
-                     sort_keys=True, separators=(",", ":")))
+    _emit({"schema": SCHEMA, "rows": len(rows), "out": args.out}, None)
     return EXIT_OK
 
 
@@ -603,8 +587,8 @@ _COMMANDS = {
     "bounds": cmd_bounds,
     "solve-params": cmd_solve_params,
     "estimate": cmd_estimate,
-    "run-ppp": cmd_run_ppp,
-    "run-pm": cmd_run_pm,
+    "run-ppp": cmd_run,
+    "run-pm": cmd_run,
     "pm-ensemble": cmd_pm_ensemble,
     "sweep": cmd_sweep,
 }

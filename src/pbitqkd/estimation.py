@@ -36,6 +36,7 @@ __all__ = [
     "estimate_eps_x",
     "EstimationResult",
     "estimate_eps_z_locc",
+    "best_candidate",
     "optimal_untwist",
 ]
 
@@ -298,5 +299,9 @@ def optimal_untwist(
     if not decomps:
         raise ValueError("need at least one candidate decomposition")
     results = [estimate_eps_z_locc(records, dec, tol) for dec in decomps]
-    best = int(np.argmin([r.eps_z for r in results]))
-    return results, best
+    return results, best_candidate(results)
+
+
+def best_candidate(results: Sequence[EstimationResult]) -> int:
+    """Index of the result with the smallest clamped eps_z (the first on ties)."""
+    return int(np.argmin([r.eps_z for r in results]))

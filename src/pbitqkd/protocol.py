@@ -35,6 +35,7 @@ from .ecpa import bits_to_hex, error_correct, pa_length, toeplitz_apply, toeplit
 from .estimation import (
     EstimationResult,
     ProductDecomposition,
+    best_candidate,
     decompose_two_local,
     estimate_eps_z_locc,
     joint_outcome_table,
@@ -394,48 +395,40 @@ def _resolve_budgets(config: ProtocolConfig, n_groups: int) -> tuple[int | None,
     return m_x, m_prime, ""
 
 
-def _abort_transcript(config: ProtocolConfig, protocol: str, reason: str) -> Transcript:
+def _group_counts(dec: ProductDecomposition, group_pos: dict) -> dict[str, int]:
+    return {_pair_label(dec, *pair): int(pos.size) for pair, pos in group_pos.items()}
+
+
+def _abort(
+    config: ProtocolConfig, protocol: str, events: list, reason: str,
+    estimates: dict | None = None, security: dict | None = None, raw_len: int = 0,
+) -> Transcript:
+    """Log the abort and return the empty-key transcript (every abort path)."""
+    events.append({"event": "abort", "reason": reason})
     return Transcript(
-        schema=TRANSCRIPT_SCHEMA,
-        protocol=protocol,
-        config=config.to_dict(),
-        events=[{"event": "configure", "n": config.n, "seed": config.seed},
-                {"event": "abort", "reason": reason}],
-        estimates={},
-        security={},
-        key={"alice_hex": "", "bob_hex": "", "final_len": 0, "raw_len": 0,
+        schema=TRANSCRIPT_SCHEMA, protocol=protocol, config=config.to_dict(),
+        events=events, estimates=estimates or {}, security=security or {},
+        key={"alice_hex": "", "bob_hex": "", "final_len": 0, "raw_len": raw_len,
              "agreement": None, "final_key_empty": True, "ec": None},
-        abort=True,
-        abort_reason=reason,
+        abort=True, abort_reason=reason,
     )
 
 
 def _estimate_block(
-    records: dict,
-    decomps: dict[str, ProductDecomposition],
-    eps_x_hat: float,
-    config: ProtocolConfig,
-    m_x: int,
-    m_z: int,
+    records: dict, decomps: dict[str, ProductDecomposition], eps_x_hat: float,
+    config: ProtocolConfig, m_x: int, m_z: int,
 ) -> tuple[dict, float, float]:
-    """Shared estimation/abort logic; returns (estimates dict, eps_z_hat, rate)."""
+    """Candidate estimates and rates; returns (estimates dict, eps_z_hat, rate)."""
     any_dec = next(iter(decomps.values()))
     results: dict[str, EstimationResult] = {
         name: estimate_eps_z_locc(records, dec) for name, dec in decomps.items()
     }
-    best = min(results, key=lambda name: results[name].eps_z)
+    best = list(results)[best_candidate(list(results.values()))]
     eps_z_hat = results[best].eps_z
     ex = min(max(eps_x_hat, 0.0), 1.0)
     rate_raw = 1.0 - binary_entropy(ex) - binary_entropy(eps_z_hat)
     rate = key_rate(ex, eps_z_hat)
     net = (1.0 - (m_x + m_z) / config.n) * rate
-    group_means = {}
-    group_counts = {}
-    for (ja, jb), rec in sorted(records.items()):
-        lab = _pair_label(any_dec, ja, jb)
-        arr = np.asarray(rec, dtype=float)
-        group_means[lab] = float(arr.mean())
-        group_counts[lab] = int(arr.size)
     estimates = {
         "eps_x_hat": eps_x_hat,
         "m_x": m_x,
@@ -454,55 +447,75 @@ def _estimate_block(
         "rate": rate,
         "rate_raw": rate_raw,
         "net_rate": net,
-        "group_means": group_means,
-        "group_counts": group_counts,
+        "group_means": {
+            _pair_label(any_dec, *pair): float(rec.mean()) for pair, rec in records.items()
+        },
+        "group_counts": _group_counts(any_dec, records),
     }
     return estimates, eps_z_hat, rate
 
 
-def _finish_run(
-    protocol: str,
-    config: ProtocolConfig,
-    events: list,
-    estimates: dict,
-    security: dict,
-    alice_bits: np.ndarray,
-    bob_bits: np.ndarray,
-    eps_x_hat: float,
-    eps_z_hat: float,
-    rate: float,
-    rng: np.random.Generator,
+def _measure_and_finish(
+    protocol: str, config: ProtocolConfig, rng: np.random.Generator, events: list,
+    decomps: dict[str, ProductDecomposition], tables: _ObsTables, codes: np.ndarray,
+    pos_x: np.ndarray, group_pos: dict, pos_key: np.ndarray, extra_estimates: dict | None = None,
 ) -> Transcript:
-    """Abort decision, toy EC, PA, and transcript assembly (shared by ppp/pm)."""
+    """Everything after position assignment, shared by ppp and pm.
+
+    Bit-error and phase-group sampling, estimation, the security block, the
+    rate abort, key sampling, toy EC, PA and transcript assembly.  ``group_pos``
+    maps each support pair to its test positions, in support order.
+    """
+    any_dec = next(iter(decomps.values()))
+    m_x = int(pos_x.size)
+    m_z = int(sum(p.size for p in group_pos.values()))
+
+    bit_signs = _sample_signs(tables.zz_plus, codes[pos_x], rng)
+    eps_x_hat = float((1.0 - bit_signs.mean()) / 2.0)
+    events.append({"event": "measure_bit_error", "count": m_x})
+
+    records = {
+        pair: 0.25 * _sample_signs(tables.group_plus[pair], codes[pos], rng)
+        for pair, pos in group_pos.items()
+    }
+    events.append({"event": "measure_phase_groups", "counts": _group_counts(any_dec, group_pos)})
+
+    estimates, eps_z_hat, rate = _estimate_block(records, decomps, eps_x_hat, config, m_x, m_z)
+    estimates.update(extra_estimates or {})
+    events.append({
+        "event": "estimate",
+        "eps_x_hat": eps_x_hat,
+        "eps_z_hat": eps_z_hat,
+        "best_candidate": estimates["best_candidate"],
+    })
+    security = _security_block(config, m_x, m_z)
+    raw_len = int(pos_key.size)
     if rate <= 0.0:
-        events.append({"event": "abort", "reason": "rate_nonpositive"})
-        return Transcript(
-            schema=TRANSCRIPT_SCHEMA, protocol=protocol, config=config.to_dict(),
-            events=events, estimates=estimates, security=security,
-            key={"alice_hex": "", "bob_hex": "", "final_len": 0,
-                 "raw_len": int(alice_bits.size), "agreement": None,
-                 "final_key_empty": True, "ec": None},
-            abort=True, abort_reason="rate_nonpositive",
-        )
+        return _abort(config, protocol, events, "rate_nonpositive", estimates, security, raw_len)
+
+    key16 = _sample_categorical(tables.joint16, codes[pos_key], rng)
+    # side outcomes ka, kb in 0..3 = (key bit, shield bit); keep the key bits
+    alice_bits = ((key16 // 4) >> 1).astype(np.uint8)
+    bob_bits = ((key16 % 4) >> 1).astype(np.uint8)
+    del key16
+
     corrected, ec_stats = error_correct(alice_bits, bob_bits, eps_x_hat, config.ec_block, rng)
     events.append({"event": "error_correct", **ec_stats})
-    raw_len = int(alice_bits.size)
     final_len = pa_length(raw_len, eps_x_hat, eps_z_hat, ec_stats["syndrome_bits"], config.s)
     seed = toeplitz_seed(raw_len, final_len, rng)
     alice_fin = toeplitz_apply(alice_bits, seed, final_len)
     bob_fin = toeplitz_apply(corrected, seed, final_len)
     events.append({"event": "privacy_amplify", "raw_len": raw_len, "final_len": final_len})
-    agreement = bool(np.array_equal(alice_fin, bob_fin)) if final_len > 0 else None
+    events.append({"event": "complete"})
     key = {
         "raw_len": raw_len,
         "alice_hex": bits_to_hex(alice_fin),
         "bob_hex": bits_to_hex(bob_fin),
         "final_len": final_len,
-        "agreement": agreement,
+        "agreement": bool(np.array_equal(alice_fin, bob_fin)) if final_len > 0 else None,
         "final_key_empty": final_len == 0,
         "ec": ec_stats,
     }
-    events.append({"event": "complete"})
     return Transcript(
         schema=TRANSCRIPT_SCHEMA, protocol=protocol, config=config.to_dict(),
         events=events, estimates=estimates, security=security, key=key,
@@ -520,21 +533,18 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
     rng = np.random.default_rng(config.seed)
     decomps = _candidate_decompositions(config.candidates)
     support = _support_union(decomps)
+    events: list = [{"event": "configure", "n": config.n, "seed": config.seed}]
     m_x, m_prime, err = _resolve_budgets(config, len(support))
     if err:
-        return _abort_transcript(config, "ppp", err)
+        return _abort(config, "ppp", events, err)
     m_z = m_prime * len(support)
     any_dec = next(iter(decomps.values()))
-
-    events: list = [{"event": "configure", "n": config.n, "seed": config.seed}]
-    components = _component_states(config)
-    tables = _build_tables(components, support, any_dec)
+    tables = _build_tables(_component_states(config), support, any_dec)
 
     codes = _pattern_codes(config, rng)
     events.append({"event": "distribute", "source": config.source.kind, "copies": config.n})
 
     perm = rng.permutation(config.n)
-    pos_x = perm[:m_x]
     group_pos = {
         pair: perm[m_x + i * m_prime : m_x + (i + 1) * m_prime]
         for i, pair in enumerate(support)
@@ -545,40 +555,11 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
         "m_x": m_x,
         "m_prime": m_prime,
         "m_z": m_z,
-        "groups": {_pair_label(any_dec, *pair): int(len(p)) for pair, p in sorted(group_pos.items())},
+        "groups": _group_counts(any_dec, group_pos),
         "key_count": int(pos_key.size),
     })
-
-    bit_signs = _sample_signs(tables.zz_plus, codes[pos_x], rng)
-    eps_x_hat = float((1.0 - bit_signs.mean()) / 2.0)
-    events.append({"event": "measure_bit_error", "count": m_x})
-
-    records = {}
-    for pair in support:
-        signs = _sample_signs(tables.group_plus[pair], codes[group_pos[pair]], rng)
-        records[pair] = 0.25 * signs
-    events.append({
-        "event": "measure_phase_groups",
-        "counts": {_pair_label(any_dec, *pair): int(records[pair].size) for pair in support},
-    })
-
-    estimates, eps_z_hat, rate = _estimate_block(records, decomps, eps_x_hat, config, m_x, m_z)
-    events.append({
-        "event": "estimate",
-        "eps_x_hat": eps_x_hat,
-        "eps_z_hat": eps_z_hat,
-        "best_candidate": estimates["best_candidate"],
-    })
-    security = _security_block(config, m_x, m_z)
-
-    key16 = _sample_categorical(tables.joint16, codes[pos_key], rng)
-    # side outcomes ka, kb in 0..3 = (key bit, shield bit); keep the key bits
-    alice_bits = ((key16 // 4) >> 1).astype(np.uint8)
-    bob_bits = ((key16 % 4) >> 1).astype(np.uint8)
-
-    return _finish_run(
-        "ppp", config, events, estimates, security,
-        alice_bits, bob_bits, eps_x_hat, eps_z_hat, rate, rng,
+    return _measure_and_finish(
+        "ppp", config, rng, events, decomps, tables, codes, perm[:m_x], group_pos, pos_key,
     )
 
 
@@ -603,16 +584,16 @@ def run_pm(config: ProtocolConfig) -> Transcript:
     n_c = math.ceil(math.sqrt(n * s) * math.log2(n) / config.delta)
     m_x = config.m_x if config.m_x is not None else max(64, n // 100)
     min_group = config.m_prime if config.m_prime is not None else 16
-    if len(ja_set) * n_c >= n or len(jb_set) * n_c >= n:
-        return _abort_transcript(
-            config, "pm",
-            f"parameters_infeasible: test load {max(len(ja_set), len(jb_set))} * n_c = "
-            f"{max(len(ja_set), len(jb_set)) * n_c} does not fit in n = {n}",
+    events: list = [{"event": "configure", "n": n, "seed": config.seed}]
+    load = max(len(ja_set), len(jb_set))
+    if load * n_c >= n:
+        return _abort(
+            config, "pm", events,
+            f"parameters_infeasible: test load {load} * n_c = {load * n_c} does not fit in n = {n}",
         )
 
-    events: list = [{"event": "configure", "n": n, "seed": config.seed, "n_c": n_c}]
-    components = _component_states(config)
-    tables = _build_tables(components, support, any_dec)
+    events[0]["n_c"] = n_c
+    tables = _build_tables(_component_states(config), support, any_dec)
 
     codes = _pattern_codes(config, rng)
     events.append({"event": "prepare_and_send", "source": config.source.kind, "copies": n})
@@ -631,15 +612,13 @@ def run_pm(config: ProtocolConfig) -> Transcript:
     events.append({"event": "bases_announced",
                    "test_sets_a": len(ja_set), "test_sets_b": len(jb_set), "n_c": n_c})
 
-    group_pos = {}
-    for pair in support:
-        ja, jb = pair
-        group_pos[pair] = np.nonzero((a_obs == ja) & (b_obs == jb))[0]
+    group_pos = {
+        (ja, jb): np.nonzero((a_obs == ja) & (b_obs == jb))[0] for ja, jb in support
+    }
     key_all = np.nonzero((a_obs == -1) & (b_obs == -1))[0]
-    matched_counts = {_pair_label(any_dec, *pair): int(group_pos[pair].size) for pair in support}
     events.append({
         "event": "sift",
-        "matched_counts": matched_counts,
+        "matched_counts": _group_counts(any_dec, group_pos),
         "key_candidates": int(key_all.size),
         "discarded": int(n - key_all.size - sum(v.size for v in group_pos.values())),
     })
@@ -650,54 +629,18 @@ def run_pm(config: ProtocolConfig) -> Transcript:
         if group_pos[pair].size < max(1, min_group)
     ]
     if short or key_all.size < m_x + config.ec_block:
-        reason = (
+        return _abort(
+            config, "pm", events,
             "insufficient_samples: "
             + (f"groups below floor {min_group}: {short}" if short
-               else f"key candidates {key_all.size} cannot cover m_x = {m_x}")
-        )
-        events.append({"event": "abort", "reason": reason})
-        return Transcript(
-            schema=TRANSCRIPT_SCHEMA, protocol="pm", config=config.to_dict(),
-            events=events, estimates={}, security={},
-            key={"alice_hex": "", "bob_hex": "", "final_len": 0, "raw_len": 0,
-                 "agreement": None, "final_key_empty": True, "ec": None},
-            abort=True, abort_reason=reason,
+               else f"key candidates {key_all.size} cannot cover m_x = {m_x}"),
         )
 
-    test_idx = rng.choice(key_all.size, size=m_x, replace=False)
     test_mask = np.zeros(key_all.size, dtype=bool)
-    test_mask[test_idx] = True
-    pos_x = key_all[test_mask]
-    pos_key = key_all[~test_mask]
-
-    bit_signs = _sample_signs(tables.zz_plus, codes[pos_x], rng)
-    eps_x_hat = float((1.0 - bit_signs.mean()) / 2.0)
-    events.append({"event": "measure_bit_error", "count": int(m_x)})
-
-    records = {}
-    for pair in support:
-        signs = _sample_signs(tables.group_plus[pair], codes[group_pos[pair]], rng)
-        records[pair] = 0.25 * signs
-    m_z = int(sum(v.size for v in group_pos.values()))
-    events.append({"event": "measure_phase_groups", "counts": matched_counts})
-
-    estimates, eps_z_hat, rate = _estimate_block(records, decomps, eps_x_hat, config, m_x, m_z)
-    estimates["n_c"] = n_c
-    events.append({
-        "event": "estimate",
-        "eps_x_hat": eps_x_hat,
-        "eps_z_hat": eps_z_hat,
-        "best_candidate": estimates["best_candidate"],
-    })
-    security = _security_block(config, m_x, m_z)
-
-    key16 = _sample_categorical(tables.joint16, codes[pos_key], rng)
-    alice_bits = ((key16 // 4) >> 1).astype(np.uint8)
-    bob_bits = ((key16 % 4) >> 1).astype(np.uint8)
-
-    return _finish_run(
-        "pm", config, events, estimates, security,
-        alice_bits, bob_bits, eps_x_hat, eps_z_hat, rate, rng,
+    test_mask[rng.choice(key_all.size, size=m_x, replace=False)] = True
+    return _measure_and_finish(
+        "pm", config, rng, events, decomps, tables, codes,
+        key_all[test_mask], group_pos, key_all[~test_mask], {"n_c": n_c},
     )
 
 

@@ -155,6 +155,22 @@ def test_ppp_aborts_under_heavy_intercept():
     assert t.key["alice_hex"] == "" and t.key["final_len"] == 0
 
 
+@pytest.mark.parametrize("run, cfg, reason", [
+    (run_ppp, {**DESK_PPP, "m_x": 12000, "m_prime": 20000}, "parameters_infeasible"),
+    (run_pm, {**DESK_PM, "n": 1000}, "parameters_infeasible"),
+    (run_pm, {**DESK_PM, "m_prime": 10**6}, "insufficient_samples"),
+    (run_ppp, {**DESK_PPP, "eve": 0.3}, "rate_nonpositive"),
+])
+def test_every_abort_path_builds_the_same_empty_key(run, cfg, reason):
+    completed_key_fields = set(run_ppp(ProtocolConfig.from_dict(DESK_PPP)).key)
+    t = run(ProtocolConfig.from_dict(cfg))
+    assert t.abort
+    assert t.events[-1]["event"] == "abort"
+    assert t.abort_reason.startswith(reason)
+    assert set(t.key) == completed_key_fields
+    assert t.key["final_len"] == 0 and t.key["final_key_empty"]
+
+
 def test_ppp_pbit_source_phase_noise_hits_only_the_phase_estimate():
     # Z-pattern noise on the key qubit never flips key bits, but it does
     # plant genuine phase errors that the estimator must pick up
