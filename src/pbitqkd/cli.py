@@ -107,7 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, help="key dimension d")
         p.add_argument("--dprime", type=int, help="shield dimension d'")
         p.add_argument("--n", type=int, help="number of copies n")
-        p.add_argument("--threads", type=int, help="parallel workers (sweep only)")
         return p
 
     add("verify-example", "re-check the worked-example identities numerically")
@@ -117,7 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add("run-ppp", "full entanglement-based protocol run, transcript out")
     add("run-pm", "full prepare-and-measure protocol run, transcript out")
     add("pm-ensemble", "signal ensembles induced by measuring Pauli products")
-    add("sweep", "grid of runs over (p, kappa, seeds); CSV to --out")
+    add("sweep", "grid of runs over (p, kappa, seeds); CSV to --out").add_argument(
+        "--threads", type=int, help="parallel worker processes"
+    )
     return parser
 
 
@@ -437,8 +438,6 @@ def _protocol_config(args, cfg: dict) -> ProtocolConfig:
         merged["s"] = args.s
     if args.delta is not None:
         merged["delta"] = args.delta
-    if args.threads is not None:
-        merged["threads"] = args.threads
     src = dict(merged.get("source", {}))
     if args.p is not None:
         src["p"] = args.p

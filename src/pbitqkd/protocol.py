@@ -55,7 +55,7 @@ __all__ = [
     "twisting_by_name",
 ]
 
-TRANSCRIPT_SCHEMA = 1
+TRANSCRIPT_SCHEMA = 2
 
 
 def twisting_by_name(name: str) -> TwistingOp:
@@ -145,7 +145,6 @@ class ProtocolConfig:
     m_prime: int | None = None
     ec_block: int = 16
     beta_b: float | None = None
-    threads: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 4:
@@ -166,7 +165,6 @@ class ProtocolConfig:
             "m_prime": self.m_prime,
             "ec_block": self.ec_block,
             "beta_b": self.beta_b,
-            "threads": self.threads,
         }
 
     @classmethod
@@ -187,7 +185,6 @@ class ProtocolConfig:
             m_prime=d.get("m_prime"),
             ec_block=int(d.get("ec_block", 16)),
             beta_b=d.get("beta_b"),
-            threads=d.get("threads"),
         )
 
     @classmethod
