@@ -116,9 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("run-ppp", "full entanglement-based protocol run, transcript out")
     add("run-pm", "full prepare-and-measure protocol run, transcript out")
     add("pm-ensemble", "signal ensembles induced by measuring Pauli products")
-    add("sweep", "grid of runs over (p, kappa, seeds); CSV to --out").add_argument(
-        "--threads", type=int, help="parallel worker processes"
-    )
+    sweep = add("sweep", "grid of runs over (p, kappa, seeds); CSV to --out")
+    sweep.add_argument("--threads", type=int, help="parallel worker processes")
     return parser
 
 

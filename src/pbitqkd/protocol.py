@@ -581,15 +581,15 @@ def run_pm(config: ProtocolConfig) -> Transcript:
     n_c = math.ceil(math.sqrt(n * s) * math.log2(n) / config.delta)
     m_x = config.m_x if config.m_x is not None else max(64, n // 100)
     min_group = config.m_prime if config.m_prime is not None else 16
-    events: list = [{"event": "configure", "n": n, "seed": config.seed}]
+    configure = {"event": "configure", "n": n, "seed": config.seed}
     load = max(len(ja_set), len(jb_set))
     if load * n_c >= n:
         return _abort(
-            config, "pm", events,
+            config, "pm", [configure],
             f"parameters_infeasible: test load {load} * n_c = {load * n_c} does not fit in n = {n}",
         )
 
-    events[0]["n_c"] = n_c
+    events: list = [{**configure, "n_c": n_c}]
     tables = _build_tables(_component_states(config), support, any_dec)
 
     codes = _pattern_codes(config, rng)
