@@ -55,7 +55,7 @@ __all__ = [
     "twisting_by_name",
 ]
 
-TRANSCRIPT_SCHEMA = 2
+TRANSCRIPT_SCHEMA = 1
 
 
 def twisting_by_name(name: str) -> TwistingOp:
@@ -145,6 +145,7 @@ class ProtocolConfig:
     m_prime: int | None = None
     ec_block: int = 16
     beta_b: float | None = None
+    threads: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 4:
@@ -165,6 +166,7 @@ class ProtocolConfig:
             "m_prime": self.m_prime,
             "ec_block": self.ec_block,
             "beta_b": self.beta_b,
+            "threads": self.threads,
         }
 
     @classmethod
@@ -185,6 +187,7 @@ class ProtocolConfig:
             m_prime=d.get("m_prime"),
             ec_block=int(d.get("ec_block", 16)),
             beta_b=d.get("beta_b"),
+            threads=d.get("threads"),
         )
 
     @classmethod
@@ -397,23 +400,37 @@ def _group_counts(dec: ProductDecomposition, group_pos: dict) -> dict[str, int]:
 
 
 def _abort(
-    config: ProtocolConfig, protocol: str, events: list, reason: str,
-    estimates: dict | None = None, security: dict | None = None, raw_len: int = 0,
+    config: ProtocolConfig,
+    protocol: str,
+    events: list,
+    reason: str,
+    estimates: dict | None = None,
+    security: dict | None = None,
+    raw_len: int = 0,
 ) -> Transcript:
     """Log the abort and return the empty-key transcript (every abort path)."""
     events.append({"event": "abort", "reason": reason})
     return Transcript(
-        schema=TRANSCRIPT_SCHEMA, protocol=protocol, config=config.to_dict(),
-        events=events, estimates=estimates or {}, security=security or {},
+        schema=TRANSCRIPT_SCHEMA,
+        protocol=protocol,
+        config=config.to_dict(),
+        events=events,
+        estimates=estimates or {},
+        security=security or {},
         key={"alice_hex": "", "bob_hex": "", "final_len": 0, "raw_len": raw_len,
              "agreement": None, "final_key_empty": True, "ec": None},
-        abort=True, abort_reason=reason,
+        abort=True,
+        abort_reason=reason,
     )
 
 
 def _estimate_block(
-    records: dict, decomps: dict[str, ProductDecomposition], eps_x_hat: float,
-    config: ProtocolConfig, m_x: int, m_z: int,
+    records: dict,
+    decomps: dict[str, ProductDecomposition],
+    eps_x_hat: float,
+    config: ProtocolConfig,
+    m_x: int,
+    m_z: int,
 ) -> tuple[dict, float, float]:
     """Candidate estimates and rates; returns (estimates dict, eps_z_hat, rate)."""
     any_dec = next(iter(decomps.values()))
@@ -453,9 +470,17 @@ def _estimate_block(
 
 
 def _measure_and_finish(
-    protocol: str, config: ProtocolConfig, rng: np.random.Generator, events: list,
-    decomps: dict[str, ProductDecomposition], tables: _ObsTables, codes: np.ndarray,
-    pos_x: np.ndarray, group_pos: dict, pos_key: np.ndarray, extra_estimates: dict | None = None,
+    protocol: str,
+    config: ProtocolConfig,
+    rng: np.random.Generator,
+    events: list,
+    decomps: dict[str, ProductDecomposition],
+    tables: _ObsTables,
+    codes: np.ndarray,
+    pos_x: np.ndarray,
+    group_pos: dict,
+    pos_key: np.ndarray,
+    extra_estimates: dict | None = None,
 ) -> Transcript:
     """Everything after position assignment, shared by ppp and pm.
 

@@ -177,16 +177,14 @@ def test_run_ppp_is_deterministic_via_cli(tmp_path):
     assert runs[0].stdout == runs[1].stdout
 
 
-def test_threads_is_a_sweep_only_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["run-ppp", "--n", "2000", "--seed", "1", "--threads", "2"])
-    assert exc.value.code == EXIT_USAGE
-
-
 def test_run_ppp_needs_n_and_seed(capsys):
     assert main(["run-ppp", "--seed", "1"]) == EXIT_USAGE
     capsys.readouterr()
     assert main(["run-ppp", "--n", "2000"]) == EXIT_USAGE
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # --threads is sweep-only
+        main(["run-ppp", "--n", "2000", "--seed", "1", "--threads", "2"])
+    assert exc.value.code == EXIT_USAGE
     capsys.readouterr()
 
 

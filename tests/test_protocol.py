@@ -232,7 +232,6 @@ def test_transcript_json_round_trip():
         "abort", "abort_reason", "config", "estimates", "events",
         "key", "protocol", "schema", "security",
     }
-    assert "threads" not in payload["config"]
 
 
 def test_twisting_by_name_resolves_known_names():
