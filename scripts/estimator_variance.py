@@ -19,7 +19,7 @@ import numpy as np
 from pbitqkd.estimation import (
     decompose_two_local,
     estimate_eps_z_locc,
-    joint_outcome_table,
+    sample_product_outcomes,
 )
 from pbitqkd.protocol import twisting_by_name
 from pbitqkd.states import P_STAR, rho_h
@@ -29,13 +29,12 @@ from pbitqkd.linalg import basis_ket, kron_all, proj
 
 def spread(state, dec, m_prime, trials, seed):
     rng = np.random.default_rng(seed)
-    tables = {pair: joint_outcome_table(state, dec, *pair) for pair in dec.support()}
     vals = []
     for _ in range(trials):
-        records = {}
-        for pair, (probs, products) in tables.items():
-            idx = rng.choice(len(products), size=m_prime, p=probs)
-            records[pair] = products[idx]
+        records = {
+            pair: sample_product_outcomes(state, dec, *pair, m_prime, rng)
+            for pair in dec.support()
+        }
         vals.append(estimate_eps_z_locc(records, dec).eps_z_raw)
     return float(np.mean(vals)), float(np.std(vals))
 

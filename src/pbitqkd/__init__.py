@@ -117,6 +117,7 @@ from .protocol import (
     SourceSpec,
     Transcript,
     pm_signal_ensemble,
+    run_estimate,
     run_pm,
     run_ppp,
     twisting_by_name,
@@ -159,5 +160,5 @@ __all__ = [
     "toeplitz_seed",
     # protocol
     "ProtocolConfig", "SourceSpec", "Transcript", "pm_signal_ensemble",
-    "run_pm", "run_ppp", "twisting_by_name",
+    "run_estimate", "run_pm", "run_ppp", "twisting_by_name",
 ]

@@ -35,27 +35,20 @@ from .bounds import (
 from .channels import (
     POVM_M0,
     POVM_M1,
-    apply_pauli,
     binding_channel_apply,
     binding_channel_kraus,
     channel_branches,
 )
-from .estimation import (
-    best_candidate,
-    decompose_two_local,
-    estimate_eps_x,
-    estimate_eps_z_locc,
-    joint_outcome_table,
-)
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, herm_eig, kron_all, promote
+from .estimation import decompose_two_local
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, herm_eig, kron_all
 from .protocol import (
     ProtocolConfig,
     SourceSpec,
     _jsonsafe,
     pm_signal_ensemble,
+    run_estimate,
     run_pm,
     run_ppp,
-    twisting_by_name,
 )
 from .states import (
     KEY_SHIELD_LAYOUT,
@@ -347,21 +340,6 @@ def cmd_solve_params(args) -> int:
 # --- estimate -------------------------------------------------------------------
 
 
-def _mixture_state(source: SourceSpec) -> DensityState:
-    """Exact single-copy state the source emits (noise averaged in)."""
-    base = source.base_state()
-    if source.noise is None:
-        return base
-    ex, ez = source.noise.eps_x, source.noise.eps_z
-    acc = np.zeros_like(base.mat)
-    for x in (0, 1):
-        for z in (0, 1):
-            w = (ex if x else 1.0 - ex) * (ez if z else 1.0 - ez)
-            if w > 0.0:
-                acc = acc + w * apply_pauli(base, x, z, "B").mat
-    return DensityState(acc, base.layout)
-
-
 def cmd_estimate(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
@@ -377,48 +355,19 @@ def cmd_estimate(args) -> int:
     if m_prime < 1 or m_x < 1:
         raise UsageError("m_prime and m_x must be positive")
 
-    state = _mixture_state(source)
-    rng = np.random.default_rng(seed)
-
-    zz = promote(kron_all(PAULI_Z, PAULI_Z), state.layout, ("A", "B"))
-    p_plus = float((0.5 * (1.0 + state.expect(zz).real)).real)
-    outcomes = np.where(rng.random(m_x) < p_plus, 1.0, -1.0)
-    eps_x_hat = estimate_eps_x(outcomes)
-
-    results = []
-    cand_payload = {}
-    for name in candidates:
-        tw = twisting_by_name(name)
-        dec = decompose_two_local(
-            gamma_x(tw, state.layout), state.layout, ("A", "A'"), ("B", "B'")
-        )
-        records = {}
-        for ja, jb in dec.support():
-            probs, products = joint_outcome_table(state, dec, ja, jb)
-            idx = rng.choice(len(products), size=m_prime, p=probs)
-            records[(ja, jb)] = products[idx]
-        res = estimate_eps_z_locc(records, dec)
-        results.append(res)
-        cand_payload[name] = {
-            "out": res.out,
-            "eps_z_raw": res.eps_z_raw,
-            "eps_z": res.eps_z,
-            "clamped": res.clamped,
-            "group_means": res.group_means,
-            "group_counts": res.group_counts,
-        }
-    best_idx = best_candidate(results)
-    best = results[best_idx]
+    estimates = run_estimate(source, seed, m_x, m_prime, candidates)
     payload = {
         "schema": SCHEMA,
         "seed": seed,
         "source": source.to_dict(),
         "m_prime": m_prime,
         "m_x": m_x,
-        "eps_x_hat": eps_x_hat,
-        "candidates": cand_payload,
-        "best": {"twisting": candidates[best_idx], "eps_z": best.eps_z},
-        "key_rate": key_rate(min(max(eps_x_hat, 0.0), 1.0), best.eps_z),
+        "eps_x_hat": estimates["eps_x_hat"],
+        "candidates": estimates["candidates"],
+        "group_means": estimates["group_means"],
+        "group_counts": estimates["group_counts"],
+        "best": {"twisting": estimates["best_candidate"], "eps_z": estimates["eps_z_hat"]},
+        "key_rate": estimates["rate"],
     }
     _emit(payload, args.out)
     return EXIT_OK

@@ -14,7 +14,6 @@ import math
 from itertools import combinations
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .bounds import binary_entropy
 
@@ -133,9 +132,11 @@ def toeplitz_seed(in_len: int, out_len: int, rng: np.random.Generator) -> np.nda
 def toeplitz_apply(bits: np.ndarray, seed: np.ndarray, out_len: int) -> np.ndarray:
     """Apply the Toeplitz matrix T[i, j] = seed[i + L - 1 - j] to a bit string.
 
-    The matrix-vector product over GF(2) is a convolution, computed by FFT
-    for long inputs; counts stay far below 2^53 so rounding is exact.  Both
-    parties hash with the *same* seed, so the seed is an explicit argument.
+    The matrix-vector product over GF(2) is a convolution, computed as one
+    cyclic FFT product of length the next power of two >= L + out_len - 1,
+    so every output index >= L - 1 is alias-free; counts stay far below 2^53
+    so rounding is exact.  Both parties hash with the *same* seed, so the
+    seed is an explicit argument.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     L = bits.size
@@ -145,11 +146,9 @@ def toeplitz_apply(bits: np.ndarray, seed: np.ndarray, out_len: int) -> np.ndarr
         return np.zeros(0, dtype=np.uint8)
     if seed.size != out_len + L - 1:
         raise ValueError(f"seed length {seed.size} != out_len + L - 1 = {out_len + L - 1}")
-    if L < 64:
-        conv = np.convolve(seed.astype(np.int64), bits.astype(np.int64))
-    else:
-        conv = np.rint(fftconvolve(seed.astype(float), bits.astype(float))).astype(np.int64)
-    return (conv[L - 1 : L - 1 + out_len] % 2).astype(np.uint8)
+    size = 1 << (L + out_len - 2).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(seed, size) * np.fft.rfft(bits, size), size)
+    return (np.rint(conv[L - 1 : L - 1 + out_len]).astype(np.int64) % 2).astype(np.uint8)
 
 
 def toeplitz_extract(bits: np.ndarray, out_len: int, rng: np.random.Generator) -> np.ndarray:

@@ -51,6 +51,7 @@ __all__ = [
     "Transcript",
     "run_ppp",
     "run_pm",
+    "run_estimate",
     "pm_signal_ensemble",
     "twisting_by_name",
 ]
@@ -424,26 +425,51 @@ def _abort(
     )
 
 
-def _estimate_block(
-    records: dict,
-    decomps: dict[str, ProductDecomposition],
-    eps_x_hat: float,
+def _measure_and_estimate(
     config: ProtocolConfig,
-    m_x: int,
-    m_z: int,
-) -> tuple[dict, float, float]:
-    """Candidate estimates and rates; returns (estimates dict, eps_z_hat, rate)."""
+    rng: np.random.Generator,
+    events: list,
+    decomps: dict[str, ProductDecomposition],
+    tables: _ObsTables,
+    codes: np.ndarray,
+    pos_x: np.ndarray,
+    group_pos: dict,
+) -> dict:
+    """Bit-error and phase-group sampling, candidate estimates and rates.
+
+    The one measurement core behind ``run_ppp``, ``run_pm`` and
+    ``run_estimate``.  ``group_pos`` maps each support pair to its test
+    positions, in support order.  Returns the transcript's ``estimates``.
+    """
     any_dec = next(iter(decomps.values()))
+    m_x = int(pos_x.size)
+    m_z = int(sum(p.size for p in group_pos.values()))
+
+    bit_signs = _sample_signs(tables.zz_plus, codes[pos_x], rng)
+    eps_x_hat = float((1.0 - bit_signs.mean()) / 2.0)
+    events.append({"event": "measure_bit_error", "count": m_x})
+
+    records = {
+        pair: 0.25 * _sample_signs(tables.group_plus[pair], codes[pos], rng)
+        for pair, pos in group_pos.items()
+    }
+    counts = _group_counts(any_dec, group_pos)
+    events.append({"event": "measure_phase_groups", "counts": counts})
+
     results: dict[str, EstimationResult] = {
         name: estimate_eps_z_locc(records, dec) for name, dec in decomps.items()
     }
     best = list(results)[best_candidate(list(results.values()))]
     eps_z_hat = results[best].eps_z
     ex = min(max(eps_x_hat, 0.0), 1.0)
-    rate_raw = 1.0 - binary_entropy(ex) - binary_entropy(eps_z_hat)
     rate = key_rate(ex, eps_z_hat)
-    net = (1.0 - (m_x + m_z) / config.n) * rate
-    estimates = {
+    events.append({
+        "event": "estimate",
+        "eps_x_hat": eps_x_hat,
+        "eps_z_hat": eps_z_hat,
+        "best_candidate": best,
+    })
+    return {
         "eps_x_hat": eps_x_hat,
         "m_x": m_x,
         "m_z": m_z,
@@ -459,14 +485,13 @@ def _estimate_block(
         "best_candidate": best,
         "eps_z_hat": eps_z_hat,
         "rate": rate,
-        "rate_raw": rate_raw,
-        "net_rate": net,
+        "rate_raw": 1.0 - binary_entropy(ex) - binary_entropy(eps_z_hat),
+        "net_rate": (1.0 - (m_x + m_z) / config.n) * rate,
         "group_means": {
             _pair_label(any_dec, *pair): float(rec.mean()) for pair, rec in records.items()
         },
-        "group_counts": _group_counts(any_dec, records),
+        "group_counts": counts,
     }
-    return estimates, eps_z_hat, rate
 
 
 def _measure_and_finish(
@@ -484,35 +509,15 @@ def _measure_and_finish(
 ) -> Transcript:
     """Everything after position assignment, shared by ppp and pm.
 
-    Bit-error and phase-group sampling, estimation, the security block, the
-    rate abort, key sampling, toy EC, PA and transcript assembly.  ``group_pos``
-    maps each support pair to its test positions, in support order.
+    Measurement and estimation, the security block, the rate abort, key
+    sampling, toy EC, PA and transcript assembly.
     """
-    any_dec = next(iter(decomps.values()))
-    m_x = int(pos_x.size)
-    m_z = int(sum(p.size for p in group_pos.values()))
-
-    bit_signs = _sample_signs(tables.zz_plus, codes[pos_x], rng)
-    eps_x_hat = float((1.0 - bit_signs.mean()) / 2.0)
-    events.append({"event": "measure_bit_error", "count": m_x})
-
-    records = {
-        pair: 0.25 * _sample_signs(tables.group_plus[pair], codes[pos], rng)
-        for pair, pos in group_pos.items()
-    }
-    events.append({"event": "measure_phase_groups", "counts": _group_counts(any_dec, group_pos)})
-
-    estimates, eps_z_hat, rate = _estimate_block(records, decomps, eps_x_hat, config, m_x, m_z)
+    estimates = _measure_and_estimate(config, rng, events, decomps, tables, codes, pos_x, group_pos)
+    eps_x_hat, eps_z_hat = estimates["eps_x_hat"], estimates["eps_z_hat"]
+    security = _security_block(config, estimates["m_x"], estimates["m_z"])
     estimates.update(extra_estimates or {})
-    events.append({
-        "event": "estimate",
-        "eps_x_hat": eps_x_hat,
-        "eps_z_hat": eps_z_hat,
-        "best_candidate": estimates["best_candidate"],
-    })
-    security = _security_block(config, m_x, m_z)
     raw_len = int(pos_key.size)
-    if rate <= 0.0:
+    if estimates["rate"] <= 0.0:
         return _abort(config, protocol, events, "rate_nonpositive", estimates, security, raw_len)
 
     key16 = _sample_categorical(tables.joint16, codes[pos_key], rng)
@@ -545,6 +550,21 @@ def _measure_and_finish(
     )
 
 
+def _split_positions(
+    order: np.ndarray,
+    m_x: int,
+    m_prime: int,
+    support: list[tuple[int, int]],
+) -> tuple[np.ndarray, dict, np.ndarray]:
+    """Split ``order`` into the bit-error sample, one group per pair, the key block."""
+    end = m_x + len(support) * m_prime
+    group_pos = {
+        pair: order[m_x + i * m_prime : m_x + (i + 1) * m_prime]
+        for i, pair in enumerate(support)
+    }
+    return order[:m_x], group_pos, order[end:]
+
+
 def run_ppp(config: ProtocolConfig) -> Transcript:
     """Entanglement-based run: source distributes n copies, both sides measure.
 
@@ -566,12 +586,7 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
     codes = _pattern_codes(config, rng)
     events.append({"event": "distribute", "source": config.source.kind, "copies": config.n})
 
-    perm = rng.permutation(config.n)
-    group_pos = {
-        pair: perm[m_x + i * m_prime : m_x + (i + 1) * m_prime]
-        for i, pair in enumerate(support)
-    }
-    pos_key = perm[m_x + m_z :]
+    pos_x, group_pos, pos_key = _split_positions(rng.permutation(config.n), m_x, m_prime, support)
     events.append({
         "event": "assign_positions",
         "m_x": m_x,
@@ -581,7 +596,7 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
         "key_count": int(pos_key.size),
     })
     return _measure_and_finish(
-        "ppp", config, rng, events, decomps, tables, codes, perm[:m_x], group_pos, pos_key,
+        "ppp", config, rng, events, decomps, tables, codes, pos_x, group_pos, pos_key,
     )
 
 
@@ -664,6 +679,39 @@ def run_pm(config: ProtocolConfig) -> Transcript:
         "pm", config, rng, events, decomps, tables, codes,
         key_all[test_mask], group_pos, key_all[~test_mask], {"n_c": n_c},
     )
+
+
+def run_estimate(
+    source: SourceSpec,
+    seed: int,
+    m_x: int,
+    m_prime: int,
+    candidates: Sequence[str],
+) -> dict:
+    """One parameter-estimation round: a run with no key copies.
+
+    Same set-up, position layout and measurement core as ``run_ppp`` on
+    n = m_x + |support|*m_prime copies, with the identity in place of the
+    permutation, so the bit-error sample and the groups are contiguous
+    slices.  Source noise acts on pbit sources only, as in the runs.
+    Returns the ``estimates`` block a run's transcript would carry.
+    """
+    decomps = _candidate_decompositions(candidates)
+    support = _support_union(decomps)
+    # a config needs n >= 4; copies past the tests stay unmeasured
+    config = ProtocolConfig(
+        n=max(4, m_x + len(support) * m_prime),
+        seed=seed,
+        source=source,
+        candidates=tuple(candidates),
+        m_x=m_x,
+        m_prime=m_prime,
+    )
+    rng = np.random.default_rng(seed)
+    tables = _build_tables(_component_states(config), support, next(iter(decomps.values())))
+    codes = _pattern_codes(config, rng)
+    pos_x, group_pos, _ = _split_positions(np.arange(config.n), m_x, m_prime, support)
+    return _measure_and_estimate(config, rng, [], decomps, tables, codes, pos_x, group_pos)
 
 
 def pm_signal_ensemble(

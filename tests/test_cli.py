@@ -66,6 +66,15 @@ def test_unknown_subcommand_exits_2():
     assert proc.stdout == ""
 
 
+def test_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pbitqkd; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_is_installed():
     proc = subprocess.run(["pbitqkd", "verify-example"], capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
@@ -117,7 +126,7 @@ def test_estimate_requires_a_seed(capsys):
     capsys.readouterr()
 
 
-def test_estimate_round(capsys):
+def test_estimate_round(tmp_path, capsys):
     code, payload = run_cli(
         capsys, "estimate", "--seed", "3", "--p", str(P_STAR), "--kappa", "0.0"
     )
@@ -128,6 +137,46 @@ def test_estimate_round(capsys):
     assert 0.0 <= payload["best"]["eps_z"] <= 0.5
     assert 0.0 <= payload["eps_x_hat"] <= 1.0
     assert payload["key_rate"] >= 0.0
+    # the smallest budgets still make a round (fewer than four copies)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m_x": 1, "m_prime": 1, "candidates": ["identity"]}))
+    code, payload = run_cli(capsys, "estimate", "--seed", "1", "--config", str(cfg_path))
+    assert code == EXIT_OK
+    assert payload["group_counts"] == {"XI|XI": 1}
+
+
+NOISY_PBIT = {
+    "kind": "pbit", "twisting": "u_h", "ancilla": "comp00",
+    "noise": {"eps_x": 0.02, "eps_z": 0.01},
+}
+
+
+def test_estimate_applies_pbit_source_noise(tmp_path, capsys):
+    # On the comp00 ancilla u_h acts trivially, so both candidates are valid
+    # untwistings (exact eps_z 0.0100 for identity, 0.0129 for u_h) and
+    # either may win; on a maximally mixed ancilla only u_h untwists the
+    # state (identity's exact eps_z is 0.5), so u_h must win.
+    for ancilla in ("comp00", "maximally_mixed"):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"source": {**NOISY_PBIT, "ancilla": ancilla}}))
+        code, payload = run_cli(capsys, "estimate", "--seed", "5", "--config", str(cfg_path))
+        assert code == EXIT_OK
+        se = (0.02 * 0.98 / payload["m_x"]) ** 0.5
+        assert abs(payload["eps_x_hat"] - 0.02) <= 5 * se
+    assert payload["best"]["twisting"] == "u_h"
+
+
+def test_estimate_ignores_noise_on_rho_h_sources(tmp_path, capsys):
+    # as in run_ppp / run_pm, source noise acts on pbit sources only
+    payloads = []
+    for noise in (None, {"eps_x": 0.2, "eps_z": 0.1}):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"source": {"kind": "rho_h", "noise": noise}}))
+        code, payload = run_cli(capsys, "estimate", "--seed", "4", "--config", str(cfg_path))
+        assert code == EXIT_OK
+        payloads.append(payload)
+    assert payloads[0]["eps_x_hat"] == payloads[1]["eps_x_hat"]
+    assert payloads[0]["candidates"] == payloads[1]["candidates"]
 
 
 def test_run_ppp_writes_out_file_and_stdout(tmp_path, capsys):

@@ -115,7 +115,9 @@ def test_toeplitz_seed_and_apply_shapes():
 def test_toeplitz_matches_explicit_matrix():
     # the convolution shortcut equals the literal Toeplitz matrix product
     rng = np.random.default_rng(7)
-    for n, out_len in [(30, 12), (200, 64)]:  # short path and FFT path
+    # (64, 64) was the old short-path threshold; (65, 64) and (66, 64) pad
+    # L + out_len - 1 = 128 and 129 to a power of two exactly at and one past it
+    for n, out_len in [(1, 1), (30, 12), (64, 64), (65, 64), (66, 64), (200, 64)]:
         bits = rng.integers(0, 2, n, dtype=np.uint8)
         seed = toeplitz_seed(n, out_len, rng)
         t = np.zeros((out_len, n), dtype=np.uint8)
