@@ -19,7 +19,7 @@ import numpy as np
 from pbitqkd.estimation import (
     decompose_two_local,
     estimate_eps_z_locc,
-    sample_product_outcomes,
+    joint_outcome_table,
 )
 from pbitqkd.protocol import twisting_by_name
 from pbitqkd.states import P_STAR, rho_h
@@ -29,11 +29,12 @@ from pbitqkd.linalg import basis_ket, kron_all, proj
 
 def spread(state, dec, m_prime, trials, seed):
     rng = np.random.default_rng(seed)
+    tables = {pair: joint_outcome_table(state, dec, *pair) for pair in dec.support()}
     vals = []
     for _ in range(trials):
         records = {
-            pair: sample_product_outcomes(state, dec, *pair, m_prime, rng)
-            for pair in dec.support()
+            pair: products[rng.choice(probs.size, size=m_prime, p=probs)]
+            for pair, (probs, products) in tables.items()
         }
         vals.append(estimate_eps_z_locc(records, dec).eps_z_raw)
     return float(np.mean(vals)), float(np.std(vals))

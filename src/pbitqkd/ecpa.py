@@ -3,7 +3,11 @@
 The EC stage is deliberately simple (random per-block parity checks with a
 brute-force minimum-weight decoder) and pays a hefty rate penalty over the
 Shannon limit; transcripts record both the actual syndrome cost and the
-Shannon-limit cost so the gap stays visible.  The PA stage is a standard
+Shannon-limit cost so the gap stays visible.  The decoder is batched: one
+parity matrix is still drawn per block, in block order, but the blocks are
+decoded together on bit-packed syndromes, weight by weight, in chunks of
+bounded size, so memory does not grow with the key length and no Python
+loop runs per block beyond the draw.  The PA stage is a standard
 Toeplitz two-universal hash over GF(2), seeded from the run's generator so
 that reruns are bit-identical.
 """
@@ -30,6 +34,10 @@ __all__ = [
 
 #: Brute-force decoder gives up beyond this error weight per block.
 MAX_DECODE_WEIGHT = 6
+#: Blocks whose parity matrices are drawn and decoded together.
+_DRAW_BLOCKS = 4096
+#: Bound on the syndrome words one decoding step holds (blocks x patterns x words).
+_DECODE_WORDS = 1 << 17
 
 
 def syndrome_rows(eps: float, block: int) -> int:
@@ -59,24 +67,12 @@ def ec_block_correct(
     copies Alice).  Otherwise a random parity matrix is drawn, Alice's
     syndrome announced, and Bob flips the minimum-weight pattern consistent
     with the syndrome difference (searched up to weight MAX_DECODE_WEIGHT;
-    on a miss the block is left as received).
+    on a miss the block is left as received).  This is the one-block call of
+    the batched decoder that ``error_correct`` runs.
     """
-    block = alice.size
-    if rows <= 0:
-        return bob.copy()
-    if rows >= block:
-        return alice.copy()
-    h = rng.integers(0, 2, size=(rows, block), dtype=np.uint8)
-    diff = (h @ ((alice ^ bob) & 1)) % 2
-    if not diff.any():
-        return bob.copy()
-    for w in range(1, MAX_DECODE_WEIGHT + 1):
-        for pos in combinations(range(block), w):
-            if np.array_equal(h[:, pos].sum(axis=1) % 2, diff):
-                out = bob.copy()
-                out[list(pos)] ^= 1
-                return out
-    return bob.copy()
+    out = bob.copy()
+    _correct_blocks(alice.reshape(1, -1), out.reshape(1, -1), rows, rng)
+    return out
 
 
 def error_correct(
@@ -88,9 +84,12 @@ def error_correct(
 ) -> tuple[np.ndarray, dict]:
     """Blockwise toy EC pass.  Returns Bob's corrected bits and a stats dict.
 
-    The residual disagreement count is a simulation-level diagnostic (a real
-    run would catch it with a verification hash); the Shannon-limit syndrome
-    size is reported alongside the actual one.
+    Every whole block is corrected as by ``ec_block_correct``, with one parity
+    matrix drawn per block in block order, but the blocks are decoded
+    together; the ragged tail is revealed whenever rows > 0.  The residual
+    disagreement count is a simulation-level diagnostic (a real run would
+    catch it with a verification hash); the Shannon-limit syndrome size is
+    reported alongside the actual one.
     """
     alice = np.asarray(alice, dtype=np.uint8)
     bob = np.asarray(bob, dtype=np.uint8)
@@ -98,18 +97,15 @@ def error_correct(
         raise ValueError("key length mismatch")
     n = alice.size
     rows = syndrome_rows(eps_hat, block)
+    n_blocks = n // block
+    body = n_blocks * block
     corrected = bob.copy()
-    n_blocks = 0
-    for start in range(0, n - n % block, block):
-        sl = slice(start, start + block)
-        corrected[sl] = ec_block_correct(alice[sl], bob[sl], rows, rng)
-        n_blocks += 1
-    tail = n % block
-    if tail:
-        # the ragged tail is revealed outright whenever any EC happens at all
-        if rows > 0:
-            corrected[n - tail :] = alice[n - tail :]
-    syndrome_bits = rows * n_blocks + (tail if rows > 0 else 0)
+    _correct_blocks(
+        alice[:body].reshape(n_blocks, block), corrected[:body].reshape(n_blocks, block), rows, rng
+    )
+    if rows > 0:
+        corrected[body:] = alice[body:]
+    syndrome_bits = rows * n_blocks + (n - body if rows > 0 else 0)
     stats = {
         "blocks": n_blocks,
         "rows_per_block": rows,
@@ -118,6 +114,72 @@ def error_correct(
         "residual_disagreements": int(np.sum(alice != corrected)),
     }
     return corrected, stats
+
+
+def _correct_blocks(
+    alice: np.ndarray, out: np.ndarray, rows: int, rng: np.random.Generator
+) -> None:
+    """Correct each row (block) of ``out`` toward the same row of ``alice``, in place.
+
+    rows <= 0 leaves ``out`` as it is and rows >= block reveals it, with no
+    draw.  Otherwise one parity matrix per block is drawn, in block order, a
+    bounded chunk of blocks at a time, and each chunk is decoded at once.
+    """
+    k, block = out.shape
+    if rows <= 0:
+        return
+    if rows >= block:
+        out[...] = alice
+        return
+    for start in range(0, k, _DRAW_BLOCKS):
+        stop = min(k, start + _DRAW_BLOCKS)
+        h = np.empty((stop - start, rows, block), dtype=np.uint8)
+        for i in range(stop - start):
+            h[i] = rng.integers(0, 2, size=(rows, block), dtype=np.uint8)
+        out[start:stop] ^= _decode(h, (alice[start:stop] ^ out[start:stop]) & 1)
+
+
+def _decode(h: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """Minimum-weight flip pattern per block; zeros where no pattern matches.
+
+    ``h`` is (k, rows, block) parity matrices and ``err`` (k, block) the 0/1
+    differences, seen only through their syndromes.  Syndromes are bit-packed
+    integers, so the syndrome of a pattern is the XOR of its columns.  Weight
+    by weight, every unresolved block is checked against every pattern of
+    that weight in ``combinations`` order; the first match resolves a block.
+    """
+    k, _, block = h.shape
+    cols = _pack_columns(h)  # (k, block, words)
+    target = _pack_columns((h @ err[:, :, None]) % 2)[:, 0]  # (k, words)
+    flips = np.zeros((k, block), dtype=np.uint8)
+    todo = np.flatnonzero(target.any(axis=1))
+    for w in range(1, min(MAX_DECODE_WEIGHT, block) + 1):
+        if todo.size == 0:
+            break
+        pats = np.array(list(combinations(range(block), w)), dtype=np.intp)
+        step = max(1, _DECODE_WORDS // (pats.shape[0] * cols.shape[2]))
+        misses = []
+        for s in range(0, todo.size, step):
+            idx = todo[s : s + step]
+            c = cols[idx]
+            syn = c[:, pats[:, 0]]
+            for j in range(1, w):
+                syn ^= c[:, pats[:, j]]
+            hit = (syn == target[idx, None]).all(axis=2)
+            found = hit.any(axis=1)
+            flips[idx[found, None], pats[hit[found].argmax(axis=1)]] = 1
+            misses.append(idx[~found])
+        todo = np.concatenate(misses)
+    return flips
+
+
+def _pack_columns(bits: np.ndarray) -> np.ndarray:
+    """(k, rows, m) bits -> (k, m, words) uint64: each column packed along ``rows``."""
+    packed = np.packbits(bits, axis=1)
+    k, nbytes, m = packed.shape
+    out = np.zeros((k, m, -(-nbytes // 8) * 8), dtype=np.uint8)
+    out[:, :, :nbytes] = packed.transpose(0, 2, 1)
+    return out.view(np.uint64)
 
 
 def toeplitz_seed(in_len: int, out_len: int, rng: np.random.Generator) -> np.ndarray:

@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 TRANSCRIPT_SCHEMA = 1
+#: Copies per slice in _sample_categorical's per-code lookup.
+_SAMPLE_CHUNK = 1 << 16
 
 
 def twisting_by_name(name: str) -> TwistingOp:
@@ -327,11 +329,24 @@ def _sample_signs(p_plus: np.ndarray, codes: np.ndarray, rng: np.random.Generato
 def _sample_categorical(
     probs_by_code: np.ndarray, codes: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Category index per copy from the per-code distribution (one uniform each)."""
+    """Category index per copy from the per-code distribution (one uniform each).
+
+    The index is the number of cumulative bounds below the copy's uniform.
+    Each row of ``cum`` is nondecreasing (the probabilities are clipped at 0),
+    so a per-code ``searchsorted`` gives it without an n x categories table;
+    it runs on slices of _SAMPLE_CHUNK copies, so its temporaries stay small.
+    """
     cum = np.cumsum(probs_by_code, axis=1)
     cum = cum / cum[:, -1:]
     u = rng.random(codes.size)
-    return (u[:, None] > cum[codes]).sum(axis=1)
+    out = np.empty(codes.size, dtype=np.uint8)
+    for start in range(0, codes.size, _SAMPLE_CHUNK):
+        sl = slice(start, start + _SAMPLE_CHUNK)
+        u_sl, codes_sl, out_sl = u[sl], codes[sl], out[sl]
+        for c in range(cum.shape[0]):
+            mask = codes_sl == c
+            out_sl[mask] = np.searchsorted(cum[c], u_sl[mask], side="left")
+    return out
 
 
 def _candidate_decompositions(names: Sequence[str]) -> dict[str, ProductDecomposition]:

@@ -1,11 +1,16 @@
 """Toy error correction and Toeplitz privacy amplification."""
 
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbitqkd import ecpa
 from pbitqkd.ecpa import (
+    MAX_DECODE_WEIGHT,
     bits_to_hex,
     ec_block_correct,
     error_correct,
@@ -96,6 +101,81 @@ def test_error_correct_noop_at_zero_estimate():
     fixed, stats = error_correct(alice, bob, eps_hat=0.0, block=16, rng=rng)
     assert np.array_equal(fixed, bob)
     assert stats["syndrome_bits"] == 0
+
+
+def _reference_block(alice, bob, rows, rng):
+    # one block at a time: the per-pattern brute-force search
+    block = alice.size
+    if rows <= 0:
+        return bob.copy()
+    if rows >= block:
+        return alice.copy()
+    h = rng.integers(0, 2, size=(rows, block), dtype=np.uint8)
+    diff = (h @ ((alice ^ bob) & 1)) % 2
+    if not diff.any():
+        return bob.copy()
+    for w in range(1, MAX_DECODE_WEIGHT + 1):
+        for pos in combinations(range(block), w):
+            if np.array_equal(h[:, pos].sum(axis=1) % 2, diff):
+                out = bob.copy()
+                out[list(pos)] ^= 1
+                return out
+    return bob.copy()
+
+
+def _reference_error_correct(alice, bob, eps_hat, rows, block, rng):
+    n = alice.size
+    corrected = bob.copy()
+    n_blocks = 0
+    for start in range(0, n - n % block, block):
+        sl = slice(start, start + block)
+        corrected[sl] = _reference_block(alice[sl], bob[sl], rows, rng)
+        n_blocks += 1
+    tail = n % block
+    if tail and rows > 0:
+        corrected[n - tail :] = alice[n - tail :]
+    stats = {
+        "blocks": n_blocks,
+        "rows_per_block": rows,
+        "syndrome_bits": rows * n_blocks + (tail if rows > 0 else 0),
+        "shannon_bits": math.ceil(n * binary_entropy(min(max(eps_hat, 0.0), 0.5))),
+        "residual_disagreements": int(np.sum(alice != corrected)),
+    }
+    return corrected, stats
+
+
+@pytest.mark.parametrize(
+    "block, rows",
+    [(16, r) for r in range(17)] + [(5, r) for r in range(6)] + [(7, r) for r in range(8)],
+)
+def test_batched_decoder_matches_per_block_search(monkeypatch, block, rows):
+    # rows * block % 4 != 0 for most of these, so the per-block draws cannot be merged
+    monkeypatch.setattr(ecpa, "syndrome_rows", lambda eps, b: rows)
+    # small chunks, so draw and decode chunk boundaries fall inside the input
+    monkeypatch.setattr(ecpa, "_DRAW_BLOCKS", 4)
+    monkeypatch.setattr(ecpa, "_DECODE_WORDS", 40)
+    gen = np.random.default_rng(1000 * block + rows)
+    heavy = 0
+    for n_blocks, flip_rate in [(30, 0.03), (6, 0.5)]:
+        n = n_blocks * block + block // 2  # a ragged tail
+        alice = gen.integers(0, 2, n, dtype=np.uint8)
+        bob = alice ^ (gen.random(n) < flip_rate).astype(np.uint8)
+        weights = (alice ^ bob)[: n_blocks * block].reshape(n_blocks, block).sum(axis=1)
+        heavy += int(np.sum(weights > MAX_DECODE_WEIGHT))
+        rng_a, rng_b = np.random.default_rng(rows), np.random.default_rng(rows)
+        got, got_stats = error_correct(alice, bob, 0.03, block, rng_a)
+        want, want_stats = _reference_error_correct(alice, bob, 0.03, rows, block, rng_b)
+        assert np.array_equal(got, want)
+        assert got_stats == want_stats
+        assert rng_a.random() == rng_b.random()
+        one_a, one_b = np.random.default_rng(rows), np.random.default_rng(rows)
+        assert np.array_equal(
+            ec_block_correct(alice[:block], bob[:block], rows, one_a),
+            _reference_block(alice[:block], bob[:block], rows, one_b),
+        )
+        assert one_a.random() == one_b.random()
+    if block == 16:
+        assert heavy > 0  # the decoder-miss path ran
 
 
 def test_toeplitz_seed_and_apply_shapes():

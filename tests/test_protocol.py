@@ -1,13 +1,16 @@
 """End-to-end protocol runs: configs, determinism, aborts, transcripts."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbitqkd import protocol
 from pbitqkd.protocol import (
     ProtocolConfig,
     SourceSpec,
@@ -44,6 +47,18 @@ DESK_PM = {
     "m_x": 2000,
     "source": {"p": P_STAR, "kappa": 0.0},
 }
+
+
+# the noisy keyed pbit source: the configs that deliver key bits
+KEYED_SOURCE = {
+    "kind": "pbit", "twisting": "u_h", "ancilla": "comp00",
+    "noise": {"eps_x": 0.02, "eps_z": 0.01},
+}
+KEYED_PPP = {
+    "n": 200_000, "seed": 7, "s": 40, "delta": 0.05, "m_x": 4000, "m_prime": 4000,
+    "source": KEYED_SOURCE,
+}
+KEYED_PM = {"n": 200_000, "seed": 7, "s": 1, "delta": 0.5, "m_x": 2000, "source": KEYED_SOURCE}
 
 
 def test_source_spec_round_trip():
@@ -278,3 +293,60 @@ def test_small_runs_are_reproducible_for_any_seed(seed):
     t1, t2 = run_ppp(cfg), run_ppp(cfg)
     assert t1.to_json() == t2.to_json()
     assert isinstance(t1.abort, bool)
+
+
+# sha256[:16] of the transcript JSON; a change here changes every rerun's bytes
+# and needs a TRANSCRIPT_SCHEMA bump
+@pytest.mark.parametrize("run, cfg, digest", [
+    (run_ppp, DESK_PPP, "f60955fe87d52c87"),
+    (run_pm, DESK_PM, "9d62e28be4d69bbf"),
+    (run_ppp, {**DESK_PPP, "eve": 0.3}, "6c777fdfe5ca3e11"),
+    (run_ppp, KEYED_PPP, "d5e82a60eb230723"),
+    (run_pm, KEYED_PM, "e0b6eeee15b06fe5"),
+    (run_ppp, {**DESK_PPP, "m_x": 12000, "m_prime": 20000}, "e846a20493c542a3"),
+    (run_pm, {**DESK_PM, "n": 1000}, "d5346a85ba470273"),
+    (run_pm, {**DESK_PM, "m_prime": 10**6}, "a1859c4be8eb5368"),
+])
+def test_reference_transcripts_are_byte_identical(run, cfg, digest):
+    text = run(ProtocolConfig.from_dict(cfg)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def _broadcast_categorical(probs_by_code, codes, rng):
+    # the n x categories reference formula
+    cum = np.cumsum(probs_by_code, axis=1)
+    cum = cum / cum[:, -1:]
+    u = rng.random(codes.size)
+    return (u[:, None] > cum[codes]).sum(axis=1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_categorical_matches_broadcast_formula(monkeypatch, seed):
+    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 777)  # slice boundaries inside the input
+    gen = np.random.default_rng(seed)
+    probs = gen.random((4, 16)) * (gen.random((4, 16)) < 0.6)  # zero-probability categories
+    probs[1] = 0.0
+    probs[1, gen.integers(16)] = 1.0  # all mass in one category
+    probs[3, 0] += 0.1  # every row has mass
+    codes = gen.choice(np.array([0, 1, 3], dtype=np.uint8), size=5000)  # code 2 never occurs
+    rng_a, rng_b = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+    got = protocol._sample_categorical(probs, codes, rng_a)
+    want = _broadcast_categorical(probs, codes, rng_b)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+    assert rng_a.random() == rng_b.random()  # exactly one uniform per copy
+
+
+def test_sample_categorical_memory_is_linear_without_a_category_table():
+    n = 10**6
+    gen = np.random.default_rng(0)
+    probs = gen.random((4, 16))
+    codes = gen.integers(0, 4, size=n).astype(np.uint8)
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        protocol._sample_categorical(probs, codes, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * n  # an n x 16 float gather alone is 128 bytes per copy
