@@ -65,12 +65,9 @@ from .estimation import (
     EstimationResult,
     ProductDecomposition,
     decompose_two_local,
-    estimate_eps_x,
     estimate_eps_z_locc,
     joint_outcome_table,
     local_eigensystem,
-    optimal_untwist,
-    sample_product_outcomes,
 )
 from .channels import (
     POVM_M0,
@@ -81,7 +78,6 @@ from .channels import (
     binding_channel_apply,
     binding_channel_kraus,
     channel_branches,
-    sample_branch,
 )
 from .bounds import (
     BoundParams,
@@ -89,18 +85,15 @@ from .bounds import (
     FailureBound,
     ParamSolution,
     binary_entropy,
-    binary_entropy_inv_left,
     choose_params,
     composable_insecurity,
     definetti_log2,
     estimation_failure_terms,
     frequency_deviation_log2,
     group_average_error_bound,
-    hoeffding_tail,
     key_rate,
     log2_hoeffding_tail,
     log2_substring_sampling_bound,
-    net_key_rate,
     protocol_failure_bound,
     relaxation_budget,
     substring_sampling_bound,
@@ -109,7 +102,6 @@ from .ecpa import (
     error_correct,
     pa_length,
     toeplitz_apply,
-    toeplitz_extract,
     toeplitz_seed,
 )
 from .protocol import (
@@ -141,23 +133,19 @@ __all__ = [
     "make_pdit", "random_twisting", "untwist_and_trace",
     # estimation
     "EstimationResult", "ProductDecomposition", "decompose_two_local",
-    "estimate_eps_x", "estimate_eps_z_locc", "joint_outcome_table",
-    "local_eigensystem", "optimal_untwist", "sample_product_outcomes",
+    "estimate_eps_z_locc", "joint_outcome_table", "local_eigensystem",
     # channels
     "POVM_M0", "POVM_M1", "PauliNoiseModel", "apply_channel", "apply_pauli",
     "binding_channel_apply", "binding_channel_kraus", "channel_branches",
-    "sample_branch",
     # bounds
     "BoundParams", "EstimationFailureTerms", "FailureBound", "ParamSolution",
-    "binary_entropy", "binary_entropy_inv_left", "choose_params",
-    "composable_insecurity", "definetti_log2", "estimation_failure_terms",
-    "frequency_deviation_log2", "group_average_error_bound", "hoeffding_tail",
-    "key_rate", "log2_hoeffding_tail", "log2_substring_sampling_bound",
-    "net_key_rate", "protocol_failure_bound", "relaxation_budget",
-    "substring_sampling_bound",
+    "binary_entropy", "choose_params", "composable_insecurity",
+    "definetti_log2", "estimation_failure_terms", "frequency_deviation_log2",
+    "group_average_error_bound", "key_rate", "log2_hoeffding_tail",
+    "log2_substring_sampling_bound", "protocol_failure_bound",
+    "relaxation_budget", "substring_sampling_bound",
     # ecpa
-    "error_correct", "pa_length", "toeplitz_apply", "toeplitz_extract",
-    "toeplitz_seed",
+    "error_correct", "pa_length", "toeplitz_apply", "toeplitz_seed",
     # protocol
     "ProtocolConfig", "SourceSpec", "Transcript", "pm_signal_ensemble",
     "run_estimate", "run_pm", "run_ppp", "twisting_by_name",

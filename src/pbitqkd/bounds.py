@@ -16,10 +16,7 @@ from typing import Callable
 
 __all__ = [
     "binary_entropy",
-    "binary_entropy_inv_left",
     "key_rate",
-    "net_key_rate",
-    "hoeffding_tail",
     "log2_hoeffding_tail",
     "substring_sampling_bound",
     "log2_substring_sampling_bound",
@@ -49,30 +46,9 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def binary_entropy_inv_left(y: float, tol: float = 1e-15) -> float:
-    """Inverse of H on the increasing branch [0, 1/2] (bisection)."""
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"entropy value {y} outside [0, 1]")
-    lo, hi = 0.0, 0.5
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def key_rate(eps_x: float, eps_z: float) -> float:
     """Asymptotic one-way rate max(0, 1 - H(eps_x) - H(eps_z)); 0 means abort."""
     return max(0.0, 1.0 - binary_entropy(eps_x) - binary_entropy(eps_z))
-
-
-def net_key_rate(eps_x: float, eps_z: float, n: int, m_x: int, m_z: int) -> float:
-    """Rate after discounting the copies consumed by estimation."""
-    if m_x + m_z > n:
-        raise ValueError(f"estimation budget m_x + m_z = {m_x + m_z} exceeds n = {n}")
-    return (1.0 - (m_x + m_z) / n) * key_rate(eps_x, eps_z)
 
 
 # --- elementary tail bounds --------------------------------------------------
@@ -84,10 +60,6 @@ def log2_hoeffding_tail(m: int, delta: float) -> float:
     if m < 1:
         raise ValueError(f"sample count must be positive, got {m}")
     return 1.0 - 2.0 * m * delta * delta / _LN2
-
-
-def hoeffding_tail(m: int, delta: float) -> float:
-    return 2.0 ** log2_hoeffding_tail(m, delta)
 
 
 def log2_substring_sampling_bound(k: int, eps: float, z_size: int) -> float:
@@ -273,9 +245,9 @@ class FailureBound:
 
     def to_dict(self) -> dict:
         return {
-            "log2_terms": {k: _json_float(v) for k, v in self.log2_terms.items()},
-            "log2_f": _json_float(self.log2_f),
-            "f": _json_float(self.f),
+            "log2_terms": dict(self.log2_terms),
+            "log2_f": self.log2_f,
+            "f": self.f,
             "vacuous": self.vacuous,
         }
 
@@ -369,7 +341,7 @@ class ParamSolution:
             "m_z": self.m_z,
             "n": self.n,
             "binding_constraint": self.binding_constraint,
-            "margins": {k: _json_float(v) for k, v in self.margins.items()},
+            "margins": dict(self.margins),
             "message": self.message,
         }
 
@@ -556,9 +528,3 @@ def _log2_sum(log_terms: list[float]) -> float:
     if math.isinf(mx):  # all -inf
         return -math.inf
     return mx + math.log2(sum(2.0 ** (x - mx) for x in log_terms))
-
-
-def _json_float(x: float) -> float | None:
-    if isinstance(x, float) and (math.isinf(x) or math.isnan(x)):
-        return None
-    return float(x) if isinstance(x, (int, float)) else x

@@ -26,10 +26,9 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     dagger,
-    kron_all,
     promote,
 )
-from .states import CHI_C, CHI_S, DensityState, KEY_SHIELD_LAYOUT, bell_vec, proj
+from .states import CHI_C, CHI_S, DensityState
 
 __all__ = [
     "PauliNoiseModel",
@@ -41,7 +40,6 @@ __all__ = [
     "apply_channel",
     "binding_channel_apply",
     "channel_branches",
-    "sample_branch",
 ]
 
 
@@ -191,17 +189,3 @@ def channel_branches(
         out.append((lab, prob, DensityState(post, state.layout)))
     return out
 
-
-def sample_branch(
-    state: DensityState,
-    kraus: Sequence[tuple[str, np.ndarray]],
-    rng: np.random.Generator,
-    labels: Sequence[str] = ("B", "B'"),
-) -> tuple[str, DensityState]:
-    """Pick one Kraus branch at random according to its probability."""
-    branches = channel_branches(state, kraus, labels)
-    probs = np.array([b[1] for b in branches])
-    probs = probs / probs.sum()
-    idx = int(rng.choice(len(branches), p=probs))
-    lab, _, post = branches[idx]
-    return lab, post

@@ -44,7 +44,7 @@ from .linalg import PAULI_X, PAULI_Y, PAULI_Z, herm_eig, kron_all
 from .protocol import (
     ProtocolConfig,
     SourceSpec,
-    _jsonsafe,
+    canonical_json,
     pm_signal_ensemble,
     run_estimate,
     run_pm,
@@ -137,7 +137,7 @@ def _pick(flag_value, cfg: dict, key: str, default):
 
 
 def _emit(payload, out_path: str | None) -> None:
-    _emit_text(json.dumps(_jsonsafe(payload), sort_keys=True, separators=(",", ":")), out_path)
+    _emit_text(canonical_json(payload), out_path)
 
 
 def _emit_text(text: str, out_path: str | None) -> None:
@@ -153,6 +153,27 @@ def _require_seed(args, cfg: dict) -> int:
     if seed is None:
         raise UsageError("a --seed (or config 'seed') is required; no wall-clock seeding")
     return int(seed)
+
+
+def _source_dict(args, cfg: dict) -> dict:
+    """The config's source entry with --p / --kappa laid over it."""
+    src = dict(cfg.get("source") or {})
+    if args.p is not None:
+        src["p"] = args.p
+    if args.kappa is not None:
+        src["kappa"] = args.kappa
+    return src
+
+
+def _solver_args(args, cfg: dict) -> tuple[int, float, int, int, int | None]:
+    """s, delta, d, d_prime and n (None when unset) for the parameter solver."""
+    return (
+        int(_pick(args.s, cfg, "s", 40)),
+        float(_pick(args.delta, cfg, "delta", 0.05)),
+        int(_pick(args.d, cfg, "d", 2)),
+        int(_pick(args.dprime, cfg, "d_prime", 4)),
+        _pick(args.n, cfg, "n", None),
+    )
 
 
 # --- verify-example ------------------------------------------------------------
@@ -281,11 +302,7 @@ def _six_state_deviation(phi2: DensityState) -> float:
 
 def cmd_bounds(args) -> int:
     cfg = _load_config(args.config)
-    s = int(_pick(args.s, cfg, "s", 40))
-    delta = float(_pick(args.delta, cfg, "delta", 0.05))
-    d = int(_pick(args.d, cfg, "d", 2))
-    d_prime = int(_pick(args.dprime, cfg, "d_prime", 4))
-    n = _pick(args.n, cfg, "n", None)
+    s, delta, d, d_prime, n = _solver_args(args, cfg)
     if n is None:
         raise UsageError("bounds needs --n (or config 'n')")
     n = int(n)
@@ -304,15 +321,11 @@ def cmd_bounds(args) -> int:
         n=n, m_x=m_x, m_z=m_z, delta=delta, r=r, d=d, d_prime=d_prime, s=s, beta_b=beta_b
     )
     bound = protocol_failure_bound(params)
-    insec = composable_insecurity(bound.f, params.beta)
     payload = {
         "schema": SCHEMA,
         "params": params.to_dict(),
-        "log2_terms": bound.to_dict()["log2_terms"],
-        "log2_f": bound.to_dict()["log2_f"],
-        "f": bound.to_dict()["f"],
-        "insecurity": None if math.isinf(insec) else insec,
-        "vacuous": bound.vacuous,
+        **bound.to_dict(),
+        "insecurity": composable_insecurity(bound.f, params.beta),
         "binding_constraint": solver.binding_constraint,
         "solver": solver.to_dict(),
     }
@@ -324,11 +337,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_solve_params(args) -> int:
     cfg = _load_config(args.config)
-    s = int(_pick(args.s, cfg, "s", 40))
-    delta = float(_pick(args.delta, cfg, "delta", 0.05))
-    d = int(_pick(args.d, cfg, "d", 2))
-    d_prime = int(_pick(args.dprime, cfg, "d_prime", 4))
-    n = _pick(args.n, cfg, "n", None)
+    s, delta, d, d_prime, n = _solver_args(args, cfg)
     sol = choose_params(s, delta, d, d_prime, n=None if n is None else int(n))
     payload = {"schema": SCHEMA, "solution": sol.to_dict()}
     _emit(payload, args.out)
@@ -343,12 +352,7 @@ def cmd_solve_params(args) -> int:
 def cmd_estimate(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
-    src_dict = dict(cfg.get("source", {}))
-    if args.p is not None:
-        src_dict["p"] = args.p
-    if args.kappa is not None:
-        src_dict["kappa"] = args.kappa
-    source = SourceSpec.from_dict(src_dict)
+    source = SourceSpec.from_dict(_source_dict(args, cfg))
     m_prime = int(cfg.get("m_prime", 400))
     m_x = int(cfg.get("m_x", 1024))
     candidates = tuple(cfg.get("candidates", ("identity", "u_h")))
@@ -380,23 +384,14 @@ def _protocol_config(args, cfg: dict) -> ProtocolConfig:
     merged = dict(cfg)
     if args.n is not None:
         merged["n"] = args.n
-    if args.seed is not None:
-        merged["seed"] = args.seed
     if args.s is not None:
         merged["s"] = args.s
     if args.delta is not None:
         merged["delta"] = args.delta
-    src = dict(merged.get("source", {}))
-    if args.p is not None:
-        src["p"] = args.p
-    if args.kappa is not None:
-        src["kappa"] = args.kappa
-    if src:
-        merged["source"] = src
+    merged["source"] = _source_dict(args, cfg)
     if "n" not in merged:
         raise UsageError("a protocol run needs --n (or config 'n')")
-    if "seed" not in merged or merged["seed"] is None:
-        raise UsageError("a --seed (or config 'seed') is required; no wall-clock seeding")
+    merged["seed"] = _require_seed(args, cfg)
     try:
         return ProtocolConfig.from_dict(merged)
     except (KeyError, ValueError, TypeError) as exc:
@@ -417,14 +412,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_pm_ensemble(args) -> int:
-    cfg = _load_config(args.config)
-    if args.p is not None or args.kappa is not None or cfg.get("source"):
-        src_dict = dict(cfg.get("source", {}))
-        if args.p is not None:
-            src_dict["p"] = args.p
-        if args.kappa is not None:
-            src_dict["kappa"] = args.kappa
-        state = SourceSpec.from_dict(src_dict).base_state()
+    src = _source_dict(args, _load_config(args.config))
+    if src:
+        state = SourceSpec.from_dict(src).base_state()
         default_input = False
     else:
         vec = kron_all(bell_vec(0), bell_vec(0))

@@ -27,7 +27,6 @@ __all__ = [
     "error_correct",
     "toeplitz_seed",
     "toeplitz_apply",
-    "toeplitz_extract",
     "pa_length",
     "bits_to_hex",
 ]
@@ -211,13 +210,6 @@ def toeplitz_apply(bits: np.ndarray, seed: np.ndarray, out_len: int) -> np.ndarr
     size = 1 << (L + out_len - 2).bit_length()
     conv = np.fft.irfft(np.fft.rfft(seed, size) * np.fft.rfft(bits, size), size)
     return (np.rint(conv[L - 1 : L - 1 + out_len]).astype(np.int64) % 2).astype(np.uint8)
-
-
-def toeplitz_extract(bits: np.ndarray, out_len: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a fresh Toeplitz seed and hash ``bits`` down to ``out_len`` bits."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    seed = toeplitz_seed(bits.size, out_len, rng)
-    return toeplitz_apply(bits, seed, out_len)
 
 
 def pa_length(raw_len: int, eps_x: float, eps_z: float, syndrome_bits: int, s: int) -> int:

@@ -19,12 +19,12 @@ estimator's back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import TensorLayout, hs_norm, pauli_product_basis
+from .linalg import TensorLayout, pauli_product_basis
 from .states import DensityState
 
 __all__ = [
@@ -32,12 +32,9 @@ __all__ = [
     "decompose_two_local",
     "local_eigensystem",
     "joint_outcome_table",
-    "sample_product_outcomes",
-    "estimate_eps_x",
     "EstimationResult",
     "estimate_eps_z_locc",
     "best_candidate",
-    "optimal_untwist",
 ]
 
 _EIGVECS = {
@@ -210,28 +207,6 @@ def joint_outcome_table(
     return probs, products
 
 
-def sample_product_outcomes(
-    state: DensityState,
-    decomp: ProductDecomposition,
-    ja: int,
-    jb: int,
-    m: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample m product outcomes lambda_a*lambda_b for the given basis pair."""
-    probs, products = joint_outcome_table(state, decomp, ja, jb)
-    idx = rng.choice(probs.size, size=m, p=probs)
-    return products[idx]
-
-
-def estimate_eps_x(outcomes: np.ndarray) -> float:
-    """Bit-error estimate from ±1 key-correlation outcomes: (1 - mean)/2."""
-    arr = np.asarray(outcomes, dtype=float)
-    if arr.size == 0:
-        raise ValueError("no outcomes")
-    return float((1.0 - arr.mean()) / 2.0)
-
-
 @dataclass
 class EstimationResult:
     """Outcome of one LOCC phase-error estimation."""
@@ -240,8 +215,6 @@ class EstimationResult:
     eps_z_raw: float
     eps_z: float
     clamped: bool
-    group_means: dict = field(default_factory=dict)
-    group_counts: dict = field(default_factory=dict)
 
 
 def estimate_eps_z_locc(
@@ -258,19 +231,13 @@ def estimate_eps_z_locc(
     with a flag; callers keep the raw value for transcripts.
     """
     out = 0.0
-    means: dict[str, float] = {}
-    counts: dict[str, int] = {}
     for ja, jb in decomp.support(tol):
         rec = records.get((ja, jb))
         if rec is None or len(rec) == 0:
             raise ValueError(
                 f"support pair ({decomp.labels_a[ja]},{decomp.labels_b[jb]}) has no outcomes"
             )
-        arr = np.asarray(rec, dtype=float)
-        key = f"{decomp.labels_a[ja]},{decomp.labels_b[jb]}"
-        means[key] = float(arr.mean())
-        counts[key] = int(arr.size)
-        out += float(decomp.coeffs[ja, jb]) * means[key]
+        out += float(decomp.coeffs[ja, jb]) * float(np.asarray(rec, dtype=float).mean())
     raw = (1.0 - out) / 2.0
     clamped = not 0.0 <= raw <= 1.0
     eps_z = min(max(raw, 0.0), 1.0)
@@ -279,27 +246,7 @@ def estimate_eps_z_locc(
         eps_z_raw=raw,
         eps_z=eps_z,
         clamped=clamped,
-        group_means=means,
-        group_counts=counts,
     )
-
-
-def optimal_untwist(
-    records: Mapping[tuple[int, int], np.ndarray],
-    decomps: Sequence[ProductDecomposition],
-    tol: float = 1e-12,
-) -> tuple[list[EstimationResult], int]:
-    """Evaluate several candidate twisting decompositions on shared records.
-
-    The same measured group means serve every candidate (their supports may
-    differ; the records must cover the union).  Returns all results and the
-    index of the candidate with the smallest clamped eps_z -- the best
-    untwisting consistent with the observed statistics.
-    """
-    if not decomps:
-        raise ValueError("need at least one candidate decomposition")
-    results = [estimate_eps_z_locc(records, dec, tol) for dec in decomps]
-    return results, best_candidate(results)
 
 
 def best_candidate(results: Sequence[EstimationResult]) -> int:

@@ -10,7 +10,7 @@ never materialize tensor powers, they sample patterns instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +29,7 @@ __all__ = [
     "partial_transpose",
     "herm_eig",
     "trace_norm",
-    "op_norm",
-    "hs_inner",
+    "trace_distance",
     "hs_norm",
     "pauli_product_basis",
     "basis_ket",
@@ -120,19 +119,8 @@ class TensorLayout:
             raise KeyError(f"labels {sorted(missing)} not in layout {self.labels}")
         return TensorLayout(tuple(keep))
 
-    def drop(self, labels: Sequence[str]) -> "TensorLayout":
-        gone = set(labels)
-        for lab in gone:
-            self.axis(lab)  # raises on unknown label
-        return TensorLayout(tuple(f for f in self.factors if f[0] not in gone))
-
     def extend(self, label: str, dim: int) -> "TensorLayout":
         return TensorLayout(self.factors + ((label, dim),))
-
-
-def layout_of(spec: Iterable[tuple[str, int]]) -> TensorLayout:
-    """Convenience constructor from any iterable of (label, dim) pairs."""
-    return TensorLayout(tuple(spec))
 
 
 def _as_tensor(mat: np.ndarray, layout: TensorLayout) -> np.ndarray:
@@ -230,16 +218,6 @@ def herm_eig(mat: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarra
 def trace_norm(mat: np.ndarray) -> float:
     """Sum of singular values (nuclear norm)."""
     return float(np.sum(np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False)))
-
-
-def op_norm(mat: np.ndarray) -> float:
-    """Largest singular value (spectral norm)."""
-    return float(np.linalg.norm(np.asarray(mat, dtype=complex), ord=2))
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(a† b)."""
-    return complex(np.trace(dagger(a) @ b))
 
 
 def hs_norm(a: np.ndarray) -> float:

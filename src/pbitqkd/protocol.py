@@ -54,6 +54,7 @@ __all__ = [
     "run_estimate",
     "pm_signal_ensemble",
     "twisting_by_name",
+    "canonical_json",
 ]
 
 TRANSCRIPT_SCHEMA = 1
@@ -224,7 +225,7 @@ class Transcript:
             "abort": self.abort,
             "abort_reason": self.abort_reason,
         }
-        return json.dumps(_jsonsafe(payload), sort_keys=True, separators=(",", ":"))
+        return canonical_json(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
@@ -242,8 +243,13 @@ class Transcript:
         )
 
 
+def canonical_json(payload) -> str:
+    """The one JSON writer: sorted keys, no spaces, non-finite floats as null."""
+    return json.dumps(_jsonsafe(payload), sort_keys=True, separators=(",", ":"))
+
+
 def _jsonsafe(obj):
-    """Replace non-finite floats by None so the transcript stays valid JSON."""
+    """Replace non-finite floats by None so the document stays valid JSON."""
     if isinstance(obj, dict):
         return {k: _jsonsafe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

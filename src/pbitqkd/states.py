@@ -7,9 +7,8 @@ objects that pair the dense matrix with its :class:`~pbitqkd.linalg.TensorLayout
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,24 +94,6 @@ class DensityState:
         if self.layout != other.layout:
             raise ValueError("layout mismatch")
         return trace_distance(self.mat, other.mat)
-
-    # --- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "dims": {lab: d for lab, d in self.layout.factors},
-            "re": np.round(self.mat.real, 15).tolist(),
-            "im": np.round(self.mat.imag, 15).tolist(),
-        }
-        return json.dumps(payload, sort_keys=False, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityState":
-        payload = json.loads(text)
-        dims: Mapping[str, int] = payload["dims"]
-        layout = TensorLayout(tuple((str(k), int(v)) for k, v in dims.items()))
-        mat = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-        return cls(mat, layout)
 
 
 # --- two-qubit vectors -----------------------------------------------------

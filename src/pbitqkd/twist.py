@@ -12,9 +12,7 @@ the LOCC estimation machinery has to track.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -85,30 +83,6 @@ class TwistingOp:
                 k = (i * self.d + j) * self.d_prime
                 out[k : k + self.d_prime, k : k + self.d_prime] = self.block(i, j)
         return out
-
-    # --- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "d": self.d,
-            "blocks": {
-                key: {
-                    "re": np.round(b.real, 15).tolist(),
-                    "im": np.round(b.imag, 15).tolist(),
-                }
-                for key, b in sorted(self.blocks.items())
-            },
-        }
-        return json.dumps(payload, sort_keys=False, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "TwistingOp":
-        payload = json.loads(text)
-        blocks = {
-            key: np.asarray(val["re"], dtype=float) + 1j * np.asarray(val["im"], dtype=float)
-            for key, val in payload["blocks"].items()
-        }
-        return cls(int(payload["d"]), blocks)
 
 
 def identity_twisting(d: int = 2, d_prime: int = 4) -> TwistingOp:

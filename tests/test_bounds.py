@@ -17,18 +17,15 @@ from hypothesis import strategies as st
 from pbitqkd.bounds import (
     BoundParams,
     binary_entropy,
-    binary_entropy_inv_left,
     choose_params,
     composable_insecurity,
     definetti_log2,
     estimation_failure_terms,
     frequency_deviation_log2,
     group_average_error_bound,
-    hoeffding_tail,
     key_rate,
     log2_hoeffding_tail,
     log2_substring_sampling_bound,
-    net_key_rate,
     protocol_failure_bound,
     relaxation_budget,
     substring_sampling_bound,
@@ -71,13 +68,6 @@ def test_binary_entropy_against_oracle():
         assert abs(binary_entropy(x) - float(mp_entropy(x))) < 1e-12
 
 
-def test_binary_entropy_inverse_round_trip():
-    for y in (0.0, 0.1, 0.5, 0.9787, 1.0):
-        x = binary_entropy_inv_left(y)
-        assert 0.0 <= x <= 0.5
-        assert abs(binary_entropy(x) - y) < 1e-9
-
-
 def test_key_rate_examples():
     assert abs(key_rate(0.5858, 0.0) - 0.0213) < 5e-4
     assert key_rate(0.5, 0.5) == 0.0  # abort
@@ -86,19 +76,12 @@ def test_key_rate_examples():
     assert key_rate(0.3, 0.3) == 0.0
 
 
-def test_net_key_rate_discounts_estimation_budget():
-    r = key_rate(0.02, 0.01)
-    assert abs(net_key_rate(0.02, 0.01, n=1000, m_x=100, m_z=400) - 0.5 * r) < 1e-12
-    with pytest.raises(ValueError):
-        net_key_rate(0.1, 0.1, n=100, m_x=80, m_z=30)
-
-
 # --- elementary tails vs mpmath -------------------------------------------------
 
 
 def test_mean_deviation_tail_examples():
-    assert abs(hoeffding_tail(100, 0.0) - 2.0) < 1e-15
-    assert abs(hoeffding_tail(100, 0.1) - 2.0 * math.exp(-2.0)) < 1e-12
+    assert abs(2.0 ** log2_hoeffding_tail(100, 0.0) - 2.0) < 1e-15
+    assert abs(2.0 ** log2_hoeffding_tail(100, 0.1) - 2.0 * math.exp(-2.0)) < 1e-12
 
 
 def test_mean_deviation_tail_oracle():

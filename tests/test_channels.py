@@ -15,15 +15,13 @@ from pbitqkd.channels import (
     binding_channel_kraus,
     channel_branches,
     pauli_op,
-    sample_branch,
 )
-from pbitqkd.linalg import PAULI_X, PAULI_Y, PAULI_Z, dagger, kron_all, proj
+from pbitqkd.linalg import PAULI_X, PAULI_Z, dagger, proj
 from pbitqkd.states import (
     KEY_SHIELD_LAYOUT,
     P_STAR,
     DensityState,
     bell_state,
-    bell_vec,
     phi_d_vec,
     rho_h,
 )
@@ -120,14 +118,6 @@ def test_branch_posteriors_are_states():
     for lab, prob, post in channel_branches(src, binding_channel_kraus(0.3, 0.01)):
         if prob > 1e-12:
             post.validate()
-
-
-def test_sample_branch_deterministic_given_seed():
-    src = double_phi()
-    kraus = binding_channel_kraus(0.5, 0.0)
-    lab1, _ = sample_branch(src, kraus, np.random.default_rng(42))
-    lab2, _ = sample_branch(src, kraus, np.random.default_rng(42))
-    assert lab1 == lab2
 
 
 def test_apply_channel_accepts_bare_operator_lists():

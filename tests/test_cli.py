@@ -1,6 +1,7 @@
 """CLI contract: exit codes, one-JSON-document stdout, file outputs, CSV."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -237,6 +238,22 @@ def test_run_ppp_needs_n_and_seed(capsys):
     capsys.readouterr()
 
 
+def test_null_source_in_config_is_the_default_source(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "n": 2000, "seed": 5, "m_x": 200, "m_prime": 150, "source": None,
+    }))
+    code, doc = run_cli(capsys, "run-ppp", "--config", str(cfg_path))
+    assert code == EXIT_OK
+    assert doc["config"]["source"]["p"] == pytest.approx(P_STAR)
+    code, payload = run_cli(capsys, "estimate", "--config", str(cfg_path))
+    assert code == EXIT_OK
+    assert payload["source"]["p"] == pytest.approx(P_STAR)
+    code, payload = run_cli(capsys, "pm-ensemble", "--config", str(cfg_path))
+    assert code == EXIT_OK
+    assert payload["default_input"] is True
+
+
 def test_run_pm_via_cli(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -318,3 +335,21 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["verify-example", "--config", str(bad)]) == EXIT_USAGE
     capsys.readouterr()
+
+
+# sha256[:16] of stdout; the CLI documents are pinned like the run transcripts
+@pytest.mark.parametrize("argv, digest", [
+    (["verify-example"], "c8969df4ed864ec1"),
+    (["bounds", "--n", "100000"], "ce70c9adabb991e3"),  # four non-finite values as null
+    (["bounds", "--n", "1000000000000"], "b000f998c8c11301"),
+    (["solve-params"], "6ad051104efae52e"),
+    (["solve-params", "--n", "1000000"], "4384bb843c9bc040"),
+    (["estimate", "--seed", "3"], "9c11cac70e27a72d"),
+    (["estimate", "--seed", "3", "--p", "0.5", "--kappa", "0.01"], "df593d3b7dc845ee"),
+    (["pm-ensemble"], "60657e27a10a281d"),
+    (["pm-ensemble", "--p", "0.5"], "1c60e1a414e0ce3a"),
+])
+def test_reference_cli_documents_are_byte_identical(capsys, argv, digest):
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

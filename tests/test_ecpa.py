@@ -17,7 +17,6 @@ from pbitqkd.ecpa import (
     pa_length,
     syndrome_rows,
     toeplitz_apply,
-    toeplitz_extract,
     toeplitz_seed,
 )
 from pbitqkd.bounds import binary_entropy
@@ -206,13 +205,6 @@ def test_toeplitz_matches_explicit_matrix():
                 t[i, j] = seed[i + n - 1 - j]
         direct = (t @ bits) % 2
         assert np.array_equal(toeplitz_apply(bits, seed, out_len), direct)
-
-
-def test_toeplitz_extract_deterministic():
-    bits = np.ones(80, dtype=np.uint8)
-    a = toeplitz_extract(bits, 20, np.random.default_rng(42))
-    b = toeplitz_extract(bits, 20, np.random.default_rng(42))
-    assert np.array_equal(a, b)
 
 
 def test_pa_length():

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from pbitqkd.channels import apply_pauli
 from pbitqkd.estimation import (
     ProductDecomposition,
+    best_candidate,
     decompose_two_local,
-    estimate_eps_x,
     estimate_eps_z_locc,
     joint_outcome_table,
     local_eigensystem,
-    optimal_untwist,
-    sample_product_outcomes,
 )
 from pbitqkd.linalg import dagger, kron_all, proj, random_density, trace_distance
 from pbitqkd.states import KEY_SHIELD_LAYOUT, DensityState, basis_ket
@@ -124,9 +122,6 @@ def test_estimator_on_exact_means_recovers_zero_phase_error():
     res = estimate_eps_z_locc(exact_records(state, dec), dec)
     assert abs(res.out - 1.0) < 1e-10
     assert res.eps_z == 0.0 or res.eps_z < 1e-10
-    assert set(res.group_means) == {
-        f"{dec.labels_a[ja]},{dec.labels_b[jb]}" for ja, jb in dec.support()
-    }
 
 
 def test_pattern_expectations_on_u_h_pbit():
@@ -168,14 +163,6 @@ def test_estimator_tracks_planted_pattern_mixtures():
     assert truth > 0.0  # the plant actually moved the phase error
 
 
-def test_estimate_eps_x():
-    assert estimate_eps_x(np.array([1.0, 1.0, -1.0, -1.0])) == 0.5
-    assert estimate_eps_x(np.ones(10)) == 0.0
-    assert estimate_eps_x(-np.ones(4)) == 1.0
-    with pytest.raises(ValueError):
-        estimate_eps_x(np.array([]))
-
-
 def test_estimator_requires_support_coverage():
     dec = decompose_two_local(gamma_x(build_u_h()), KEY_SHIELD_LAYOUT)
     with pytest.raises(ValueError):
@@ -195,10 +182,10 @@ def test_sampling_concentrates_with_m():
     state = u_h_pbit()
     dec = decompose_two_local(gamma_x(build_u_h()), KEY_SHIELD_LAYOUT)
     rng = np.random.default_rng(12)
-    records = {
-        pair: sample_product_outcomes(state, dec, *pair, m=20000, rng=rng)
-        for pair in dec.support()
-    }
+    records = {}
+    for pair in dec.support():
+        probs, products = joint_outcome_table(state, dec, *pair)
+        records[pair] = products[rng.choice(probs.size, size=20000, p=probs)]
     res = estimate_eps_z_locc(records, dec)
     assert res.eps_z < 0.02  # truth is 0; generous envelope at m' = 20000
 
@@ -211,12 +198,10 @@ def test_optimal_untwist_prefers_the_matching_candidate():
     dec_bad = decompose_two_local(gamma_x(identity_twisting()), KEY_SHIELD_LAYOUT)
     records = exact_records(state, dec_good)
     records.update(exact_records(state, dec_bad))
-    results, best = optimal_untwist(records, [dec_bad, dec_good])
-    assert best == 1
+    results = [estimate_eps_z_locc(records, dec) for dec in (dec_bad, dec_good)]
+    assert best_candidate(results) == 1
     assert results[1].eps_z < 1e-10
     assert abs(results[0].eps_z - 0.5) < 1e-10  # mismatched candidate reads 1/2
-    with pytest.raises(ValueError):
-        optimal_untwist(records, [])
 
 
 @given(st.integers(0, 2**32 - 1))

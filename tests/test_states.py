@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbitqkd.linalg import (
-    basis_ket,
-    dagger,
     herm_eig,
     kron_all,
-    partial_transpose,
     proj,
     random_density,
     random_unitary,
@@ -123,13 +120,6 @@ def test_sigma_ab_structure():
     expected = (1 - kappa) * (p * proj(bell_vec(0)) + (1 - p) * proj(bell_vec(2)))
     expected += kappa * np.eye(4) / 4.0
     assert trace_distance(sig.mat, expected) < 1e-14
-
-
-def test_density_state_json_round_trip():
-    rho = rho_h(0.3, 0.01)
-    back = DensityState.from_json(rho.to_json())
-    assert back.layout == rho.layout
-    assert trace_distance(back.mat, rho.mat) < 1e-12
 
 
 def test_density_state_expect_and_conjugate():
