@@ -68,6 +68,7 @@ from .estimation import (
     estimate_eps_z_locc,
     joint_outcome_table,
     local_eigensystem,
+    pm_signal_ensemble,
 )
 from .channels import (
     POVM_M0,
@@ -108,7 +109,6 @@ from .protocol import (
     ProtocolConfig,
     SourceSpec,
     Transcript,
-    pm_signal_ensemble,
     run_estimate,
     run_pm,
     run_ppp,
@@ -134,6 +134,7 @@ __all__ = [
     # estimation
     "EstimationResult", "ProductDecomposition", "decompose_two_local",
     "estimate_eps_z_locc", "joint_outcome_table", "local_eigensystem",
+    "pm_signal_ensemble",
     # channels
     "POVM_M0", "POVM_M1", "PauliNoiseModel", "apply_channel", "apply_pauli",
     "binding_channel_apply", "binding_channel_kraus", "channel_branches",
@@ -147,6 +148,6 @@ __all__ = [
     # ecpa
     "error_correct", "pa_length", "toeplitz_apply", "toeplitz_seed",
     # protocol
-    "ProtocolConfig", "SourceSpec", "Transcript", "pm_signal_ensemble",
-    "run_estimate", "run_pm", "run_ppp", "twisting_by_name",
+    "ProtocolConfig", "SourceSpec", "Transcript", "run_estimate", "run_pm",
+    "run_ppp", "twisting_by_name",
 ]

@@ -11,7 +11,7 @@ them digit-for-digit against an independent high-precision evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 __all__ = [
@@ -213,19 +213,7 @@ class BoundParams:
         return 2.0 ** (-self.s) if self.beta_b is None else self.beta_b
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m_x": self.m_x,
-            "m_z": self.m_z,
-            "m_prime": self.m_prime,
-            "delta": self.delta,
-            "r": self.r,
-            "d": self.d,
-            "d_prime": self.d_prime,
-            "t": self.t,
-            "s": self.s,
-            "beta_b": self.beta,
-        }
+        return {**asdict(self), "m_prime": self.m_prime, "t": self.t, "beta_b": self.beta}
 
 
 @dataclass(frozen=True)
@@ -244,12 +232,7 @@ class FailureBound:
         return not self.log2_f < 0.0  # f >= 1 (or nan/inf)
 
     def to_dict(self) -> dict:
-        return {
-            "log2_terms": dict(self.log2_terms),
-            "log2_f": self.log2_f,
-            "f": self.f,
-            "vacuous": self.vacuous,
-        }
+        return {**asdict(self), "f": self.f, "vacuous": self.vacuous}
 
 
 def protocol_failure_bound(params: BoundParams) -> FailureBound:
@@ -328,22 +311,7 @@ class ParamSolution:
     message: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "s": self.s,
-            "delta": self.delta,
-            "d": self.d,
-            "d_prime": self.d_prime,
-            "t": self.t,
-            "m_x": self.m_x,
-            "r": self.r,
-            "m_prime": self.m_prime,
-            "m_z": self.m_z,
-            "n": self.n,
-            "binding_constraint": self.binding_constraint,
-            "margins": dict(self.margins),
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 def _mprime_constraints(
@@ -376,30 +344,38 @@ def _solve_mprime(
 ) -> tuple[int | None, str | None, dict]:
     """Minimal m' meeting all constraint groups; (None, name, margins) if hopeless."""
     cons = _mprime_constraints(s, delta, d, d_prime, r)
+
+    def ok(mp: int) -> bool:
+        return all(fn(mp) >= 0.0 for fn in cons.values())
+
     lo = max(2 * r, 2)
     mp = lo
     for _ in range(200):
-        if all(fn(mp) >= 0.0 for fn in cons.values()):
+        if ok(mp):
             break
         mp *= 2
     else:
         failing = [name for name, fn in cons.items() if fn(mp) < 0.0]
         return None, failing[0], {name: fn(mp) for name, fn in cons.items()}
-    hi = mp
-    lo_search = lo
-    while lo_search < hi:
-        mid = (lo_search + hi) // 2
-        if all(fn(mid) >= 0.0 for fn in cons.values()):
-            hi = mid
-        else:
-            lo_search = mid + 1
-    best = hi
+    best = _least(ok, lo, mp)
     margins = {name: fn(best) for name, fn in cons.items()}
     binding = None
     if best > lo:
         failing = [name for name, fn in cons.items() if fn(best - 1) < 0.0]
         binding = failing[0] if failing else None
     return best, binding, margins
+
+
+def _least(ok: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Smallest x in [lo, hi] with ok(x), by bisection; ok must hold at hi and
+    stay true from its first true value on."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 def choose_params(
@@ -434,24 +410,23 @@ def choose_params(
     def attempt(n_val: int) -> ParamSolution:
         r = relaxation_budget(s, n_val, d, d_prime)
         mp, binding, margins = _solve_mprime(s, delta, d, d_prime, r)
-        margins = dict(margins)
         # r is additive in a security part and a dimension part; expose both so
         # callers can see which one dominates the relaxation budget
         margins["r_security_part"] = float(4 * s)
         margins["r_dimension_part"] = float(r - 4 * s)
+        # every variant below shares this margins dict, which the checks extend
+        sol = ParamSolution(
+            feasible=False, s=s, delta=delta, d=d, d_prime=d_prime, t=t, m_x=m_x,
+            r=r, n=n_val, binding_constraint=binding, margins=margins,
+        )
         if mp is None:
-            return ParamSolution(
-                feasible=False, s=s, delta=delta, d=d, d_prime=d_prime, t=t,
-                m_x=m_x, r=r, n=n_val, binding_constraint=binding, margins=margins,
-                message=f"m' search failed: constraint {binding!r} unsatisfiable",
-            )
+            return replace(sol, message=f"m' search failed: constraint {binding!r} unsatisfiable")
         m_z = t * t * mp
+        sol = replace(sol, m_prime=mp, m_z=m_z)
         margins["n_budget"] = float(n_val - m_x - m_z)
         if m_x + m_z >= n_val:
-            return ParamSolution(
-                feasible=False, s=s, delta=delta, d=d, d_prime=d_prime, t=t,
-                m_x=m_x, r=r, m_prime=mp, m_z=m_z, n=n_val,
-                binding_constraint="n_budget", margins=margins,
+            return replace(
+                sol, binding_constraint="n_budget",
                 message=(
                     f"estimation budget m_x + m_z = {m_x + m_z} leaves no key copies"
                     f" out of n = {n_val}"
@@ -465,20 +440,14 @@ def choose_params(
             margins[f"term_{term_name}"] = term_target - log2_term
         weak = [name for name, val in bound.log2_terms.items() if val > term_target]
         if weak:
-            return ParamSolution(
-                feasible=False, s=s, delta=delta, d=d, d_prime=d_prime, t=t,
-                m_x=m_x, r=r, m_prime=mp, m_z=m_z, n=n_val,
-                binding_constraint=f"term_{weak[0]}", margins=margins,
+            return replace(
+                sol, binding_constraint=f"term_{weak[0]}",
                 message=(
                     f"aggregate-bound term(s) {weak} exceed the 2^-{s} per-term"
                     f" target at n = {n_val}"
                 ),
             )
-        return ParamSolution(
-            feasible=True, s=s, delta=delta, d=d, d_prime=d_prime, t=t,
-            m_x=m_x, r=r, m_prime=mp, m_z=m_z, n=n_val,
-            binding_constraint=binding, margins=margins,
-        )
+        return replace(sol, feasible=True)
 
     if n is not None:
         return attempt(int(n))
@@ -491,21 +460,11 @@ def choose_params(
             break
         n_hi *= 2
     else:
-        sol = attempt(n_cap)
-        return ParamSolution(
-            feasible=False, s=s, delta=delta, d=d, d_prime=d_prime, t=t,
-            m_x=m_x, r=sol.r, m_prime=sol.m_prime, m_z=sol.m_z, n=None,
-            binding_constraint=sol.binding_constraint, margins=sol.margins,
+        return replace(
+            attempt(n_cap), feasible=False, n=None,
             message=f"no feasible n below cap 2^{int(math.log2(n_cap))}",
         )
-    lo, hi = n_lo, n_hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if attempt(mid).feasible:
-            hi = mid
-        else:
-            lo = mid + 1
-    return attempt(hi)
+    return attempt(_least(lambda v: attempt(v).feasible, n_lo, n_hi))
 
 
 # --- helpers ------------------------------------------------------------------

@@ -15,7 +15,7 @@ Two noise mechanisms appear in protocol runs:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -82,15 +82,10 @@ class PauliNoiseModel:
         return x, z
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"eps_x": self.eps_x, "eps_z": self.eps_z, "mode": self.mode},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, text: str) -> "PauliNoiseModel":
-        d = json.loads(text)
+    def from_dict(cls, d: dict) -> "PauliNoiseModel":
         return cls(float(d["eps_x"]), float(d["eps_z"]), str(d.get("mode", "iid")))
 
 

@@ -39,13 +39,12 @@ from .channels import (
     binding_channel_kraus,
     channel_branches,
 )
-from .estimation import decompose_two_local
+from .estimation import decompose_two_local, pm_signal_ensemble
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, herm_eig, kron_all
 from .protocol import (
     ProtocolConfig,
     SourceSpec,
     canonical_json,
-    pm_signal_ensemble,
     run_estimate,
     run_pm,
     run_ppp,
@@ -355,7 +354,7 @@ def cmd_estimate(args) -> int:
     source = SourceSpec.from_dict(_source_dict(args, cfg))
     m_prime = int(cfg.get("m_prime", 400))
     m_x = int(cfg.get("m_x", 1024))
-    candidates = tuple(cfg.get("candidates", ("identity", "u_h")))
+    candidates = tuple(cfg.get("candidates", ProtocolConfig.candidates))
     if m_prime < 1 or m_x < 1:
         raise UsageError("m_prime and m_x must be positive")
 
@@ -481,8 +480,8 @@ def cmd_sweep(args) -> int:
         if seed0 is None:
             raise UsageError("sweep needs config 'seeds' or a base --seed")
         seeds = [int(seed0) + i for i in range(int(cfg.get("n_seeds", 1)))]
-    base = {k: v for k, v in cfg.items() if k in
-            ("n", "s", "delta", "eve", "candidates", "m_x", "m_prime", "ec_block", "beta_b")}
+    # grid keys name no config field, so ProtocolConfig.from_dict skips them
+    base = dict(cfg)
     if args.n is not None:
         base["n"] = args.n
     if "n" not in base:
@@ -493,9 +492,7 @@ def cmd_sweep(args) -> int:
     for p in p_values:
         for kappa in kappa_values:
             for seed in seeds:
-                src = dict(src_base)
-                src["p"] = p
-                src["kappa"] = kappa
+                src = {**src_base, "p": p, "kappa": kappa}
                 tasks.append((protocol, {**base, "seed": seed, "source": src}))
 
     threads = args.threads if args.threads is not None else cfg.get("threads")

@@ -32,6 +32,7 @@ __all__ = [
     "decompose_two_local",
     "local_eigensystem",
     "joint_outcome_table",
+    "pm_signal_ensemble",
     "EstimationResult",
     "estimate_eps_z_locc",
     "best_candidate",
@@ -205,6 +206,40 @@ def joint_outcome_table(
     probs = probs / total
     products = np.kron(vals_a, vals_b)
     return probs, products
+
+
+def pm_signal_ensemble(
+    state: DensityState,
+    label_a: str,
+    side_a: Sequence[str] = ("A", "A'"),
+    side_b: Sequence[str] = ("B", "B'"),
+) -> list[tuple[float, DensityState]]:
+    """Signal ensemble Alice prepares on Bob's side by measuring one observable.
+
+    Measuring the product observable ``label_a`` (letters over IXYZ, one per
+    side-A factor, identity factors read in the computational basis) on her
+    share of ``state`` collapses Bob's share to a conditional state with the
+    outcome's probability.  Returns the (probability, normalized state)
+    list in eigenvector order; zero-probability outcomes keep a zero state.
+    """
+    _, vecs_a = local_eigensystem(label_a)
+    rho = _permute_sides(state.mat, state.layout, side_a, side_b)
+    da = vecs_a.shape[0]
+    db = state.layout.dim // da
+    rho4 = rho.reshape(da, db, da, db)
+    out_layout = state.layout.restrict(side_b)
+    out = []
+    for k in range(da):
+        v = vecs_a[:, k]
+        cond = np.einsum("i,ipjq,j->pq", v.conj(), rho4, v)
+        prob = float(np.trace(cond).real)
+        if prob > 1e-15:
+            cond = cond / prob
+        else:
+            prob = 0.0
+            cond = np.zeros((db, db), dtype=complex)
+        out.append((prob, DensityState(cond, out_layout)))
+    return out
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ from .estimation import (
     decompose_two_local,
     estimate_eps_z_locc,
     joint_outcome_table,
-    local_eigensystem,
 )
 from .linalg import basis_ket, kron_all, proj
 from .states import DensityState, KEY_SHIELD_LAYOUT, P_STAR, rho_h
@@ -52,7 +51,6 @@ __all__ = [
     "run_ppp",
     "run_pm",
     "run_estimate",
-    "pm_signal_ensemble",
     "twisting_by_name",
     "canonical_json",
 ]
@@ -105,26 +103,11 @@ class SourceSpec:
         return make_pdit(twisting_by_name(self.twisting), _ancilla_by_name(self.ancilla))
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "kappa": self.kappa,
-            "twisting": self.twisting,
-            "ancilla": self.ancilla,
-            "noise": None if self.noise is None else json.loads(self.noise.to_json()),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SourceSpec":
-        noise = d.get("noise")
-        return cls(
-            kind=d.get("kind", "rho_h"),
-            p=float(d.get("p", P_STAR)),
-            kappa=float(d.get("kappa", 0.0)),
-            twisting=d.get("twisting", "u_h"),
-            ancilla=d.get("ancilla", "comp00"),
-            noise=None if noise is None else PauliNoiseModel.from_json(json.dumps(noise)),
-        )
+        return _from_fields(cls, d, {"p": float, "kappa": float, "noise": PauliNoiseModel.from_dict})
 
 
 @dataclass(frozen=True)
@@ -158,45 +141,37 @@ class ProtocolConfig:
             raise ValueError("need at least one candidate twisting")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "s": self.s,
-            "delta": self.delta,
-            "source": self.source.to_dict(),
-            "eve": None if self.eve is None else json.loads(self.eve.to_json()),
-            "candidates": list(self.candidates),
-            "m_x": self.m_x,
-            "m_prime": self.m_prime,
-            "ec_block": self.ec_block,
-            "beta_b": self.beta_b,
-            "threads": self.threads,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolConfig":
-        eve = d.get("eve")
-        if isinstance(eve, (int, float)) and not isinstance(eve, bool):
-            # bare number = iid bit-flip-only intercept strength
-            eve = {"eps_x": float(eve), "eps_z": 0.0}
-        return cls(
-            n=int(d["n"]),
-            seed=int(d["seed"]),
-            s=int(d.get("s", 40)),
-            delta=float(d.get("delta", 0.05)),
-            source=SourceSpec.from_dict(d.get("source", {})),
-            eve=None if eve is None else PauliNoiseModel.from_json(json.dumps(eve)),
-            candidates=tuple(d.get("candidates", ("identity", "u_h"))),
-            m_x=d.get("m_x"),
-            m_prime=d.get("m_prime"),
-            ec_block=int(d.get("ec_block", 16)),
-            beta_b=d.get("beta_b"),
-            threads=d.get("threads"),
-        )
+        return _from_fields(cls, d, {
+            "n": int, "seed": int, "s": int, "delta": float, "source": SourceSpec.from_dict,
+            "eve": _parse_eve, "candidates": tuple, "m_x": int, "m_prime": int, "ec_block": int,
+        })
 
-    @classmethod
-    def from_json(cls, text: str) -> "ProtocolConfig":
-        return cls.from_dict(json.loads(text))
+
+def _parse_eve(eve) -> PauliNoiseModel:
+    if isinstance(eve, (int, float)) and not isinstance(eve, bool):
+        # bare number = iid bit-flip-only intercept strength
+        eve = {"eps_x": eve, "eps_z": 0.0}
+    return PauliNoiseModel.from_dict(eve)
+
+
+def _from_fields(cls, d: dict, parsers: dict):
+    """``cls`` built from the entries of ``d`` that name one of its fields.
+
+    Absent fields keep their dataclass default and keys that name no field
+    are ignored.  A null means None only where the default is None; anywhere
+    else it goes to the field's parser (or the constructor) and fails there.
+    """
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d:
+            value, parse = d[f.name], parsers.get(f.name)
+            keep = parse is None or (value is None and f.default is None)
+            kwargs[f.name] = value if keep else parse(value)
+    return cls(**kwargs)
 
 
 @dataclass
@@ -214,33 +189,7 @@ class Transcript:
     abort_reason: str | None
 
     def to_json(self) -> str:
-        payload = {
-            "schema": self.schema,
-            "protocol": self.protocol,
-            "config": self.config,
-            "events": self.events,
-            "estimates": self.estimates,
-            "security": self.security,
-            "key": self.key,
-            "abort": self.abort,
-            "abort_reason": self.abort_reason,
-        }
-        return canonical_json(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Transcript":
-        d = json.loads(text)
-        return cls(
-            schema=d["schema"],
-            protocol=d["protocol"],
-            config=d["config"],
-            events=d["events"],
-            estimates=d["estimates"],
-            security=d["security"],
-            key=d["key"],
-            abort=d["abort"],
-            abort_reason=d["abort_reason"],
-        )
+        return canonical_json(vars(self))
 
 
 def canonical_json(payload) -> str:
@@ -494,15 +443,7 @@ def _measure_and_estimate(
         "eps_x_hat": eps_x_hat,
         "m_x": m_x,
         "m_z": m_z,
-        "candidates": {
-            name: {
-                "out": res.out,
-                "eps_z_raw": res.eps_z_raw,
-                "eps_z": res.eps_z,
-                "clamped": res.clamped,
-            }
-            for name, res in results.items()
-        },
+        "candidates": {name: asdict(res) for name, res in results.items()},
         "best_candidate": best,
         "eps_z_hat": eps_z_hat,
         "rate": rate,
@@ -734,38 +675,3 @@ def run_estimate(
     pos_x, group_pos, _ = _split_positions(np.arange(config.n), m_x, m_prime, support)
     return _measure_and_estimate(config, rng, [], decomps, tables, codes, pos_x, group_pos)
 
-
-def pm_signal_ensemble(
-    state: DensityState,
-    label_a: str,
-    side_a: Sequence[str] = ("A", "A'"),
-    side_b: Sequence[str] = ("B", "B'"),
-) -> list[tuple[float, DensityState]]:
-    """Signal ensemble Alice prepares on Bob's side by measuring one observable.
-
-    Measuring the product observable ``label_a`` (letters over IXYZ, one per
-    side-A factor, identity factors read in the computational basis) on her
-    share of ``state`` collapses Bob's share to a conditional state with the
-    outcome's probability.  Returns the (probability, normalized state)
-    list in eigenvector order; zero-probability outcomes keep a zero state.
-    """
-    from .estimation import _permute_sides  # shared index plumbing
-
-    vals_a, vecs_a = local_eigensystem(label_a)
-    rho = _permute_sides(state.mat, state.layout, side_a, side_b)
-    da = vecs_a.shape[0]
-    db = state.layout.dim // da
-    rho4 = rho.reshape(da, db, da, db)
-    out_layout = state.layout.restrict(side_b)
-    out = []
-    for k in range(da):
-        v = vecs_a[:, k]
-        cond = np.einsum("i,ipjq,j->pq", v.conj(), rho4, v)
-        prob = float(np.trace(cond).real)
-        if prob > 1e-15:
-            cond = cond / prob
-        else:
-            prob = 0.0
-            cond = np.zeros((db, db), dtype=complex)
-        out.append((prob, DensityState(cond, out_layout)))
-    return out

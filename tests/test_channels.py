@@ -1,5 +1,7 @@
 """Pauli noise patterns, the two-outcome shield POVM, and the binding channel."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,7 +60,7 @@ def test_pauli_noise_fixed_weight_exact():
 
 def test_pauli_noise_json_round_trip():
     model = PauliNoiseModel(0.3, 0.0, mode="fixed_weight")
-    assert PauliNoiseModel.from_json(model.to_json()) == model
+    assert PauliNoiseModel.from_dict(json.loads(model.to_json())) == model
 
 
 def test_pauli_op_table():

@@ -210,6 +210,20 @@ def test_run_ppp_flags_override_config(tmp_path, capsys):
     assert doc["config"]["source"]["kappa"] == pytest.approx(0.002)
 
 
+def test_run_ppp_accepts_integer_budgets_given_as_floats(tmp_path, capsys):
+    cfg = {
+        "n": 100000, "seed": 0, "m_x": 4000, "m_prime": 10600,
+        "source": {"p": P_STAR, "kappa": 0.001},
+    }
+    outputs = []
+    for m_x in (4000, 4000.0):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, "m_x": m_x}))
+        assert main(["run-ppp", "--config", str(cfg_path)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_run_ppp_is_deterministic_via_cli(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbitqkd import protocol
+from pbitqkd.estimation import pm_signal_ensemble
 from pbitqkd.protocol import (
     ProtocolConfig,
     SourceSpec,
     Transcript,
-    pm_signal_ensemble,
+    canonical_json,
     run_pm,
     run_ppp,
     twisting_by_name,
@@ -82,10 +83,46 @@ def test_source_base_states_have_the_right_shape():
 def test_config_json_round_trip():
     cfg = ProtocolConfig.from_dict(DESK_PPP)
     text = json.dumps(cfg.to_dict())
-    again = ProtocolConfig.from_json(text)
+    again = ProtocolConfig.from_dict(json.loads(text))
     assert again == cfg
     assert again.m_x == 4000 and again.m_prime == 10600
     assert again.source.p == pytest.approx(P_STAR)
+
+
+# every field set, plus a key that names no field
+FULL_CONFIG = {
+    "source": {
+        "kind": "pbit", "p": 0.5, "kappa": 0, "twisting": "u_h", "ancilla": "maximally_mixed",
+        "noise": {"eps_x": 0.02, "eps_z": 0, "mode": "fixed_weight"},
+    },
+    "eve": {"eps_x": 0, "eps_z": 0.01}, "candidates": ["u_h", "identity"],
+    "n": 60000, "seed": 9, "s": 20, "delta": 0.1, "m_x": 1000, "m_prime": 2000,
+    "ec_block": 8, "beta_b": 1e-6, "threads": 2, "unknown": 1,
+}
+
+
+# sha256[:16] of the config echo a transcript carries
+@pytest.mark.parametrize("cfg, digest", [
+    (FULL_CONFIG, "8aa4015844d3a82d"),
+    ({"n": 5000, "seed": 1, "eve": 0.3}, "6c67fa64dd80f6fa"),
+])
+def test_config_echo_is_byte_identical(cfg, digest):
+    config = ProtocolConfig.from_dict(cfg)
+    text = canonical_json(config.to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert ProtocolConfig.from_dict(config.to_dict()) == config
+
+
+def test_config_nulls_mean_none_only_where_none_is_the_default():
+    cfg = ProtocolConfig.from_dict({**FULL_CONFIG, "eve": None, "m_x": None, "beta_b": None})
+    assert cfg.eve is None and cfg.m_x is None and cfg.beta_b is None
+    noiseless = {**FULL_CONFIG["source"], "noise": None}
+    assert ProtocolConfig.from_dict({**FULL_CONFIG, "source": noiseless}).source.noise is None
+    for key in ("s", "n"):
+        with pytest.raises(TypeError):
+            ProtocolConfig.from_dict({**FULL_CONFIG, key: None})
+    with pytest.raises(TypeError):
+        ProtocolConfig.from_dict({k: v for k, v in FULL_CONFIG.items() if k != "n"})
 
 
 def test_eve_accepts_bare_number_as_bit_flip_strength():
@@ -238,7 +275,7 @@ def test_pm_aborts_when_test_load_exceeds_n():
 def test_transcript_json_round_trip():
     t = run_ppp(ProtocolConfig.from_dict(DESK_PPP))
     text = t.to_json()
-    again = Transcript.from_json(text)
+    again = Transcript(**json.loads(text))
     assert again.to_json() == text
     assert again.abort == t.abort
     assert again.estimates["rate"] == pytest.approx(t.estimates["rate"])
