@@ -352,9 +352,12 @@ def cmd_estimate(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
     source = SourceSpec.from_dict(_source_dict(args, cfg))
-    m_prime = int(cfg.get("m_prime", 400))
-    m_x = int(cfg.get("m_x", 1024))
-    candidates = tuple(cfg.get("candidates", ProtocolConfig.candidates))
+    try:
+        m_prime = int(cfg.get("m_prime", 400))
+        m_x = int(cfg.get("m_x", 1024))
+        candidates = tuple(cfg.get("candidates", ProtocolConfig.candidates))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad estimate config: {exc}") from exc
     if m_prime < 1 or m_x < 1:
         raise UsageError("m_prime and m_x must be positive")
 
@@ -391,8 +394,12 @@ def _protocol_config(args, cfg: dict) -> ProtocolConfig:
     if "n" not in merged:
         raise UsageError("a protocol run needs --n (or config 'n')")
     merged["seed"] = _require_seed(args, cfg)
+    return _parse_config(merged)
+
+
+def _parse_config(d: dict) -> ProtocolConfig:
     try:
-        return ProtocolConfig.from_dict(merged)
+        return ProtocolConfig.from_dict(d)
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"bad protocol config: {exc}") from exc
 
@@ -446,9 +453,8 @@ def cmd_pm_ensemble(args) -> int:
 # --- sweep -------------------------------------------------------------------------
 
 
-def _sweep_row(task: tuple[str, dict]) -> dict:
-    protocol, cfg_dict = task
-    config = ProtocolConfig.from_dict(cfg_dict)
+def _sweep_row(task: tuple[str, ProtocolConfig]) -> dict:
+    protocol, config = task
     transcript = run_ppp(config) if protocol == "ppp" else run_pm(config)
     est = transcript.estimates or {}
     return {
@@ -493,7 +499,7 @@ def cmd_sweep(args) -> int:
         for kappa in kappa_values:
             for seed in seeds:
                 src = {**src_base, "p": p, "kappa": kappa}
-                tasks.append((protocol, {**base, "seed": seed, "source": src}))
+                tasks.append((protocol, _parse_config({**base, "seed": seed, "source": src})))
 
     threads = args.threads if args.threads is not None else cfg.get("threads")
     if threads is not None and int(threads) > 1:

@@ -56,7 +56,8 @@ __all__ = [
 ]
 
 TRANSCRIPT_SCHEMA = 1
-#: Copies per slice in _sample_categorical's per-code lookup.
+#: Copies per slice in _sample_categorical: one slice of uniforms and its
+#: per-code temporaries are all it holds besides the uint8 output.
 _SAMPLE_CHUNK = 1 << 16
 
 
@@ -286,21 +287,28 @@ def _sample_categorical(
 ) -> np.ndarray:
     """Category index per copy from the per-code distribution (one uniform each).
 
-    The index is the number of cumulative bounds below the copy's uniform.
-    Each row of ``cum`` is nondecreasing (the probabilities are clipped at 0),
-    so a per-code ``searchsorted`` gives it without an n x categories table;
-    it runs on slices of _SAMPLE_CHUNK copies, so its temporaries stay small.
+    The index is the number of cumulative bounds below the copy's uniform,
+    counted one bound at a time, so no n x categories table is built.  The
+    uniforms are drawn one slice of _SAMPLE_CHUNK copies at a time; PCG64
+    spends one 64-bit word per double, so they are the numbers a single
+    ``rng.random(codes.size)`` would give, and the next draw is the same.
     """
     cum = np.cumsum(probs_by_code, axis=1)
     cum = cum / cum[:, -1:]
-    u = rng.random(codes.size)
     out = np.empty(codes.size, dtype=np.uint8)
     for start in range(0, codes.size, _SAMPLE_CHUNK):
         sl = slice(start, start + _SAMPLE_CHUNK)
-        u_sl, codes_sl, out_sl = u[sl], codes[sl], out[sl]
-        for c in range(cum.shape[0]):
-            mask = codes_sl == c
-            out_sl[mask] = np.searchsorted(cum[c], u_sl[mask], side="left")
+        codes_sl, out_sl = codes[sl], out[sl]
+        u = rng.random(codes_sl.size)
+        present = np.flatnonzero(np.bincount(codes_sl))
+        for c in present:
+            # a slice on one code (every copy of a rho_h run) needs no gather
+            sel = codes_sl == c if present.size > 1 else slice(None)
+            u_c = u[sel]
+            k = np.zeros(u_c.size, dtype=np.uint8)
+            for bound in cum[c, :-1]:  # the last bound is 1, above every uniform
+                k += u_c > bound
+            out_sl[sel] = k
     return out
 
 

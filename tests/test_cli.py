@@ -127,6 +127,14 @@ def test_estimate_requires_a_seed(capsys):
     capsys.readouterr()
 
 
+def test_estimate_bad_config_values_are_usage_errors(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    for cfg in ({"candidates": None}, {"m_prime": None}, {"m_x": "many"}, {"m_prime": 0}):
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["estimate", "--seed", "1", "--config", str(cfg_path)]) == EXIT_USAGE, cfg
+    capsys.readouterr()
+
+
 def test_estimate_round(tmp_path, capsys):
     code, payload = run_cli(
         capsys, "estimate", "--seed", "3", "--p", str(P_STAR), "--kappa", "0.0"
@@ -341,6 +349,14 @@ def test_sweep_usage_errors(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps({"protocol": "ppp", "n": 2000, "seeds": [0]}))
     assert main(["sweep", "--config", str(cfg_path)]) == EXIT_USAGE  # no --out
+    capsys.readouterr()
+    # a bad field is reported as in run-ppp, before any run starts
+    cfg_path.write_text(json.dumps({
+        "protocol": "ppp", "n": 2000, "m_x": 200, "m_prime": 150, "seeds": [0], "s": None,
+    }))
+    out_path = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_USAGE
+    assert not out_path.exists()
     capsys.readouterr()
 
 

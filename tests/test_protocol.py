@@ -343,6 +343,9 @@ def test_small_runs_are_reproducible_for_any_seed(seed):
     (run_ppp, {**DESK_PPP, "m_x": 12000, "m_prime": 20000}, "e846a20493c542a3"),
     (run_pm, {**DESK_PM, "n": 1000}, "d5346a85ba470273"),
     (run_pm, {**DESK_PM, "m_prime": 10**6}, "a1859c4be8eb5368"),
+    # rho_h at p*: one pattern code, key stage across several sampler slices
+    (run_ppp, {**DESK_PPP, "n": 300000, "seed": 2, "source": {"p": P_STAR, "kappa": 0.0}},
+     "0d12d89b7ec55705"),
 ])
 def test_reference_transcripts_are_byte_identical(run, cfg, digest):
     text = run(ProtocolConfig.from_dict(cfg)).to_json()
@@ -357,16 +360,44 @@ def _broadcast_categorical(probs_by_code, codes, rng):
     return (u[:, None] > cum[codes]).sum(axis=1)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_sample_categorical_matches_broadcast_formula(monkeypatch, seed):
-    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 777)  # slice boundaries inside the input
+class _Uniforms:
+    """Generator stand-in that hands out a fixed sequence of uniforms in order."""
+
+    def __init__(self, values):
+        self.values, self.pos = values, 0
+
+    def random(self, size=None):
+        out = self.values[self.pos : self.pos + (1 if size is None else size)]
+        self.pos += out.size
+        return out[0] if size is None else out
+
+
+def _categorical_input(case):
+    """(probs, codes, rng, an identical rng) for one sampler-vs-reference comparison."""
+    if case == "on_bounds":
+        # multiples of 1/16 keep the cumsum exact, and every uniform is some j/16,
+        # so uniforms land on bounds and pin ">" against ">="
+        gen = np.random.default_rng(0)
+        probs = np.stack([np.bincount(gen.integers(16, size=16), minlength=16) / 16 for _ in range(4)])
+        codes = gen.integers(0, 4, size=5000).astype(np.uint8)
+        values = gen.integers(16, size=codes.size + 1) / 16
+        return probs, codes, _Uniforms(values), _Uniforms(values)
+    seed = 0 if case == "one_code" else case
     gen = np.random.default_rng(seed)
     probs = gen.random((4, 16)) * (gen.random((4, 16)) < 0.6)  # zero-probability categories
     probs[1] = 0.0
     probs[1, gen.integers(16)] = 1.0  # all mass in one category
     probs[3, 0] += 0.1  # every row has mass
     codes = gen.choice(np.array([0, 1, 3], dtype=np.uint8), size=5000)  # code 2 never occurs
-    rng_a, rng_b = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+    if case == "one_code":
+        codes = np.full(5000, 3, dtype=np.uint8)  # every copy on one code, as on rho_h
+    return probs, codes, np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+
+
+@pytest.mark.parametrize("case", [*range(5), "one_code", "on_bounds"])
+def test_sample_categorical_matches_broadcast_formula(monkeypatch, case):
+    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 777)  # slice boundaries inside the input
+    probs, codes, rng_a, rng_b = _categorical_input(case)
     got = protocol._sample_categorical(probs, codes, rng_a)
     want = _broadcast_categorical(probs, codes, rng_b)
     assert got.dtype == np.uint8
@@ -378,12 +409,15 @@ def test_sample_categorical_memory_is_linear_without_a_category_table():
     n = 10**6
     gen = np.random.default_rng(0)
     probs = gen.random((4, 16))
-    codes = gen.integers(0, 4, size=n).astype(np.uint8)
-    rng = np.random.default_rng(1)
-    tracemalloc.start()
-    try:
-        protocol._sample_categorical(probs, codes, rng)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * n  # an n x 16 float gather alone is 128 bytes per copy
+    for n_codes in (4, 1):
+        codes = gen.integers(0, n_codes, size=n).astype(np.uint8)
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            protocol._sample_categorical(probs, codes, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one output byte per copy; the uniforms and every other temporary live for
+        # one slice (an n-sized float64 uniform array alone is 8 bytes per copy)
+        assert peak < n + 64 * protocol._SAMPLE_CHUNK, n_codes
