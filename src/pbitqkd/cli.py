@@ -48,6 +48,7 @@ from .protocol import (
     run_estimate,
     run_pm,
     run_ppp,
+    twisting_by_name,
 )
 from .states import (
     KEY_SHIELD_LAYOUT,
@@ -351,12 +352,14 @@ def cmd_solve_params(args) -> int:
 def cmd_estimate(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args, cfg)
-    source = SourceSpec.from_dict(_source_dict(args, cfg))
     try:
+        source = SourceSpec.from_dict(_source_dict(args, cfg))
         m_prime = int(cfg.get("m_prime", 400))
         m_x = int(cfg.get("m_x", 1024))
         candidates = tuple(cfg.get("candidates", ProtocolConfig.candidates))
-    except (TypeError, ValueError) as exc:
+        for name in candidates:
+            twisting_by_name(name)  # an unknown name is a config error, not a run error
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad estimate config: {exc}") from exc
     if m_prime < 1 or m_x < 1:
         raise UsageError("m_prime and m_x must be positive")

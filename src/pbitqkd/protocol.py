@@ -2,10 +2,11 @@
 
 Runs never materialize tensor-power states.  A per-copy *pattern code*
 (which X/Z flips hit Bob's qubit) selects one of at most four single-copy
-component states; every measurement statistic is computed once per
-(component, observable) pair and the per-copy outcomes are then sampled in
-bulk.  This keeps n = 1e5-scale runs in milliseconds while remaining exactly
-faithful to the iid component model.
+component states.  Every measurement statistic of those states is computed
+once per process per (source, candidates) pair, by the cached ``_setup``,
+and the per-copy outcomes are then sampled in bulk.  This keeps n = 1e5-scale
+runs in milliseconds while remaining exactly faithful to the iid component
+model.
 
 Every run returns a :class:`Transcript` whose JSON serialization is
 byte-identical across reruns with the same config and seed (fixed RNG draw
@@ -17,7 +18,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -61,21 +64,24 @@ TRANSCRIPT_SCHEMA = 1
 _SAMPLE_CHUNK = 1 << 16
 
 
+#: The names a config may give a twisting or an ancilla, and their builders.
+_TWISTINGS = {"identity": identity_twisting, "u_h": build_u_h}
+_ANCILLAS = {
+    "comp00": lambda: proj(kron_all(basis_ket(0, 2), basis_ket(0, 2))),
+    "maximally_mixed": lambda: np.eye(4, dtype=complex) / 4.0,
+}
+
+
+def _check_names(what: str, names: Sequence[str], table: dict) -> None:
+    for name in names:
+        if name not in table:
+            raise ValueError(f"unknown {what} {name!r}")
+
+
 def twisting_by_name(name: str) -> TwistingOp:
     """Resolve a twisting referenced by name in configs ("identity" or "u_h")."""
-    if name == "identity":
-        return identity_twisting(2, 4)
-    if name == "u_h":
-        return build_u_h()
-    raise ValueError(f"unknown twisting {name!r}")
-
-
-def _ancilla_by_name(name: str) -> np.ndarray:
-    if name == "comp00":
-        return proj(kron_all(basis_ket(0, 2), basis_ket(0, 2)))
-    if name == "maximally_mixed":
-        return np.eye(4, dtype=complex) / 4.0
-    raise ValueError(f"unknown ancilla {name!r}")
+    _check_names("twisting", [name], _TWISTINGS)
+    return _TWISTINGS[name]()
 
 
 @dataclass(frozen=True)
@@ -97,11 +103,14 @@ class SourceSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("rho_h", "pbit"):
             raise ValueError(f"unknown source kind {self.kind!r}")
+        # checked whatever the kind, since config.source echoes both names
+        _check_names("twisting", [self.twisting], _TWISTINGS)
+        _check_names("ancilla", [self.ancilla], _ANCILLAS)
 
     def base_state(self) -> DensityState:
         if self.kind == "rho_h":
             return rho_h(self.p, self.kappa)
-        return make_pdit(twisting_by_name(self.twisting), _ancilla_by_name(self.ancilla))
+        return make_pdit(twisting_by_name(self.twisting), _ANCILLAS[self.ancilla]())
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -140,6 +149,7 @@ class ProtocolConfig:
             raise ValueError("n must be at least 4")
         if not self.candidates:
             raise ValueError("need at least one candidate twisting")
+        _check_names("candidate twisting", self.candidates, _TWISTINGS)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -233,9 +243,9 @@ def _pattern_codes(config: ProtocolConfig, rng: np.random.Generator) -> np.ndarr
     return (2 * x + z).astype(np.uint8)
 
 
-def _component_states(config: ProtocolConfig) -> list[DensityState]:
+def _component_states(source: SourceSpec) -> list[DensityState]:
     """The four pattern-conjugated single-copy states, indexed by code 2x+z."""
-    base = config.source.base_state()
+    base = source.base_state()
     out = []
     for code in range(4):
         xf, zf = code >> 1, code & 1
@@ -246,17 +256,43 @@ def _component_states(config: ProtocolConfig) -> list[DensityState]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ObsTables:
-    """Cached per-component measurement statistics."""
+    """Per-component measurement statistics."""
 
     zz_plus: np.ndarray  # (4,) probability that the sigma_z sigma_z product is +1
     joint16: np.ndarray  # (4, 16) computational joint outcome distribution
-    group_plus: dict  # (ja, jb) -> (4,) probability that the product is +1/4
+    group_plus: Mapping  # (ja, jb) -> (4,) probability that the product is +1/4
+
+
+@dataclass(frozen=True)
+class _Setup:
+    """A run's seed-free set-up; read-only, as one record serves every run."""
+
+    decomps: Mapping[str, ProductDecomposition]
+    support: tuple[tuple[int, int], ...]  # union of the candidates' support pairs
+    any_dec: ProductDecomposition  # names the support pairs in transcripts
+    tables: _ObsTables
+
+
+@lru_cache(maxsize=8)  # a sweep asks for one grid point's entry at a time
+def _setup(source: SourceSpec, candidates: tuple[str, ...]) -> _Setup:
+    """Candidate decompositions, support union and tables, built once per process."""
+    decomps = {
+        name: decompose_two_local(gamma_x(twisting_by_name(name)), KEY_SHIELD_LAYOUT)
+        for name in candidates
+    }
+    support = tuple(sorted({pair for dec in decomps.values() for pair in dec.support()}))
+    any_dec = next(iter(decomps.values()))
+    tables = _build_tables(_component_states(source), support, any_dec)
+    for arr in (tables.zz_plus, tables.joint16, *tables.group_plus.values(),
+                *(dec.coeffs for dec in decomps.values())):
+        arr.setflags(write=False)
+    return _Setup(MappingProxyType(decomps), support, any_dec, tables)
 
 
 def _build_tables(
-    components: list[DensityState], support: list[tuple[int, int]], dec: ProductDecomposition
+    components: list[DensityState], support: Sequence[tuple[int, int]], dec: ProductDecomposition
 ) -> _ObsTables:
     gz = gamma_z(KEY_SHIELD_LAYOUT)
     zz_plus = np.array([(1.0 + c.expect(gz)) / 2.0 for c in components])
@@ -273,7 +309,7 @@ def _build_tables(
             probs, prods = joint_outcome_table(c, dec, ja, jb)
             arr[i] = float(probs[prods > 0].sum())
         group_plus[(ja, jb)] = np.clip(arr, 0.0, 1.0)
-    return _ObsTables(zz_plus=np.clip(zz_plus, 0.0, 1.0), joint16=joint16, group_plus=group_plus)
+    return _ObsTables(np.clip(zz_plus, 0.0, 1.0), joint16, MappingProxyType(group_plus))
 
 
 def _sample_signs(p_plus: np.ndarray, codes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -310,20 +346,6 @@ def _sample_categorical(
                 k += u_c > bound
             out_sl[sel] = k
     return out
-
-
-def _candidate_decompositions(names: Sequence[str]) -> dict[str, ProductDecomposition]:
-    out = {}
-    for name in names:
-        out[name] = decompose_two_local(gamma_x(twisting_by_name(name)), KEY_SHIELD_LAYOUT)
-    return out
-
-
-def _support_union(decomps: dict[str, ProductDecomposition]) -> list[tuple[int, int]]:
-    pairs: set[tuple[int, int]] = set()
-    for dec in decomps.values():
-        pairs.update(dec.support())
-    return sorted(pairs)
 
 
 def _pair_label(dec: ProductDecomposition, ja: int, jb: int) -> str:
@@ -407,8 +429,7 @@ def _measure_and_estimate(
     config: ProtocolConfig,
     rng: np.random.Generator,
     events: list,
-    decomps: dict[str, ProductDecomposition],
-    tables: _ObsTables,
+    setup: _Setup,
     codes: np.ndarray,
     pos_x: np.ndarray,
     group_pos: dict,
@@ -419,7 +440,7 @@ def _measure_and_estimate(
     ``run_estimate``.  ``group_pos`` maps each support pair to its test
     positions, in support order.  Returns the transcript's ``estimates``.
     """
-    any_dec = next(iter(decomps.values()))
+    tables, any_dec = setup.tables, setup.any_dec
     m_x = int(pos_x.size)
     m_z = int(sum(p.size for p in group_pos.values()))
 
@@ -435,7 +456,7 @@ def _measure_and_estimate(
     events.append({"event": "measure_phase_groups", "counts": counts})
 
     results: dict[str, EstimationResult] = {
-        name: estimate_eps_z_locc(records, dec) for name, dec in decomps.items()
+        name: estimate_eps_z_locc(records, dec) for name, dec in setup.decomps.items()
     }
     best = list(results)[best_candidate(list(results.values()))]
     eps_z_hat = results[best].eps_z
@@ -469,8 +490,7 @@ def _measure_and_finish(
     config: ProtocolConfig,
     rng: np.random.Generator,
     events: list,
-    decomps: dict[str, ProductDecomposition],
-    tables: _ObsTables,
+    setup: _Setup,
     codes: np.ndarray,
     pos_x: np.ndarray,
     group_pos: dict,
@@ -482,7 +502,7 @@ def _measure_and_finish(
     Measurement and estimation, the security block, the rate abort, key
     sampling, toy EC, PA and transcript assembly.
     """
-    estimates = _measure_and_estimate(config, rng, events, decomps, tables, codes, pos_x, group_pos)
+    estimates = _measure_and_estimate(config, rng, events, setup, codes, pos_x, group_pos)
     eps_x_hat, eps_z_hat = estimates["eps_x_hat"], estimates["eps_z_hat"]
     security = _security_block(config, estimates["m_x"], estimates["m_z"])
     estimates.update(extra_estimates or {})
@@ -490,7 +510,7 @@ def _measure_and_finish(
     if estimates["rate"] <= 0.0:
         return _abort(config, protocol, events, "rate_nonpositive", estimates, security, raw_len)
 
-    key16 = _sample_categorical(tables.joint16, codes[pos_key], rng)
+    key16 = _sample_categorical(setup.tables.joint16, codes[pos_key], rng)
     # side outcomes ka, kb in 0..3 = (key bit, shield bit); keep the key bits
     alice_bits = ((key16 // 4) >> 1).astype(np.uint8)
     bob_bits = ((key16 % 4) >> 1).astype(np.uint8)
@@ -524,7 +544,7 @@ def _split_positions(
     order: np.ndarray,
     m_x: int,
     m_prime: int,
-    support: list[tuple[int, int]],
+    support: Sequence[tuple[int, int]],
 ) -> tuple[np.ndarray, dict, np.ndarray]:
     """Split ``order`` into the bit-error sample, one group per pair, the key block."""
     end = m_x + len(support) * m_prime
@@ -543,15 +563,12 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
     decompositions (m_prime each), and the key block (everything else).
     """
     rng = np.random.default_rng(config.seed)
-    decomps = _candidate_decompositions(config.candidates)
-    support = _support_union(decomps)
+    setup = _setup(config.source, tuple(config.candidates))
+    support = setup.support
     events: list = [{"event": "configure", "n": config.n, "seed": config.seed}]
     m_x, m_prime, err = _resolve_budgets(config, len(support))
     if err:
         return _abort(config, "ppp", events, err)
-    m_z = m_prime * len(support)
-    any_dec = next(iter(decomps.values()))
-    tables = _build_tables(_component_states(config), support, any_dec)
 
     codes = _pattern_codes(config, rng)
     events.append({"event": "distribute", "source": config.source.kind, "copies": config.n})
@@ -561,12 +578,12 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
         "event": "assign_positions",
         "m_x": m_x,
         "m_prime": m_prime,
-        "m_z": m_z,
-        "groups": _group_counts(any_dec, group_pos),
+        "m_z": m_prime * len(support),
+        "groups": _group_counts(setup.any_dec, group_pos),
         "key_count": int(pos_key.size),
     })
     return _measure_and_finish(
-        "ppp", config, rng, events, decomps, tables, codes, pos_x, group_pos, pos_key,
+        "ppp", config, rng, events, setup, codes, pos_x, group_pos, pos_key,
     )
 
 
@@ -581,9 +598,8 @@ def run_pm(config: ProtocolConfig) -> Transcript:
     carry the key.  Receipt is confirmed before any bases are announced.
     """
     rng = np.random.default_rng(config.seed)
-    decomps = _candidate_decompositions(config.candidates)
-    support = _support_union(decomps)
-    any_dec = next(iter(decomps.values()))
+    setup = _setup(config.source, tuple(config.candidates))
+    support, any_dec = setup.support, setup.any_dec
     ja_set = sorted({ja for ja, _ in support})
     jb_set = sorted({jb for _, jb in support})
 
@@ -600,7 +616,6 @@ def run_pm(config: ProtocolConfig) -> Transcript:
         )
 
     events: list = [{**configure, "n_c": n_c}]
-    tables = _build_tables(_component_states(config), support, any_dec)
 
     codes = _pattern_codes(config, rng)
     events.append({"event": "prepare_and_send", "source": config.source.kind, "copies": n})
@@ -646,7 +661,7 @@ def run_pm(config: ProtocolConfig) -> Transcript:
     test_mask = np.zeros(key_all.size, dtype=bool)
     test_mask[rng.choice(key_all.size, size=m_x, replace=False)] = True
     return _measure_and_finish(
-        "pm", config, rng, events, decomps, tables, codes,
+        "pm", config, rng, events, setup, codes,
         key_all[test_mask], group_pos, key_all[~test_mask], {"n_c": n_c},
     )
 
@@ -666,11 +681,10 @@ def run_estimate(
     slices.  Source noise acts on pbit sources only, as in the runs.
     Returns the ``estimates`` block a run's transcript would carry.
     """
-    decomps = _candidate_decompositions(candidates)
-    support = _support_union(decomps)
+    setup = _setup(source, tuple(candidates))
     # a config needs n >= 4; copies past the tests stay unmeasured
     config = ProtocolConfig(
-        n=max(4, m_x + len(support) * m_prime),
+        n=max(4, m_x + len(setup.support) * m_prime),
         seed=seed,
         source=source,
         candidates=tuple(candidates),
@@ -678,8 +692,7 @@ def run_estimate(
         m_prime=m_prime,
     )
     rng = np.random.default_rng(seed)
-    tables = _build_tables(_component_states(config), support, next(iter(decomps.values())))
     codes = _pattern_codes(config, rng)
-    pos_x, group_pos, _ = _split_positions(np.arange(config.n), m_x, m_prime, support)
-    return _measure_and_estimate(config, rng, [], decomps, tables, codes, pos_x, group_pos)
+    pos_x, group_pos, _ = _split_positions(np.arange(config.n), m_x, m_prime, setup.support)
+    return _measure_and_estimate(config, rng, [], setup, codes, pos_x, group_pos)
 

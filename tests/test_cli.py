@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from pbitqkd import protocol
 from pbitqkd.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from pbitqkd.states import P_STAR
 
@@ -313,11 +314,14 @@ def test_sweep_writes_the_documented_csv(tmp_path, capsys):
         "p_values": [P_STAR], "kappa_values": [0.0, 0.01], "seeds": [0, 1, 2],
     }))
     out_path = tmp_path / "grid.csv"
+    protocol._setup.cache_clear()
     code, payload = run_cli(
         capsys, "sweep", "--config", str(cfg_path), "--out", str(out_path)
     )
     assert code == EXIT_OK
     assert payload["rows"] == 6
+    info = protocol._setup.cache_info()  # set-up once per grid point, not per seed
+    assert (info.misses, info.hits) == (2, 4)
     lines = out_path.read_text().splitlines()
     assert lines[0] == "seed,p,kappa,eps_x_hat,eps_z_hat,rate,abort"
     assert len(lines) == 7
@@ -330,7 +334,7 @@ def test_sweep_writes_the_documented_csv(tmp_path, capsys):
 def test_sweep_parallel_matches_serial(tmp_path, capsys):
     cfg = {
         "protocol": "ppp", "n": 2000, "m_x": 200, "m_prime": 150,
-        "p_values": [P_STAR], "kappa_values": [0.0], "seeds": [0, 1, 2, 3],
+        "p_values": [P_STAR, 0.5], "kappa_values": [0.0], "seeds": [0, 1, 2, 3],
     }
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -358,6 +362,28 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_USAGE
     assert not out_path.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("run-ppp", {"candidates": ["foo"]}, "bad protocol config"),
+    ("run-ppp", {"source": {"kind": "pbit", "ancilla": "bar"}}, "bad protocol config"),
+    ("run-pm", {"source": {"kind": "rho_h", "twisting": "baz"}}, "bad protocol config"),
+    ("sweep", {"candidates": ["foo"]}, "bad protocol config"),
+    ("sweep", {"source": {"kind": "pbit", "ancilla": "bar"}}, "bad protocol config"),
+    ("estimate", {"candidates": ["foo"]}, "bad estimate config"),
+    ("estimate", {"source": {"kind": "pbit", "ancilla": "bar"}}, "bad estimate config"),
+])
+def test_unknown_names_are_config_errors(tmp_path, capsys, caplog, command, cfg, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"n": 2000, "seed": 0, "m_x": 200, "m_prime": 150, "seeds": [0], **cfg}
+    ))
+    out_path = tmp_path / "grid.csv"
+    argv = [command, "--config", str(cfg_path), "--out", str(out_path)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert not out_path.exists()
+    assert message in caplog.text
 
 
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys):

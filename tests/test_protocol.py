@@ -17,6 +17,7 @@ from pbitqkd.protocol import (
     SourceSpec,
     Transcript,
     canonical_json,
+    run_estimate,
     run_pm,
     run_ppp,
     twisting_by_name,
@@ -73,6 +74,16 @@ def test_source_spec_round_trip():
 def test_source_spec_rejects_unknown_kind():
     with pytest.raises(ValueError):
         SourceSpec(kind="telepathy")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SourceSpec(kind="rho_h", twisting="moebius"),  # echoed even where unused
+    lambda: SourceSpec(kind="pbit", ancilla="bar"),
+    lambda: ProtocolConfig(n=100, seed=0, candidates=("u_h", "foo")),
+])
+def test_unknown_names_are_rejected_at_construction(make):
+    with pytest.raises(ValueError, match="unknown"):
+        make()
 
 
 def test_source_base_states_have_the_right_shape():
@@ -350,6 +361,63 @@ def test_small_runs_are_reproducible_for_any_seed(seed):
 def test_reference_transcripts_are_byte_identical(run, cfg, digest):
     text = run(ProtocolConfig.from_dict(cfg)).to_json()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_equal_sources_share_one_setup():
+    protocol._setup.cache_clear()
+    for _ in range(2):  # equal but distinct SourceSpec objects
+        run_ppp(ProtocolConfig.from_dict({**DESK_PPP, "n": 20000, "m_x": 1000, "m_prime": 1000}))
+    info = protocol._setup.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_cached_setup_is_read_only():
+    setup = protocol._setup(SourceSpec(kind="pbit"), ("identity", "u_h"))
+    arrays = [setup.tables.zz_plus, setup.tables.joint16, *setup.tables.group_plus.values(),
+              *(dec.coeffs for dec in setup.decomps.values())]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    with pytest.raises(TypeError):
+        setup.decomps["u_h"] = None
+    with pytest.raises(TypeError):
+        setup.tables.group_plus[(0, 0)] = np.ones(4)
+
+
+# runs on sources that share cache entries: kappa -0.0 equals 0.0 as a key,
+# and the keyed source serves ppp, pm and the estimation round
+SMALL_RHO = {"n": 20000, "seed": 3, "m_x": 1000, "m_prime": 1000,
+             "source": {"p": P_STAR, "kappa": 0.0}}
+NEG_ZERO = {**SMALL_RHO, "source": {"p": P_STAR, "kappa": -0.0}}
+
+
+def _transcript_job(run, cfg):
+    return lambda: run(ProtocolConfig.from_dict(cfg)).to_json()
+
+
+CACHE_JOBS = {  # name -> (source, job)
+    "rho_h kappa 0.0": (SMALL_RHO["source"], _transcript_job(run_ppp, SMALL_RHO)),
+    "rho_h kappa -0.0": (NEG_ZERO["source"], _transcript_job(run_ppp, NEG_ZERO)),
+    "keyed ppp": (KEYED_SOURCE, _transcript_job(run_ppp, KEYED_PPP)),
+    "keyed pm": (KEYED_SOURCE, _transcript_job(run_pm, KEYED_PM)),
+    "estimate": (KEYED_SOURCE, lambda: canonical_json(
+        run_estimate(SourceSpec.from_dict(KEYED_SOURCE), 5, 2000, 400, ("identity", "u_h")))),
+}
+
+
+@pytest.mark.parametrize("name", ["rho_h kappa -0.0", "keyed ppp", "keyed pm", "estimate"])
+def test_transcripts_do_not_depend_on_the_cache(name):
+    source, job = CACHE_JOBS[name]
+    protocol._setup.cache_clear()
+    cold = job()
+    protocol._setup.cache_clear()
+    # warm it with the other jobs in reverse order, those on another source
+    # first, so an entry served for the wrong source would show
+    others = [other for other in reversed(CACHE_JOBS) if other != name]
+    for other in sorted(others, key=lambda other: CACHE_JOBS[other][0] == source):
+        CACHE_JOBS[other][1]()
+    assert protocol._setup.cache_info().hits > 0
+    assert job() == cold
 
 
 def _broadcast_categorical(probs_by_code, codes, rng):
