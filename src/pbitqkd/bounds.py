@@ -124,10 +124,6 @@ class EstimationFailureTerms:
     def log2_total(self) -> float:
         return _log2_sum([self.log2_e1, self.log2_e2, self.log2_e3])
 
-    @property
-    def total(self) -> float:
-        return _pow2(self.log2_total)
-
 
 def estimation_failure_terms(
     n: int,

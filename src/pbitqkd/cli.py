@@ -16,11 +16,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import math
 import sys
+from collections import ChainMap
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from .channels import (
     channel_branches,
 )
 from .estimation import decompose_two_local, pm_signal_ensemble
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, herm_eig, kron_all
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, herm_eig, kron_all, proj
 from .protocol import (
     ProtocolConfig,
     SourceSpec,
@@ -81,36 +85,42 @@ class UsageError(Exception):
 # --- plumbing ----------------------------------------------------------------
 
 
+# flag -> (config entry it lays over, value type, help); --config and --out
+# name files and lay over no entry
+_FLAGS = {
+    "config": (None, str, "JSON config file"),
+    "out": (None, str, "output file path"),
+    "seed": ("seed", int, "PRNG seed (no wall-clock seeding)"),
+    "p": ("p", float, "Bell-mixing weight p"),
+    "kappa": ("kappa", float, "white-noise weight kappa"),
+    "s": ("s", int, "security exponent s"),
+    "delta": ("delta", float, "estimation deviation delta"),
+    "d": ("d", int, "key dimension d"),
+    "dprime": ("d_prime", int, "shield dimension d'"),
+    "n": ("n", int, "number of copies n"),
+    "threads": ("threads", int, "parallel worker processes"),
+}
+
+
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace, ChainMap], int]
+    flags: tuple[str, ...]  # the _FLAGS it reads besides --config and --out
+    help: str
+    source: bool = False  # runs the config's 'source'; --p / --kappa lay over it
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pbitqkd",
         description="private-state QKD simulation: states, bounds, protocols",
     )
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="PRNG seed (no wall-clock seeding)")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--p", type=float, help="Bell-mixing weight p")
-        p.add_argument("--kappa", type=float, help="white-noise weight kappa")
-        p.add_argument("--s", type=int, help="security exponent s")
-        p.add_argument("--delta", type=float, help="estimation deviation delta")
-        p.add_argument("--d", type=int, help="key dimension d")
-        p.add_argument("--dprime", type=int, help="shield dimension d'")
-        p.add_argument("--n", type=int, help="number of copies n")
-        return p
-
-    add("verify-example", "re-check the worked-example identities numerically")
-    add("bounds", "evaluate the aggregate failure bound and insecurity at given n")
-    add("solve-params", "solve the security-parameter constraints (minimal n if --n absent)")
-    add("estimate", "one LOCC estimation round on a configured source")
-    add("run-ppp", "full entanglement-based protocol run, transcript out")
-    add("run-pm", "full prepare-and-measure protocol run, transcript out")
-    add("pm-ensemble", "signal ensembles induced by measuring Pauli products")
-    sweep = add("sweep", "grid of runs over (p, kappa, seeds); CSV to --out")
-    sweep.add_argument("--threads", type=int, help="parallel worker processes")
+    for name, command in _COMMANDS.items():
+        # no abbreviations: a prefix must not reach a flag the subcommand reads
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for flag in ("config", "out", *command.flags):
+            _, kind, help_text = _FLAGS[flag]
+            p.add_argument(f"--{flag}", type=kind, help=help_text)
     return parser
 
 
@@ -127,13 +137,34 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _pick(flag_value, cfg: dict, key: str, default):
-    """Precedence: explicit flag > config entry > built-in default."""
-    if flag_value is not None:
-        return flag_value
-    if key in cfg and cfg[key] is not None:
-        return cfg[key]
-    return default
+@contextmanager
+def _config_errors(what: str):
+    """Report a bad config value met inside the block as a usage error."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad {what} config: {exc}") from exc
+
+
+def _settings(args, command: _Command) -> ChainMap:
+    """The flags given, laid over the config file: ``maps`` is (flags, file).
+
+    Precedence is flag > non-null config entry > default: the flags map wins
+    here, and ``_get`` reads a null entry as unset.  A subcommand that runs a
+    source reads a null 'source' as the default source.
+    """
+    cfg = _load_config(args.config)
+    given = {_FLAGS[f][0]: getattr(args, f) for f in command.flags if getattr(args, f) is not None}
+    if command.source:
+        with _config_errors("source"):
+            source = dict(cfg.get("source") or {})
+        given["source"] = {**source, **{k: given.pop(k) for k in ("p", "kappa") if k in given}}
+    return ChainMap(given, cfg)
+
+
+def _get(cfg: Mapping, key: str, default=None):
+    value = cfg.get(key)
+    return default if value is None else value
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -148,31 +179,21 @@ def _emit_text(text: str, out_path: str | None) -> None:
     print(text)
 
 
-def _require_seed(args, cfg: dict) -> int:
-    seed = _pick(args.seed, cfg, "seed", None)
+def _require_seed(cfg: Mapping) -> int:
+    seed = _get(cfg, "seed")
     if seed is None:
         raise UsageError("a --seed (or config 'seed') is required; no wall-clock seeding")
     return int(seed)
 
 
-def _source_dict(args, cfg: dict) -> dict:
-    """The config's source entry with --p / --kappa laid over it."""
-    src = dict(cfg.get("source") or {})
-    if args.p is not None:
-        src["p"] = args.p
-    if args.kappa is not None:
-        src["kappa"] = args.kappa
-    return src
-
-
-def _solver_args(args, cfg: dict) -> tuple[int, float, int, int, int | None]:
+def _solver_args(cfg: Mapping) -> tuple[int, float, int, int, int | None]:
     """s, delta, d, d_prime and n (None when unset) for the parameter solver."""
     return (
-        int(_pick(args.s, cfg, "s", 40)),
-        float(_pick(args.delta, cfg, "delta", 0.05)),
-        int(_pick(args.d, cfg, "d", 2)),
-        int(_pick(args.dprime, cfg, "d_prime", 4)),
-        _pick(args.n, cfg, "n", None),
+        int(_get(cfg, "s", 40)),
+        float(_get(cfg, "delta", 0.05)),
+        int(_get(cfg, "d", 2)),
+        int(_get(cfg, "d_prime", 4)),
+        _get(cfg, "n"),
     )
 
 
@@ -186,10 +207,9 @@ def _check(name: str, value: float, tol: float, kind: str = "abs_max") -> dict:
     return {"name": name, "value": value, "tolerance": tol, "pass": bool(ok)}
 
 
-def cmd_verify_example(args) -> int:
-    cfg = _load_config(args.config)
-    p = float(_pick(args.p, cfg, "p", P_STAR))
-    kappa = float(_pick(args.kappa, cfg, "kappa", 0.0))
+def cmd_verify_example(args, cfg: ChainMap) -> int:
+    p = float(_get(cfg, "p", P_STAR))
+    kappa = float(_get(cfg, "kappa", 0.0))
     checks = []
 
     state = rho_h(p, kappa)
@@ -202,10 +222,7 @@ def cmd_verify_example(args) -> int:
     dev = untwisted.distance_to(sigma_ab(p, kappa))
     checks.append(_check("untwist_trace_distance", dev, 1e-9))
 
-    phi2 = DensityState(
-        np.outer(kron_all(bell_vec(0), bell_vec(0)), kron_all(bell_vec(0), bell_vec(0)).conj()),
-        KEY_SHIELD_LAYOUT,
-    )
+    phi2 = _phi_phi()
     through = binding_channel_apply(phi2, p, kappa)
     checks.append(_check("channel_reproduces_state", through.distance_to(rho_h(p, kappa)), 1e-9))
 
@@ -258,24 +275,19 @@ def cmd_verify_example(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-_SIGMA = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-
-
-def _six_state_eigenprojectors() -> dict[str, np.ndarray]:
-    out = {}
-    for axis, op in _SIGMA.items():
-        vals, vecs = np.linalg.eigh(op)
-        for k in range(2):
-            sign = "+" if vals[k] > 0 else "-"
-            v = vecs[:, k]
-            out[f"{axis}{sign}"] = np.outer(v, v.conj())
-    return out
+def _phi_phi() -> DensityState:
+    """Φ⊗Φ on the key/shield layout."""
+    return DensityState(proj(kron_all(bell_vec(0), bell_vec(0))), KEY_SHIELD_LAYOUT)
 
 
 def _six_state_deviation(phi2: DensityState) -> float:
     """Max deviation of the aggregated signal ensemble from the equiprobable
     six-state ensemble, over both receiving factors."""
-    projs = _six_state_eigenprojectors()
+    projs = {}
+    for axis, op in {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}.items():
+        vals, vecs = np.linalg.eigh(op)
+        for k in range(2):
+            projs[axis + ("+" if vals[k] > 0 else "-")] = proj(vecs[:, k])
     worst = 0.0
     for factor in ("B", "B'"):
         weights: dict[str, float] = {k: 0.0 for k in projs}
@@ -300,9 +312,8 @@ def _six_state_deviation(phi2: DensityState) -> float:
 # --- bounds / solve-params ------------------------------------------------------
 
 
-def cmd_bounds(args) -> int:
-    cfg = _load_config(args.config)
-    s, delta, d, d_prime, n = _solver_args(args, cfg)
+def cmd_bounds(args, cfg: ChainMap) -> int:
+    s, delta, d, d_prime, n = _solver_args(cfg)
     if n is None:
         raise UsageError("bounds needs --n (or config 'n')")
     n = int(n)
@@ -311,9 +322,9 @@ def cmd_bounds(args) -> int:
     solver = choose_params(s, delta, d, d_prime, n=n)
     # allocation: solver split when it is feasible at this n, else explicit
     # config values, else an even key/test heuristic (vacuous at desk scale)
-    m_x = int(_pick(None, cfg, "m_x", min(solver.m_x, n // 4)))
+    m_x = int(_get(cfg, "m_x", min(solver.m_x, n // 4)))
     m_z_default = solver.m_z if (solver.m_z and solver.m_z + m_x < n) else (n - m_x) // 2
-    m_z = int(_pick(None, cfg, "m_z", m_z_default))
+    m_z = int(_get(cfg, "m_z", m_z_default))
     if m_x < 1 or m_z < 1 or n - m_z < 2:
         raise UsageError(f"n = {n} is too small to allocate estimation samples")
     r = relaxation_budget(s, n, d, d_prime)
@@ -335,9 +346,8 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve_params(args) -> int:
-    cfg = _load_config(args.config)
-    s, delta, d, d_prime, n = _solver_args(args, cfg)
+def cmd_solve_params(args, cfg: ChainMap) -> int:
+    s, delta, d, d_prime, n = _solver_args(cfg)
     sol = choose_params(s, delta, d, d_prime, n=None if n is None else int(n))
     payload = {"schema": SCHEMA, "solution": sol.to_dict()}
     _emit(payload, args.out)
@@ -349,18 +359,15 @@ def cmd_solve_params(args) -> int:
 # --- estimate -------------------------------------------------------------------
 
 
-def cmd_estimate(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _require_seed(args, cfg)
-    try:
-        source = SourceSpec.from_dict(_source_dict(args, cfg))
+def cmd_estimate(args, cfg: ChainMap) -> int:
+    seed = _require_seed(cfg)
+    with _config_errors("estimate"):
+        source = SourceSpec.from_dict(cfg["source"])
         m_prime = int(cfg.get("m_prime", 400))
         m_x = int(cfg.get("m_x", 1024))
         candidates = tuple(cfg.get("candidates", ProtocolConfig.candidates))
         for name in candidates:
             twisting_by_name(name)  # an unknown name is a config error, not a run error
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad estimate config: {exc}") from exc
     if m_prime < 1 or m_x < 1:
         raise UsageError("m_prime and m_x must be positive")
 
@@ -385,30 +392,12 @@ def cmd_estimate(args) -> int:
 # --- protocol runs ---------------------------------------------------------------
 
 
-def _protocol_config(args, cfg: dict) -> ProtocolConfig:
-    merged = dict(cfg)
-    if args.n is not None:
-        merged["n"] = args.n
-    if args.s is not None:
-        merged["s"] = args.s
-    if args.delta is not None:
-        merged["delta"] = args.delta
-    merged["source"] = _source_dict(args, cfg)
-    if "n" not in merged:
+def cmd_run(args, cfg: ChainMap) -> int:
+    if "n" not in cfg:
         raise UsageError("a protocol run needs --n (or config 'n')")
-    merged["seed"] = _require_seed(args, cfg)
-    return _parse_config(merged)
-
-
-def _parse_config(d: dict) -> ProtocolConfig:
-    try:
-        return ProtocolConfig.from_dict(d)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"bad protocol config: {exc}") from exc
-
-
-def cmd_run(args) -> int:
-    config = _protocol_config(args, _load_config(args.config))
+    seed = _require_seed(cfg)
+    with _config_errors("protocol"):
+        config = ProtocolConfig.from_dict({**cfg, "seed": seed})
     # resolved at call time so a rebound module-level run_ppp / run_pm is used
     transcript = run_ppp(config) if args.command == "run-ppp" else run_pm(config)
     _emit_text(transcript.to_json(), args.out)
@@ -420,30 +409,26 @@ def cmd_run(args) -> int:
 # --- pm-ensemble ------------------------------------------------------------------
 
 
-def cmd_pm_ensemble(args) -> int:
-    src = _source_dict(args, _load_config(args.config))
-    if src:
-        state = SourceSpec.from_dict(src).base_state()
+def cmd_pm_ensemble(args, cfg: ChainMap) -> int:
+    if cfg["source"]:
+        with _config_errors("pm-ensemble"):
+            source = SourceSpec.from_dict(cfg["source"])
+        state = source.base_state()
         default_input = False
     else:
-        vec = kron_all(bell_vec(0), bell_vec(0))
-        state = DensityState(np.outer(vec, vec.conj()), KEY_SHIELD_LAYOUT)
+        state = _phi_phi()
         default_input = True
 
     observables = {}
-    letters = "IXYZ"
-    for a in letters:
-        for b in letters:
-            label = a + b
-            ens = pm_signal_ensemble(state, label)
-            observables[label] = [
-                {
-                    "prob": prob,
-                    "state_re": np.round(st.mat.real, 12).tolist(),
-                    "state_im": np.round(st.mat.imag, 12).tolist(),
-                }
-                for prob, st in ens
-            ]
+    for label in map("".join, itertools.product("IXYZ", repeat=2)):
+        observables[label] = [
+            {
+                "prob": prob,
+                "state_re": np.round(st.mat.real, 12).tolist(),
+                "state_im": np.round(st.mat.imag, 12).tolist(),
+            }
+            for prob, st in pm_signal_ensemble(state, label)
+        ]
     payload = {"schema": SCHEMA, "default_input": default_input, "observables": observables}
     if default_input:
         dev = _six_state_deviation(state)
@@ -471,40 +456,37 @@ def _sweep_row(task: tuple[str, ProtocolConfig]) -> dict:
     }
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    if not cfg:
+def cmd_sweep(args, cfg: ChainMap) -> int:
+    if not cfg.maps[-1]:
         raise UsageError("sweep needs --config with the grid specification")
     if not args.out:
         raise UsageError("sweep needs --out for the CSV (stdout carries JSON only)")
     protocol = cfg.get("protocol", "ppp")
     if protocol not in ("ppp", "pm"):
         raise UsageError(f"unknown protocol {protocol!r}")
-    p_values = [float(v) for v in cfg.get("p_values", [cfg.get("p", P_STAR)])]
-    kappa_values = [float(v) for v in cfg.get("kappa_values", [cfg.get("kappa", 0.0)])]
-    if "seeds" in cfg:
-        seeds = [int(v) for v in cfg["seeds"]]
-    else:
-        seed0 = _pick(args.seed, cfg, "seed", None)
-        if seed0 is None:
-            raise UsageError("sweep needs config 'seeds' or a base --seed")
-        seeds = [int(seed0) + i for i in range(int(cfg.get("n_seeds", 1)))]
-    # grid keys name no config field, so ProtocolConfig.from_dict skips them
-    base = dict(cfg)
-    if args.n is not None:
-        base["n"] = args.n
-    if "n" not in base:
+    if "n" not in cfg:
         raise UsageError("sweep needs 'n' in config (or --n)")
-    src_base = dict(cfg.get("source", {}))
+    seed0 = _get(cfg, "seed")
+    if "seeds" not in cfg and seed0 is None:
+        raise UsageError("sweep needs config 'seeds' or a base --seed")
+    with _config_errors("protocol"):
+        p_values = [float(v) for v in cfg.get("p_values", [cfg.get("p", P_STAR)])]
+        kappa_values = [float(v) for v in cfg.get("kappa_values", [cfg.get("kappa", 0.0)])]
+        if "seeds" in cfg:
+            seeds = [int(v) for v in cfg["seeds"]]
+        else:
+            seeds = [int(seed0) + i for i in range(int(cfg.get("n_seeds", 1)))]
+        # grid keys name no config field, so ProtocolConfig.from_dict skips them
+        tasks = [
+            (protocol, ProtocolConfig.from_dict(
+                {**cfg, "seed": seed, "source": {**cfg["source"], "p": p, "kappa": kappa}}
+            ))
+            for p in p_values
+            for kappa in kappa_values
+            for seed in seeds
+        ]
 
-    tasks = []
-    for p in p_values:
-        for kappa in kappa_values:
-            for seed in seeds:
-                src = {**src_base, "p": p, "kappa": kappa}
-                tasks.append((protocol, _parse_config({**base, "seed": seed, "source": src})))
-
-    threads = args.threads if args.threads is not None else cfg.get("threads")
+    threads = _get(cfg, "threads")
     if threads is not None and int(threads) > 1:
         with ProcessPoolExecutor(max_workers=int(threads)) as pool:
             rows = list(pool.map(_sweep_row, tasks))
@@ -526,14 +508,22 @@ def cmd_sweep(args) -> int:
 
 
 _COMMANDS = {
-    "verify-example": cmd_verify_example,
-    "bounds": cmd_bounds,
-    "solve-params": cmd_solve_params,
-    "estimate": cmd_estimate,
-    "run-ppp": cmd_run,
-    "run-pm": cmd_run,
-    "pm-ensemble": cmd_pm_ensemble,
-    "sweep": cmd_sweep,
+    "verify-example": _Command(cmd_verify_example, ("p", "kappa"),
+                               "re-check the worked-example identities numerically"),
+    "bounds": _Command(cmd_bounds, ("s", "delta", "d", "dprime", "n"),
+                       "evaluate the aggregate failure bound and insecurity at given n"),
+    "solve-params": _Command(cmd_solve_params, ("s", "delta", "d", "dprime", "n"),
+                             "solve the security-parameter constraints (minimal n if --n absent)"),
+    "estimate": _Command(cmd_estimate, ("seed", "p", "kappa"),
+                         "one LOCC estimation round on a configured source", source=True),
+    "run-ppp": _Command(cmd_run, ("seed", "n", "s", "delta", "p", "kappa"),
+                        "full entanglement-based protocol run, transcript out", source=True),
+    "run-pm": _Command(cmd_run, ("seed", "n", "s", "delta", "p", "kappa"),
+                       "full prepare-and-measure protocol run, transcript out", source=True),
+    "pm-ensemble": _Command(cmd_pm_ensemble, ("p", "kappa"),
+                            "signal ensembles induced by measuring Pauli products", source=True),
+    "sweep": _Command(cmd_sweep, ("seed", "n", "threads"),
+                      "grid of runs over (p, kappa, seeds); CSV to --out", source=True),
 }
 
 
@@ -544,8 +534,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    command = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return command.run(args, _settings(args, command))
     except UsageError as exc:
         log.error("%s", exc)
         return EXIT_USAGE

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import TensorLayout, pauli_product_basis
+from .linalg import TensorLayout, pauli_product_basis, reorder
 from .states import DensityState
 
 __all__ = [
@@ -109,40 +109,9 @@ class ProductDecomposition:
         da = 2 ** len(self.side_a)
         db = 2 ** len(self.side_b)
         gperm = gperm.reshape(da * db, da * db)
-        return _permute_sides_inverse(gperm, layout, self.side_a, self.side_b)
-
-
-def _side_axes(layout: TensorLayout, side_a: Sequence[str], side_b: Sequence[str]) -> list[int]:
-    axes = [layout.axis(lab) for lab in tuple(side_a) + tuple(side_b)]
-    if sorted(axes) != list(range(len(layout.factors))):
-        raise ValueError(
-            f"sides {side_a}+{side_b} must cover the layout {layout.labels} exactly"
-        )
-    return axes
-
-
-def _permute_sides(
-    mat: np.ndarray, layout: TensorLayout, side_a: Sequence[str], side_b: Sequence[str]
-) -> np.ndarray:
-    """Reorder a layout-ordered matrix to (side_a..., side_b...) index order."""
-    axes = _side_axes(layout, side_a, side_b)
-    n = len(layout.factors)
-    dims = layout.dims
-    tens = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    tens = tens.transpose(axes + [a + n for a in axes])
-    return tens.reshape(layout.dim, layout.dim)
-
-
-def _permute_sides_inverse(
-    mat: np.ndarray, layout: TensorLayout, side_a: Sequence[str], side_b: Sequence[str]
-) -> np.ndarray:
-    axes = _side_axes(layout, side_a, side_b)
-    n = len(layout.factors)
-    inv = np.argsort(axes).tolist()
-    side_dims = tuple(layout.dims[a] for a in axes)
-    tens = np.asarray(mat, dtype=complex).reshape(side_dims + side_dims)
-    tens = tens.transpose(inv + [a + n for a in inv])
-    return tens.reshape(layout.dim, layout.dim)
+        sides = (*self.side_a, *self.side_b)
+        side_layout = TensorLayout(tuple((lab, layout.dim_of(lab)) for lab in sides))
+        return reorder(gperm, side_layout, layout.labels)[0]
 
 
 def decompose_two_local(
@@ -161,7 +130,7 @@ def decompose_two_local(
     for lab in tuple(side_a) + tuple(side_b):
         if layout.dim_of(lab) != 2:
             raise ValueError(f"factor {lab!r} is not a qubit; Pauli basis unavailable")
-    gperm = _permute_sides(op, layout, side_a, side_b)
+    gperm, _ = reorder(op, layout, (*side_a, *side_b))
     ka, kb = len(tuple(side_a)), len(tuple(side_b))
     basis_a = pauli_product_basis(ka)
     basis_b = pauli_product_basis(kb)
@@ -196,7 +165,7 @@ def joint_outcome_table(
     """
     vals_a, vecs_a = local_eigensystem(decomp.labels_a[ja])
     vals_b, vecs_b = local_eigensystem(decomp.labels_b[jb])
-    rho = _permute_sides(state.mat, state.layout, decomp.side_a, decomp.side_b)
+    rho, _ = reorder(state.mat, state.layout, (*decomp.side_a, *decomp.side_b))
     v = np.kron(vecs_a, vecs_b)
     probs = np.real(np.einsum("ik,ij,jk->k", v.conj(), rho, v))
     probs = np.clip(probs, 0.0, None)
@@ -223,11 +192,11 @@ def pm_signal_ensemble(
     list in eigenvector order; zero-probability outcomes keep a zero state.
     """
     _, vecs_a = local_eigensystem(label_a)
-    rho = _permute_sides(state.mat, state.layout, side_a, side_b)
+    rho, sides = reorder(state.mat, state.layout, (*side_a, *side_b))
     da = vecs_a.shape[0]
     db = state.layout.dim // da
     rho4 = rho.reshape(da, db, da, db)
-    out_layout = state.layout.restrict(side_b)
+    out_layout = sides.restrict(side_b)
     out = []
     for k in range(da):
         v = vecs_a[:, k]

@@ -9,6 +9,7 @@ never materialize tensor powers, they sample patterns instead.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,12 +26,12 @@ __all__ = [
     "dagger",
     "kron_all",
     "promote",
+    "reorder",
     "partial_trace",
     "partial_transpose",
     "herm_eig",
     "trace_norm",
     "trace_distance",
-    "hs_norm",
     "pauli_product_basis",
     "basis_ket",
     "proj",
@@ -157,11 +158,25 @@ def promote(op: np.ndarray, layout: TensorLayout, labels: Sequence[str]) -> np.n
     big = np.kron(op, np.eye(d_rest, dtype=complex))
     # big lives on (labels..., rest...); permute axes back to layout order
     inter = TensorLayout(tuple((lab, layout.dim_of(lab)) for lab in labels) + tuple(rest))
-    perm = [inter.axis(lab) for lab in layout.labels]
-    n = len(layout.factors)
-    tens = _as_tensor(big, inter)
-    tens = tens.transpose(perm + [p + n for p in perm])
-    return tens.reshape(layout.dim, layout.dim)
+    return reorder(big, inter, layout.labels)[0]
+
+
+def reorder(
+    mat: np.ndarray, layout: TensorLayout, labels: Sequence[str]
+) -> tuple[np.ndarray, TensorLayout]:
+    """``mat`` with its tensor factors permuted into the order of ``labels``.
+
+    ``labels`` must name every factor of ``layout`` exactly once.  Returns the
+    permuted matrix together with its layout.
+    """
+    labels = tuple(labels)
+    if sorted(labels) != sorted(layout.labels):
+        raise ValueError(f"labels {labels} must name the layout {layout.labels} exactly")
+    perm = [layout.axis(lab) for lab in labels]
+    n = len(perm)
+    tens = _as_tensor(mat, layout).transpose(perm + [a + n for a in perm])
+    new_layout = TensorLayout(tuple(layout.factors[a] for a in perm))
+    return tens.reshape(layout.dim, layout.dim), new_layout
 
 
 def partial_trace(
@@ -220,10 +235,6 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False)))
 
 
-def hs_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a), ord="fro"))
-
-
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Trace distance (1/2)||a - b||_1."""
     return 0.5 * trace_norm(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
@@ -238,19 +249,10 @@ def pauli_product_basis(n_qubits: int) -> list[tuple[str, np.ndarray]]:
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
     norm = 1.0 / np.sqrt(2.0**n_qubits)
-    out: list[tuple[str, np.ndarray]] = []
-    letters = "IXYZ"
-    for idx in range(4**n_qubits):
-        digits = []
-        rem = idx
-        for _ in range(n_qubits):
-            digits.append(rem % 4)
-            rem //= 4
-        digits.reverse()
-        label = "".join(letters[d] for d in digits)
-        op = kron_all(*(PAULIS[letters[d]] for d in digits)) * norm
-        out.append((label, op))
-    return out
+    return [
+        ("".join(letters), kron_all(*(PAULIS[ch] for ch in letters)) * norm)
+        for letters in itertools.product("IXYZ", repeat=n_qubits)
+    ]
 
 
 def basis_ket(index: int, dim: int) -> np.ndarray:

@@ -70,9 +70,6 @@ class DensityState:
         check_density(self.mat, tol=tol)
         return self
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
     def partial_trace(self, keep: Sequence[str]) -> "DensityState":
         red, lay = partial_trace(self.mat, self.layout, keep)
         return DensityState(red, lay)

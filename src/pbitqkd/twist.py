@@ -59,12 +59,6 @@ class TwistingOp:
     def block(self, i: int, j: int) -> np.ndarray:
         return self.blocks[f"{i}{j}"]
 
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        eye = np.eye(self.d_prime)
-        return all(
-            np.max(np.abs(dagger(b) @ b - eye)) <= tol for b in self.blocks.values()
-        )
-
     def assemble(self, layout: TensorLayout = KEY_SHIELD_LAYOUT) -> np.ndarray:
         """Full block-diagonal unitary on a layout whose first two factors are A, B.
 

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, one-JSON-document stdout, file outputs, CSV."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from pbitqkd import protocol
-from pbitqkd.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from pbitqkd.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _build_parser, main
 from pbitqkd.states import P_STAR
 
 
@@ -255,10 +256,50 @@ def test_run_ppp_needs_n_and_seed(capsys):
     capsys.readouterr()
     assert main(["run-ppp", "--n", "2000"]) == EXIT_USAGE
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:  # --threads is sweep-only
-        main(["run-ppp", "--n", "2000", "--seed", "1", "--threads", "2"])
+
+
+# the flags each subcommand reads besides --config and --out
+FLAGS_READ = {
+    "verify-example": {"p", "kappa"},
+    "pm-ensemble": {"p", "kappa"},
+    "bounds": {"s", "delta", "d", "dprime", "n"},
+    "solve-params": {"s", "delta", "d", "dprime", "n"},
+    "estimate": {"seed", "p", "kappa"},
+    "run-ppp": {"seed", "n", "s", "delta", "p", "kappa"},
+    "run-pm": {"seed", "n", "s", "delta", "p", "kappa"},
+    "sweep": {"seed", "n", "threads"},
+}
+# once accepted by every subcommand, read or not
+SHARED_FLAGS = ("seed", "p", "kappa", "s", "delta", "d", "dprime", "n")
+UNREAD = [(cmd, flag) for cmd, read in FLAGS_READ.items() for flag in SHARED_FLAGS
+          if flag not in read]
+
+
+def test_parser_accepts_exactly_the_flags_each_subcommand_reads():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        (name, opt)
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
+    expected = {(cmd, f"--{flag}") for cmd, read in FLAGS_READ.items()
+                for flag in read | {"config", "out"}}
+    assert accepted == expected
+    assert (len(accepted), len(UNREAD)) == (48, 33)
+
+
+@pytest.mark.parametrize("argv", [
+    *([cmd, f"--{flag}", "1"] for cmd, flag in UNREAD),
+    ["run-ppp", "--d", "3"],  # not an abbreviation of --delta
+    ["run-ppp", "--kap", "0.1"],  # not an abbreviation of --kappa
+], ids=" ".join)
+def test_unread_flags_and_abbreviations_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == EXIT_USAGE
-    capsys.readouterr()
+    assert capsys.readouterr().out == ""
 
 
 def test_null_source_in_config_is_the_default_source(tmp_path, capsys):
@@ -275,6 +316,10 @@ def test_null_source_in_config_is_the_default_source(tmp_path, capsys):
     code, payload = run_cli(capsys, "pm-ensemble", "--config", str(cfg_path))
     assert code == EXIT_OK
     assert payload["default_input"] is True
+    code, payload = run_cli(capsys, "sweep", "--config", str(cfg_path),
+                            "--out", str(tmp_path / "grid.csv"))
+    assert code == EXIT_OK
+    assert payload["rows"] == 1
 
 
 def test_run_pm_via_cli(tmp_path, capsys):
@@ -362,6 +407,15 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_USAGE
     assert not out_path.exists()
     capsys.readouterr()
+    # so are null seeds and grid values
+    for bad in ({"seeds": None}, {"seeds": [None]}, {"p_values": [None]},
+                {"kappa_values": [None]}, {"seeds": None, "seed": 0, "n_seeds": None}):
+        cfg_path.write_text(json.dumps({
+            "protocol": "ppp", "n": 2000, "m_x": 200, "m_prime": 150, "seeds": [0], **bad,
+        }))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_USAGE, bad
+        assert not out_path.exists()
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("command, cfg, message", [
@@ -372,6 +426,7 @@ def test_sweep_usage_errors(tmp_path, capsys):
     ("sweep", {"source": {"kind": "pbit", "ancilla": "bar"}}, "bad protocol config"),
     ("estimate", {"candidates": ["foo"]}, "bad estimate config"),
     ("estimate", {"source": {"kind": "pbit", "ancilla": "bar"}}, "bad estimate config"),
+    ("pm-ensemble", {"source": {"kind": "pbit", "ancilla": "bar"}}, "bad pm-ensemble config"),
 ])
 def test_unknown_names_are_config_errors(tmp_path, capsys, caplog, command, cfg, message):
     cfg_path = tmp_path / "cfg.json"
@@ -391,6 +446,10 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["verify-example", "--config", str(bad)]) == EXIT_USAGE
     capsys.readouterr()
+    bad.write_text(json.dumps({"n": 2000, "seed": 0, "source": 5}))
+    for command in ("run-ppp", "pm-ensemble"):
+        assert main([command, "--config", str(bad)]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
 
 # sha256[:16] of stdout; the CLI documents are pinned like the run transcripts

@@ -15,7 +15,6 @@ from pbitqkd.linalg import (
     check_density,
     dagger,
     herm_eig,
-    hs_norm,
     kron_all,
     partial_trace,
     partial_transpose,
@@ -24,6 +23,7 @@ from pbitqkd.linalg import (
     promote,
     random_density,
     random_unitary,
+    reorder,
     trace_distance,
     trace_norm,
 )
@@ -78,6 +78,19 @@ def test_promote_respects_label_order_not_layout_order():
     assert np.allclose(big, kron_all(PAULI_I, PAULI_Z, PAULI_I, PAULI_X))
 
 
+def test_reorder_permutes_factors_and_their_layout():
+    rng = np.random.default_rng(2)
+    a, b, c, d = (random_density(2, rng) for _ in range(4))
+    mat, layout = reorder(kron_all(a, b, c, d), L4, ["B'", "A", "B", "A'"])
+    assert layout.labels == ("B'", "A", "B", "A'")
+    assert np.allclose(mat, kron_all(d, a, b, c))
+    back, layout = reorder(mat, layout, L4.labels)
+    assert layout == L4 and np.allclose(back, kron_all(a, b, c, d))
+    for labels in (["A", "B"], ["A", "A", "B", "B'"]):  # missing or repeated factors
+        with pytest.raises(ValueError):
+            reorder(mat, L4, labels)
+
+
 def test_partial_trace_of_product_state():
     rng = np.random.default_rng(0)
     rho_a = random_density(2, rng)
@@ -127,7 +140,7 @@ def test_herm_eig_rejects_non_hermitian():
 
 def test_norms_on_paulis():
     assert abs(trace_norm(PAULI_X) - 2.0) < 1e-12
-    assert abs(hs_norm(PAULI_Z) - np.sqrt(2)) < 1e-12
+    assert abs(np.sqrt(np.trace(dagger(PAULI_Z) @ PAULI_Z).real) - np.sqrt(2)) < 1e-12
 
 
 def test_trace_distance_extremes():

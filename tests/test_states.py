@@ -129,7 +129,7 @@ def test_density_state_expect_and_conjugate():
     rng = np.random.default_rng(5)
     u = random_unitary(2, rng)
     rotated = rho.conjugate_by(u, ["A"])
-    assert abs(rotated.trace() - 1.0) < 1e-12
+    assert abs(np.trace(rotated.mat) - 1.0) < 1e-12
 
 
 def test_purify_round_trip():
