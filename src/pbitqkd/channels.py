@@ -42,6 +42,30 @@ __all__ = [
     "channel_branches",
 ]
 
+#: Copies per slice of uniforms in per-copy sampling: one slice and its
+#: temporaries are all a sampler holds besides its output.
+_SAMPLE_CHUNK = 1 << 16
+
+
+def _uniform_slices(n: int, rng: np.random.Generator):
+    """The uniforms of one ``rng.random(n)``, as (slice, uniforms) pairs.
+
+    They are drawn one slice of _SAMPLE_CHUNK copies at a time; PCG64 spends
+    one 64-bit word per double, so they are the numbers a single
+    ``rng.random(n)`` would give, and the next draw is the same.
+    """
+    for start in range(0, n, _SAMPLE_CHUNK):
+        stop = min(n, start + _SAMPLE_CHUNK)
+        yield slice(start, stop), rng.random(stop - start)
+
+
+def _iid_flips(n: int, eps: float, rng: np.random.Generator) -> np.ndarray:
+    """uint8 indicators of ``rng.random(n) < eps``, drawn slice by slice."""
+    out = np.empty(n, dtype=np.uint8)
+    for sl, u in _uniform_slices(n, rng):
+        np.less(u, eps, out=out[sl])
+    return out
+
 
 @dataclass(frozen=True)
 class PauliNoiseModel:
@@ -68,9 +92,7 @@ class PauliNoiseModel:
         if n < 0:
             raise ValueError("n must be nonnegative")
         if self.mode == "iid":
-            x = (rng.random(n) < self.eps_x).astype(np.uint8)
-            z = (rng.random(n) < self.eps_z).astype(np.uint8)
-            return x, z
+            return _iid_flips(n, self.eps_x, rng), _iid_flips(n, self.eps_z, rng)
         x = np.zeros(n, dtype=np.uint8)
         z = np.zeros(n, dtype=np.uint8)
         kx = int(round(n * self.eps_x))

@@ -470,8 +470,11 @@ def cmd_sweep(args, cfg: ChainMap) -> int:
     if "seeds" not in cfg and seed0 is None:
         raise UsageError("sweep needs config 'seeds' or a base --seed")
     with _config_errors("protocol"):
-        p_values = [float(v) for v in cfg.get("p_values", [cfg.get("p", P_STAR)])]
-        kappa_values = [float(v) for v in cfg.get("kappa_values", [cfg.get("kappa", 0.0)])]
+        # a grid axis, else the top-level value, else the source's, else the default
+        source = cfg["source"]
+        p_values = [float(v) for v in cfg.get("p_values", [cfg.get("p", source.get("p", P_STAR))])]
+        kappa_values = [float(v) for v in cfg.get(
+            "kappa_values", [cfg.get("kappa", source.get("kappa", 0.0))])]
         if "seeds" in cfg:
             seeds = [int(v) for v in cfg["seeds"]]
         else:
@@ -479,7 +482,7 @@ def cmd_sweep(args, cfg: ChainMap) -> int:
         # grid keys name no config field, so ProtocolConfig.from_dict skips them
         tasks = [
             (protocol, ProtocolConfig.from_dict(
-                {**cfg, "seed": seed, "source": {**cfg["source"], "p": p, "kappa": kappa}}
+                {**cfg, "seed": seed, "source": {**source, "p": p, "kappa": kappa}}
             ))
             for p in p_values
             for kappa in kappa_values

@@ -194,10 +194,10 @@ def toeplitz_apply(bits: np.ndarray, seed: np.ndarray, out_len: int) -> np.ndarr
     """Apply the Toeplitz matrix T[i, j] = seed[i + L - 1 - j] to a bit string.
 
     The matrix-vector product over GF(2) is a convolution, computed as one
-    cyclic FFT product of length the next power of two >= L + out_len - 1,
-    so every output index >= L - 1 is alias-free; counts stay far below 2^53
-    so rounding is exact.  Both parties hash with the *same* seed, so the
-    seed is an explicit argument.
+    cyclic FFT product of length the smallest 5-smooth number >= L + out_len
+    - 1, so every output index >= L - 1 is alias-free; counts stay far below
+    2^53 so rounding is exact.  Both parties hash with the *same* seed, so
+    the seed is an explicit argument.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     L = bits.size
@@ -207,9 +207,25 @@ def toeplitz_apply(bits: np.ndarray, seed: np.ndarray, out_len: int) -> np.ndarr
         return np.zeros(0, dtype=np.uint8)
     if seed.size != out_len + L - 1:
         raise ValueError(f"seed length {seed.size} != out_len + L - 1 = {out_len + L - 1}")
-    size = 1 << (L + out_len - 2).bit_length()
-    conv = np.fft.irfft(np.fft.rfft(seed, size) * np.fft.rfft(bits, size), size)
+    size = _fft_size(L + out_len - 1)
+    spectrum = np.fft.rfft(seed, size)
+    spectrum *= np.fft.rfft(bits, size)
+    conv = np.fft.irfft(spectrum, size)
     return (np.rint(conv[L - 1 : L - 1 + out_len]).astype(np.int64) % 2).astype(np.uint8)
+
+
+def _fft_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n (n >= 1): a length the FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives  # 3^b 5^c
+        while odd < best:
+            # odd * 2^a with the smallest a that reaches n
+            best = min(best, odd << ((n - 1) // odd).bit_length())
+            odd *= 3
+        fives *= 5
+    return best
 
 
 def pa_length(raw_len: int, eps_x: float, eps_z: float, syndrome_bits: int, s: int) -> int:

@@ -33,7 +33,7 @@ from .bounds import (
     protocol_failure_bound,
     relaxation_budget,
 )
-from .channels import PauliNoiseModel, pauli_op
+from .channels import PauliNoiseModel, _uniform_slices, pauli_op
 from .ecpa import bits_to_hex, error_correct, pa_length, toeplitz_apply, toeplitz_seed
 from .estimation import (
     EstimationResult,
@@ -59,9 +59,6 @@ __all__ = [
 ]
 
 TRANSCRIPT_SCHEMA = 1
-#: Copies per slice in _sample_categorical: one slice of uniforms and its
-#: per-code temporaries are all it holds besides the uint8 output.
-_SAMPLE_CHUNK = 1 << 16
 
 
 #: The names a config may give a twisting or an ancilla, and their builders.
@@ -228,19 +225,20 @@ def _jsonsafe(obj):
 
 
 def _pattern_codes(config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
-    """Per-copy pattern code 2x + z in {0,1,2,3} from source noise XOR Eve."""
-    n = config.n
-    x = np.zeros(n, dtype=np.uint8)
-    z = np.zeros(n, dtype=np.uint8)
-    if config.source.kind == "pbit" and config.source.noise is not None:
-        sx, sz = config.source.noise.sample_pattern(n, rng)
-        x ^= sx
-        z ^= sz
-    if config.eve is not None:
-        ex, ez = config.eve.sample_pattern(n, rng)
-        x ^= ex
-        z ^= ez
-    return (2 * x + z).astype(np.uint8)
+    """Per-copy pattern code 2x + z in {0,1,2,3} from source noise XOR Eve.
+
+    Each model's code (x << 1) | z is XORed into the one uint8 output, so
+    besides it only that model's two flip arrays are held.
+    """
+    codes = np.zeros(config.n, dtype=np.uint8)
+    noise = config.source.noise if config.source.kind == "pbit" else None
+    for model in (noise, config.eve):
+        if model is not None:
+            x, z = model.sample_pattern(config.n, rng)
+            x <<= 1
+            x |= z
+            codes ^= x
+    return codes
 
 
 def _component_states(source: SourceSpec) -> list[DensityState]:
@@ -325,17 +323,14 @@ def _sample_categorical(
 
     The index is the number of cumulative bounds below the copy's uniform,
     counted one bound at a time, so no n x categories table is built.  The
-    uniforms are drawn one slice of _SAMPLE_CHUNK copies at a time; PCG64
-    spends one 64-bit word per double, so they are the numbers a single
-    ``rng.random(codes.size)`` would give, and the next draw is the same.
+    uniforms are those of one ``rng.random(codes.size)``, drawn one slice at
+    a time (``_uniform_slices``).
     """
     cum = np.cumsum(probs_by_code, axis=1)
     cum = cum / cum[:, -1:]
     out = np.empty(codes.size, dtype=np.uint8)
-    for start in range(0, codes.size, _SAMPLE_CHUNK):
-        sl = slice(start, start + _SAMPLE_CHUNK)
+    for sl, u in _uniform_slices(codes.size, rng):
         codes_sl, out_sl = codes[sl], out[sl]
-        u = rng.random(codes_sl.size)
         present = np.flatnonzero(np.bincount(codes_sl))
         for c in present:
             # a slice on one code (every copy of a rho_h run) needs no gather
@@ -396,8 +391,8 @@ def _resolve_budgets(config: ProtocolConfig, n_groups: int) -> tuple[int | None,
     return m_x, m_prime, ""
 
 
-def _group_counts(dec: ProductDecomposition, group_pos: dict) -> dict[str, int]:
-    return {_pair_label(dec, *pair): int(pos.size) for pair, pos in group_pos.items()}
+def _group_counts(dec: ProductDecomposition, group_codes: dict) -> dict[str, int]:
+    return {_pair_label(dec, *pair): int(codes.size) for pair, codes in group_codes.items()}
 
 
 def _abort(
@@ -430,29 +425,29 @@ def _measure_and_estimate(
     rng: np.random.Generator,
     events: list,
     setup: _Setup,
-    codes: np.ndarray,
-    pos_x: np.ndarray,
-    group_pos: dict,
+    codes_x: np.ndarray,
+    group_codes: dict,
 ) -> dict:
     """Bit-error and phase-group sampling, candidate estimates and rates.
 
     The one measurement core behind ``run_ppp``, ``run_pm`` and
-    ``run_estimate``.  ``group_pos`` maps each support pair to its test
-    positions, in support order.  Returns the transcript's ``estimates``.
+    ``run_estimate``.  ``codes_x`` holds the pattern codes of the bit-error
+    sample and ``group_codes`` maps each support pair to those of its test
+    copies, in support order.  Returns the transcript's ``estimates``.
     """
     tables, any_dec = setup.tables, setup.any_dec
-    m_x = int(pos_x.size)
-    m_z = int(sum(p.size for p in group_pos.values()))
+    m_x = int(codes_x.size)
+    m_z = int(sum(c.size for c in group_codes.values()))
 
-    bit_signs = _sample_signs(tables.zz_plus, codes[pos_x], rng)
+    bit_signs = _sample_signs(tables.zz_plus, codes_x, rng)
     eps_x_hat = float((1.0 - bit_signs.mean()) / 2.0)
     events.append({"event": "measure_bit_error", "count": m_x})
 
     records = {
-        pair: 0.25 * _sample_signs(tables.group_plus[pair], codes[pos], rng)
-        for pair, pos in group_pos.items()
+        pair: 0.25 * _sample_signs(tables.group_plus[pair], codes, rng)
+        for pair, codes in group_codes.items()
     }
-    counts = _group_counts(any_dec, group_pos)
+    counts = _group_counts(any_dec, group_codes)
     events.append({"event": "measure_phase_groups", "counts": counts})
 
     results: dict[str, EstimationResult] = {
@@ -491,32 +486,33 @@ def _measure_and_finish(
     rng: np.random.Generator,
     events: list,
     setup: _Setup,
-    codes: np.ndarray,
-    pos_x: np.ndarray,
-    group_pos: dict,
-    pos_key: np.ndarray,
+    codes_x: np.ndarray,
+    group_codes: dict,
+    key_codes: np.ndarray,
     extra_estimates: dict | None = None,
 ) -> Transcript:
     """Everything after position assignment, shared by ppp and pm.
 
     Measurement and estimation, the security block, the rate abort, key
-    sampling, toy EC, PA and transcript assembly.
+    sampling, toy EC, PA and transcript assembly.  Each stage gets the
+    pattern codes of its copies (``_split_codes``), not positions.
     """
-    estimates = _measure_and_estimate(config, rng, events, setup, codes, pos_x, group_pos)
+    estimates = _measure_and_estimate(config, rng, events, setup, codes_x, group_codes)
     eps_x_hat, eps_z_hat = estimates["eps_x_hat"], estimates["eps_z_hat"]
     security = _security_block(config, estimates["m_x"], estimates["m_z"])
     estimates.update(extra_estimates or {})
-    raw_len = int(pos_key.size)
+    raw_len = int(key_codes.size)
     if estimates["rate"] <= 0.0:
         return _abort(config, protocol, events, "rate_nonpositive", estimates, security, raw_len)
 
-    key16 = _sample_categorical(setup.tables.joint16, codes[pos_key], rng)
-    # side outcomes ka, kb in 0..3 = (key bit, shield bit); keep the key bits
-    alice_bits = ((key16 // 4) >> 1).astype(np.uint8)
-    bob_bits = ((key16 % 4) >> 1).astype(np.uint8)
+    key16 = _sample_categorical(setup.tables.joint16, key_codes, rng)
+    # key16 = 4 ka + kb, side outcomes ka, kb in 0..3 = 2 key bit + shield bit
+    alice_bits = key16 >> 3
+    bob_bits = (key16 >> 1) & 1
     del key16
 
     corrected, ec_stats = error_correct(alice_bits, bob_bits, eps_x_hat, config.ec_block, rng)
+    del bob_bits
     events.append({"event": "error_correct", **ec_stats})
     final_len = pa_length(raw_len, eps_x_hat, eps_z_hat, ec_stats["syndrome_bits"], config.s)
     seed = toeplitz_seed(raw_len, final_len, rng)
@@ -540,19 +536,26 @@ def _measure_and_finish(
     )
 
 
-def _split_positions(
+def _split_codes(
+    codes: np.ndarray,
     order: np.ndarray,
     m_x: int,
     m_prime: int,
     support: Sequence[tuple[int, int]],
 ) -> tuple[np.ndarray, dict, np.ndarray]:
-    """Split ``order`` into the bit-error sample, one group per pair, the key block."""
+    """The codes of the bit-error sample, of one group per pair and of the key block.
+
+    ``order`` lists the copies in assignment order: the first m_x form the
+    bit-error sample, the next m_prime each support pair's group, and the
+    rest the key block.  Each part's codes are gathered in that order, so
+    neither ``order`` nor ``codes`` need outlive the split.
+    """
     end = m_x + len(support) * m_prime
-    group_pos = {
-        pair: order[m_x + i * m_prime : m_x + (i + 1) * m_prime]
+    group_codes = {
+        pair: codes[order[m_x + i * m_prime : m_x + (i + 1) * m_prime]]
         for i, pair in enumerate(support)
     }
-    return order[:m_x], group_pos, order[end:]
+    return codes[order[:m_x]], group_codes, codes[order[end:]]
 
 
 def run_ppp(config: ProtocolConfig) -> Transcript:
@@ -573,18 +576,35 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
     codes = _pattern_codes(config, rng)
     events.append({"event": "distribute", "source": config.source.kind, "copies": config.n})
 
-    pos_x, group_pos, pos_key = _split_positions(rng.permutation(config.n), m_x, m_prime, support)
+    codes_x, group_codes, key_codes = _split_codes(
+        codes, rng.permutation(config.n), m_x, m_prime, support
+    )
+    del codes
     events.append({
         "event": "assign_positions",
         "m_x": m_x,
         "m_prime": m_prime,
         "m_z": m_prime * len(support),
-        "groups": _group_counts(setup.any_dec, group_pos),
-        "key_count": int(pos_key.size),
+        "groups": _group_counts(setup.any_dec, group_codes),
+        "key_count": int(key_codes.size),
     })
     return _measure_and_finish(
-        "ppp", config, rng, events, setup, codes, pos_x, group_pos, pos_key,
+        "ppp", config, rng, events, setup, codes_x, group_codes, key_codes,
     )
+
+
+def _basis_labels(n: int, labels: Sequence[int], n_c: int, rng: np.random.Generator) -> np.ndarray:
+    """One side's observable per copy, -1 (computational) where it tests none.
+
+    labels[i] goes to the i-th n_c-slice of one random permutation, which is
+    dropped on return: the caller holds one int8 per copy, not eight bytes.
+    """
+    assert all(0 <= label <= np.iinfo(np.int8).max for label in labels)
+    out = np.full(n, -1, dtype=np.int8)
+    perm = rng.permutation(n)
+    for i, label in enumerate(labels):
+        out[perm[i * n_c : (i + 1) * n_c]] = label
+    return out
 
 
 def run_pm(config: ProtocolConfig) -> Transcript:
@@ -622,47 +642,42 @@ def run_pm(config: ProtocolConfig) -> Transcript:
     events.append({"event": "measure", "note": "receiver measures on arrival"})
     events.append({"event": "receipt_confirmed", "copies": n})
 
-    # uncoordinated basis assignment (-1 means computational)
-    perm_a = rng.permutation(n)
-    perm_b = rng.permutation(n)
-    a_obs = np.full(n, -1, dtype=np.int64)
-    b_obs = np.full(n, -1, dtype=np.int64)
-    for i, ja in enumerate(ja_set):
-        a_obs[perm_a[i * n_c : (i + 1) * n_c]] = ja
-    for i, jb in enumerate(jb_set):
-        b_obs[perm_b[i * n_c : (i + 1) * n_c]] = jb
+    # uncoordinated basis assignment, one permutation per side
+    a_obs = _basis_labels(n, ja_set, n_c, rng)
+    b_obs = _basis_labels(n, jb_set, n_c, rng)
     events.append({"event": "bases_announced",
                    "test_sets_a": len(ja_set), "test_sets_b": len(jb_set), "n_c": n_c})
 
-    group_pos = {
-        (ja, jb): np.nonzero((a_obs == ja) & (b_obs == jb))[0] for ja, jb in support
-    }
-    key_all = np.nonzero((a_obs == -1) & (b_obs == -1))[0]
+    # the codes of the matched copies and of the doubly-computational ones, in copy order
+    group_codes = {(ja, jb): codes[(a_obs == ja) & (b_obs == jb)] for ja, jb in support}
+    key_codes = codes[(a_obs == -1) & (b_obs == -1)]
+    del codes, a_obs, b_obs
     events.append({
         "event": "sift",
-        "matched_counts": _group_counts(any_dec, group_pos),
-        "key_candidates": int(key_all.size),
-        "discarded": int(n - key_all.size - sum(v.size for v in group_pos.values())),
+        "matched_counts": _group_counts(any_dec, group_codes),
+        "key_candidates": int(key_codes.size),
+        "discarded": int(n - key_codes.size - sum(v.size for v in group_codes.values())),
     })
 
     short = [
         _pair_label(any_dec, *pair)
         for pair in support
-        if group_pos[pair].size < max(1, min_group)
+        if group_codes[pair].size < max(1, min_group)
     ]
-    if short or key_all.size < m_x + config.ec_block:
+    if short or key_codes.size < m_x + config.ec_block:
         return _abort(
             config, "pm", events,
             "insufficient_samples: "
             + (f"groups below floor {min_group}: {short}" if short
-               else f"key candidates {key_all.size} cannot cover m_x = {m_x}"),
+               else f"key candidates {key_codes.size} cannot cover m_x = {m_x}"),
         )
 
-    test_mask = np.zeros(key_all.size, dtype=bool)
-    test_mask[rng.choice(key_all.size, size=m_x, replace=False)] = True
+    test_mask = np.zeros(key_codes.size, dtype=bool)
+    test_mask[rng.choice(key_codes.size, size=m_x, replace=False)] = True
+    codes_x = key_codes[test_mask]
+    key_codes = key_codes[~test_mask]
     return _measure_and_finish(
-        "pm", config, rng, events, setup, codes,
-        key_all[test_mask], group_pos, key_all[~test_mask], {"n_c": n_c},
+        "pm", config, rng, events, setup, codes_x, group_codes, key_codes, {"n_c": n_c},
     )
 
 
@@ -693,6 +708,5 @@ def run_estimate(
     )
     rng = np.random.default_rng(seed)
     codes = _pattern_codes(config, rng)
-    pos_x, group_pos, _ = _split_positions(np.arange(config.n), m_x, m_prime, setup.support)
-    return _measure_and_estimate(config, rng, [], setup, codes, pos_x, group_pos)
-
+    codes_x, group_codes, _ = _split_codes(codes, np.arange(config.n), m_x, m_prime, setup.support)
+    return _measure_and_estimate(config, rng, [], setup, codes_x, group_codes)

@@ -1,12 +1,14 @@
 """Pauli noise patterns, the two-outcome shield POVM, and the binding channel."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbitqkd import channels
 from pbitqkd.channels import (
     POVM_M0,
     POVM_M1,
@@ -48,6 +50,32 @@ def test_pauli_noise_iid_rates():
     x, z = model.sample_pattern(200000, rng)
     assert abs(x.mean() - 0.25) < 5e-3
     assert abs(z.mean() - 0.10) < 5e-3
+
+
+def test_pauli_noise_iid_draws_the_uniforms_of_one_array(monkeypatch):
+    monkeypatch.setattr(channels, "_SAMPLE_CHUNK", 777)  # slice boundaries inside the input
+    model = PauliNoiseModel(0.25, 0.1)
+    for n in (0, 776, 777, 5000):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        x, z = model.sample_pattern(n, rng)
+        assert x.dtype == z.dtype == np.uint8
+        assert np.array_equal(x, ref.random(n) < 0.25)
+        assert np.array_equal(z, ref.random(n) < 0.1)
+        assert rng.random() == ref.random()  # exactly one uniform per copy and flip
+
+
+def test_pauli_noise_iid_memory_holds_no_n_sized_uniforms():
+    n = 10**6
+    model = PauliNoiseModel(0.02, 0.01)
+    tracemalloc.start()
+    try:
+        model.sample_pattern(n, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two output bytes per copy; the uniforms and every other temporary live for
+    # one slice (an n-sized float64 uniform array alone is 8 bytes per copy)
+    assert peak < 2 * n + 64 * channels._SAMPLE_CHUNK
 
 
 def test_pauli_noise_fixed_weight_exact():

@@ -376,6 +376,34 @@ def test_sweep_writes_the_documented_csv(tmp_path, capsys):
         assert row["abort"] in ("0", "1")
 
 
+def test_sweep_reads_p_and_kappa_from_grid_then_top_level_then_source(tmp_path, capsys):
+    base = {"n": 2000, "m_x": 200, "m_prime": 150, "seeds": [0],
+            "source": {"p": 0.5, "kappa": 0.01}}
+    cfg_path, out_path = tmp_path / "sweep.json", tmp_path / "grid.csv"
+    for extra, want in [
+        ({}, ("0.5", "0.01")),
+        ({"p": 0.4, "kappa": 0.02}, ("0.4", "0.02")),
+        ({"p": 0.4, "p_values": [0.3], "kappa_values": [0.03]}, ("0.3", "0.03")),
+        ({"source": {}}, (repr(P_STAR), "0.0")),
+    ]:
+        cfg_path.write_text(json.dumps({**base, **extra}))
+        code, _ = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out", str(out_path))
+        assert code == EXIT_OK
+        (row,) = csv.DictReader(out_path.read_text().splitlines())
+        assert (row["p"], row["kappa"]) == want, extra
+    # the row of the source-only config is the run-ppp run of that config
+    cfg_path.write_text(json.dumps({**base, "seed": 0}))
+    code, doc = run_cli(capsys, "run-ppp", "--config", str(cfg_path))
+    assert code == EXIT_OK
+    cfg_path.write_text(json.dumps(base))
+    run_cli(capsys, "sweep", "--config", str(cfg_path), "--out", str(out_path))
+    (row,) = csv.DictReader(out_path.read_text().splitlines())
+    assert (row["p"], row["kappa"]) == ("0.5", "0.01")
+    assert float(row["eps_x_hat"]) == doc["estimates"]["eps_x_hat"]
+    assert float(row["eps_z_hat"]) == doc["estimates"]["eps_z_hat"]
+    assert int(row["abort"]) == doc["abort"]
+
+
 def test_sweep_parallel_matches_serial(tmp_path, capsys):
     cfg = {
         "protocol": "ppp", "n": 2000, "m_x": 200, "m_prime": 150,

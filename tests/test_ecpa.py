@@ -195,16 +195,28 @@ def test_toeplitz_matches_explicit_matrix():
     # the convolution shortcut equals the literal Toeplitz matrix product
     rng = np.random.default_rng(7)
     # (64, 64) was the old short-path threshold; (65, 64) and (66, 64) pad
-    # L + out_len - 1 = 128 and 129 to a power of two exactly at and one past it
-    for n, out_len in [(1, 1), (30, 12), (64, 64), (65, 64), (66, 64), (200, 64)]:
+    # L + out_len - 1 = 128 and 129 to a 5-smooth length exactly at and past
+    # it; the last three pad 1299 to 1350, exactly 1350, and 3186 to 3200,
+    # each below the power of two
+    for n, out_len in [(1, 1), (30, 12), (64, 64), (65, 64), (66, 64), (200, 64),
+                       (1000, 300), (1000, 351), (2000, 1187)]:
         bits = rng.integers(0, 2, n, dtype=np.uint8)
         seed = toeplitz_seed(n, out_len, rng)
-        t = np.zeros((out_len, n), dtype=np.uint8)
-        for i in range(out_len):
-            for j in range(n):
-                t[i, j] = seed[i + n - 1 - j]
-        direct = (t @ bits) % 2
+        t = seed[np.arange(out_len)[:, None] + n - 1 - np.arange(n)]  # T[i, j]
+        direct = (t.astype(np.int64) @ bits) % 2
         assert np.array_equal(toeplitz_apply(bits, seed, out_len), direct)
+
+
+def test_fft_size_is_the_smallest_5_smooth_length():
+    def smooth(m):
+        for prime in (2, 3, 5):
+            while m % prime == 0:
+                m //= prime
+        return m == 1
+
+    for n in range(1, 2000):
+        assert ecpa._fft_size(n) == next(m for m in range(n, 2 * n + 1) if smooth(m)), n
+    assert [ecpa._fft_size(n) for n in (1299, 1350, 3186)] == [1350, 1350, 3200]
 
 
 def test_pa_length():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbitqkd import protocol
+from pbitqkd import channels, protocol
 from pbitqkd.estimation import pm_signal_ensemble
 from pbitqkd.protocol import (
     ProtocolConfig,
@@ -468,7 +468,7 @@ def _categorical_input(case):
 
 @pytest.mark.parametrize("case", [*range(5), "one_code", "on_bounds"])
 def test_sample_categorical_matches_broadcast_formula(monkeypatch, case):
-    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 777)  # slice boundaries inside the input
+    monkeypatch.setattr(channels, "_SAMPLE_CHUNK", 777)  # slice boundaries inside the input
     probs, codes, rng_a, rng_b = _categorical_input(case)
     got = protocol._sample_categorical(probs, codes, rng_a)
     want = _broadcast_categorical(probs, codes, rng_b)
@@ -492,4 +492,24 @@ def test_sample_categorical_memory_is_linear_without_a_category_table():
             tracemalloc.stop()
         # one output byte per copy; the uniforms and every other temporary live for
         # one slice (an n-sized float64 uniform array alone is 8 bytes per copy)
-        assert peak < n + 64 * protocol._SAMPLE_CHUNK, n_codes
+        assert peak < n + 64 * channels._SAMPLE_CHUNK, n_codes
+
+
+# bytes per copy a run holds at its peak: in ppp the permutation (8) beside the
+# pattern codes (1) and the key block's codes (1) at the split, in pm the key
+# stage; n-sized positions would add 8 per copy, n-sized uniforms 8 more
+@pytest.mark.parametrize("run, cfg, bound", [
+    (run_ppp, {**DESK_PPP, "n": 10**6, "seed": 1}, 10.5),  # rho_h(p*, 0.001); seed 0 aborts
+    (run_pm, {**KEYED_PM, "n": 10**6}, 25.0),
+])
+def test_run_peak_memory_per_copy(run, cfg, bound):
+    config = ProtocolConfig.from_dict(cfg)
+    run(config)  # the set-up cache and lazily imported modules stay outside the trace
+    tracemalloc.start()
+    try:
+        transcript = run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not transcript.abort  # the key stage ran
+    assert peak / config.n <= bound
