@@ -187,14 +187,17 @@ def _require_seed(cfg: Mapping) -> int:
 
 
 def _solver_args(cfg: Mapping) -> tuple[int, float, int, int, int | None]:
-    """s, delta, d, d_prime and n (None when unset) for the parameter solver."""
-    return (
-        int(_get(cfg, "s", 40)),
-        float(_get(cfg, "delta", 0.05)),
-        int(_get(cfg, "d", 2)),
-        int(_get(cfg, "d_prime", 4)),
-        _get(cfg, "n"),
-    )
+    """s, delta, d, d_prime and n (None when unset) for the parameter solver.
+
+    Raises ValueError on a value the solver rejects; read inside ``_config_errors``.
+    """
+    s, delta = int(_get(cfg, "s", 40)), float(_get(cfg, "delta", 0.05))
+    d, d_prime = int(_get(cfg, "d", 2)), int(_get(cfg, "d_prime", 4))
+    n = _get(cfg, "n")
+    n = None if n is None else int(n)
+    if s < 1 or not 0.0 < delta < 1.0 or d < 2 or d_prime < 1 or (n is not None and n < 2):
+        raise ValueError("need s >= 1, 0 < delta < 1, d >= 2, d_prime >= 1 and n >= 2")
+    return s, delta, d, d_prime, n
 
 
 # --- verify-example ------------------------------------------------------------
@@ -208,11 +211,12 @@ def _check(name: str, value: float, tol: float, kind: str = "abs_max") -> dict:
 
 
 def cmd_verify_example(args, cfg: ChainMap) -> int:
-    p = float(_get(cfg, "p", P_STAR))
-    kappa = float(_get(cfg, "kappa", 0.0))
+    with _config_errors("verify-example"):
+        p = float(_get(cfg, "p", P_STAR))
+        kappa = float(_get(cfg, "kappa", 0.0))
+        state = rho_h(p, kappa)
     checks = []
 
-    state = rho_h(p, kappa)
     pt = state.partial_transpose(("B", "B'"))
     vals, _ = herm_eig(pt)
     checks.append(_check("ppt_min_eigenvalue", float(vals.min()), PPT_CLI_TOL, "min_eig"))
@@ -313,18 +317,23 @@ def _six_state_deviation(phi2: DensityState) -> float:
 
 
 def cmd_bounds(args, cfg: ChainMap) -> int:
-    s, delta, d, d_prime, n = _solver_args(cfg)
-    if n is None:
-        raise UsageError("bounds needs --n (or config 'n')")
-    n = int(n)
-    beta_b = cfg.get("beta_b")
+    with _config_errors("bounds"):
+        s, delta, d, d_prime, n = _solver_args(cfg)
+        if n is None:
+            raise UsageError("bounds needs --n (or config 'n')")
+        m_x, m_z = (_get(cfg, k) for k in ("m_x", "m_z"))
+        m_x, m_z = (None if v is None else int(v) for v in (m_x, m_z))
+        beta_b = cfg.get("beta_b")
+        if beta_b is not None and not (isinstance(beta_b, (int, float)) and beta_b >= 0.0):
+            raise ValueError(f"beta_b must be a nonnegative number, got {beta_b!r}")
 
     solver = choose_params(s, delta, d, d_prime, n=n)
-    # allocation: solver split when it is feasible at this n, else explicit
-    # config values, else an even key/test heuristic (vacuous at desk scale)
-    m_x = int(_get(cfg, "m_x", min(solver.m_x, n // 4)))
-    m_z_default = solver.m_z if (solver.m_z and solver.m_z + m_x < n) else (n - m_x) // 2
-    m_z = int(_get(cfg, "m_z", m_z_default))
+    # allocation: explicit config values, else the solver split when it is
+    # feasible at this n, else an even key/test heuristic (vacuous at desk scale)
+    if m_x is None:
+        m_x = min(solver.m_x, n // 4)
+    if m_z is None:
+        m_z = solver.m_z if (solver.m_z and solver.m_z + m_x < n) else (n - m_x) // 2
     if m_x < 1 or m_z < 1 or n - m_z < 2:
         raise UsageError(f"n = {n} is too small to allocate estimation samples")
     r = relaxation_budget(s, n, d, d_prime)
@@ -347,8 +356,9 @@ def cmd_bounds(args, cfg: ChainMap) -> int:
 
 
 def cmd_solve_params(args, cfg: ChainMap) -> int:
-    s, delta, d, d_prime, n = _solver_args(cfg)
-    sol = choose_params(s, delta, d, d_prime, n=None if n is None else int(n))
+    with _config_errors("solve-params"):
+        s, delta, d, d_prime, n = _solver_args(cfg)
+    sol = choose_params(s, delta, d, d_prime, n=n)
     payload = {"schema": SCHEMA, "solution": sol.to_dict()}
     _emit(payload, args.out)
     if not sol.feasible:
@@ -542,9 +552,6 @@ def main(argv: list[str] | None = None) -> int:
         return command.run(args, _settings(args, command))
     except UsageError as exc:
         log.error("%s", exc)
-        return EXIT_USAGE
-    except ValueError as exc:
-        log.error("invalid parameter: %s", exc)
         return EXIT_USAGE
 
 

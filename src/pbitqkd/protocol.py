@@ -100,7 +100,9 @@ class SourceSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("rho_h", "pbit"):
             raise ValueError(f"unknown source kind {self.kind!r}")
-        # checked whatever the kind, since config.source echoes both names
+        # checked whatever the kind, since config.source echoes them all
+        if not (0.0 <= self.p <= 1.0 and 0.0 <= self.kappa <= 1.0):
+            raise ValueError(f"p = {self.p} and kappa = {self.kappa} must lie in [0, 1]")
         _check_names("twisting", [self.twisting], _TWISTINGS)
         _check_names("ancilla", [self.ancilla], _ANCILLAS)
 
@@ -144,6 +146,10 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError("n must be at least 4")
+        if self.s < 1 or not 0.0 < self.delta < 1.0:
+            raise ValueError(
+                f"need s >= 1 and 0 < delta < 1, got s = {self.s}, delta = {self.delta}"
+            )
         if not self.candidates:
             raise ValueError("need at least one candidate twisting")
         _check_names("candidate twisting", self.candidates, _TWISTINGS)
@@ -537,33 +543,28 @@ def _measure_and_finish(
 
 
 def _split_codes(
-    codes: np.ndarray,
-    order: np.ndarray,
-    m_x: int,
-    m_prime: int,
-    support: Sequence[tuple[int, int]],
+    codes: np.ndarray, m_x: int, m_prime: int, support: Sequence[tuple[int, int]]
 ) -> tuple[np.ndarray, dict, np.ndarray]:
     """The codes of the bit-error sample, of one group per pair and of the key block.
 
-    ``order`` lists the copies in assignment order: the first m_x form the
-    bit-error sample, the next m_prime each support pair's group, and the
-    rest the key block.  Each part's codes are gathered in that order, so
-    neither ``order`` nor ``codes`` need outlive the split.
+    ``codes`` is in assignment order: the first m_x form the bit-error
+    sample, the next m_prime each support pair's group, and the rest the key
+    block.  The parts are views into ``codes``, so nothing is gathered.
     """
     end = m_x + len(support) * m_prime
     group_codes = {
-        pair: codes[order[m_x + i * m_prime : m_x + (i + 1) * m_prime]]
+        pair: codes[m_x + i * m_prime : m_x + (i + 1) * m_prime]
         for i, pair in enumerate(support)
     }
-    return codes[order[:m_x]], group_codes, codes[order[end:]]
+    return codes[:m_x], group_codes, codes[end:]
 
 
 def run_ppp(config: ProtocolConfig) -> Transcript:
     """Entanglement-based run: source distributes n copies, both sides measure.
 
-    Position assignment: a single random permutation splits the n copies into
-    the bit-error sample (m_x), one group per support pair of the candidate
-    decompositions (m_prime each), and the key block (everything else).
+    Position assignment: the copies' codes are shuffled into random order and
+    cut into the bit-error sample (m_x), one group per support pair of the
+    candidate decompositions (m_prime each), and the key block (the rest).
     """
     rng = np.random.default_rng(config.seed)
     setup = _setup(config.source, tuple(config.candidates))
@@ -576,10 +577,9 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
     codes = _pattern_codes(config, rng)
     events.append({"event": "distribute", "source": config.source.kind, "copies": config.n})
 
-    codes_x, group_codes, key_codes = _split_codes(
-        codes, rng.permutation(config.n), m_x, m_prime, support
-    )
-    del codes
+    # permutation(n) shuffles arange(n) with the same draws: this is codes[rng.permutation(n)]
+    rng.shuffle(codes)
+    codes_x, group_codes, key_codes = _split_codes(codes, m_x, m_prime, support)
     events.append({
         "event": "assign_positions",
         "m_x": m_x,
@@ -691,9 +691,9 @@ def run_estimate(
     """One parameter-estimation round: a run with no key copies.
 
     Same set-up, position layout and measurement core as ``run_ppp`` on
-    n = m_x + |support|*m_prime copies, with the identity in place of the
-    permutation, so the bit-error sample and the groups are contiguous
-    slices.  Source noise acts on pbit sources only, as in the runs.
+    n = m_x + |support|*m_prime copies, with no shuffle, so the bit-error
+    sample and the groups are the leading slices of the codes.  Source
+    noise acts on pbit sources only, as in the runs.
     Returns the ``estimates`` block a run's transcript would carry.
     """
     setup = _setup(source, tuple(candidates))
@@ -708,5 +708,5 @@ def run_estimate(
     )
     rng = np.random.default_rng(seed)
     codes = _pattern_codes(config, rng)
-    codes_x, group_codes, _ = _split_codes(codes, np.arange(config.n), m_x, m_prime, setup.support)
+    codes_x, group_codes, _ = _split_codes(codes, m_x, m_prime, setup.support)
     return _measure_and_estimate(config, rng, [], setup, codes_x, group_codes)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from pbitqkd import protocol
+from pbitqkd import cli, protocol
 from pbitqkd.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _build_parser, main
 from pbitqkd.states import P_STAR
 
@@ -478,6 +478,46 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys):
     for command in ("run-ppp", "pm-ensemble"):
         assert main([command, "--config", str(bad)]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
+
+
+# values outside what a parameter means are refused when the settings are read
+@pytest.mark.parametrize("argv", [
+    "bounds --n 100000 --delta 2",
+    "bounds --n 100000 --s 0",
+    "bounds --n 100000 --delta nan",
+    "bounds --n 1",
+    "bounds --n 100000 --d 1",
+    "solve-params --s 0",
+    "solve-params --delta 1.5",
+    "solve-params --dprime 0",
+    "pm-ensemble --p 2",
+    "pm-ensemble --kappa -1",
+    "estimate --seed 1 --p 7",
+    "run-ppp --n 100000 --seed 1 --delta 3",
+    "run-pm --n 100000 --seed 1 --s 0",
+    "verify-example --p 2",
+])
+def test_out_of_range_values_are_usage_errors(capsys, caplog, argv):
+    assert main(argv.split()) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert "bad " in caplog.text
+
+
+def test_bounds_config_values_are_usage_errors(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    for bad in ({"m_x": "abc"}, {"beta_b": -1}, {"beta_b": "x"}):
+        cfg_path.write_text(json.dumps({"n": 100000, **bad}))
+        assert main(["bounds", "--config", str(cfg_path)]) == EXIT_USAGE, bad
+        assert capsys.readouterr().out == ""
+
+
+def test_internal_errors_are_not_usage_errors(monkeypatch):
+    def broken(config):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "run_ppp", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["run-ppp", "--n", "2000", "--seed", "1"])
 
 
 # sha256[:16] of stdout; the CLI documents are pinned like the run transcripts

@@ -152,6 +152,19 @@ def test_config_rejects_tiny_n():
         ProtocolConfig(n=2, seed=0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SourceSpec(p=1.5),
+    lambda: SourceSpec(kind="pbit", kappa=-0.1),  # echoed even where unused
+    lambda: SourceSpec(p=math.nan),
+    lambda: ProtocolConfig(n=100, seed=0, s=0),
+    lambda: ProtocolConfig(n=100, seed=0, delta=1.0),
+    lambda: ProtocolConfig(n=100, seed=0, delta=math.nan),
+])
+def test_out_of_range_values_are_rejected_at_construction(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_ppp_transcript_is_byte_deterministic():
     cfg = ProtocolConfig.from_dict(DESK_PPP)
     a = run_ppp(cfg).to_json()
@@ -495,11 +508,28 @@ def test_sample_categorical_memory_is_linear_without_a_category_table():
         assert peak < n + 64 * channels._SAMPLE_CHUNK, n_codes
 
 
-# bytes per copy a run holds at its peak: in ppp the permutation (8) beside the
-# pattern codes (1) and the key block's codes (1) at the split, in pm the key
-# stage; n-sized positions would add 8 per copy, n-sized uniforms 8 more
+@pytest.mark.parametrize("n", [4, 5, 17, 65537, 10**6])
+@pytest.mark.parametrize("uint32_first", [False, True])
+def test_shuffle_draws_the_permutation_of_the_same_size(n, uint32_first):
+    # run_ppp shuffles its uint8 codes in place of gathering codes[rng.permutation(n)];
+    # the transcripts stay the same only while numpy draws both from one Fisher-Yates loop
+    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+    if uint32_first:  # an odd number of uint32 draws leaves half a word buffered
+        for rng in (rng_a, rng_b):
+            rng.integers(0, 1000, size=3, dtype=np.uint32)
+    c0 = np.random.default_rng(n).integers(0, 4, size=n).astype(np.uint8)
+    c = c0.copy()
+    rng_a.shuffle(c)
+    assert np.array_equal(c, c0[rng_b.permutation(n)])
+    assert rng_a.random() == rng_b.random()
+    assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+
+
+# bytes per copy a run holds at its peak: in ppp the key stage, with the shuffled
+# codes, Alice's bits, Bob's bits, the corrected copy and one comparison temporary
+# at one byte per copy each and no 8-byte array; in pm the key stage as well
 @pytest.mark.parametrize("run, cfg, bound", [
-    (run_ppp, {**DESK_PPP, "n": 10**6, "seed": 1}, 10.5),  # rho_h(p*, 0.001); seed 0 aborts
+    (run_ppp, {**DESK_PPP, "n": 10**6, "seed": 1}, 5.0),  # rho_h(p*, 0.001); seed 0 aborts
     (run_pm, {**KEYED_PM, "n": 10**6}, 25.0),
 ])
 def test_run_peak_memory_per_copy(run, cfg, bound):
