@@ -183,7 +183,11 @@ def _require_seed(cfg: Mapping) -> int:
     seed = _get(cfg, "seed")
     if seed is None:
         raise UsageError("a --seed (or config 'seed') is required; no wall-clock seeding")
-    return int(seed)
+    with _config_errors("seed"):
+        seed = int(seed)
+        if seed < 0:
+            raise ValueError(f"need a non-negative seed, got {seed}")
+    return seed
 
 
 def _solver_args(cfg: Mapping) -> tuple[int, float, int, int, int | None]:

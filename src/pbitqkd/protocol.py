@@ -146,6 +146,11 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError("n must be at least 4")
+        if self.seed < 0 or self.ec_block < 1:
+            raise ValueError(
+                f"need seed >= 0 and ec_block >= 1, got seed = {self.seed}, "
+                f"ec_block = {self.ec_block}"
+            )
         if self.s < 1 or not 0.0 < self.delta < 1.0:
             raise ValueError(
                 f"need s >= 1 and 0 < delta < 1, got s = {self.s}, delta = {self.delta}"
@@ -322,31 +327,43 @@ def _sample_signs(p_plus: np.ndarray, codes: np.ndarray, rng: np.random.Generato
     return np.where(u < p_plus[codes], 1.0, -1.0)
 
 
-def _sample_categorical(
-    probs_by_code: np.ndarray, codes: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Category index per copy from the per-code distribution (one uniform each).
+def _sample_key_bits(
+    joint16: np.ndarray, codes: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's key bits per copy from the per-code joint outcome table.
 
-    The index is the number of cumulative bounds below the copy's uniform,
-    counted one bound at a time, so no n x categories table is built.  The
-    uniforms are those of one ``rng.random(codes.size)``, drawn one slice at
-    a time (``_uniform_slices``).
+    A copy's outcome k = 4 ka + kb (side outcome = 2 key bit + shield bit) is
+    the number of cumulative bounds below its uniform.  Those bounds form a
+    prefix, so Alice's bit k >> 3 is ``u > cum[7]`` and Bob's (k >> 1) & 1 the
+    XOR of ``u > cum[j]`` over odd j <= 13: 8 comparisons, and k is never
+    built.  The uniforms are those of one ``rng.random(codes.size)``, drawn
+    one slice at a time (``_uniform_slices``).  Returns two uint8 arrays.
     """
-    cum = np.cumsum(probs_by_code, axis=1)
+    cum = np.cumsum(joint16, axis=1)
     cum = cum / cum[:, -1:]
-    out = np.empty(codes.size, dtype=np.uint8)
+    alice = np.empty(codes.size, dtype=bool)
+    bob = np.empty(codes.size, dtype=bool)
     for sl, u in _uniform_slices(codes.size, rng):
-        codes_sl, out_sl = codes[sl], out[sl]
-        present = np.flatnonzero(np.bincount(codes_sl))
-        for c in present:
-            # a slice on one code (every copy of a rho_h run) needs no gather
-            sel = codes_sl == c if present.size > 1 else slice(None)
+        codes_sl = codes[sl]
+        if codes_sl.min() == codes_sl.max():  # every copy of a rho_h run: no gather
+            _key_bits_into(u, cum[codes_sl[0]], alice[sl], bob[sl])
+            continue
+        for c in np.flatnonzero(np.bincount(codes_sl)):
+            sel = codes_sl == c
             u_c = u[sel]
-            k = np.zeros(u_c.size, dtype=np.uint8)
-            for bound in cum[c, :-1]:  # the last bound is 1, above every uniform
-                k += u_c > bound
-            out_sl[sel] = k
-    return out
+            a, b = np.empty(u_c.size, dtype=bool), np.empty(u_c.size, dtype=bool)
+            _key_bits_into(u_c, cum[c], a, b)
+            alice[sl][sel], bob[sl][sel] = a, b
+    return alice.view(np.uint8), bob.view(np.uint8)
+
+
+def _key_bits_into(u: np.ndarray, cum_c: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> None:
+    """Write the bits of uniforms ``u`` under one code's cumulative bounds."""
+    np.greater(u, cum_c[7], out=alice)
+    np.greater(u, cum_c[1], out=bob)
+    above = np.empty_like(bob)
+    for bound in cum_c[3:14:2]:
+        bob ^= np.greater(u, bound, out=above)
 
 
 def _pair_label(dec: ProductDecomposition, ja: int, jb: int) -> str:
@@ -511,12 +528,7 @@ def _measure_and_finish(
     if estimates["rate"] <= 0.0:
         return _abort(config, protocol, events, "rate_nonpositive", estimates, security, raw_len)
 
-    key16 = _sample_categorical(setup.tables.joint16, key_codes, rng)
-    # key16 = 4 ka + kb, side outcomes ka, kb in 0..3 = 2 key bit + shield bit
-    alice_bits = key16 >> 3
-    bob_bits = (key16 >> 1) & 1
-    del key16
-
+    alice_bits, bob_bits = _sample_key_bits(setup.tables.joint16, key_codes, rng)
     corrected, ec_stats = error_correct(alice_bits, bob_bits, eps_x_hat, config.ec_block, rng)
     del bob_bits
     events.append({"event": "error_correct", **ec_stats})
@@ -559,12 +571,27 @@ def _split_codes(
     return codes[:m_x], group_codes, codes[end:]
 
 
+def _shuffle_codes(codes: np.ndarray, rng: np.random.Generator) -> None:
+    """Shuffle ``codes`` in place: they become ``codes[rng.permutation(n)]``.
+
+    ``permutation(n)`` shuffles ``arange(n)`` with the same draws, which
+    ``shuffle`` makes whatever its input holds and whatever its item size.
+    Equal codes stay as they are, so they take only the draws, on a
+    zero-stride int64 view of 8 bytes (numpy's 8-byte loop on one cache line).
+    """
+    if codes.min() == codes.max():
+        rng.shuffle(np.lib.stride_tricks.as_strided(np.zeros(1, np.int64), codes.shape, (0,)))
+    else:
+        rng.shuffle(codes)
+
+
 def run_ppp(config: ProtocolConfig) -> Transcript:
     """Entanglement-based run: source distributes n copies, both sides measure.
 
     Position assignment: the copies' codes are shuffled into random order and
     cut into the bit-error sample (m_x), one group per support pair of the
     candidate decompositions (m_prime each), and the key block (the rest).
+    Equal codes (a noiseless rho_h run) take only the shuffle's draws.
     """
     rng = np.random.default_rng(config.seed)
     setup = _setup(config.source, tuple(config.candidates))
@@ -577,8 +604,7 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
     codes = _pattern_codes(config, rng)
     events.append({"event": "distribute", "source": config.source.kind, "copies": config.n})
 
-    # permutation(n) shuffles arange(n) with the same draws: this is codes[rng.permutation(n)]
-    rng.shuffle(codes)
+    _shuffle_codes(codes, rng)
     codes_x, group_codes, key_codes = _split_codes(codes, m_x, m_prime, support)
     events.append({
         "event": "assign_positions",

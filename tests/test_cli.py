@@ -496,11 +496,32 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys):
     "run-ppp --n 100000 --seed 1 --delta 3",
     "run-pm --n 100000 --seed 1 --s 0",
     "verify-example --p 2",
+    "run-ppp --n 100000 --seed -5",
+    "run-pm --n 100000 --seed -2",
+    "estimate --seed -5",
 ])
 def test_out_of_range_values_are_usage_errors(capsys, caplog, argv):
     assert main(argv.split()) == EXIT_USAGE
     assert capsys.readouterr().out == ""
     assert "bad " in caplog.text
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("sweep", {"seeds": [-1, 2]}),
+    ("run-ppp", {"ec_block": 0}),
+    ("run-ppp", {"ec_block": -2}),
+    ("run-pm", {"ec_block": 0}),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+def test_out_of_range_config_values_are_usage_errors(tmp_path, capsys, caplog, command, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "n": 2000, "seed": 0, "m_x": 200, "m_prime": 150, "source": NOISY_PBIT, **cfg,
+    }))
+    out_path = tmp_path / "grid.csv"
+    assert main([command, "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert not out_path.exists()
+    assert "bad protocol config" in caplog.text
 
 
 def test_bounds_config_values_are_usage_errors(tmp_path, capsys):

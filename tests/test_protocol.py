@@ -159,6 +159,9 @@ def test_config_rejects_tiny_n():
     lambda: ProtocolConfig(n=100, seed=0, s=0),
     lambda: ProtocolConfig(n=100, seed=0, delta=1.0),
     lambda: ProtocolConfig(n=100, seed=0, delta=math.nan),
+    lambda: ProtocolConfig(n=100, seed=-1),
+    lambda: ProtocolConfig(n=100, seed=0, ec_block=0),
+    lambda: ProtocolConfig(n=100, seed=0, ec_block=-2),
 ])
 def test_out_of_range_values_are_rejected_at_construction(make):
     with pytest.raises(ValueError):
@@ -481,12 +484,14 @@ def _categorical_input(case):
 
 @pytest.mark.parametrize("case", [*range(5), "one_code", "on_bounds"])
 def test_sample_categorical_matches_broadcast_formula(monkeypatch, case):
+    # the key bits are those of the categorical outcome k = 4 ka + kb
     monkeypatch.setattr(channels, "_SAMPLE_CHUNK", 777)  # slice boundaries inside the input
     probs, codes, rng_a, rng_b = _categorical_input(case)
-    got = protocol._sample_categorical(probs, codes, rng_a)
-    want = _broadcast_categorical(probs, codes, rng_b)
-    assert got.dtype == np.uint8
-    assert np.array_equal(got, want)
+    alice, bob = protocol._sample_key_bits(probs, codes, rng_a)
+    k = _broadcast_categorical(probs, codes, rng_b)
+    assert alice.dtype == bob.dtype == np.uint8
+    assert np.array_equal(alice, k >> 3)
+    assert np.array_equal(bob, (k >> 1) & 1)
     assert rng_a.random() == rng_b.random()  # exactly one uniform per copy
 
 
@@ -499,27 +504,34 @@ def test_sample_categorical_memory_is_linear_without_a_category_table():
         rng = np.random.default_rng(1)
         tracemalloc.start()
         try:
-            protocol._sample_categorical(probs, codes, rng)
+            protocol._sample_key_bits(probs, codes, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one output byte per copy; the uniforms and every other temporary live for
-        # one slice (an n-sized float64 uniform array alone is 8 bytes per copy)
-        assert peak < n + 64 * channels._SAMPLE_CHUNK, n_codes
+        # one output byte per copy for each side; the uniforms and every other temporary
+        # live for one slice (an n-sized float64 uniform array alone is 8 bytes per copy)
+        assert peak < 2 * n + 64 * channels._SAMPLE_CHUNK, n_codes
 
 
-@pytest.mark.parametrize("n", [4, 5, 17, 65537, 10**6])
+@pytest.mark.parametrize("n, equal", [
+    *(pytest.param(n, False, id=str(n)) for n in (4, 5, 17, 65537, 10**6)),
+    *(pytest.param(n, True, id=f"equal-{n}") for n in (4, 5, 17, 65537, 10**6)),
+])
 @pytest.mark.parametrize("uint32_first", [False, True])
-def test_shuffle_draws_the_permutation_of_the_same_size(n, uint32_first):
-    # run_ppp shuffles its uint8 codes in place of gathering codes[rng.permutation(n)];
-    # the transcripts stay the same only while numpy draws both from one Fisher-Yates loop
+def test_shuffle_draws_the_permutation_of_the_same_size(n, equal, uint32_first):
+    # run_ppp shuffles its uint8 codes in place of gathering codes[rng.permutation(n)],
+    # and equal codes (every rho_h run) take only the draws; the transcripts stay the
+    # same only while numpy draws all of them from one Fisher-Yates loop
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
     if uint32_first:  # an odd number of uint32 draws leaves half a word buffered
         for rng in (rng_a, rng_b):
             rng.integers(0, 1000, size=3, dtype=np.uint32)
-    c0 = np.random.default_rng(n).integers(0, 4, size=n).astype(np.uint8)
+    if equal:
+        c0 = np.full(n, 2, dtype=np.uint8)
+    else:
+        c0 = np.random.default_rng(n).integers(0, 4, size=n).astype(np.uint8)
     c = c0.copy()
-    rng_a.shuffle(c)
+    protocol._shuffle_codes(c, rng_a)
     assert np.array_equal(c, c0[rng_b.permutation(n)])
     assert rng_a.random() == rng_b.random()
     assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
