@@ -3,9 +3,10 @@
 All bound evaluators work in log2 space (exponents at cryptographic scale
 overflow doubles long before they become interesting) and report both the
 log2 value and the literal value, with a ``vacuous`` verdict whenever a
-failure-probability bound is >= 1.  Formulas are kept verbatim -- including
-constants that are known to be loose -- so that regression tests can pin
-them digit-for-digit against an independent high-precision evaluation.
+failure-probability bound is >= 1.  The primitives are kept verbatim --
+including constants that are known to be loose -- so that regression tests
+can pin them digit-for-digit against an independent high-precision
+evaluation; the aggregate and three-term bounds are compositions of them.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def substring_sampling_bound(k: int, eps: float, z_size: int) -> float:
     return 2.0 ** log2_substring_sampling_bound(k, eps, z_size)
 
 
-def frequency_deviation_log2(n: int, delta: float, r: int, z_size: int) -> float:
+def frequency_deviation_log2(n: float, delta: float, r: int, z_size: int) -> float:
     """log2 of 2^{-n(delta^2/4 - H(r/n)) + |Z| log2(n/2 + 1)}.
 
     Probability that empirical frequencies over n trials deviate by delta
@@ -136,23 +137,21 @@ def estimation_failure_terms(
 ) -> EstimationFailureTerms:
     """Failure terms for LOCC estimation of a t-term product decomposition.
 
-    e1: de Finetti/post-selection over n untouched + 2m measured systems,
-    e2: frequency-type deviation on the m' = m/t copies each group gets,
-    e3: concentration of the weighted group averages.
+    e1: post-selection over n untouched + 2m measured systems,
+        definetti_log2(2m, n, r, d);
+    e2: frequency deviation on the m' = m/t copies each group gets, inf when 2r > m',
+        log2(t+1) + frequency_deviation_log2(m', delta/sqrt(t hs_norm_sq), r, d);
+    e3: concentration of the weighted group averages,
+        log2_substring_sampling_bound(m, delta/sqrt(hs_norm_sq), d).
     """
     if min(n, m, r, d, t) < 1:
         raise ValueError("n, m, r, d, t must be positive")
     if hs_norm_sq <= 0:
         raise ValueError("hs_norm_sq must be positive")
     m_prime = m / t
-    log2_e1 = 1.0 + (-n * (r + 1) / (2.0 * (2 * m + n)) + 0.5 * d * d * math.log(n)) / _LN2
-    ratio = r / m_prime
-    if ratio > 1.0:
-        log2_e2 = math.inf
-    else:
-        gap = delta * delta / (4.0 * t * hs_norm_sq) - binary_entropy(ratio)
-        log2_e2 = math.log2(t + 1.0) + (-gap * m_prime + d * math.log2(m_prime / 2.0 + 1.0))
-    log2_e3 = math.log2(d) - m * delta * delta / (8.0 * d * hs_norm_sq * _LN2)
+    log2_e1 = definetti_log2(2 * m, n, r, d)
+    log2_e2 = _log2_groups(t, m_prime, delta / math.sqrt(t * hs_norm_sq), r, d)
+    log2_e3 = log2_substring_sampling_bound(m, delta / math.sqrt(hs_norm_sq), d)
     return EstimationFailureTerms(log2_e1, log2_e2, log2_e3, m_prime)
 
 
@@ -234,31 +233,22 @@ class FailureBound:
 def protocol_failure_bound(params: BoundParams) -> FailureBound:
     """Total failure probability of the estimation-based protocol.
 
-    Four contributions, kept verbatim:
+    Four contributions, each composed from the primitives above:
 
-    * bit-error sampling:      2 exp(-m_x delta^2 / 16)
-    * post-selection cost:     2 exp(-(n - m_z)(r+1)/(2n) + (1/2) d^4 d'^2 ln(n - m_z))
-    * phase-group frequencies: (t^2+1) 2^{-[delta^2/(36 t^2 d^2 d') - H(r t^2/m_z)](m_z/t^2)
-                                          + d' d^2 log2(m_z/(2 t^2) + 1)}
-    * phase-average tail:      2 exp(-m_z delta^2 / (144 d' d^2))
+    * bit-error sampling:      log2_hoeffding_tail(m_x, delta/sqrt(32))
+    * post-selection cost:     definetti_log2(m_z, n - m_z, r, d^2 d')
+    * phase-group frequencies: log2(t^2+1) + frequency_deviation_log2(m', delta/(3td sqrt(d')),
+                               r, d' d^2) over m' = m_z/t^2 copies; inf (vacuous) when 2r > m'
+    * phase-average tail:      log2_hoeffding_tail(m_z, delta/(12 d sqrt(2 d')))
     """
     n, m_x, m_z = params.n, params.m_x, params.m_z
     d, dp, r, delta, t = params.d, params.d_prime, params.r, params.delta, params.t
     if m_x < 1 or m_z < 1 or n - m_z < 2:
         raise ValueError("need m_x >= 1, m_z >= 1 and n - m_z >= 2")
-    t1 = 1.0 - m_x * delta * delta / (16.0 * _LN2)
-    t2 = 1.0 + (
-        -(n - m_z) * (r + 1) / (2.0 * n) + 0.5 * d**4 * dp**2 * math.log(n - m_z)
-    ) / _LN2
-    ratio = r * t * t / m_z
-    if ratio > 1.0:
-        t3 = math.inf
-    else:
-        gap = delta * delta / (36.0 * t * t * d * d * dp) - binary_entropy(ratio)
-        t3 = math.log2(t * t + 1.0) + (
-            -gap * (m_z / (t * t)) + dp * d * d * math.log2(m_z / (2.0 * t * t) + 1.0)
-        )
-    t4 = 1.0 - m_z * delta * delta / (144.0 * dp * d * d * _LN2)
+    t1 = log2_hoeffding_tail(m_x, delta / math.sqrt(32.0))
+    t2 = definetti_log2(m_z, n - m_z, r, d * d * dp)
+    t3 = _log2_groups(t * t, params.m_prime, delta / (3.0 * t * d * math.sqrt(dp)), r, dp * d * d)
+    t4 = log2_hoeffding_tail(m_z, delta / (12.0 * d * math.sqrt(2.0 * dp)))
     terms = {"bit_sampling": t1, "post_selection": t2, "phase_groups": t3, "phase_tail": t4}
     return FailureBound(log2_terms=terms, log2_f=_log2_sum(list(terms.values())))
 
@@ -464,6 +454,13 @@ def choose_params(
 
 
 # --- helpers ------------------------------------------------------------------
+
+
+def _log2_groups(groups: int, m_prime: float, delta: float, r: int, z_size: int) -> float:
+    """log2 of groups + 1 frequency-deviation tails on m_prime copies; inf if 2r > m_prime."""
+    if 2 * r > m_prime:
+        return math.inf
+    return math.log2(groups + 1.0) + frequency_deviation_log2(m_prime, delta, r, z_size)
 
 
 def _pow2(x: float) -> float:

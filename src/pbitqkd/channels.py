@@ -52,11 +52,14 @@ def _uniform_slices(n: int, rng: np.random.Generator):
 
     They are drawn one slice of _SAMPLE_CHUNK copies at a time; PCG64 spends
     one 64-bit word per double, so they are the numbers a single
-    ``rng.random(n)`` would give, and the next draw is the same.
+    ``rng.random(n)`` would give, and the next draw is the same.  Every slice's
+    uniforms are a view of one reused buffer, so a caller must not keep them
+    once the next iteration starts.
     """
+    buf = np.empty(min(n, _SAMPLE_CHUNK))
     for start in range(0, n, _SAMPLE_CHUNK):
         stop = min(n, start + _SAMPLE_CHUNK)
-        yield slice(start, stop), rng.random(stop - start)
+        yield slice(start, stop), rng.random(out=buf[: stop - start])
 
 
 def _iid_flips(n: int, eps: float, rng: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bounds import binary_entropy
+from .bounds import binary_entropy, key_rate
 
 __all__ = [
     "syndrome_rows",
@@ -229,13 +229,12 @@ def _fft_size(n: int) -> int:
 
 
 def pa_length(raw_len: int, eps_x: float, eps_z: float, syndrome_bits: int, s: int) -> int:
-    """Final key length: floor(raw*(1 - H(eps_x) - H(eps_z))) - syndrome - 2s, floored at 0."""
+    """Final key length: floor(raw * key_rate(eps_x, eps_z)) - syndrome - 2s, floored at 0."""
     if raw_len < 0:
         raise ValueError("raw_len must be nonnegative")
     if raw_len == 0:
         return 0
-    rate = 1.0 - binary_entropy(eps_x) - binary_entropy(eps_z)
-    return max(0, math.floor(raw_len * rate) - syndrome_bits - 2 * s)
+    return max(0, math.floor(raw_len * key_rate(eps_x, eps_z)) - syndrome_bits - 2 * s)
 
 
 def bits_to_hex(bits: np.ndarray) -> str:

@@ -6,6 +6,7 @@ relative 1e-9.  The parameter solver's outputs are re-checked against each
 inequality they claim to satisfy.
 """
 
+import json
 import math
 
 import mpmath as mp
@@ -30,6 +31,7 @@ from pbitqkd.bounds import (
     relaxation_budget,
     substring_sampling_bound,
 )
+from pbitqkd.protocol import canonical_json
 
 mp.mp.dps = 30
 
@@ -166,10 +168,29 @@ def test_estimation_failure_terms_oracle():
 
 
 def test_estimation_failure_e1_is_the_exchangeability_bound():
-    # e1 equals the k,n-swapped two-convention bound with dim_power = 2
-    n, m, r, d = 10**5, 4000, 80, 2
-    terms = estimation_failure_terms(n, m, 0.05, r, d, 16, 16.0)
-    assert abs(terms.log2_e1 - definetti_log2(2 * m, n, r, d, dim_power=2)) < 1e-12
+    # every term is exactly one call to a criterion-10 primitive (plus the group-count
+    # prefactor); e1 is the k,n-swapped two-convention bound with dim_power = 2
+    n, m, delta, r, d, t, hs2 = 10**5, 4000, 0.05, 80, 2, 16, 16.0
+    terms = estimation_failure_terms(n, m, delta, r, d, t, hs2)
+    assert terms.log2_e1 == definetti_log2(2 * m, n, r, d, dim_power=2)
+    assert terms.log2_e2 == math.log2(t + 1) + frequency_deviation_log2(
+        m / t, delta / math.sqrt(t * hs2), r, d
+    )
+    assert terms.log2_e3 == log2_substring_sampling_bound(m, delta / math.sqrt(hs2), d)
+    # the four aggregate terms at d = 2, d' = 4 (t = 16), at desk scale and at solver scale
+    dp = 4
+    sol = choose_params(40, 0.05)
+    for n, m_x, m_z, delta, r in ((10**6, 25000, 4 * 10**5, 0.05, 160),
+                                  (sol.n, sol.m_x, sol.m_z, sol.delta, sol.r)):
+        fb = protocol_failure_bound(BoundParams(n=n, m_x=m_x, m_z=m_z, delta=delta, r=r))
+        assert fb.log2_terms == {
+            "bit_sampling": log2_hoeffding_tail(m_x, delta / math.sqrt(32)),
+            "post_selection": definetti_log2(m_z, n - m_z, r, d * d * dp),
+            "phase_groups": math.log2(t * t + 1) + frequency_deviation_log2(
+                m_z / t**2, delta / (3 * t * d * math.sqrt(dp)), r, dp * d * d
+            ),
+            "phase_tail": log2_hoeffding_tail(m_z, delta / (12 * d * math.sqrt(2 * dp))),
+        }
 
 
 def test_estimation_failure_e3_prefactor_at_zero_delta():
@@ -180,6 +201,26 @@ def test_estimation_failure_e3_prefactor_at_zero_delta():
 def test_estimation_failure_e2_vacuous_when_r_exceeds_groups():
     terms = estimation_failure_terms(10**5, 64, 0.05, 80, 2, 16, 16.0)  # m' = 4 < r
     assert math.isinf(terms.log2_e2)
+    # r/m' in (1/2, 1] leaves the entropy term's increasing branch: inf, as in the solver
+    r = 80
+    for m_prime in (100, 80):  # r/m' = 0.8 and 1
+        terms = estimation_failure_terms(10**5, 16 * m_prime, 0.05, r, 2, 16, 16.0)
+        assert terms.log2_e2 == math.inf
+    assert math.isfinite(estimation_failure_terms(10**5, 16 * 2 * r, 0.05, r, 2, 16, 16.0).log2_e2)
+    # the aggregate phase-group term at d = 2, d' = 4 (t^2 = 256 groups)
+    r = 4000
+    for m_z in (256 * r, 256 * r * 4 // 3, 256 * 2 * r - 1):  # r t^2/m_z = 1, 3/4, just over 1/2
+        fb = protocol_failure_bound(BoundParams(n=10**7, m_x=100, m_z=m_z, delta=0.05, r=r))
+        assert fb.log2_terms["phase_groups"] == math.inf
+        assert fb.vacuous
+        doc = json.loads(canonical_json(fb.to_dict()), parse_constant=_reject_constant)
+        assert doc["log2_terms"]["phase_groups"] is None and doc["vacuous"] is True
+    edge = BoundParams(n=10**7, m_x=100, m_z=256 * 2 * r, delta=0.05, r=r)  # 2r == m_z/t^2
+    assert math.isfinite(protocol_failure_bound(edge).log2_terms["phase_groups"])
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite value {name} in the JSON document")
 
 
 # --- aggregate bound -------------------------------------------------------------

@@ -546,7 +546,7 @@ def test_internal_errors_are_not_usage_errors(monkeypatch):
     (["verify-example"], "c8969df4ed864ec1"),
     (["bounds", "--n", "100000"], "ce70c9adabb991e3"),  # four non-finite values as null
     (["bounds", "--n", "1000000000000"], "b000f998c8c11301"),
-    (["solve-params"], "6ad051104efae52e"),
+    (["solve-params"], "f1e796ebd17beb58"),
     (["solve-params", "--n", "1000000"], "4384bb843c9bc040"),
     (["estimate", "--seed", "3"], "9c11cac70e27a72d"),
     (["estimate", "--seed", "3", "--p", "0.5", "--kappa", "0.01"], "df593d3b7dc845ee"),

@@ -454,7 +454,10 @@ class _Uniforms:
     def __init__(self, values):
         self.values, self.pos = values, 0
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is not None:  # fill a caller's buffer, as Generator.random(out=...) does
+            out[...] = self.random(out.size)
+            return out
         out = self.values[self.pos : self.pos + (1 if size is None else size)]
         self.pos += out.size
         return out[0] if size is None else out
