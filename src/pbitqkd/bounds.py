@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+#: The minimal-n search of ``choose_params`` gives up above this n.
+_N_CAP = 2**200
 
 
 def binary_entropy(x: float) -> float:
@@ -370,7 +372,6 @@ def choose_params(
     d: int = 2,
     d_prime: int = 4,
     n: int | None = None,
-    n_cap: int = 2**200,
 ) -> ParamSolution:
     """Solve the protocol parameter constraints for a security level s.
 
@@ -441,14 +442,14 @@ def choose_params(
     # locate the minimal feasible n (doubling, then bisection)
     n_lo = max(4 * m_x, 1024)
     n_hi = n_lo
-    while n_hi <= n_cap:
+    while n_hi <= _N_CAP:
         if attempt(n_hi).feasible:
             break
         n_hi *= 2
     else:
         return replace(
-            attempt(n_cap), feasible=False, n=None,
-            message=f"no feasible n below cap 2^{int(math.log2(n_cap))}",
+            attempt(_N_CAP), feasible=False, n=None,
+            message=f"no feasible n below cap 2^{_N_CAP.bit_length() - 1}",
         )
     return attempt(_least(lambda v: attempt(v).feasible, n_lo, n_hi))
 

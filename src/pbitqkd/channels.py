@@ -32,7 +32,6 @@ from .states import CHI_C, CHI_S, DensityState
 
 __all__ = [
     "PauliNoiseModel",
-    "pauli_op",
     "apply_pauli",
     "POVM_M0",
     "POVM_M1",

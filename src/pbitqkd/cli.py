@@ -22,7 +22,6 @@ import logging
 import math
 import sys
 from collections import ChainMap
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Mapping, NamedTuple
 
@@ -377,9 +376,9 @@ def cmd_estimate(args, cfg: ChainMap) -> int:
     seed = _require_seed(cfg)
     with _config_errors("estimate"):
         source = SourceSpec.from_dict(cfg["source"])
-        m_prime = int(cfg.get("m_prime", 400))
-        m_x = int(cfg.get("m_x", 1024))
-        candidates = tuple(cfg.get("candidates", ProtocolConfig.candidates))
+        m_prime = int(_get(cfg, "m_prime", 400))
+        m_x = int(_get(cfg, "m_x", 1024))
+        candidates = tuple(_get(cfg, "candidates", ProtocolConfig.candidates))
         for name in candidates:
             twisting_by_name(name)  # an unknown name is a config error, not a run error
     if m_prime < 1 or m_x < 1:
@@ -407,7 +406,7 @@ def cmd_estimate(args, cfg: ChainMap) -> int:
 
 
 def cmd_run(args, cfg: ChainMap) -> int:
-    if "n" not in cfg:
+    if _get(cfg, "n") is None:
         raise UsageError("a protocol run needs --n (or config 'n')")
     seed = _require_seed(cfg)
     with _config_errors("protocol"):
@@ -475,24 +474,24 @@ def cmd_sweep(args, cfg: ChainMap) -> int:
         raise UsageError("sweep needs --config with the grid specification")
     if not args.out:
         raise UsageError("sweep needs --out for the CSV (stdout carries JSON only)")
-    protocol = cfg.get("protocol", "ppp")
+    protocol = _get(cfg, "protocol", "ppp")
     if protocol not in ("ppp", "pm"):
         raise UsageError(f"unknown protocol {protocol!r}")
-    if "n" not in cfg:
+    if _get(cfg, "n") is None:
         raise UsageError("sweep needs 'n' in config (or --n)")
-    seed0 = _get(cfg, "seed")
-    if "seeds" not in cfg and seed0 is None:
+    seed0, seeds = _get(cfg, "seed"), _get(cfg, "seeds")
+    if seeds is None and seed0 is None:
         raise UsageError("sweep needs config 'seeds' or a base --seed")
     with _config_errors("protocol"):
         # a grid axis, else the top-level value, else the source's, else the default
         source = cfg["source"]
-        p_values = [float(v) for v in cfg.get("p_values", [cfg.get("p", source.get("p", P_STAR))])]
-        kappa_values = [float(v) for v in cfg.get(
-            "kappa_values", [cfg.get("kappa", source.get("kappa", 0.0))])]
-        if "seeds" in cfg:
-            seeds = [int(v) for v in cfg["seeds"]]
-        else:
-            seeds = [int(seed0) + i for i in range(int(cfg.get("n_seeds", 1)))]
+        p_values = [float(v) for v in _get(
+            cfg, "p_values", [_get(cfg, "p", source.get("p", P_STAR))])]
+        kappa_values = [float(v) for v in _get(
+            cfg, "kappa_values", [_get(cfg, "kappa", source.get("kappa", 0.0))])]
+        if seeds is None:
+            seeds = [int(seed0) + i for i in range(int(_get(cfg, "n_seeds", 1)))]
+        seeds = [int(v) for v in seeds]
         # grid keys name no config field, so ProtocolConfig.from_dict skips them
         tasks = [
             (protocol, ProtocolConfig.from_dict(
@@ -505,6 +504,8 @@ def cmd_sweep(args, cfg: ChainMap) -> int:
 
     threads = _get(cfg, "threads")
     if threads is not None and int(threads) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=int(threads)) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:

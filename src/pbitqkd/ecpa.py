@@ -22,13 +22,10 @@ import numpy as np
 from .bounds import binary_entropy, key_rate
 
 __all__ = [
-    "syndrome_rows",
-    "ec_block_correct",
     "error_correct",
     "toeplitz_seed",
     "toeplitz_apply",
     "pa_length",
-    "bits_to_hex",
 ]
 
 #: Brute-force decoder gives up beyond this error weight per block.

@@ -35,7 +35,6 @@ __all__ = [
     "pm_signal_ensemble",
     "EstimationResult",
     "estimate_eps_z_locc",
-    "best_candidate",
 ]
 
 _EIGVECS = {

@@ -16,28 +16,20 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "MAX_DIM",
     "PAULI_I",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
-    "PAULIS",
     "TensorLayout",
-    "dagger",
     "kron_all",
-    "promote",
-    "reorder",
     "partial_trace",
     "partial_transpose",
     "herm_eig",
     "trace_norm",
     "trace_distance",
     "pauli_product_basis",
-    "basis_ket",
-    "proj",
     "random_unitary",
     "random_density",
-    "check_density",
 ]
 
 #: Hard cap on the total Hilbert-space dimension of any labeled layout.

@@ -55,7 +55,6 @@ __all__ = [
     "run_pm",
     "run_estimate",
     "twisting_by_name",
-    "canonical_json",
 ]
 
 TRANSCRIPT_SCHEMA = 1

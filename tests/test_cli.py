@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
 import subprocess
 import sys
 
@@ -131,7 +132,7 @@ def test_estimate_requires_a_seed(capsys):
 
 def test_estimate_bad_config_values_are_usage_errors(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    for cfg in ({"candidates": None}, {"m_prime": None}, {"m_x": "many"}, {"m_prime": 0}):
+    for cfg in ({"candidates": [None]}, {"m_x": "many"}, {"m_prime": 0}):
         cfg_path.write_text(json.dumps(cfg))
         assert main(["estimate", "--seed", "1", "--config", str(cfg_path)]) == EXIT_USAGE, cfg
     capsys.readouterr()
@@ -437,13 +438,52 @@ def test_sweep_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     # so are null seeds and grid values
     for bad in ({"seeds": None}, {"seeds": [None]}, {"p_values": [None]},
-                {"kappa_values": [None]}, {"seeds": None, "seed": 0, "n_seeds": None}):
+                {"kappa_values": [None]}):
         cfg_path.write_text(json.dumps({
             "protocol": "ppp", "n": 2000, "m_x": 200, "m_prime": 150, "seeds": [0], **bad,
         }))
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_USAGE, bad
         assert not out_path.exists()
         capsys.readouterr()
+
+
+RUN_BUDGETS = {"m_x": 200, "m_prime": 150}
+SWEEP = {"n": 2000, **RUN_BUDGETS, "seeds": [0, 1]}
+BASE_SWEEP = {"n": 2000, **RUN_BUDGETS, "seed": 0, "n_seeds": 2}
+
+
+# the entries the CLI reads itself; ProtocolConfig's own entries keep its rule
+NULL_CASES = [
+    ("estimate --seed 3", {}, "m_x"),
+    ("estimate --seed 3", {}, "m_prime"),
+    ("estimate --seed 3", {}, "candidates"),
+    ("run-ppp --seed 5", RUN_BUDGETS, "n"),
+    ("run-pm --seed 5", RUN_BUDGETS, "n"),
+    ("sweep", SWEEP, "protocol"),
+    ("sweep", SWEEP, "p_values"),
+    ("sweep", SWEEP, "kappa_values"),
+    ("sweep", SWEEP, "p"),
+    ("sweep", SWEEP, "kappa"),
+    ("sweep", {k: v for k, v in SWEEP.items() if k != "n"}, "n"),
+    ("sweep", BASE_SWEEP, "seeds"),
+    ("sweep", {k: v for k, v in BASE_SWEEP.items() if k != "n_seeds"}, "n_seeds"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, key", NULL_CASES,
+                         ids=[f"{command.split()[0]}-{key}" for command, _, key in NULL_CASES])
+def test_null_entries_read_by_the_cli_are_unset(tmp_path, capsys, caplog, command, cfg, key):
+    cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "out"
+    outcomes = []
+    for entries in (cfg, {**cfg, key: None}):
+        cfg_path.write_text(json.dumps(entries))
+        caplog.clear()
+        code = main([*command.split(), "--config", str(cfg_path), "--out", str(out_path)])
+        written = out_path.read_text() if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        outcomes.append((code, capsys.readouterr().out, written, errors))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("command, cfg, message", [
