@@ -327,8 +327,7 @@ def cmd_bounds(args, cfg: ChainMap) -> int:
         m_x, m_z = (_get(cfg, k) for k in ("m_x", "m_z"))
         m_x, m_z = (None if v is None else int(v) for v in (m_x, m_z))
         beta_b = cfg.get("beta_b")
-        if beta_b is not None and not (isinstance(beta_b, (int, float)) and beta_b >= 0.0):
-            raise ValueError(f"beta_b must be a nonnegative number, got {beta_b!r}")
+        ProtocolConfig.check_beta_b(beta_b)
 
     solver = choose_params(s, delta, d, d_prime, n=n)
     # allocation: explicit config values, else the solver split when it is
@@ -502,11 +501,11 @@ def cmd_sweep(args, cfg: ChainMap) -> int:
             for seed in seeds
         ]
 
-    threads = _get(cfg, "threads")
-    if threads is not None and int(threads) > 1:
+    threads = _get(cfg, "threads")  # an int: every task's ProtocolConfig checked it
+    if tasks and threads is not None and threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=int(threads)) as pool:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]

@@ -3,11 +3,13 @@
 The EC stage is deliberately simple (random per-block parity checks with a
 brute-force minimum-weight decoder) and pays a hefty rate penalty over the
 Shannon limit; transcripts record both the actual syndrome cost and the
-Shannon-limit cost so the gap stays visible.  The decoder is batched: one
-parity matrix is still drawn per block, in block order, but the blocks are
-decoded together on bit-packed syndromes, weight by weight, in chunks of
-bounded size, so memory does not grow with the key length and no Python
-loop runs per block beyond the draw.  The PA stage is a standard
+Shannon-limit cost so the gap stays visible.  EC depends only on where the
+parties' bits differ, so it reads and rewrites just the error pattern
+(Alice's bits XOR Bob's), never the bits themselves.  The decoder is
+batched: one parity matrix is still drawn per block, in block order, but the
+blocks are decoded together on bit-packed syndromes, weight by weight, in
+chunks of bounded size, so memory does not grow with the key length and no
+Python loop runs per block beyond the draw.  The PA stage is a standard
 Toeplitz two-universal hash over GF(2), seeded from the run's generator so
 that reruns are bit-identical.
 """
@@ -54,85 +56,59 @@ def syndrome_rows(eps: float, block: int) -> int:
     return min(block, math.ceil(1.44 * block * binary_entropy(min(eps, 0.5))) + 6)
 
 
-def ec_block_correct(
-    alice: np.ndarray, bob: np.ndarray, rows: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Correct one block of Bob's bits toward Alice's using ``rows`` parities.
-
-    rows == 0 leaves Bob untouched; rows >= block reveals the block (Bob
-    copies Alice).  Otherwise a random parity matrix is drawn, Alice's
-    syndrome announced, and Bob flips the minimum-weight pattern consistent
-    with the syndrome difference (searched up to weight MAX_DECODE_WEIGHT;
-    on a miss the block is left as received).  This is the one-block call of
-    the batched decoder that ``error_correct`` runs.
-    """
-    out = bob.copy()
-    _correct_blocks(alice.reshape(1, -1), out.reshape(1, -1), rows, rng)
-    return out
-
-
 def error_correct(
-    alice: np.ndarray,
-    bob: np.ndarray,
-    eps_hat: float,
-    block: int,
-    rng: np.random.Generator,
+    err: np.ndarray, eps_hat: float, block: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, dict]:
-    """Blockwise toy EC pass.  Returns Bob's corrected bits and a stats dict.
+    """Blockwise toy EC pass on the error pattern ``err`` = Alice's bits XOR Bob's.
 
-    Every whole block is corrected as by ``ec_block_correct``, with one parity
-    matrix drawn per block in block order, but the blocks are decoded
-    together; the ragged tail is revealed whenever rows > 0.  The residual
-    disagreement count is a simulation-level diagnostic (a real run would
-    catch it with a verification hash); the Shannon-limit syndrome size is
-    reported alongside the actual one.
+    ``err`` is a 0/1 uint8 array.  The pass overwrites it with the residual
+    pattern, the errors left after Bob's corrections, and returns it with a
+    stats dict.  One parity matrix is drawn per whole block, in block order,
+    and the blocks are decoded together; the ragged tail is revealed (set to
+    0) whenever rows > 0.  The residual disagreement count is a
+    simulation-level diagnostic (a real run would catch it with a
+    verification hash); the Shannon-limit syndrome size is reported
+    alongside the actual one.
     """
-    alice = np.asarray(alice, dtype=np.uint8)
-    bob = np.asarray(bob, dtype=np.uint8)
-    if alice.shape != bob.shape:
-        raise ValueError("key length mismatch")
-    n = alice.size
+    n = err.size
     rows = syndrome_rows(eps_hat, block)
     n_blocks = n // block
     body = n_blocks * block
-    corrected = bob.copy()
-    _correct_blocks(
-        alice[:body].reshape(n_blocks, block), corrected[:body].reshape(n_blocks, block), rows, rng
-    )
+    _correct_blocks(err[:body].reshape(n_blocks, block), rows, rng)
     if rows > 0:
-        corrected[body:] = alice[body:]
+        err[body:] = 0
     syndrome_bits = rows * n_blocks + (n - body if rows > 0 else 0)
     stats = {
         "blocks": n_blocks,
         "rows_per_block": rows,
         "syndrome_bits": int(syndrome_bits),
         "shannon_bits": int(math.ceil(n * binary_entropy(min(max(eps_hat, 0.0), 0.5)))),
-        "residual_disagreements": int(np.sum(alice != corrected)),
+        "residual_disagreements": int(np.count_nonzero(err)),
     }
-    return corrected, stats
+    return err, stats
 
 
-def _correct_blocks(
-    alice: np.ndarray, out: np.ndarray, rows: int, rng: np.random.Generator
-) -> None:
-    """Correct each row (block) of ``out`` toward the same row of ``alice``, in place.
+def _correct_blocks(err: np.ndarray, rows: int, rng: np.random.Generator) -> None:
+    """Correct each row (block) of the error pattern ``err`` in place.
 
-    rows <= 0 leaves ``out`` as it is and rows >= block reveals it, with no
-    draw.  Otherwise one parity matrix per block is drawn, in block order, a
-    bounded chunk of blocks at a time, and each chunk is decoded at once.
+    rows <= 0 leaves ``err`` as it is and rows >= block reveals it (all
+    zero), with no draw.  Otherwise one parity matrix per block is drawn, in
+    block order, a bounded chunk of blocks at a time; each chunk is decoded
+    at once, and Bob's flips are XORed into its pattern.  On a decoder miss
+    a block keeps its errors.
     """
-    k, block = out.shape
+    k, block = err.shape
     if rows <= 0:
         return
     if rows >= block:
-        out[...] = alice
+        err[...] = 0
         return
     for start in range(0, k, _DRAW_BLOCKS):
         stop = min(k, start + _DRAW_BLOCKS)
         h = np.empty((stop - start, rows, block), dtype=np.uint8)
         for i in range(stop - start):
             h[i] = rng.integers(0, 2, size=(rows, block), dtype=np.uint8)
-        out[start:stop] ^= _decode(h, (alice[start:stop] ^ out[start:stop]) & 1)
+        err[start:stop] ^= _decode(h, err[start:stop])
 
 
 def _decode(h: np.ndarray, err: np.ndarray) -> np.ndarray:

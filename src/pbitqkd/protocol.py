@@ -157,6 +157,17 @@ class ProtocolConfig:
         if not self.candidates:
             raise ValueError("need at least one candidate twisting")
         _check_names("candidate twisting", self.candidates, _TWISTINGS)
+        self.check_beta_b(self.beta_b)
+        if self.threads is not None and type(self.threads) is not int:  # bools excluded
+            raise ValueError(f"threads must be an integer, got {self.threads!r}")
+
+    @staticmethod
+    def check_beta_b(beta_b) -> None:
+        """Reject a ``beta_b`` that is neither None nor a nonnegative real (bools excluded)."""
+        if beta_b is not None and (
+            isinstance(beta_b, bool) or not (isinstance(beta_b, (int, float)) and beta_b >= 0.0)
+        ):
+            raise ValueError(f"beta_b must be a nonnegative number, got {beta_b!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -329,40 +340,42 @@ def _sample_signs(p_plus: np.ndarray, codes: np.ndarray, rng: np.random.Generato
 def _sample_key_bits(
     joint16: np.ndarray, codes: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's key bits per copy from the per-code joint outcome table.
+    """Alice's key bits and the error pattern per copy, from the joint outcome table.
 
     A copy's outcome k = 4 ka + kb (side outcome = 2 key bit + shield bit) is
     the number of cumulative bounds below its uniform.  Those bounds form a
     prefix, so Alice's bit k >> 3 is ``u > cum[7]`` and Bob's (k >> 1) & 1 the
-    XOR of ``u > cum[j]`` over odd j <= 13: 8 comparisons, and k is never
-    built.  The uniforms are those of one ``rng.random(codes.size)``, drawn
-    one slice at a time (``_uniform_slices``).  Returns two uint8 arrays.
+    XOR of ``u > cum[j]`` over odd j <= 13.  The error pattern, Alice's bit
+    XOR Bob's, is then the XOR over j in {1, 3, 5, 9, 11, 13}: 7 comparisons,
+    and neither k nor Bob's bits are built.  The uniforms are those of one
+    ``rng.random(codes.size)``, drawn one slice at a time
+    (``_uniform_slices``).  Returns two uint8 arrays.
     """
     cum = np.cumsum(joint16, axis=1)
     cum = cum / cum[:, -1:]
     alice = np.empty(codes.size, dtype=bool)
-    bob = np.empty(codes.size, dtype=bool)
+    err = np.empty(codes.size, dtype=bool)
     for sl, u in _uniform_slices(codes.size, rng):
         codes_sl = codes[sl]
         if codes_sl.min() == codes_sl.max():  # every copy of a rho_h run: no gather
-            _key_bits_into(u, cum[codes_sl[0]], alice[sl], bob[sl])
+            _key_bits_into(u, cum[codes_sl[0]], alice[sl], err[sl])
             continue
         for c in np.flatnonzero(np.bincount(codes_sl)):
             sel = codes_sl == c
             u_c = u[sel]
-            a, b = np.empty(u_c.size, dtype=bool), np.empty(u_c.size, dtype=bool)
-            _key_bits_into(u_c, cum[c], a, b)
-            alice[sl][sel], bob[sl][sel] = a, b
-    return alice.view(np.uint8), bob.view(np.uint8)
+            a, e = np.empty(u_c.size, dtype=bool), np.empty(u_c.size, dtype=bool)
+            _key_bits_into(u_c, cum[c], a, e)
+            alice[sl][sel], err[sl][sel] = a, e
+    return alice.view(np.uint8), err.view(np.uint8)
 
 
-def _key_bits_into(u: np.ndarray, cum_c: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> None:
-    """Write the bits of uniforms ``u`` under one code's cumulative bounds."""
+def _key_bits_into(u: np.ndarray, cum_c: np.ndarray, alice: np.ndarray, err: np.ndarray) -> None:
+    """Write Alice's bits and the error pattern of uniforms ``u`` under one code's bounds."""
     np.greater(u, cum_c[7], out=alice)
-    np.greater(u, cum_c[1], out=bob)
-    above = np.empty_like(bob)
-    for bound in cum_c[3:14:2]:
-        bob ^= np.greater(u, bound, out=above)
+    np.greater(u, cum_c[1], out=err)
+    above = np.empty_like(err)
+    for bound in cum_c[[3, 5, 9, 11, 13]]:
+        err ^= np.greater(u, bound, out=above)
 
 
 def _pair_label(dec: ProductDecomposition, ja: int, jb: int) -> str:
@@ -517,7 +530,10 @@ def _measure_and_finish(
 
     Measurement and estimation, the security block, the rate abort, key
     sampling, toy EC, PA and transcript assembly.  Each stage gets the
-    pattern codes of its copies (``_split_codes``), not positions.
+    pattern codes of its copies (``_split_codes``), not positions.  The key
+    stage holds Alice's bits and the error pattern only: EC turns the
+    pattern into the residual one in place, and Bob's corrected bits, Alice's
+    XOR the residual, are rebuilt in that array just for his PA call.
     """
     estimates = _measure_and_estimate(config, rng, events, setup, codes_x, group_codes)
     eps_x_hat, eps_z_hat = estimates["eps_x_hat"], estimates["eps_z_hat"]
@@ -527,14 +543,13 @@ def _measure_and_finish(
     if estimates["rate"] <= 0.0:
         return _abort(config, protocol, events, "rate_nonpositive", estimates, security, raw_len)
 
-    alice_bits, bob_bits = _sample_key_bits(setup.tables.joint16, key_codes, rng)
-    corrected, ec_stats = error_correct(alice_bits, bob_bits, eps_x_hat, config.ec_block, rng)
-    del bob_bits
+    alice_bits, err = _sample_key_bits(setup.tables.joint16, key_codes, rng)
+    err, ec_stats = error_correct(err, eps_x_hat, config.ec_block, rng)
     events.append({"event": "error_correct", **ec_stats})
     final_len = pa_length(raw_len, eps_x_hat, eps_z_hat, ec_stats["syndrome_bits"], config.s)
     seed = toeplitz_seed(raw_len, final_len, rng)
     alice_fin = toeplitz_apply(alice_bits, seed, final_len)
-    bob_fin = toeplitz_apply(corrected, seed, final_len)
+    bob_fin = toeplitz_apply(np.bitwise_xor(alice_bits, err, out=err), seed, final_len)
     events.append({"event": "privacy_amplify", "raw_len": raw_len, "final_len": final_len})
     events.append({"event": "complete"})
     key = {

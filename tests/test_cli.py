@@ -551,6 +551,14 @@ def test_out_of_range_values_are_usage_errors(capsys, caplog, argv):
     ("run-ppp", {"ec_block": 0}),
     ("run-ppp", {"ec_block": -2}),
     ("run-pm", {"ec_block": 0}),
+    ("run-ppp", {"beta_b": "x"}),
+    ("run-ppp", {"beta_b": [1]}),
+    ("run-ppp", {"beta_b": -1}),
+    ("run-ppp", {"beta_b": True}),
+    ("sweep", {"threads": "two"}),
+    ("run-ppp", {"threads": "two"}),
+    ("run-pm", {"threads": 1.5}),
+    ("run-pm", {"threads": True}),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
 def test_out_of_range_config_values_are_usage_errors(tmp_path, capsys, caplog, command, cfg):
     cfg_path = tmp_path / "cfg.json"
@@ -566,7 +574,8 @@ def test_out_of_range_config_values_are_usage_errors(tmp_path, capsys, caplog, c
 
 def test_bounds_config_values_are_usage_errors(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    for bad in ({"m_x": "abc"}, {"beta_b": -1}, {"beta_b": "x"}):
+    for bad in ({"m_x": "abc"}, {"beta_b": -1}, {"beta_b": "x"}, {"beta_b": [1]},
+                {"beta_b": True}):
         cfg_path.write_text(json.dumps({"n": 100000, **bad}))
         assert main(["bounds", "--config", str(cfg_path)]) == EXIT_USAGE, bad
         assert capsys.readouterr().out == ""

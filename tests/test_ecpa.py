@@ -12,7 +12,6 @@ from pbitqkd import ecpa
 from pbitqkd.ecpa import (
     MAX_DECODE_WEIGHT,
     bits_to_hex,
-    ec_block_correct,
     error_correct,
     pa_length,
     syndrome_rows,
@@ -40,22 +39,28 @@ def test_syndrome_rows_formula():
     assert syndrome_rows(eps, block) == expected
 
 
+# one 16-bit block; Bob's corrected bits are Alice's XOR the residual pattern
 def test_ec_block_zero_rows_is_identity():
     rng = np.random.default_rng(0)
     alice = rng.integers(0, 2, 16, dtype=np.uint8)
     bob = alice.copy()
     bob[3] ^= 1
-    assert np.array_equal(ec_block_correct(alice, bob, 0, rng), bob)
+    residual, stats = error_correct(alice ^ bob, 0.0, 16, rng)
+    assert stats["rows_per_block"] == 0
+    assert np.array_equal(alice ^ residual, bob)
 
 
 def test_ec_block_full_rows_reveals():
     rng = np.random.default_rng(1)
     alice = rng.integers(0, 2, 16, dtype=np.uint8)
     bob = (alice + 1) % 2
-    assert np.array_equal(ec_block_correct(alice, bob, 16, rng), alice)
+    residual, stats = error_correct(alice ^ bob, 0.5, 16, rng)
+    assert stats["rows_per_block"] == 16
+    assert np.array_equal(alice ^ residual, alice)
 
 
 def test_ec_block_corrects_small_errors():
+    assert syndrome_rows(0.04, 16) == 12
     rng = np.random.default_rng(2)
     hits = 0
     trials = 50
@@ -63,8 +68,8 @@ def test_ec_block_corrects_small_errors():
         alice = rng.integers(0, 2, 16, dtype=np.uint8)
         bob = alice.copy()
         bob[rng.integers(16)] ^= 1  # single planted flip
-        fixed = ec_block_correct(alice, bob, 12, rng)
-        hits += int(np.array_equal(fixed, alice))
+        residual, _ = error_correct(alice ^ bob, 0.04, 16, rng)
+        hits += int(np.array_equal(alice ^ residual, alice))
     assert hits >= trials - 2  # 12 random parities almost always pin one flip
 
 
@@ -74,7 +79,10 @@ def test_error_correct_end_to_end():
     alice = rng.integers(0, 2, n, dtype=np.uint8)
     flips = rng.random(n) < 0.02
     bob = alice ^ flips.astype(np.uint8)
-    fixed, stats = error_correct(alice, bob, eps_hat=0.02, block=16, rng=rng)
+    err = alice ^ bob
+    residual, stats = error_correct(err, eps_hat=0.02, block=16, rng=rng)
+    assert residual is err  # corrected in place
+    fixed = alice ^ residual
     assert stats["blocks"] == 32
     assert stats["syndrome_bits"] == stats["rows_per_block"] * 32
     assert stats["shannon_bits"] < stats["syndrome_bits"]  # the documented toy penalty
@@ -87,9 +95,9 @@ def test_error_correct_handles_ragged_tail():
     alice = rng.integers(0, 2, 40, dtype=np.uint8)  # 2.5 blocks of 16
     bob = alice.copy()
     bob[39] ^= 1  # error in the tail
-    fixed, stats = error_correct(alice, bob, eps_hat=0.05, block=16, rng=rng)
+    residual, stats = error_correct(alice ^ bob, eps_hat=0.05, block=16, rng=rng)
     assert stats["blocks"] == 2
-    assert np.array_equal(fixed[32:], alice[32:])  # tail revealed outright
+    assert np.array_equal((alice ^ residual)[32:], alice[32:])  # tail revealed outright
     assert stats["syndrome_bits"] == stats["rows_per_block"] * 2 + 8
 
 
@@ -97,8 +105,8 @@ def test_error_correct_noop_at_zero_estimate():
     rng = np.random.default_rng(5)
     alice = rng.integers(0, 2, 64, dtype=np.uint8)
     bob = alice.copy()
-    fixed, stats = error_correct(alice, bob, eps_hat=0.0, block=16, rng=rng)
-    assert np.array_equal(fixed, bob)
+    residual, stats = error_correct(alice ^ bob, eps_hat=0.0, block=16, rng=rng)
+    assert np.array_equal(alice ^ residual, bob)
     assert stats["syndrome_bits"] == 0
 
 
@@ -162,14 +170,15 @@ def test_batched_decoder_matches_per_block_search(monkeypatch, block, rows):
         weights = (alice ^ bob)[: n_blocks * block].reshape(n_blocks, block).sum(axis=1)
         heavy += int(np.sum(weights > MAX_DECODE_WEIGHT))
         rng_a, rng_b = np.random.default_rng(rows), np.random.default_rng(rows)
-        got, got_stats = error_correct(alice, bob, 0.03, block, rng_a)
+        residual, got_stats = error_correct(alice ^ bob, 0.03, block, rng_a)
         want, want_stats = _reference_error_correct(alice, bob, 0.03, rows, block, rng_b)
-        assert np.array_equal(got, want)
+        assert np.array_equal(alice ^ residual, want)
         assert got_stats == want_stats
         assert rng_a.random() == rng_b.random()
         one_a, one_b = np.random.default_rng(rows), np.random.default_rng(rows)
+        residual, _ = error_correct(alice[:block] ^ bob[:block], 0.03, block, one_a)
         assert np.array_equal(
-            ec_block_correct(alice[:block], bob[:block], rows, one_a),
+            alice[:block] ^ residual,
             _reference_block(alice[:block], bob[:block], rows, one_b),
         )
         assert one_a.random() == one_b.random()
@@ -258,5 +267,5 @@ def test_error_correct_reduces_disagreements(seed):
     alice = rng.integers(0, 2, n, dtype=np.uint8)
     flips = (rng.random(n) < 0.02).astype(np.uint8)
     bob = alice ^ flips
-    fixed, stats = error_correct(alice, bob, eps_hat=0.02, block=16, rng=rng)
+    fixed, stats = error_correct(alice ^ bob, eps_hat=0.02, block=16, rng=rng)
     assert stats["residual_disagreements"] <= int(flips.sum())

@@ -490,11 +490,11 @@ def test_sample_categorical_matches_broadcast_formula(monkeypatch, case):
     # the key bits are those of the categorical outcome k = 4 ka + kb
     monkeypatch.setattr(channels, "_SAMPLE_CHUNK", 777)  # slice boundaries inside the input
     probs, codes, rng_a, rng_b = _categorical_input(case)
-    alice, bob = protocol._sample_key_bits(probs, codes, rng_a)
+    alice, err = protocol._sample_key_bits(probs, codes, rng_a)
     k = _broadcast_categorical(probs, codes, rng_b)
-    assert alice.dtype == bob.dtype == np.uint8
+    assert alice.dtype == err.dtype == np.uint8
     assert np.array_equal(alice, k >> 3)
-    assert np.array_equal(bob, (k >> 1) & 1)
+    assert np.array_equal(err, (k >> 3) ^ ((k >> 1) & 1))
     assert rng_a.random() == rng_b.random()  # exactly one uniform per copy
 
 
@@ -511,8 +511,9 @@ def test_sample_categorical_memory_is_linear_without_a_category_table():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one output byte per copy for each side; the uniforms and every other temporary
-        # live for one slice (an n-sized float64 uniform array alone is 8 bytes per copy)
+        # one output byte per copy for Alice's bits and one for the error pattern; the
+        # uniforms and every other temporary live for one slice (an n-sized float64
+        # uniform array alone is 8 bytes per copy)
         assert peak < 2 * n + 64 * channels._SAMPLE_CHUNK, n_codes
 
 
@@ -541,10 +542,10 @@ def test_shuffle_draws_the_permutation_of_the_same_size(n, equal, uint32_first):
 
 
 # bytes per copy a run holds at its peak: in ppp the key stage, with the shuffled
-# codes, Alice's bits, Bob's bits, the corrected copy and one comparison temporary
-# at one byte per copy each and no 8-byte array; in pm the key stage as well
+# codes, Alice's bits and the error pattern at one byte per copy each and no
+# 8-byte array; in pm the key stage as well
 @pytest.mark.parametrize("run, cfg, bound", [
-    (run_ppp, {**DESK_PPP, "n": 10**6, "seed": 1}, 5.0),  # rho_h(p*, 0.001); seed 0 aborts
+    (run_ppp, {**DESK_PPP, "n": 10**6, "seed": 1}, 4.0),  # rho_h(p*, 0.001); seed 0 aborts
     (run_pm, {**KEYED_PM, "n": 10**6}, 25.0),
 ])
 def test_run_peak_memory_per_copy(run, cfg, bound):
