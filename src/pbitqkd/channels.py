@@ -136,8 +136,6 @@ def apply_pauli(state: DensityState, x: int, z: int, label: str = "B") -> Densit
 # diagonal POVM pair with M0†M0 + M1†M1 = I (c² + s² = 1 on each entry).
 POVM_M0 = np.diag([CHI_C, CHI_S]).astype(complex)
 POVM_M1 = np.diag([CHI_S, CHI_C]).astype(complex)
-_M0 = POVM_M0
-_M1 = POVM_M1
 _KET = {0: np.array([[1, 0], [0, 0]], complex), 1: np.array([[0, 0], [0, 1]], complex)}
 
 
@@ -158,8 +156,8 @@ def binding_channel_kraus(p: float, kappa: float = 0.0) -> list[tuple[str, np.nd
         ("1b", np.sqrt(p / 2.0) * np.kron(PAULI_Z, _KET[1])),
         ("2", np.sqrt(p / 4.0) * np.kron(PAULI_Z, PAULI_Y)),
         ("3", np.sqrt(p / 4.0) * np.kron(PAULI_I, PAULI_X)),
-        ("4a", np.sqrt(1.0 - p) * np.kron(PAULI_X, _M0)),
-        ("4b", np.sqrt(1.0 - p) * np.kron(PAULI_Y, PAULI_Z @ _M1)),
+        ("4a", np.sqrt(1.0 - p) * np.kron(PAULI_X, POVM_M0)),
+        ("4b", np.sqrt(1.0 - p) * np.kron(PAULI_Y, PAULI_Z @ POVM_M1)),
     ]
     ops = [(lab, np.sqrt(1.0 - kappa) * k) for lab, k in six]
     if kappa > 0.0:

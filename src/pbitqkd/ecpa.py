@@ -32,6 +32,9 @@ __all__ = [
 
 #: Brute-force decoder gives up beyond this error weight per block.
 MAX_DECODE_WEIGHT = 6
+#: Largest block the decoder can search: it holds every pattern of one weight
+#: up to MAX_DECODE_WEIGHT at once, C(32, 6) = 906,192 of them here.
+MAX_EC_BLOCK = 32
 #: Blocks whose parity matrices are drawn and decoded together.
 _DRAW_BLOCKS = 4096
 #: Bound on the syndrome words one decoding step holds (blocks x patterns x words).
@@ -205,14 +208,9 @@ def pa_length(raw_len: int, eps_x: float, eps_z: float, syndrome_bits: int, s: i
     """Final key length: floor(raw * key_rate(eps_x, eps_z)) - syndrome - 2s, floored at 0."""
     if raw_len < 0:
         raise ValueError("raw_len must be nonnegative")
-    if raw_len == 0:
-        return 0
     return max(0, math.floor(raw_len * key_rate(eps_x, eps_z)) - syndrome_bits - 2 * s)
 
 
 def bits_to_hex(bits: np.ndarray) -> str:
     """Pack a bit array (big-endian within bytes) into a hex string."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size == 0:
-        return ""
-    return np.packbits(bits).tobytes().hex()
+    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()

@@ -34,7 +34,7 @@ from .bounds import (
     relaxation_budget,
 )
 from .channels import PauliNoiseModel, _uniform_slices, pauli_op
-from .ecpa import bits_to_hex, error_correct, pa_length, toeplitz_apply, toeplitz_seed
+from .ecpa import MAX_EC_BLOCK, bits_to_hex, error_correct, pa_length, toeplitz_apply, toeplitz_seed
 from .estimation import (
     EstimationResult,
     ProductDecomposition,
@@ -54,6 +54,7 @@ __all__ = [
     "run_ppp",
     "run_pm",
     "run_estimate",
+    "model_estimates",
     "twisting_by_name",
 ]
 
@@ -145,9 +146,9 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError("n must be at least 4")
-        if self.seed < 0 or self.ec_block < 1:
+        if self.seed < 0 or not 1 <= self.ec_block <= MAX_EC_BLOCK:
             raise ValueError(
-                f"need seed >= 0 and ec_block >= 1, got seed = {self.seed}, "
+                f"need seed >= 0 and 1 <= ec_block <= {MAX_EC_BLOCK}, got seed = {self.seed}, "
                 f"ec_block = {self.ec_block}"
             )
         if self.s < 1 or not 0.0 < self.delta < 1.0:
@@ -750,3 +751,34 @@ def run_estimate(
     codes = _pattern_codes(config, rng)
     codes_x, group_codes, _ = _split_codes(codes, m_x, m_prime, setup.support)
     return _measure_and_estimate(config, rng, [], setup, codes_x, group_codes)
+
+
+def model_estimates(
+    source: SourceSpec, m_x: int, m_prime: int, candidates: Sequence[str] = ("identity", "u_h")
+) -> dict:
+    """Exact mean and standard error of each estimate ``run_estimate`` reports, with no draw.
+
+    Every outcome is an independent +-1 draw under the per-copy code law pi
+    that ``_pattern_codes`` samples (code 0 for rho_h; pbit noise as iid
+    flips, fixed-weight noise taken at its rates).  So ``eps_x_hat`` is
+    binomial with p = sum_c pi_c (1 - zz_plus[c]), and with
+    q_j = sum_c pi_c group_plus[j][c] over a candidate's support, its
+    ``eps_z_raw`` has mean (1 - sum_j c_j (2 q_j - 1) / 4) / 2 and variance
+    sum_j c_j^2 q_j (1 - q_j) / (16 m_prime).  Returns
+    ``{"eps_x_hat": {"mean", "se"}, "candidates": {name: {"eps_z_raw": {"mean", "se"}}}}``.
+    """
+    if m_x < 1 or m_prime < 1:
+        raise ValueError(f"need m_x >= 1 and m_prime >= 1, got m_x = {m_x}, m_prime = {m_prime}")
+    setup = _setup(source, tuple(candidates))
+    noise = source.noise if source.kind == "pbit" else None
+    fx, fz = (noise.eps_x, noise.eps_z) if noise is not None else (0.0, 0.0)
+    pi = np.outer([1.0 - fx, fx], [1.0 - fz, fz]).ravel()  # indexed by code 2x + z
+    p = float(pi @ (1.0 - setup.tables.zz_plus))
+    out: dict = {"eps_x_hat": {"mean": p, "se": math.sqrt(p * (1.0 - p) / m_x)}, "candidates": {}}
+    for name, dec in setup.decomps.items():
+        c = np.array([dec.coeffs[pair] for pair in dec.support()])
+        q = np.array([pi @ setup.tables.group_plus[pair] for pair in dec.support()])
+        mean = (1.0 - float(c @ (2.0 * q - 1.0)) / 4.0) / 2.0
+        se = math.sqrt(float(c**2 @ (q * (1.0 - q))) / (16.0 * m_prime))
+        out["candidates"][name] = {"eps_z_raw": {"mean": mean, "se": se}}
+    return out

@@ -551,6 +551,8 @@ def test_out_of_range_values_are_usage_errors(capsys, caplog, argv):
     ("run-ppp", {"ec_block": 0}),
     ("run-ppp", {"ec_block": -2}),
     ("run-pm", {"ec_block": 0}),
+    ("run-ppp", {"ec_block": 33}),
+    ("run-pm", {"ec_block": 33}),
     ("run-ppp", {"beta_b": "x"}),
     ("run-ppp", {"beta_b": [1]}),
     ("run-ppp", {"beta_b": -1}),

@@ -1,10 +1,5 @@
 """LOCC estimation: product decomposition, outcome tables, the phase estimator."""
 
-import math
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,24 +228,3 @@ def test_outcome_tables_average_to_observable_expectation(seed):
         total += dec.coeffs[ja, jb] * float(np.dot(probs, products))
     assert abs(total - state.expect(gx)) < 1e-8
 
-
-def test_estimator_variance_script_prints_its_table():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "estimator_variance.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--trials", "3"], capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    header = lines.index(f"{'state':>10} {'m_prime':>8} {'mean':>9} {'sd':>9} {'sd*sqrt(mp)':>12}")
-    rows = [line.split() for line in lines[header + 1:header + 9]]
-    assert [(row[0], int(row[1])) for row in rows] == [
-        (state, mp) for state in ("pbit", "rho_H(p*)") for mp in (100, 400, 1600, 6400)
-    ]
-    for row in rows:
-        root_mp = math.sqrt(int(row[1]))
-        mean, sd, scaled = map(float, row[2:])
-        assert abs(mean) < 0.5 and 0.0 < sd < 0.5
-        # sd is printed to four places, so the scaled column may differ by its rounding
-        assert scaled == pytest.approx(sd * root_mp, abs=1e-4 * root_mp)
-    assert lines[header + 9] == ""
-    assert lines[header + 10].startswith("pbit sd at m' = 400 is ")

@@ -17,6 +17,7 @@ from pbitqkd.protocol import (
     SourceSpec,
     Transcript,
     canonical_json,
+    model_estimates,
     run_estimate,
     run_pm,
     run_ppp,
@@ -162,10 +163,15 @@ def test_config_rejects_tiny_n():
     lambda: ProtocolConfig(n=100, seed=-1),
     lambda: ProtocolConfig(n=100, seed=0, ec_block=0),
     lambda: ProtocolConfig(n=100, seed=0, ec_block=-2),
+    lambda: ProtocolConfig(n=100, seed=0, ec_block=33),  # past what the decoder can search
 ])
 def test_out_of_range_values_are_rejected_at_construction(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_largest_decodable_ec_block_is_accepted():
+    ProtocolConfig(n=100, seed=0, ec_block=32)
 
 
 def test_ppp_transcript_is_byte_deterministic():
@@ -559,3 +565,44 @@ def test_run_peak_memory_per_copy(run, cfg, bound):
         tracemalloc.stop()
     assert not transcript.abort  # the key stage ran
     assert peak / config.n <= bound
+
+
+# the agreement test's sources: the noiseless comp00 pbit and one with iid flips
+NOISELESS_PBIT = SourceSpec(kind="pbit", twisting="u_h", ancilla="comp00")
+IID_PBIT = SourceSpec(kind="pbit", noise=channels.PauliNoiseModel(0.05, 0.11))
+
+
+@pytest.mark.parametrize("source", [NOISELESS_PBIT, IID_PBIT], ids=["noiseless", "iid"])
+def test_model_estimates_match_2000_estimation_rounds(source):
+    rounds, m = 2000, 400
+    model = model_estimates(source, m, m)
+    runs = [run_estimate(source, seed, m, m, ("identity", "u_h")) for seed in range(rounds)]
+    eps_x = np.array([r["eps_x_hat"] for r in runs])
+    checks = [(np.array([r["candidates"]["u_h"]["eps_z_raw"] for r in runs]),
+               model["candidates"]["u_h"]["eps_z_raw"])]
+    if source.noise is None:  # no bit errors at all, so no spread to compare
+        assert not eps_x.any() and model["eps_x_hat"]["mean"] < 1e-12
+    else:
+        checks.append((eps_x, model["eps_x_hat"]))
+    for x, moments in checks:
+        assert abs(x.mean() - moments["mean"]) <= 4 * moments["se"] / math.sqrt(rounds)
+        assert abs(x.std(ddof=1) / moments["se"] - 1) <= 4 / math.sqrt(2 * rounds - 2)
+
+
+def test_model_estimates_give_the_documented_spreads():
+    # sd * sqrt(m') of the u_h phase estimate, and criterion 12's budget
+    for source, scaled_se in ((NOISELESS_PBIT, 0.3062), (SourceSpec(p=P_STAR), 0.4204)):
+        phase = model_estimates(source, 1, 400)["candidates"]["u_h"]["eps_z_raw"]
+        assert phase["se"] * 20 == pytest.approx(scaled_se, rel=1e-3)
+    crit12 = model_estimates(SourceSpec(p=P_STAR, kappa=0.001), 4000, 10600)
+    phase = crit12["candidates"]["u_h"]["eps_z_raw"]
+    assert crit12["eps_x_hat"]["mean"] == pytest.approx(0.41430, rel=1e-3)
+    assert crit12["eps_x_hat"]["se"] == pytest.approx(0.00779, rel=1e-3)
+    assert phase["mean"] == pytest.approx(5.0e-4, rel=1e-3)
+    assert phase["se"] == pytest.approx(0.004085, rel=1e-3)
+
+
+@pytest.mark.parametrize("m_x, m_prime", [(0, 400), (400, 0), (-1, 400)])
+def test_model_estimates_reject_empty_budgets(m_x, m_prime):
+    with pytest.raises(ValueError):
+        model_estimates(NOISELESS_PBIT, m_x, m_prime)
