@@ -52,8 +52,8 @@ def syndrome_rows(eps: float, block: int) -> int:
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps = {eps} outside [0, 1]")
-    if block < 1:
-        raise ValueError("block must be positive")
+    if not 1 <= block <= MAX_EC_BLOCK:
+        raise ValueError(f"block = {block} outside [1, {MAX_EC_BLOCK}]")
     if eps <= 0.0:
         return 0
     return min(block, math.ceil(1.44 * block * binary_entropy(min(eps, 0.5))) + 6)

@@ -753,9 +753,7 @@ def run_estimate(
     return _measure_and_estimate(config, rng, [], setup, codes_x, group_codes)
 
 
-def model_estimates(
-    source: SourceSpec, m_x: int, m_prime: int, candidates: Sequence[str] = ("identity", "u_h")
-) -> dict:
+def model_estimates(source: SourceSpec, m_x: int, m_prime: int) -> dict:
     """Exact mean and standard error of each estimate ``run_estimate`` reports, with no draw.
 
     Every outcome is an independent +-1 draw under the per-copy code law pi
@@ -764,12 +762,13 @@ def model_estimates(
     binomial with p = sum_c pi_c (1 - zz_plus[c]), and with
     q_j = sum_c pi_c group_plus[j][c] over a candidate's support, its
     ``eps_z_raw`` has mean (1 - sum_j c_j (2 q_j - 1) / 4) / 2 and variance
-    sum_j c_j^2 q_j (1 - q_j) / (16 m_prime).  Returns
+    sum_j c_j^2 q_j (1 - q_j) / (16 m_prime).  Returns, for every known
+    twisting as a candidate,
     ``{"eps_x_hat": {"mean", "se"}, "candidates": {name: {"eps_z_raw": {"mean", "se"}}}}``.
     """
     if m_x < 1 or m_prime < 1:
         raise ValueError(f"need m_x >= 1 and m_prime >= 1, got m_x = {m_x}, m_prime = {m_prime}")
-    setup = _setup(source, tuple(candidates))
+    setup = _setup(source, tuple(_TWISTINGS))
     noise = source.noise if source.kind == "pbit" else None
     fx, fz = (noise.eps_x, noise.eps_z) if noise is not None else (0.0, 0.0)
     pi = np.outer([1.0 - fx, fx], [1.0 - fz, fz]).ravel()  # indexed by code 2x + z

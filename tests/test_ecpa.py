@@ -27,8 +27,10 @@ def test_syndrome_rows_extremes():
     assert 0 < syndrome_rows(0.02, 16) < 16
     with pytest.raises(ValueError):
         syndrome_rows(-0.1, 16)
-    with pytest.raises(ValueError):
-        syndrome_rows(0.1, 0)
+    assert syndrome_rows(0.5, ecpa.MAX_EC_BLOCK) == ecpa.MAX_EC_BLOCK
+    for block in (0, ecpa.MAX_EC_BLOCK + 1):  # the last is past the decoder's pattern table
+        with pytest.raises(ValueError):
+            syndrome_rows(0.1, block)
 
 
 def test_syndrome_rows_formula():

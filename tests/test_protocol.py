@@ -590,16 +590,17 @@ def test_model_estimates_match_2000_estimation_rounds(source):
 
 
 def test_model_estimates_give_the_documented_spreads():
-    # sd * sqrt(m') of the u_h phase estimate, and criterion 12's budget
-    for source, scaled_se in ((NOISELESS_PBIT, 0.3062), (SourceSpec(p=P_STAR), 0.4204)):
-        phase = model_estimates(source, 1, 400)["candidates"]["u_h"]["eps_z_raw"]
-        assert phase["se"] * 20 == pytest.approx(scaled_se, rel=1e-3)
+    # sd * sqrt(m') of the u_h phase estimate on the noiseless pbit, rho_H(p*, 0)
+    # and criterion 8's widest grid cell; then the truth at criterion 12's budget
+    widest = SourceSpec(kind="pbit", noise=channels.PauliNoiseModel(0.11, 0.11))
+    scaled = [20 * model_estimates(s, 1, 400)["candidates"]["u_h"]["eps_z_raw"]["se"]
+              for s in (NOISELESS_PBIT, SourceSpec(p=P_STAR), widest)]
+    assert scaled == pytest.approx([0.3062, 0.4204, 0.4038], rel=1e-3)
     crit12 = model_estimates(SourceSpec(p=P_STAR, kappa=0.001), 4000, 10600)
-    phase = crit12["candidates"]["u_h"]["eps_z_raw"]
-    assert crit12["eps_x_hat"]["mean"] == pytest.approx(0.41430, rel=1e-3)
-    assert crit12["eps_x_hat"]["se"] == pytest.approx(0.00779, rel=1e-3)
-    assert phase["mean"] == pytest.approx(5.0e-4, rel=1e-3)
-    assert phase["se"] == pytest.approx(0.004085, rel=1e-3)
+    assert set(crit12["candidates"]) == {"identity", "u_h"}  # every twisting
+    got = [m[k] for m in (crit12["eps_x_hat"], crit12["candidates"]["u_h"]["eps_z_raw"])
+           for k in ("mean", "se")]
+    assert got == pytest.approx([0.41430, 0.00779, 5.0e-4, 0.004085], rel=1e-3)
 
 
 @pytest.mark.parametrize("m_x, m_prime", [(0, 400), (400, 0), (-1, 400)])
