@@ -191,14 +191,12 @@ def binding_channel_apply(state: DensityState, p: float, kappa: float = 0.0) -> 
 
 
 def channel_branches(
-    state: DensityState,
-    kraus: Sequence[tuple[str, np.ndarray]],
-    labels: Sequence[str] = ("B", "B'"),
+    state: DensityState, kraus: Sequence[tuple[str, np.ndarray]]
 ) -> list[tuple[str, float, DensityState]]:
-    """Branch probabilities and normalized post-states for each Kraus operator."""
+    """Branch probabilities and normalized post-states for each Kraus operator on B ⊗ B'."""
     out = []
     for lab, k in kraus:
-        big = promote(k, state.layout, labels)
+        big = promote(k, state.layout, ("B", "B'"))
         post = big @ state.mat @ dagger(big)
         prob = float(np.trace(post).real)
         if prob > 1e-15:

@@ -51,7 +51,6 @@ from .protocol import (
     run_estimate,
     run_pm,
     run_ppp,
-    twisting_by_name,
 )
 from .states import (
     KEY_SHIELD_LAYOUT,
@@ -257,8 +256,8 @@ def cmd_verify_example(args, cfg: ChainMap) -> int:
         _check("phase_observable_twist_invariance", float(np.abs(u @ gz @ u.conj().T - gz).max()), 1e-10)
     )
 
-    gx = gamma_x(tw, KEY_SHIELD_LAYOUT)
-    dec = decompose_two_local(gx, KEY_SHIELD_LAYOUT, ("A", "A'"), ("B", "B'"))
+    gx = gamma_x(tw)
+    dec = decompose_two_local(gx, KEY_SHIELD_LAYOUT)
     checks.append(_check("decomposition_norm_sq_minus_16", abs(dec.hs_norm_sq - 16.0), 1e-8))
 
     six_dev = _six_state_deviation(phi2)
@@ -378,8 +377,7 @@ def cmd_estimate(args, cfg: ChainMap) -> int:
         m_prime = int(_get(cfg, "m_prime", 400))
         m_x = int(_get(cfg, "m_x", 1024))
         candidates = tuple(_get(cfg, "candidates", ProtocolConfig.candidates))
-        for name in candidates:
-            twisting_by_name(name)  # an unknown name is a config error, not a run error
+        ProtocolConfig.check_candidates(candidates)  # a config error, not a run error
     if m_prime < 1 or m_x < 1:
         raise UsageError("m_prime and m_x must be positive")
 

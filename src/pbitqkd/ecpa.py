@@ -7,11 +7,11 @@ Shannon-limit cost so the gap stays visible.  EC depends only on where the
 parties' bits differ, so it reads and rewrites just the error pattern
 (Alice's bits XOR Bob's), never the bits themselves.  The decoder is
 batched: one parity matrix is still drawn per block, in block order, but the
-blocks are decoded together on bit-packed syndromes, weight by weight, in
-chunks of bounded size, so memory does not grow with the key length and no
-Python loop runs per block beyond the draw.  The PA stage is a standard
-Toeplitz two-universal hash over GF(2), seeded from the run's generator so
-that reruns are bit-identical.
+blocks are decoded together, weight by weight, on one integer syndrome per
+column, in chunks of bounded size, so memory does not grow with the key
+length and no Python loop runs per block beyond the draw.  The PA stage is a
+standard Toeplitz two-universal hash over GF(2), seeded from the run's
+generator so that reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ MAX_DECODE_WEIGHT = 6
 MAX_EC_BLOCK = 32
 #: Blocks whose parity matrices are drawn and decoded together.
 _DRAW_BLOCKS = 4096
-#: Bound on the syndrome words one decoding step holds (blocks x patterns x words).
+#: Bound on the syndromes one decoding step holds (blocks x patterns).
 _DECODE_WORDS = 1 << 17
 
 
@@ -118,21 +118,24 @@ def _decode(h: np.ndarray, err: np.ndarray) -> np.ndarray:
     """Minimum-weight flip pattern per block; zeros where no pattern matches.
 
     ``h`` is (k, rows, block) parity matrices and ``err`` (k, block) the 0/1
-    differences, seen only through their syndromes.  Syndromes are bit-packed
-    integers, so the syndrome of a pattern is the XOR of its columns.  Weight
-    by weight, every unresolved block is checked against every pattern of
-    that weight in ``combinations`` order; the first match resolves a block.
+    differences, seen only through their syndromes.  A column's syndrome is
+    one integer, bit r its row r (rows < block <= MAX_EC_BLOCK), so the
+    syndrome of a pattern is the XOR of its columns.  Weight by weight, every
+    unresolved block is checked against every pattern of that weight in
+    ``combinations`` order; the first match resolves a block.
     """
-    k, _, block = h.shape
-    cols = _pack_columns(h)  # (k, block, words)
-    target = _pack_columns((h @ err[:, :, None]) % 2)[:, 0]  # (k, words)
+    k, rows, block = h.shape
+    cols = np.zeros((k, block), dtype=np.int64)
+    for r in range(rows):  # row by row: a whole-h int64 copy would take 8 bytes per bit
+        cols |= h[:, r].astype(np.int64) << r
+    target = np.bitwise_xor.reduce(cols * err, axis=1)  # (k,)
     flips = np.zeros((k, block), dtype=np.uint8)
-    todo = np.flatnonzero(target.any(axis=1))
+    todo = np.flatnonzero(target)
     for w in range(1, min(MAX_DECODE_WEIGHT, block) + 1):
         if todo.size == 0:
             break
         pats = np.array(list(combinations(range(block), w)), dtype=np.intp)
-        step = max(1, _DECODE_WORDS // (pats.shape[0] * cols.shape[2]))
+        step = max(1, _DECODE_WORDS // pats.shape[0])
         misses = []
         for s in range(0, todo.size, step):
             idx = todo[s : s + step]
@@ -140,21 +143,12 @@ def _decode(h: np.ndarray, err: np.ndarray) -> np.ndarray:
             syn = c[:, pats[:, 0]]
             for j in range(1, w):
                 syn ^= c[:, pats[:, j]]
-            hit = (syn == target[idx, None]).all(axis=2)
+            hit = syn == target[idx, None]
             found = hit.any(axis=1)
             flips[idx[found, None], pats[hit[found].argmax(axis=1)]] = 1
             misses.append(idx[~found])
         todo = np.concatenate(misses)
     return flips
-
-
-def _pack_columns(bits: np.ndarray) -> np.ndarray:
-    """(k, rows, m) bits -> (k, m, words) uint64: each column packed along ``rows``."""
-    packed = np.packbits(bits, axis=1)
-    k, nbytes, m = packed.shape
-    out = np.zeros((k, m, -(-nbytes // 8) * 8), dtype=np.uint8)
-    out[:, :, :nbytes] = packed.transpose(0, 2, 1)
-    return out.view(np.uint64)
 
 
 def toeplitz_seed(in_len: int, out_len: int, rng: np.random.Generator) -> np.ndarray:

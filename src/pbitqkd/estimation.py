@@ -69,19 +69,22 @@ def local_eigensystem(label: str) -> tuple[np.ndarray, np.ndarray]:
     return vals / np.sqrt(2.0 ** len(label)), vecs
 
 
+#: The two sides of the cut: each party's key qubit and shield qubit, in order.
+_SIDE_A = ("A", "A'")
+_SIDE_B = ("B", "B'")
+
+
 @dataclass
 class ProductDecomposition:
     """Expansion of a two-sided observable over local Pauli product bases.
 
-    coeffs[ja, jb] multiplies O_{ja} ⊗ O_{jb}; side_a/side_b record which
-    layout factors each side's basis acts on (in order).
+    coeffs[ja, jb] multiplies O_{ja} ⊗ O_{jb}, with O_{ja} on Alice's factors
+    (A, A') and O_{jb} on Bob's (B, B'), in that order.
     """
 
     labels_a: tuple[str, ...]
     labels_b: tuple[str, ...]
     coeffs: np.ndarray
-    side_a: tuple[str, ...] = ("A", "A'")
-    side_b: tuple[str, ...] = ("B", "B'")
 
     def __post_init__(self) -> None:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -96,58 +99,38 @@ class ProductDecomposition:
         """||Gamma||_HS² = sum of squared coefficients (the basis is orthonormal)."""
         return float(np.sum(self.coeffs**2))
 
-    def support(self, tol: float = 1e-12) -> list[tuple[int, int]]:
-        ja, jb = np.nonzero(np.abs(self.coeffs) > tol)
+    def support(self) -> list[tuple[int, int]]:
+        ja, jb = np.nonzero(np.abs(self.coeffs) > 1e-12)
         return sorted(zip(ja.tolist(), jb.tolist()))
 
     def reconstruct(self, layout: TensorLayout) -> np.ndarray:
         """Rebuild the full-space matrix sum_jajb s O_ja ⊗ O_jb on ``layout``."""
-        ba = np.stack([op for _, op in pauli_product_basis(len(self.side_a))])
-        bb = np.stack([op for _, op in pauli_product_basis(len(self.side_b))])
-        gperm = np.einsum("ab,aij,bkl->ikjl", self.coeffs, ba, bb)
-        da = 2 ** len(self.side_a)
-        db = 2 ** len(self.side_b)
-        gperm = gperm.reshape(da * db, da * db)
-        sides = (*self.side_a, *self.side_b)
+        basis = np.stack([op for _, op in pauli_product_basis(2)])
+        gperm = np.einsum("ab,aij,bkl->ikjl", self.coeffs, basis, basis).reshape(16, 16)
+        sides = (*_SIDE_A, *_SIDE_B)
         side_layout = TensorLayout(tuple((lab, layout.dim_of(lab)) for lab in sides))
         return reorder(gperm, side_layout, layout.labels)[0]
 
 
-def decompose_two_local(
-    op: np.ndarray,
-    layout: TensorLayout,
-    side_a: Sequence[str] = ("A", "A'"),
-    side_b: Sequence[str] = ("B", "B'"),
-    tol: float = 1e-9,
-) -> ProductDecomposition:
+def decompose_two_local(op: np.ndarray, layout: TensorLayout) -> ProductDecomposition:
     """Expand a Hermitian observable over the two-sided Pauli product basis.
 
-    Every factor on both sides must be a qubit.  Coefficients are
-    s[ja, jb] = Tr[(O_ja ⊗ O_jb) op]; for Hermitian input they are real
-    (enforced within ``tol``).
+    The sides are (A, A') and (B, B'), and every one of these factors must be
+    a qubit.  Coefficients are s[ja, jb] = Tr[(O_ja ⊗ O_jb) op]; for
+    Hermitian input they are real (enforced within 1e-9).
     """
-    for lab in tuple(side_a) + tuple(side_b):
+    for lab in (*_SIDE_A, *_SIDE_B):
         if layout.dim_of(lab) != 2:
             raise ValueError(f"factor {lab!r} is not a qubit; Pauli basis unavailable")
-    gperm, _ = reorder(op, layout, (*side_a, *side_b))
-    ka, kb = len(tuple(side_a)), len(tuple(side_b))
-    basis_a = pauli_product_basis(ka)
-    basis_b = pauli_product_basis(kb)
-    ba = np.stack([m for _, m in basis_a])
-    bb = np.stack([m for _, m in basis_b])
-    da, db = 2**ka, 2**kb
-    g4 = gperm.reshape(da, db, da, db)
-    coeffs = np.einsum("aij,bkl,jlik->ab", ba, bb, g4)
+    gperm, _ = reorder(op, layout, (*_SIDE_A, *_SIDE_B))
+    basis = pauli_product_basis(2)
+    mats = np.stack([m for _, m in basis])
+    coeffs = np.einsum("aij,bkl,jlik->ab", mats, mats, gperm.reshape(4, 4, 4, 4))
     imag_max = float(np.max(np.abs(coeffs.imag)))
-    if imag_max > tol:
+    if imag_max > 1e-9:
         raise ValueError(f"observable is not Hermitian enough (imag coeff {imag_max:.3e})")
-    return ProductDecomposition(
-        labels_a=tuple(lab for lab, _ in basis_a),
-        labels_b=tuple(lab for lab, _ in basis_b),
-        coeffs=coeffs.real,
-        side_a=tuple(side_a),
-        side_b=tuple(side_b),
-    )
+    labels = tuple(lab for lab, _ in basis)
+    return ProductDecomposition(labels_a=labels, labels_b=labels, coeffs=coeffs.real)
 
 
 def joint_outcome_table(
@@ -164,7 +147,7 @@ def joint_outcome_table(
     """
     vals_a, vecs_a = local_eigensystem(decomp.labels_a[ja])
     vals_b, vecs_b = local_eigensystem(decomp.labels_b[jb])
-    rho, _ = reorder(state.mat, state.layout, (*decomp.side_a, *decomp.side_b))
+    rho, _ = reorder(state.mat, state.layout, (*_SIDE_A, *_SIDE_B))
     v = np.kron(vecs_a, vecs_b)
     probs = np.real(np.einsum("ik,ij,jk->k", v.conj(), rho, v))
     probs = np.clip(probs, 0.0, None)
@@ -179,8 +162,8 @@ def joint_outcome_table(
 def pm_signal_ensemble(
     state: DensityState,
     label_a: str,
-    side_a: Sequence[str] = ("A", "A'"),
-    side_b: Sequence[str] = ("B", "B'"),
+    side_a: Sequence[str] = _SIDE_A,
+    side_b: Sequence[str] = _SIDE_B,
 ) -> list[tuple[float, DensityState]]:
     """Signal ensemble Alice prepares on Bob's side by measuring one observable.
 
@@ -223,7 +206,6 @@ class EstimationResult:
 def estimate_eps_z_locc(
     records: Mapping[tuple[int, int], np.ndarray],
     decomp: ProductDecomposition,
-    tol: float = 1e-12,
 ) -> EstimationResult:
     """Combine per-group product outcomes into a phase-error estimate.
 
@@ -234,7 +216,7 @@ def estimate_eps_z_locc(
     with a flag; callers keep the raw value for transcripts.
     """
     out = 0.0
-    for ja, jb in decomp.support(tol):
+    for ja, jb in decomp.support():
         rec = records.get((ja, jb))
         if rec is None or len(rec) == 0:
             raise ValueError(

@@ -209,14 +209,14 @@ def partial_transpose(
     return tens.transpose(perm).reshape(layout.dim, layout.dim)
 
 
-def herm_eig(mat: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix (ascending eigenvalues).
 
-    Raises ValueError if ``mat`` is not Hermitian within ``tol`` (max-abs).
+    Raises ValueError if ``mat`` is not Hermitian within 1e-10 (max-abs).
     """
     mat = np.asarray(mat, dtype=complex)
     dev = np.max(np.abs(mat - dagger(mat))) if mat.size else 0.0
-    if dev > tol:
+    if dev > 1e-10:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     vals, vecs = np.linalg.eigh(mat)
     return vals, vecs
@@ -282,8 +282,9 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     return rho / np.trace(rho).real
 
 
-def check_density(mat: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise ValueError unless ``mat`` is a density matrix within ``tol``."""
+def check_density(mat: np.ndarray) -> None:
+    """Raise ValueError unless ``mat`` is a density matrix within 1e-9."""
+    tol = 1e-9
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"not square: shape {mat.shape}")

@@ -155,12 +155,21 @@ class ProtocolConfig:
             raise ValueError(
                 f"need s >= 1 and 0 < delta < 1, got s = {self.s}, delta = {self.delta}"
             )
-        if not self.candidates:
-            raise ValueError("need at least one candidate twisting")
-        _check_names("candidate twisting", self.candidates, _TWISTINGS)
+        if any(m is not None and m < 1 for m in (self.m_x, self.m_prime)):
+            raise ValueError(
+                f"need m_x >= 1 and m_prime >= 1, got m_x = {self.m_x}, m_prime = {self.m_prime}"
+            )
+        self.check_candidates(self.candidates)
         self.check_beta_b(self.beta_b)
         if self.threads is not None and type(self.threads) is not int:  # bools excluded
             raise ValueError(f"threads must be an integer, got {self.threads!r}")
+
+    @staticmethod
+    def check_candidates(candidates: Sequence[str]) -> None:
+        """Reject an empty candidate list or one naming an unknown twisting."""
+        if not candidates:
+            raise ValueError("need at least one candidate twisting")
+        _check_names("candidate twisting", candidates, _TWISTINGS)
 
     @staticmethod
     def check_beta_b(beta_b) -> None:
@@ -236,10 +245,6 @@ def _jsonsafe(obj):
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         return None if (math.isnan(x) or math.isinf(x)) else x
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 
@@ -384,25 +389,22 @@ def _pair_label(dec: ProductDecomposition, ja: int, jb: int) -> str:
 
 
 def _security_block(config: ProtocolConfig, m_x: int, m_z: int) -> dict:
+    """The failure bound at the run's budgets: m_x, m_z >= 1 and n - m_z > m_x in both flows."""
     r = relaxation_budget(config.s, config.n)
-    block: dict = {"r": r}
-    try:
-        params = BoundParams(
-            n=config.n, m_x=m_x, m_z=m_z, delta=config.delta, r=r,
-            d=2, d_prime=4, s=config.s, beta_b=config.beta_b,
-        )
-        fb = protocol_failure_bound(params)
-        block["bound_params"] = params.to_dict()
-        block["log2_f"] = fb.log2_f
-        block["f"] = fb.f
-        block["vacuous"] = fb.vacuous
-        block["beta_b"] = params.beta
-        block["insecurity"] = composable_insecurity(fb.f, params.beta)
-    except ValueError as exc:
-        block["bound_params"] = None
-        block["vacuous"] = True
-        block["note"] = str(exc)
-    return block
+    params = BoundParams(
+        n=config.n, m_x=m_x, m_z=m_z, delta=config.delta, r=r,
+        d=2, d_prime=4, s=config.s, beta_b=config.beta_b,
+    )
+    fb = protocol_failure_bound(params)
+    return {
+        "r": r,
+        "bound_params": params.to_dict(),
+        "log2_f": fb.log2_f,
+        "f": fb.f,
+        "vacuous": fb.vacuous,
+        "beta_b": params.beta,
+        "insecurity": composable_insecurity(fb.f, params.beta),
+    }
 
 
 def _resolve_budgets(config: ProtocolConfig, n_groups: int) -> tuple[int | None, int | None, str]:
@@ -417,8 +419,6 @@ def _resolve_budgets(config: ProtocolConfig, n_groups: int) -> tuple[int | None,
             )
         m_x = m_x if m_x is not None else sol.m_x
         m_prime = m_prime if m_prime is not None else sol.m_prime
-    if m_x < 1 or m_prime < 1:
-        return None, None, "parameters_infeasible: m_x and m_prime must be positive"
     if m_x + n_groups * m_prime >= config.n:
         return None, None, (
             f"parameters_infeasible: m_x + {n_groups}*m_prime = "
@@ -703,7 +703,7 @@ def run_pm(config: ProtocolConfig) -> Transcript:
     short = [
         _pair_label(any_dec, *pair)
         for pair in support
-        if group_codes[pair].size < max(1, min_group)
+        if group_codes[pair].size < min_group
     ]
     if short or key_codes.size < m_x + config.ec_block:
         return _abort(
@@ -737,6 +737,7 @@ def run_estimate(
     noise acts on pbit sources only, as in the runs.
     Returns the ``estimates`` block a run's transcript would carry.
     """
+    ProtocolConfig.check_candidates(candidates)
     setup = _setup(source, tuple(candidates))
     # a config needs n >= 4; copies past the tests stay unmeasured
     config = ProtocolConfig(

@@ -66,8 +66,8 @@ class DensityState:
 
     # --- structure ---------------------------------------------------------
 
-    def validate(self, tol: float = 1e-9) -> "DensityState":
-        check_density(self.mat, tol=tol)
+    def validate(self) -> "DensityState":
+        check_density(self.mat)
         return self
 
     def partial_trace(self, keep: Sequence[str]) -> "DensityState":
@@ -114,11 +114,9 @@ def bell_vec(k: int) -> np.ndarray:
     return np.array(table[k], dtype=complex)
 
 
-def bell_state(k: int, layout: TensorLayout = AB_LAYOUT) -> DensityState:
-    """Bell projector |psi_k><psi_k| as a DensityState on a 2x2 layout."""
-    if layout.dims != (2, 2):
-        raise ValueError("bell_state needs a two-qubit layout")
-    return DensityState(proj(bell_vec(k)), layout)
+def bell_state(k: int) -> DensityState:
+    """Bell projector |psi_k><psi_k| as a DensityState on A ⊗ B."""
+    return DensityState(proj(bell_vec(k)), AB_LAYOUT)
 
 
 # chi± coefficients: c = sqrt(2+sqrt2)/2, s = sqrt(2-sqrt2)/2 (c² + s² = 1)
@@ -211,54 +209,46 @@ def sigma_ab(p: float, kappa: float = 0.0) -> DensityState:
 # --- purification and ccq reduction ----------------------------------------
 
 
-def purify(
-    state: DensityState, env_label: str = "E", tol: float = 1e-12
-) -> tuple[np.ndarray, TensorLayout]:
+def purify(state: DensityState) -> tuple[np.ndarray, TensorLayout]:
     """Canonical purification from the eigendecomposition.
 
-    Returns (vector, layout) where the environment factor ``env_label`` has
-    dimension equal to the numerical rank (eigenvalues > tol).  The canonical
-    choice |psi> = sum_k sqrt(l_k) |v_k> ⊗ |k>_E makes the construction
+    Returns (vector, layout) where the environment factor E has dimension
+    equal to the numerical rank (eigenvalues > 1e-12).  The canonical choice
+    |psi> = sum_k sqrt(l_k) |v_k> ⊗ |k>_E makes the construction
     deterministic given the matrix.
     """
     vals, vecs = herm_eig(state.mat)
-    keep = vals > tol
+    keep = vals > 1e-12
     vals, vecs = vals[keep], vecs[:, keep]
     rank = int(vals.size)
     if rank == 0:
         raise ValueError("state has numerical rank 0")
     # columns of vecs, scaled; |psi> components indexed by (system, env)
     vec = (vecs * np.sqrt(vals)[np.newaxis, :]).reshape(-1)
-    return vec, state.layout.extend(env_label, rank)
+    return vec, state.layout.extend("E", rank)
 
 
-def ccq_state(
-    state: DensityState | tuple[np.ndarray, TensorLayout],
-    key_labels: Sequence[str] = ("A", "B"),
-    env_label: str = "E",
-) -> DensityState:
-    """ccq reduction: measure the key factors, keep the purifying system.
+def ccq_state(state: DensityState | tuple[np.ndarray, TensorLayout]) -> DensityState:
+    """ccq reduction: measure the key factors A, B, keep the purifying system E.
 
     Accepts either a DensityState (purified canonically here) or an explicit
-    (vector, layout) purification whose last factor is the environment.  The
-    output lives on key_labels + (env_label,) and equals
+    (vector, layout) purification with an environment factor E.  The output
+    lives on (A, B, E) and equals
 
         sum_ab  P(ab) |ab><ab| ⊗ rho_E(ab)
 
     with the shield factors traced out of each conditional environment state.
     """
     if isinstance(state, DensityState):
-        vec, layout = purify(state, env_label=env_label)
+        vec, layout = purify(state)
     else:
         vec, layout = state
-    key_labels = tuple(key_labels)
-    for lab in key_labels:
-        layout.axis(lab)
+    key_labels = ("A", "B")
     dims = layout.dims
     tens = np.asarray(vec, dtype=complex).reshape(dims)
     n = len(dims)
     key_axes = [layout.axis(lab) for lab in key_labels]
-    env_axis = layout.axis(env_label)
+    env_axis = layout.axis("E")
     other_axes = [i for i in range(n) if i not in key_axes and i != env_axis]
     # reorder to (key..., other..., env)
     tens = tens.transpose(key_axes + other_axes + [env_axis])
@@ -267,7 +257,7 @@ def ccq_state(
     env_dim = dims[env_axis]
     tens = tens.reshape(key_dim, other_dim, env_dim)
     out_layout = TensorLayout(
-        tuple((lab, layout.dim_of(lab)) for lab in key_labels) + ((env_label, env_dim),)
+        tuple((lab, layout.dim_of(lab)) for lab in key_labels) + (("E", env_dim),)
     )
     out = np.zeros((key_dim * env_dim, key_dim * env_dim), dtype=complex)
     for ab in range(key_dim):

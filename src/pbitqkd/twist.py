@@ -79,10 +79,9 @@ class TwistingOp:
         return out
 
 
-def identity_twisting(d: int = 2, d_prime: int = 4) -> TwistingOp:
-    """The trivial twisting (every block an identity)."""
-    eye = np.eye(d_prime, dtype=complex)
-    return TwistingOp(d, {f"{i}{j}": eye.copy() for i in range(d) for j in range(d)})
+def identity_twisting() -> TwistingOp:
+    """The trivial twisting of a qubit key and a two-qubit shield (every block an identity)."""
+    return TwistingOp(2, {f"{i}{j}": np.eye(4, dtype=complex) for i in range(2) for j in range(2)})
 
 
 def random_twisting(d: int, d_prime: int, rng: np.random.Generator) -> TwistingOp:
@@ -133,22 +132,17 @@ def build_u_h() -> TwistingOp:
     return TwistingOp(2, blocks)
 
 
-def make_pdit(
-    tw: TwistingOp,
-    anc: DensityState | np.ndarray,
-    layout: TensorLayout = KEY_SHIELD_LAYOUT,
-) -> DensityState:
-    """Twisted maximally-entangled core: U (Phi_d ⊗ anc) U†.
+def make_pdit(tw: TwistingOp, anc: np.ndarray) -> DensityState:
+    """Twisted maximally-entangled core U (Phi_d ⊗ anc) U† on A ⊗ B ⊗ A' ⊗ B'.
 
-    ``anc`` is the shield state (matrix of dimension d_prime, or a
-    DensityState on the layout's shield factors).
+    ``anc`` is the shield state, a matrix of dimension d_prime.
     """
-    anc_mat = anc.mat if isinstance(anc, DensityState) else np.asarray(anc, dtype=complex)
+    anc_mat = np.asarray(anc, dtype=complex)
     if anc_mat.shape != (tw.d_prime, tw.d_prime):
         raise ValueError(f"ancilla shape {anc_mat.shape} != shield dim {tw.d_prime}")
     core = np.kron(proj(phi_d_vec(tw.d)), anc_mat)
-    u = tw.assemble(layout)
-    return DensityState(u @ core @ dagger(u), layout)
+    u = tw.assemble(KEY_SHIELD_LAYOUT)
+    return DensityState(u @ core @ dagger(u), KEY_SHIELD_LAYOUT)
 
 
 def untwist_and_trace(state: DensityState, tw: TwistingOp) -> DensityState:
@@ -171,16 +165,13 @@ def gamma_z(layout: TensorLayout = KEY_SHIELD_LAYOUT) -> np.ndarray:
     return promote(kron_all(PAULI_Z, PAULI_Z), layout, [a, b])
 
 
-def gamma_x(tw: TwistingOp, layout: TensorLayout = KEY_SHIELD_LAYOUT) -> np.ndarray:
-    """Twisted phase-error observable U (sigma_x ⊗ sigma_x ⊗ I) U†.
+def gamma_x(tw: TwistingOp) -> np.ndarray:
+    """Twisted phase-error observable U (sigma_x ⊗ sigma_x ⊗ I) U† on A ⊗ B ⊗ A' ⊗ B'.
 
     On an untwisted ideal core <sigma_x sigma_x> = 1; conjugating by the
     twisting makes the observable followable through the shield:
     <gamma_x> = 1 - 2*eps_z on the twisted state.
     """
-    a, b = layout.labels[:2]
-    if layout.dim_of(a) != 2 or layout.dim_of(b) != 2:
-        raise ValueError("gamma_x is defined for qubit keys")
-    xx = promote(kron_all(PAULI_X, PAULI_X), layout, [a, b])
-    u = tw.assemble(layout)
+    xx = promote(kron_all(PAULI_X, PAULI_X), KEY_SHIELD_LAYOUT, ["A", "B"])
+    u = tw.assemble(KEY_SHIELD_LAYOUT)
     return u @ xx @ dagger(u)

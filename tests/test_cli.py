@@ -132,7 +132,7 @@ def test_estimate_requires_a_seed(capsys):
 
 def test_estimate_bad_config_values_are_usage_errors(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    for cfg in ({"candidates": [None]}, {"m_x": "many"}, {"m_prime": 0}):
+    for cfg in ({"candidates": [None]}, {"m_x": "many"}, {"m_prime": 0}, {"candidates": []}):
         cfg_path.write_text(json.dumps(cfg))
         assert main(["estimate", "--seed", "1", "--config", str(cfg_path)]) == EXIT_USAGE, cfg
     capsys.readouterr()
@@ -561,6 +561,11 @@ def test_out_of_range_values_are_usage_errors(capsys, caplog, argv):
     ("run-ppp", {"threads": "two"}),
     ("run-pm", {"threads": 1.5}),
     ("run-pm", {"threads": True}),
+    ("run-pm", {"m_x": 0}),
+    ("run-pm", {"m_x": -5}),
+    ("run-pm", {"m_prime": -3}),
+    ("run-ppp", {"m_x": 0}),
+    ("sweep", {"protocol": "pm", "m_x": 0}),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
 def test_out_of_range_config_values_are_usage_errors(tmp_path, capsys, caplog, command, cfg):
     cfg_path = tmp_path / "cfg.json"

@@ -80,7 +80,6 @@ def test_product_decomposition_validation_and_support():
     dec = ProductDecomposition(
         labels_a=("II", "XX"), labels_b=("II", "ZZ"),
         coeffs=np.array([[0.0, 1.0], [2.0, 0.0]]),
-        side_a=("A", "A'"), side_b=("B", "B'"),
     )
     assert dec.support() == [(0, 1), (1, 0)]
     assert abs(dec.hs_norm_sq - 5.0) < 1e-15
@@ -172,7 +171,6 @@ def test_estimator_requires_support_coverage():
 def test_estimator_clamps_and_flags():
     dec = ProductDecomposition(
         labels_a=("XX",), labels_b=("XX",), coeffs=np.array([[4.0]]),
-        side_a=("A", "A'"), side_b=("B", "B'"),
     )
     res = estimate_eps_z_locc({(0, 0): np.array([1.0])}, dec)
     assert res.clamped and res.eps_z == 0.0 and res.eps_z_raw < 0.0

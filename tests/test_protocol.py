@@ -87,6 +87,15 @@ def test_unknown_names_are_rejected_at_construction(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ProtocolConfig(n=100, seed=0, candidates=()),
+    lambda: run_estimate(SourceSpec(), 1, 10, 10, ()),
+])
+def test_an_empty_candidate_list_is_rejected(make):
+    with pytest.raises(ValueError, match="need at least one candidate twisting"):
+        make()
+
+
 def test_source_base_states_have_the_right_shape():
     assert SourceSpec(kind="rho_h", p=0.4, kappa=0.01).base_state().mat.shape == (16, 16)
     assert SourceSpec(kind="pbit").base_state().mat.shape == (16, 16)
@@ -164,6 +173,9 @@ def test_config_rejects_tiny_n():
     lambda: ProtocolConfig(n=100, seed=0, ec_block=0),
     lambda: ProtocolConfig(n=100, seed=0, ec_block=-2),
     lambda: ProtocolConfig(n=100, seed=0, ec_block=33),  # past what the decoder can search
+    lambda: ProtocolConfig(n=100, seed=0, m_x=0),
+    lambda: ProtocolConfig(n=100, seed=0, m_x=-5),
+    lambda: ProtocolConfig(n=100, seed=0, m_prime=-3),
 ])
 def test_out_of_range_values_are_rejected_at_construction(make):
     with pytest.raises(ValueError):

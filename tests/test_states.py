@@ -148,7 +148,7 @@ def test_ccq_state_of_classical_input():
     # a classically correlated AB state has a ccq with the same diagonal weights
     lay = AB_LAYOUT
     mat = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    ccq = ccq_state(DensityState(mat, lay), key_labels=("A", "B"))
+    ccq = ccq_state(DensityState(mat, lay))
     ccq.validate()
     # key marginal weights survive
     key_probs = np.array(
