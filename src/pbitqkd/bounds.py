@@ -32,6 +32,7 @@ __all__ = [
     "composable_insecurity",
     "group_average_error_bound",
     "ParamSolution",
+    "check_solver_args",
     "choose_params",
 ]
 
@@ -366,6 +367,19 @@ def _least(ok: Callable[[int], bool], lo: int, hi: int) -> int:
     return hi
 
 
+def check_solver_args(s: int, delta: float, d: int = 2, d_prime: int = 4) -> None:
+    """Reject an s, delta, d or d_prime out of range, or one at which the solver's
+    doubles overflow: 16 s / delta^2 and d^4 d'^2 must be finite."""
+    try:
+        ok = (s >= 1 and 0.0 < delta < 1.0 and d >= 2 and d_prime >= 1
+              and math.isfinite(16.0 * s / (delta * delta)) and math.isfinite(d**4 * d_prime**2))
+    except (OverflowError, ZeroDivisionError):
+        ok = False
+    if not ok:
+        raise ValueError("need s >= 1, 0 < delta < 1, d >= 2, d_prime >= 1, and finite doubles "
+                         "16 s / delta^2 and d^4 d'^2")
+
+
 def choose_params(
     s: int,
     delta: float,
@@ -386,8 +400,7 @@ def choose_params(
     minimal such n is located by doubling + bisection -- expect an
     astronomically large answer at meaningful s.
     """
-    if s < 1 or not 0.0 < delta < 1.0 or d < 2 or d_prime < 1:
-        raise ValueError("need s >= 1, 0 < delta < 1, d >= 2, d_prime >= 1")
+    check_solver_args(s, delta, d, d_prime)
     t = d * d * d_prime
     m_x = math.ceil(16.0 * s / (delta * delta))
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .bounds import (
     BoundParams,
+    check_solver_args,
     choose_params,
     composable_insecurity,
     key_rate,
@@ -197,8 +198,9 @@ def _solver_args(cfg: Mapping) -> tuple[int, float, int, int, int | None]:
     d, d_prime = int(_get(cfg, "d", 2)), int(_get(cfg, "d_prime", 4))
     n = _get(cfg, "n")
     n = None if n is None else int(n)
-    if s < 1 or not 0.0 < delta < 1.0 or d < 2 or d_prime < 1 or (n is not None and n < 2):
-        raise ValueError("need s >= 1, 0 < delta < 1, d >= 2, d_prime >= 1 and n >= 2")
+    check_solver_args(s, delta, d, d_prime)
+    if n is not None and n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     return s, delta, d, d_prime, n
 
 
@@ -250,14 +252,14 @@ def cmd_verify_example(args, cfg: ChainMap) -> int:
         branch_dev = max(branch_dev, abs(prob - expected[label]))
     checks.append(_check("branch_probabilities", branch_dev, 1e-9))
 
-    gz = gamma_z(KEY_SHIELD_LAYOUT)
-    u = tw.assemble(KEY_SHIELD_LAYOUT)
+    gz = gamma_z()
+    u = tw.assemble()
     checks.append(
         _check("phase_observable_twist_invariance", float(np.abs(u @ gz @ u.conj().T - gz).max()), 1e-10)
     )
 
     gx = gamma_x(tw)
-    dec = decompose_two_local(gx, KEY_SHIELD_LAYOUT)
+    dec = decompose_two_local(gx)
     checks.append(_check("decomposition_norm_sq_minus_16", abs(dec.hs_norm_sq - 16.0), 1e-8))
 
     six_dev = _six_state_deviation(phi2)

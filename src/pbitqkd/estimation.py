@@ -24,8 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import TensorLayout, pauli_product_basis, reorder
-from .states import DensityState
+from .linalg import pauli_product_basis, reorder
+from .states import KEY_SHIELD_LAYOUT, DensityState
 
 __all__ = [
     "ProductDecomposition",
@@ -103,27 +103,23 @@ class ProductDecomposition:
         ja, jb = np.nonzero(np.abs(self.coeffs) > 1e-12)
         return sorted(zip(ja.tolist(), jb.tolist()))
 
-    def reconstruct(self, layout: TensorLayout) -> np.ndarray:
-        """Rebuild the full-space matrix sum_jajb s O_ja ⊗ O_jb on ``layout``."""
-        basis = np.stack([op for _, op in pauli_product_basis(2)])
-        gperm = np.einsum("ab,aij,bkl->ikjl", self.coeffs, basis, basis).reshape(16, 16)
-        sides = (*_SIDE_A, *_SIDE_B)
-        side_layout = TensorLayout(tuple((lab, layout.dim_of(lab)) for lab in sides))
-        return reorder(gperm, side_layout, layout.labels)[0]
+    def reconstruct(self) -> np.ndarray:
+        """Rebuild the matrix sum_jajb s O_ja ⊗ O_jb on A ⊗ B ⊗ A' ⊗ B'."""
+        # each O_j is indexed (key row, shield row, key col, shield col)
+        basis = np.stack([op for _, op in pauli_product_basis()]).reshape(16, 2, 2, 2, 2)
+        out = np.einsum("ab,apqrs,btuvw->ptqurvsw", self.coeffs, basis, basis)
+        return out.reshape(16, 16)
 
 
-def decompose_two_local(op: np.ndarray, layout: TensorLayout) -> ProductDecomposition:
-    """Expand a Hermitian observable over the two-sided Pauli product basis.
+def decompose_two_local(op: np.ndarray) -> ProductDecomposition:
+    """Expand a Hermitian observable on A ⊗ B ⊗ A' ⊗ B' over the two-sided Pauli product basis.
 
-    The sides are (A, A') and (B, B'), and every one of these factors must be
-    a qubit.  Coefficients are s[ja, jb] = Tr[(O_ja ⊗ O_jb) op]; for
-    Hermitian input they are real (enforced within 1e-9).
+    The sides are (A, A') and (B, B').  Coefficients are
+    s[ja, jb] = Tr[(O_ja ⊗ O_jb) op]; for Hermitian input they are real
+    (enforced within 1e-9).
     """
-    for lab in (*_SIDE_A, *_SIDE_B):
-        if layout.dim_of(lab) != 2:
-            raise ValueError(f"factor {lab!r} is not a qubit; Pauli basis unavailable")
-    gperm, _ = reorder(op, layout, (*_SIDE_A, *_SIDE_B))
-    basis = pauli_product_basis(2)
+    gperm, _ = reorder(op, KEY_SHIELD_LAYOUT, (*_SIDE_A, *_SIDE_B))
+    basis = pauli_product_basis()
     mats = np.stack([m for _, m in basis])
     coeffs = np.einsum("aij,bkl,jlik->ab", mats, mats, gperm.reshape(4, 4, 4, 4))
     imag_max = float(np.max(np.abs(coeffs.imag)))

@@ -232,18 +232,15 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * trace_norm(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
 
 
-def pauli_product_basis(n_qubits: int) -> list[tuple[str, np.ndarray]]:
-    """Hilbert-Schmidt-orthonormal Pauli product basis on ``n_qubits``.
+def pauli_product_basis() -> list[tuple[str, np.ndarray]]:
+    """Hilbert-Schmidt-orthonormal Pauli product basis on two qubits.
 
-    Elements are (P_1 ⊗ ... ⊗ P_n)/sqrt(2^n), labeled by strings over IXYZ in
-    lexicographic (I<X<Y<Z) order, e.g. "II", "IX", ..., "ZZ" for two qubits.
+    Elements are (P_1 ⊗ P_2)/2, labeled "II", "IX", ..., "ZZ" in
+    lexicographic (I<X<Y<Z) order.
     """
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    norm = 1.0 / np.sqrt(2.0**n_qubits)
     return [
-        ("".join(letters), kron_all(*(PAULIS[ch] for ch in letters)) * norm)
-        for letters in itertools.product("IXYZ", repeat=n_qubits)
+        (p1 + p2, np.kron(PAULIS[p1], PAULIS[p2]) / 2.0)
+        for p1, p2 in itertools.product("IXYZ", repeat=2)
     ]
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from .bounds import (
     BoundParams,
     binary_entropy,
+    check_solver_args,
     choose_params,
     composable_insecurity,
     key_rate,
@@ -44,7 +45,7 @@ from .estimation import (
     joint_outcome_table,
 )
 from .linalg import basis_ket, kron_all, proj
-from .states import DensityState, KEY_SHIELD_LAYOUT, P_STAR, rho_h
+from .states import DensityState, P_STAR, rho_h
 from .twist import TwistingOp, build_u_h, gamma_x, gamma_z, identity_twisting, make_pdit
 
 __all__ = [
@@ -151,10 +152,7 @@ class ProtocolConfig:
                 f"need seed >= 0 and 1 <= ec_block <= {MAX_EC_BLOCK}, got seed = {self.seed}, "
                 f"ec_block = {self.ec_block}"
             )
-        if self.s < 1 or not 0.0 < self.delta < 1.0:
-            raise ValueError(
-                f"need s >= 1 and 0 < delta < 1, got s = {self.s}, delta = {self.delta}"
-            )
+        check_solver_args(self.s, self.delta)
         if any(m is not None and m < 1 for m in (self.m_x, self.m_prime)):
             raise ValueError(
                 f"need m_x >= 1 and m_prime >= 1, got m_x = {self.m_x}, m_prime = {self.m_prime}"
@@ -303,10 +301,7 @@ class _Setup:
 @lru_cache(maxsize=8)  # a sweep asks for one grid point's entry at a time
 def _setup(source: SourceSpec, candidates: tuple[str, ...]) -> _Setup:
     """Candidate decompositions, support union and tables, built once per process."""
-    decomps = {
-        name: decompose_two_local(gamma_x(twisting_by_name(name)), KEY_SHIELD_LAYOUT)
-        for name in candidates
-    }
+    decomps = {name: decompose_two_local(gamma_x(twisting_by_name(name))) for name in candidates}
     support = tuple(sorted({pair for dec in decomps.values() for pair in dec.support()}))
     any_dec = next(iter(decomps.values()))
     tables = _build_tables(_component_states(source), support, any_dec)
@@ -319,7 +314,7 @@ def _setup(source: SourceSpec, candidates: tuple[str, ...]) -> _Setup:
 def _build_tables(
     components: list[DensityState], support: Sequence[tuple[int, int]], dec: ProductDecomposition
 ) -> _ObsTables:
-    gz = gamma_z(KEY_SHIELD_LAYOUT)
+    gz = gamma_z()
     zz_plus = np.array([(1.0 + c.expect(gz)) / 2.0 for c in components])
     zz_label_a = dec.labels_a.index("ZZ")
     zz_label_b = dec.labels_b.index("ZZ")

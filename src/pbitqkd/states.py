@@ -82,9 +82,9 @@ class DensityState:
         val = np.trace(self.mat @ op)
         return float(val.real)
 
-    def conjugate_by(self, u: np.ndarray, labels: Sequence[str] | None = None) -> "DensityState":
-        """Return U rho U† with U acting on ``labels`` (full space if None)."""
-        big = u if labels is None else promote(u, self.layout, labels)
+    def conjugate_by(self, u: np.ndarray, labels: Sequence[str]) -> "DensityState":
+        """Return U rho U† with U acting on ``labels``."""
+        big = promote(u, self.layout, labels)
         return DensityState(big @ self.mat @ dagger(big), self.layout)
 
     def distance_to(self, other: "DensityState") -> float:

@@ -1,6 +1,7 @@
 """Twisting operators: key-controlled shield unitaries and the twisted observables.
 
-A twisting on ``C^d ⊗ C^d ⊗ H_shield`` is a block-diagonal unitary
+A twisting on ``A ⊗ B ⊗ A' ⊗ B'`` (a qubit key pair and a two-qubit shield)
+is a block-diagonal unitary
 
     U = sum_ij |ij><ij|_AB ⊗ U_ij
 
@@ -30,66 +31,40 @@ __all__ = [
     "gamma_x",
 ]
 
+#: Block keys: the key values ij of A and B, in the row-major order of the blocks.
+_KEYS = ("00", "01", "10", "11")
+
 
 @dataclass
 class TwistingOp:
-    """Block data of a twisting: key dimension d and the d² shield blocks U_ij."""
+    """Block data of a twisting: the four 4×4 shield blocks U_ij of a qubit key."""
 
-    d: int
     blocks: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        if self.d < 2 or self.d > 9:
-            raise ValueError(f"key dimension d = {self.d} unsupported (need 2..9)")
-        expected = {f"{i}{j}" for i in range(self.d) for j in range(self.d)}
-        if set(self.blocks) != expected:
-            raise ValueError(f"block keys {sorted(self.blocks)} != {sorted(expected)}")
+        if set(self.blocks) != set(_KEYS):
+            raise ValueError(f"block keys {sorted(self.blocks)} != {list(_KEYS)}")
         shapes = {np.asarray(b).shape for b in self.blocks.values()}
-        if len(shapes) != 1:
-            raise ValueError(f"inconsistent block shapes {shapes}")
-        (shape,) = shapes
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"blocks must be square, got {shape}")
+        if shapes != {(4, 4)}:
+            raise ValueError(f"blocks must all be 4x4, got {shapes}")
         self.blocks = {k: np.asarray(v, dtype=complex) for k, v in self.blocks.items()}
 
-    @property
-    def d_prime(self) -> int:
-        return next(iter(self.blocks.values())).shape[0]
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.blocks[f"{i}{j}"]
-
-    def assemble(self, layout: TensorLayout = KEY_SHIELD_LAYOUT) -> np.ndarray:
-        """Full block-diagonal unitary on a layout whose first two factors are A, B.
-
-        The remaining factors form the shield; their total dimension must be
-        d_prime.  Blocks sit on the diagonal in (i, j) row-major order.
-        """
-        dims = layout.dims
-        if len(dims) < 3 or dims[0] != self.d or dims[1] != self.d:
-            raise ValueError(f"layout dims {dims} do not start with ({self.d}, {self.d})")
-        shield = int(np.prod(dims[2:]))
-        if shield != self.d_prime:
-            raise ValueError(f"shield dim {shield} != block dim {self.d_prime}")
-        out = np.zeros((layout.dim, layout.dim), dtype=complex)
-        for i in range(self.d):
-            for j in range(self.d):
-                k = (i * self.d + j) * self.d_prime
-                out[k : k + self.d_prime, k : k + self.d_prime] = self.block(i, j)
+    def assemble(self) -> np.ndarray:
+        """Full block-diagonal unitary on A ⊗ B ⊗ A' ⊗ B', blocks in (i, j) row-major order."""
+        out = np.zeros((16, 16), dtype=complex)
+        for n, key in enumerate(_KEYS):
+            out[4 * n : 4 * n + 4, 4 * n : 4 * n + 4] = self.blocks[key]
         return out
 
 
 def identity_twisting() -> TwistingOp:
     """The trivial twisting of a qubit key and a two-qubit shield (every block an identity)."""
-    return TwistingOp(2, {f"{i}{j}": np.eye(4, dtype=complex) for i in range(2) for j in range(2)})
+    return TwistingOp({k: np.eye(4, dtype=complex) for k in _KEYS})
 
 
-def random_twisting(d: int, d_prime: int, rng: np.random.Generator) -> TwistingOp:
+def random_twisting(rng: np.random.Generator) -> TwistingOp:
     """Twisting with independent Haar-random shield blocks."""
-    return TwistingOp(
-        d,
-        {f"{i}{j}": random_unitary(d_prime, rng) for i in range(d) for j in range(d)},
-    )
+    return TwistingOp({k: random_unitary(4, rng) for k in _KEYS})
 
 
 def build_u_h() -> TwistingOp:
@@ -129,28 +104,27 @@ def build_u_h() -> TwistingOp:
         "10": dagger(v2) @ z_shield,
         "11": dagger(v1) @ z_shield,
     }
-    return TwistingOp(2, blocks)
+    return TwistingOp(blocks)
 
 
 def make_pdit(tw: TwistingOp, anc: np.ndarray) -> DensityState:
     """Twisted maximally-entangled core U (Phi_d ⊗ anc) U† on A ⊗ B ⊗ A' ⊗ B'.
 
-    ``anc`` is the shield state, a matrix of dimension d_prime.
+    ``anc`` is the shield state, a 4×4 matrix on A' ⊗ B'.
     """
     anc_mat = np.asarray(anc, dtype=complex)
-    if anc_mat.shape != (tw.d_prime, tw.d_prime):
-        raise ValueError(f"ancilla shape {anc_mat.shape} != shield dim {tw.d_prime}")
-    core = np.kron(proj(phi_d_vec(tw.d)), anc_mat)
-    u = tw.assemble(KEY_SHIELD_LAYOUT)
+    if anc_mat.shape != (4, 4):
+        raise ValueError(f"ancilla shape {anc_mat.shape} != shield dim 4")
+    core = np.kron(proj(phi_d_vec(2)), anc_mat)
+    u = tw.assemble()
     return DensityState(u @ core @ dagger(u), KEY_SHIELD_LAYOUT)
 
 
 def untwist_and_trace(state: DensityState, tw: TwistingOp) -> DensityState:
     """Undo the twisting and keep only the key factors: Tr_shield(U† rho U)."""
-    u = tw.assemble(state.layout)
+    u = tw.assemble()
     undone = dagger(u) @ state.mat @ u
-    keep = state.layout.labels[:2]
-    return DensityState(undone, state.layout).partial_trace(keep)
+    return DensityState(undone, state.layout).partial_trace(("A", "B"))
 
 
 def gamma_z(layout: TensorLayout = KEY_SHIELD_LAYOUT) -> np.ndarray:
@@ -173,5 +147,5 @@ def gamma_x(tw: TwistingOp) -> np.ndarray:
     <gamma_x> = 1 - 2*eps_z on the twisted state.
     """
     xx = promote(kron_all(PAULI_X, PAULI_X), KEY_SHIELD_LAYOUT, ["A", "B"])
-    u = tw.assemble(KEY_SHIELD_LAYOUT)
+    u = tw.assemble()
     return u @ xx @ dagger(u)

@@ -126,7 +126,7 @@ def test_criterion_05_phase_observable_invariant_under_twisting():
     gz = gamma_z(KEY_SHIELD_LAYOUT)
     worst = 0.0
     for _ in range(100):
-        u = random_twisting(2, 4, rng).assemble(KEY_SHIELD_LAYOUT)
+        u = random_twisting(rng).assemble()
         worst = max(worst, float(np.linalg.norm(u @ gz @ u.conj().T - gz, 2)))
     print(f"worst ||U Gz U^dag - Gz|| over 100 twistings: {worst:.2e}")
     assert worst <= 1e-10
@@ -136,7 +136,7 @@ def test_criterion_06_decomposition_norm_is_sixteen():
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(100):
-        dec = decompose_two_local(gamma_x(random_twisting(2, 4, rng)), KEY_SHIELD_LAYOUT)
+        dec = decompose_two_local(gamma_x(random_twisting(rng)))
         worst = max(worst, abs(dec.hs_norm_sq - 16.0))
     print(f"worst |sum s^2 - 16| over 100 twistings: {worst:.2e}")
     assert worst <= 1e-8
@@ -149,7 +149,7 @@ def test_criterion_07_ccq_state_invariant_under_shield_twisting():
     for _ in range(50):
         rho = DensityState(random_density(16, rng), KEY_SHIELD_LAYOUT)
         vec, full_layout = purify(rho)
-        u = random_twisting(2, 4, rng).assemble(KEY_SHIELD_LAYOUT)
+        u = random_twisting(rng).assemble()
         env_dim = full_layout.dim // KEY_SHIELD_LAYOUT.dim
         vec_rot = np.kron(u, np.eye(env_dim)) @ vec.reshape(-1)
         dev = trace_distance(
@@ -167,7 +167,7 @@ def test_criterion_07_ccq_state_invariant_under_shield_twisting():
 def test_criterion_08_locc_estimator_recovers_planted_phase_errors():
     tw = build_u_h()
     pbit = make_pdit(tw, proj(kron_all(basis_ket(0, 2), basis_ket(0, 2))))
-    dec = decompose_two_local(gamma_x(tw), KEY_SHIELD_LAYOUT)
+    dec = decompose_two_local(gamma_x(tw))
     gx = gamma_x(tw)
     grid = [(ex, ez) for ex in (0.0, 0.05, 0.11) for ez in (0.0, 0.05, 0.11)]
 

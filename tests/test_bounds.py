@@ -288,9 +288,9 @@ def test_group_average_error_bound_dominates_brute_force():
 
     rng = np.random.default_rng(99)
     for trial in range(5):
-        tw = random_twisting(2, 4, rng)
+        tw = random_twisting(rng)
         gx = gamma_x(tw)
-        dec = decompose_two_local(gx, KEY_SHIELD_LAYOUT)
+        dec = decompose_two_local(gx)
         state = DensityState(random_density(16, rng), KEY_SHIELD_LAYOUT)
         support = dec.support()
         true_avg, pert_avg, max_tv = 0.0, 0.0, 0.0

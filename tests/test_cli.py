@@ -539,6 +539,16 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys):
     "run-ppp --n 100000 --seed -5",
     "run-pm --n 100000 --seed -2",
     "estimate --seed -5",
+    # 16 s / delta^2 or d^4 d'^2 is no finite double
+    "solve-params --delta 1e-160",
+    "solve-params --delta 1e-170",
+    "bounds --n 100000 --delta 1e-200",
+    "run-ppp --n 2000 --seed 1 --delta 1e-170",
+    "run-pm --n 2000 --seed 1 --delta 1e-310",
+    pytest.param(f"solve-params --s {10**308}", id="solve-params --s 10^308"),
+    pytest.param(f"solve-params --s {10**400}", id="solve-params --s 10^400"),
+    pytest.param(f"solve-params --n 100000 --d {10**80}", id="solve-params --n 100000 --d 10^80"),
+    pytest.param(f"bounds --n 100000 --d {10**80}", id="bounds --n 100000 --d 10^80"),
 ])
 def test_out_of_range_values_are_usage_errors(capsys, caplog, argv):
     assert main(argv.split()) == EXIT_USAGE
@@ -577,6 +587,21 @@ def test_out_of_range_config_values_are_usage_errors(tmp_path, capsys, caplog, c
     assert capsys.readouterr().out == ""
     assert not out_path.exists()
     assert "bad protocol config" in caplog.text
+
+
+@pytest.mark.parametrize("argv, cfg, message", [
+    ("bounds", {}, "bounds needs --n"),
+    ("bounds --n 2", {}, "too small to allocate"),
+    ("sweep", {"protocol": "qkd", "n": 2000, "seeds": [0]}, "unknown protocol"),
+    ("run-ppp --n 2000 --seed 1", [{"n": 2000}], "must hold a JSON object"),
+])
+def test_usage_errors_write_nothing(tmp_path, capsys, caplog, argv, cfg, message):
+    cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main([*argv.split(), "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert not out_path.exists()
+    assert message in caplog.text
 
 
 def test_bounds_config_values_are_usage_errors(tmp_path, capsys):

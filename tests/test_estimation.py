@@ -47,7 +47,7 @@ def test_local_eigensystem_shapes_and_values():
 def test_local_eigensystem_diagonalizes_the_basis_element():
     from pbitqkd.linalg import pauli_product_basis
 
-    basis = dict(pauli_product_basis(2))
+    basis = dict(pauli_product_basis())
     for label in ("IX", "ZZ", "YX", "II"):
         vals, vecs = local_eigensystem(label)
         rebuilt = vecs @ np.diag(vals) @ dagger(vecs)
@@ -57,15 +57,15 @@ def test_local_eigensystem_diagonalizes_the_basis_element():
 def test_decompose_reconstructs_gamma_x():
     for tw in (build_u_h(), identity_twisting()):
         gx = gamma_x(tw)
-        dec = decompose_two_local(gx, KEY_SHIELD_LAYOUT)
-        assert trace_distance(dec.reconstruct(KEY_SHIELD_LAYOUT), gx) < 1e-10
+        dec = decompose_two_local(gx)
+        assert trace_distance(dec.reconstruct(), gx) < 1e-10
 
 
 def test_decomposition_norm_is_sixteen_for_twisted_observables():
     # gamma_x(U) is unitary on a 16-dim space: HS-norm² = 16 for every twisting
     rng = np.random.default_rng(0)
     for _ in range(10):
-        dec = decompose_two_local(gamma_x(random_twisting(2, 4, rng)), KEY_SHIELD_LAYOUT)
+        dec = decompose_two_local(gamma_x(random_twisting(rng)))
         assert abs(dec.hs_norm_sq - 16.0) < 1e-9
 
 
@@ -73,7 +73,7 @@ def test_decompose_rejects_non_hermitian():
     m = np.zeros((16, 16), dtype=complex)
     m[0, 1] = 1.0  # not Hermitian
     with pytest.raises(ValueError):
-        decompose_two_local(m, KEY_SHIELD_LAYOUT)
+        decompose_two_local(m)
 
 
 def test_product_decomposition_validation_and_support():
@@ -89,10 +89,10 @@ def test_product_decomposition_validation_and_support():
 
 def test_joint_outcome_table_matches_direct_expectation():
     state = u_h_pbit()
-    dec = decompose_two_local(gamma_x(build_u_h()), KEY_SHIELD_LAYOUT)
+    dec = decompose_two_local(gamma_x(build_u_h()))
     from pbitqkd.linalg import pauli_product_basis
 
-    basis = dict(pauli_product_basis(2))
+    basis = dict(pauli_product_basis())
     for ja, jb in dec.support():
         probs, products = joint_outcome_table(state, dec, ja, jb)
         assert abs(probs.sum() - 1.0) < 1e-12
@@ -117,7 +117,7 @@ def _expect_product(state, obs_a, obs_b):
 
 def test_estimator_on_exact_means_recovers_zero_phase_error():
     state = u_h_pbit()
-    dec = decompose_two_local(gamma_x(build_u_h()), KEY_SHIELD_LAYOUT)
+    dec = decompose_two_local(gamma_x(build_u_h()))
     res = estimate_eps_z_locc(exact_records(state, dec), dec)
     assert abs(res.out - 1.0) < 1e-10
     assert res.eps_z == 0.0 or res.eps_z < 1e-10
@@ -145,7 +145,7 @@ def test_pattern_expectations_on_u_h_pbit():
 def test_estimator_tracks_planted_pattern_mixtures():
     """eps_z on an iid-pattern mixture equals the exact mixture expectation."""
     state = u_h_pbit()
-    dec = decompose_two_local(gamma_x(build_u_h()), KEY_SHIELD_LAYOUT)
+    dec = decompose_two_local(gamma_x(build_u_h()))
     eps_x_plant, eps_z_plant = 0.11, 0.05
     mix = None
     for x in (0, 1):
@@ -163,7 +163,7 @@ def test_estimator_tracks_planted_pattern_mixtures():
 
 
 def test_estimator_requires_support_coverage():
-    dec = decompose_two_local(gamma_x(build_u_h()), KEY_SHIELD_LAYOUT)
+    dec = decompose_two_local(gamma_x(build_u_h()))
     with pytest.raises(ValueError):
         estimate_eps_z_locc({}, dec)
 
@@ -178,7 +178,7 @@ def test_estimator_clamps_and_flags():
 
 def test_sampling_concentrates_with_m():
     state = u_h_pbit()
-    dec = decompose_two_local(gamma_x(build_u_h()), KEY_SHIELD_LAYOUT)
+    dec = decompose_two_local(gamma_x(build_u_h()))
     rng = np.random.default_rng(12)
     records = {}
     for pair in dec.support():
@@ -192,8 +192,8 @@ def test_optimal_untwist_prefers_the_matching_candidate():
     from pbitqkd.states import P_STAR, rho_h
 
     state = rho_h(P_STAR, 0.0)
-    dec_good = decompose_two_local(gamma_x(build_u_h()), KEY_SHIELD_LAYOUT)
-    dec_bad = decompose_two_local(gamma_x(identity_twisting()), KEY_SHIELD_LAYOUT)
+    dec_good = decompose_two_local(gamma_x(build_u_h()))
+    dec_bad = decompose_two_local(gamma_x(identity_twisting()))
     records = exact_records(state, dec_good)
     records.update(exact_records(state, dec_bad))
     results = [estimate_eps_z_locc(records, dec) for dec in (dec_bad, dec_good)]
@@ -206,9 +206,9 @@ def test_optimal_untwist_prefers_the_matching_candidate():
 @settings(max_examples=15, deadline=None)
 def test_decomposition_reconstruction_is_lossless(seed):
     rng = np.random.default_rng(seed)
-    gx = gamma_x(random_twisting(2, 4, rng))
-    dec = decompose_two_local(gx, KEY_SHIELD_LAYOUT)
-    assert np.max(np.abs(dec.reconstruct(KEY_SHIELD_LAYOUT) - gx)) < 1e-9
+    gx = gamma_x(random_twisting(rng))
+    dec = decompose_two_local(gx)
+    assert np.max(np.abs(dec.reconstruct() - gx)) < 1e-9
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -216,10 +216,10 @@ def test_decomposition_reconstruction_is_lossless(seed):
 def test_outcome_tables_average_to_observable_expectation(seed):
     # sum over the support of s * table-mean reproduces <gamma_x> exactly
     rng = np.random.default_rng(seed)
-    tw = random_twisting(2, 4, rng)
+    tw = random_twisting(rng)
     gx = gamma_x(tw)
     state = DensityState(random_density(16, rng), KEY_SHIELD_LAYOUT)
-    dec = decompose_two_local(gx, KEY_SHIELD_LAYOUT)
+    dec = decompose_two_local(gx)
     total = 0.0
     for ja, jb in dec.support():
         probs, products = joint_outcome_table(state, dec, ja, jb)

@@ -150,7 +150,7 @@ def test_trace_distance_extremes():
 
 
 def test_pauli_product_basis_orthonormal():
-    basis = pauli_product_basis(2)
+    basis = pauli_product_basis()
     assert [lab for lab, _ in basis][:5] == ["II", "IX", "IY", "IZ", "XI"]
     assert len(basis) == 16
     mats = [m for _, m in basis]

@@ -34,31 +34,28 @@ def test_identity_twisting_assembles_to_identity():
     tw = identity_twisting()
     assert np.allclose(tw.assemble(), np.eye(16))
     assert max(np.abs(dagger(b) @ b - np.eye(4)).max() for b in tw.blocks.values()) <= 1e-10
-    assert tw.d_prime == 4
 
 
 def test_twisting_op_validation():
     eye = np.eye(4, dtype=complex)
     with pytest.raises(ValueError):
-        TwistingOp(2, {"00": eye})  # missing blocks
+        TwistingOp({"00": eye})  # missing blocks
     with pytest.raises(ValueError):
-        TwistingOp(2, {f"{i}{j}": np.eye(3 if i else 4, dtype=complex)
-                       for i in range(2) for j in range(2)})  # inconsistent shapes
-    with pytest.raises(ValueError):
-        TwistingOp(1, {"00": eye})  # d too small
+        TwistingOp({f"{i}{j}": np.eye(3 if i else 4, dtype=complex)
+                    for i in range(2) for j in range(2)})  # inconsistent shapes
 
 
 def test_assemble_block_placement():
     # block U_ij must sit on rows/cols (i*d + j)*d' .. +d'
     blocks = {f"{i}{j}": np.eye(4, dtype=complex) * (1 if (i, j) != (1, 0) else 1j)
               for i in range(2) for j in range(2)}
-    u = TwistingOp(2, blocks).assemble()
+    u = TwistingOp(blocks).assemble()
     sl = slice(2 * 4, 3 * 4)  # key |10> is index 2
     assert np.allclose(u[sl, sl], 1j * np.eye(4))
 
 
 def test_random_twisting_is_unitary():
-    tw = random_twisting(2, 4, rng_for(0))
+    tw = random_twisting(rng_for(0))
     assert max(np.abs(dagger(b) @ b - np.eye(4)).max() for b in tw.blocks.values()) <= 1e-10
     u = tw.assemble()
     assert np.max(np.abs(dagger(u) @ u - np.eye(16))) < 1e-10
@@ -96,7 +93,7 @@ def test_gamma_z_form_and_invariance():
     gz = gamma_z()
     assert np.allclose(gz, kron_all(PAULI_Z, PAULI_Z, np.eye(4)))
     for seed in range(5):
-        u = random_twisting(2, 4, rng_for(seed)).assemble()
+        u = random_twisting(rng_for(seed)).assemble()
         assert np.linalg.norm(u @ gz @ dagger(u) - gz, 2) < 1e-10
 
 
@@ -120,7 +117,7 @@ def test_gamma_x_expectations():
 
 def test_gamma_x_is_unitary_and_hermitian():
     for seed in range(3):
-        gx = gamma_x(random_twisting(2, 4, rng_for(seed)))
+        gx = gamma_x(random_twisting(rng_for(seed)))
         assert np.max(np.abs(gx - dagger(gx))) < 1e-12
         assert np.max(np.abs(gx @ gx - np.eye(16))) < 1e-10
 
@@ -128,7 +125,7 @@ def test_gamma_x_is_unitary_and_hermitian():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_twistings_never_move_gamma_z(seed):
-    u = random_twisting(2, 4, rng_for(seed)).assemble()
+    u = random_twisting(rng_for(seed)).assemble()
     gz = gamma_z()
     assert np.linalg.norm(u @ gz @ dagger(u) - gz, 2) < 1e-10
 
@@ -139,7 +136,7 @@ def test_pdit_key_statistics_survive_twisting(seed):
     # twistings are key-diagonal: the computational key distribution of the
     # core (perfectly correlated, each value 1/2) is untouched, and each
     # single key qubit stays maximally mixed
-    tw = random_twisting(2, 4, rng_for(seed))
+    tw = random_twisting(rng_for(seed))
     anc = np.eye(4, dtype=complex) / 4.0
     pdit = make_pdit(tw, anc)
     key = pdit.partial_trace(("A", "B"))
