@@ -39,6 +39,8 @@ __all__ = [
 _LN2 = math.log(2.0)
 #: The minimal-n search of ``choose_params`` gives up above this n.
 _N_CAP = 2**200
+#: Doublings of m' the solver tries before it calls a constraint unsatisfiable.
+_MP_DOUBLINGS = 200
 
 
 def binary_entropy(x: float) -> float:
@@ -339,7 +341,7 @@ def _solve_mprime(
 
     lo = max(2 * r, 2)
     mp = lo
-    for _ in range(200):
+    for _ in range(_MP_DOUBLINGS):
         if ok(mp):
             break
         mp *= 2
@@ -367,17 +369,24 @@ def _least(ok: Callable[[int], bool], lo: int, hi: int) -> int:
     return hi
 
 
-def check_solver_args(s: int, delta: float, d: int = 2, d_prime: int = 4) -> None:
-    """Reject an s, delta, d or d_prime out of range, or one at which the solver's
-    doubles overflow: 16 s / delta^2 and d^4 d'^2 must be finite."""
+def check_solver_args(
+    s: int, delta: float, d: int = 2, d_prime: int = 4, n: int | None = None
+) -> None:
+    """Reject an s, delta, d, d_prime or n out of range, or one at which the
+    solver's doubles overflow: n, 16 s / delta^2 and the largest m_z the m'
+    search can reach, t^2 2^(_MP_DOUBLINGS + 1) r with r at n (at the n
+    search's cap when n is unset), must be finite doubles."""
     try:
         ok = (s >= 1 and 0.0 < delta < 1.0 and d >= 2 and d_prime >= 1
-              and math.isfinite(16.0 * s / (delta * delta)) and math.isfinite(d**4 * d_prime**2))
+              and (n is None or n >= 2)
+              and math.isfinite(16.0 * s / (delta * delta))
+              and math.isfinite(2.0 ** (_MP_DOUBLINGS + 1) * (d * d * d_prime) ** 2 * (
+                  4 * s + d**4 * d_prime**2 * math.log(float(_N_CAP if n is None else n)))))
     except (OverflowError, ZeroDivisionError):
         ok = False
     if not ok:
-        raise ValueError("need s >= 1, 0 < delta < 1, d >= 2, d_prime >= 1, and finite doubles "
-                         "16 s / delta^2 and d^4 d'^2")
+        raise ValueError("need s >= 1, 0 < delta < 1, d >= 2, d_prime >= 1, n >= 2, and finite "
+                         "doubles n, 16 s / delta^2 and t^2 2^201 r (t = d^2 d', r at n)")
 
 
 def choose_params(
@@ -400,7 +409,7 @@ def choose_params(
     minimal such n is located by doubling + bisection -- expect an
     astronomically large answer at meaningful s.
     """
-    check_solver_args(s, delta, d, d_prime)
+    check_solver_args(s, delta, d, d_prime, n)
     t = d * d * d_prime
     m_x = math.ceil(16.0 * s / (delta * delta))
 

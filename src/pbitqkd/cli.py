@@ -198,9 +198,7 @@ def _solver_args(cfg: Mapping) -> tuple[int, float, int, int, int | None]:
     d, d_prime = int(_get(cfg, "d", 2)), int(_get(cfg, "d_prime", 4))
     n = _get(cfg, "n")
     n = None if n is None else int(n)
-    check_solver_args(s, delta, d, d_prime)
-    if n is not None and n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    check_solver_args(s, delta, d, d_prime, n)
     return s, delta, d, d_prime, n
 
 

@@ -59,35 +59,40 @@ def syndrome_rows(eps: float, block: int) -> int:
     return min(block, math.ceil(1.44 * block * binary_entropy(min(eps, 0.5))) + 6)
 
 
+def syndrome_stats(n: int, eps_hat: float, block: int) -> dict:
+    """EC's cost on ``n`` bits at error estimate ``eps_hat``, from no bit and no draw:
+    blocks, rows per block, syndrome bits (the ragged tail is revealed whenever
+    rows > 0; all ``n`` at rows = block, the reveal path) and the Shannon limit."""
+    rows = syndrome_rows(eps_hat, block)
+    n_blocks = n // block
+    return {
+        "blocks": n_blocks,
+        "rows_per_block": rows,
+        "syndrome_bits": rows * n_blocks + (n - n_blocks * block if rows > 0 else 0),
+        "shannon_bits": math.ceil(n * binary_entropy(min(max(eps_hat, 0.0), 0.5))),
+    }
+
+
 def error_correct(
     err: np.ndarray, eps_hat: float, block: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, dict]:
     """Blockwise toy EC pass on the error pattern ``err`` = Alice's bits XOR Bob's.
 
     ``err`` is a 0/1 uint8 array.  The pass overwrites it with the residual
-    pattern, the errors left after Bob's corrections, and returns it with a
-    stats dict.  One parity matrix is drawn per whole block, in block order,
-    and the blocks are decoded together; the ragged tail is revealed (set to
-    0) whenever rows > 0.  The residual disagreement count is a
-    simulation-level diagnostic (a real run would catch it with a
-    verification hash); the Shannon-limit syndrome size is reported
-    alongside the actual one.
+    pattern, the errors left after Bob's corrections, and returns it with
+    ``syndrome_stats`` plus the residual disagreement count.  One parity
+    matrix is drawn per whole block, in block order, and the blocks are
+    decoded together; the ragged tail is revealed (set to 0) whenever
+    rows > 0.  The residual count is a simulation-level diagnostic (a real
+    run would catch it with a verification hash).
     """
-    n = err.size
-    rows = syndrome_rows(eps_hat, block)
-    n_blocks = n // block
+    stats = syndrome_stats(err.size, eps_hat, block)
+    rows, n_blocks = stats["rows_per_block"], stats["blocks"]
     body = n_blocks * block
     _correct_blocks(err[:body].reshape(n_blocks, block), rows, rng)
     if rows > 0:
         err[body:] = 0
-    syndrome_bits = rows * n_blocks + (n - body if rows > 0 else 0)
-    stats = {
-        "blocks": n_blocks,
-        "rows_per_block": rows,
-        "syndrome_bits": int(syndrome_bits),
-        "shannon_bits": int(math.ceil(n * binary_entropy(min(max(eps_hat, 0.0), 0.5)))),
-        "residual_disagreements": int(np.count_nonzero(err)),
-    }
+    stats["residual_disagreements"] = int(np.count_nonzero(err))
     return err, stats
 
 

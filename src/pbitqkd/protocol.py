@@ -35,7 +35,8 @@ from .bounds import (
     relaxation_budget,
 )
 from .channels import PauliNoiseModel, _uniform_slices, pauli_op
-from .ecpa import MAX_EC_BLOCK, bits_to_hex, error_correct, pa_length, toeplitz_apply, toeplitz_seed
+from .ecpa import MAX_EC_BLOCK, bits_to_hex, error_correct, pa_length, syndrome_stats
+from .ecpa import toeplitz_apply, toeplitz_seed
 from .estimation import (
     EstimationResult,
     ProductDecomposition,
@@ -152,7 +153,7 @@ class ProtocolConfig:
                 f"need seed >= 0 and 1 <= ec_block <= {MAX_EC_BLOCK}, got seed = {self.seed}, "
                 f"ec_block = {self.ec_block}"
             )
-        check_solver_args(self.s, self.delta)
+        check_solver_args(self.s, self.delta, n=self.n)
         if any(m is not None and m < 1 for m in (self.m_x, self.m_prime)):
             raise ValueError(
                 f"need m_x >= 1 and m_prime >= 1, got m_x = {self.m_x}, m_prime = {self.m_prime}"
@@ -526,10 +527,12 @@ def _measure_and_finish(
 
     Measurement and estimation, the security block, the rate abort, key
     sampling, toy EC, PA and transcript assembly.  Each stage gets the
-    pattern codes of its copies (``_split_codes``), not positions.  The key
-    stage holds Alice's bits and the error pattern only: EC turns the
-    pattern into the residual one in place, and Bob's corrected bits, Alice's
-    XOR the residual, are rebuilt in that array just for his PA call.
+    pattern codes of its copies (``_split_codes``), not positions.  On EC's
+    reveal path (rows = ``ec_block``, known from the estimates) the final key
+    is empty and EC and PA draw nothing, so no key bit is drawn.  Else the key
+    stage holds Alice's bits and the error pattern only: EC turns the pattern
+    into the residual one in place, and Bob's corrected bits, Alice's XOR the
+    residual, are rebuilt in that array just for his PA call.
     """
     estimates = _measure_and_estimate(config, rng, events, setup, codes_x, group_codes)
     eps_x_hat, eps_z_hat = estimates["eps_x_hat"], estimates["eps_z_hat"]
@@ -539,13 +542,16 @@ def _measure_and_finish(
     if estimates["rate"] <= 0.0:
         return _abort(config, protocol, events, "rate_nonpositive", estimates, security, raw_len)
 
-    alice_bits, err = _sample_key_bits(setup.tables.joint16, key_codes, rng)
-    err, ec_stats = error_correct(err, eps_x_hat, config.ec_block, rng)
-    events.append({"event": "error_correct", **ec_stats})
+    ec_stats = {**syndrome_stats(raw_len, eps_x_hat, config.ec_block), "residual_disagreements": 0}
     final_len = pa_length(raw_len, eps_x_hat, eps_z_hat, ec_stats["syndrome_bits"], config.s)
-    seed = toeplitz_seed(raw_len, final_len, rng)
-    alice_fin = toeplitz_apply(alice_bits, seed, final_len)
-    bob_fin = toeplitz_apply(np.bitwise_xor(alice_bits, err, out=err), seed, final_len)
+    alice_fin = bob_fin = np.zeros(0, dtype=np.uint8)
+    if ec_stats["rows_per_block"] < config.ec_block:  # else the reveal path: final_len is 0
+        alice_bits, err = _sample_key_bits(setup.tables.joint16, key_codes, rng)
+        err, ec_stats = error_correct(err, eps_x_hat, config.ec_block, rng)
+        seed = toeplitz_seed(raw_len, final_len, rng)
+        alice_fin = toeplitz_apply(alice_bits, seed, final_len)
+        bob_fin = toeplitz_apply(np.bitwise_xor(alice_bits, err, out=err), seed, final_len)
+    events.append({"event": "error_correct", **ec_stats})
     events.append({"event": "privacy_amplify", "raw_len": raw_len, "final_len": final_len})
     events.append({"event": "complete"})
     key = {

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from pbitqkd.bounds import (
     BoundParams,
     binary_entropy,
+    check_solver_args,
     choose_params,
     composable_insecurity,
     definetti_log2,
@@ -411,6 +412,35 @@ def test_solver_rejects_bad_arguments():
         choose_params(0, 0.05)
     with pytest.raises(ValueError):
         choose_params(40, 1.5)
+
+
+def _largest_accepted(accepts, lo: int) -> int:
+    """The largest x >= lo with accepts(x), where accepts holds up to some point only."""
+    hi = lo
+    while accepts(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    return lo
+
+
+def _accepts(**kwargs) -> bool:
+    try:
+        check_solver_args(**{"s": 40, "delta": 0.05, **kwargs})
+    except ValueError:
+        return False
+    return True
+
+
+# at the largest s or d the solver accepts, its doubles stay finite: it answers
+# instead of overflowing
+@pytest.mark.parametrize("name, n", [("s", None), ("s", 10**5), ("d", 10**5)])
+def test_solver_answers_at_the_edge_of_its_range(name, n):
+    edge = _largest_accepted(lambda x: _accepts(**{name: x, "n": n}), 2)
+    assert edge > 10**20
+    sol = choose_params(**{"s": 40, "delta": 0.05, name: edge, "n": n})
+    assert sol.r is not None and math.isfinite(sum(sol.margins.values()))
 
 
 # --- property tests ---------------------------------------------------------------

@@ -549,6 +549,13 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys):
     pytest.param(f"solve-params --s {10**400}", id="solve-params --s 10^400"),
     pytest.param(f"solve-params --n 100000 --d {10**80}", id="solve-params --n 100000 --d 10^80"),
     pytest.param(f"bounds --n 100000 --d {10**80}", id="bounds --n 100000 --d 10^80"),
+    # the m' search's doubling would leave the double range
+    pytest.param(f"solve-params --s {10**300}", id="solve-params --s 10^300"),
+    pytest.param(f"solve-params --n 100000 --d {10**70}", id="solve-params --n 100000 --d 10^70"),
+    pytest.param(f"bounds --n 100000 --d {10**70}", id="bounds --n 100000 --d 10^70"),
+    pytest.param(f"bounds --n 100000 --s {10**300}", id="bounds --n 100000 --s 10^300"),
+    pytest.param(f"run-ppp --n 2000 --seed 1 --s {10**300}", id="run-ppp --n 2000 --seed 1 --s 10^300"),
+    pytest.param(f"bounds --n {10**400}", id="bounds --n 10^400"),
 ])
 def test_out_of_range_values_are_usage_errors(capsys, caplog, argv):
     assert main(argv.split()) == EXIT_USAGE

@@ -15,6 +15,7 @@ from pbitqkd.ecpa import (
     error_correct,
     pa_length,
     syndrome_rows,
+    syndrome_stats,
     toeplitz_apply,
     toeplitz_seed,
 )
@@ -196,6 +197,8 @@ def test_toeplitz_seed_and_apply_shapes():
     out = toeplitz_apply(bits, seed, 40)
     assert out.size == 40 and set(np.unique(out)) <= {0, 1}
     assert toeplitz_apply(bits, np.zeros(0, dtype=np.uint8), 0).size == 0
+    state = rng.bit_generator.state
+    assert toeplitz_seed(100, 0, rng).size == 0 and rng.bit_generator.state == state  # no draw
     with pytest.raises(ValueError):
         toeplitz_apply(bits, seed, 101)
     with pytest.raises(ValueError):
@@ -240,6 +243,35 @@ def test_pa_length():
     assert pa_length(0, 0.0, 0.0, 0, 1) == 0
     with pytest.raises(ValueError):
         pa_length(-1, 0.0, 0.0, 0, 1)
+
+
+# the reveal path's skip of the key stage: a syndrome of every raw bit leaves no key
+@given(st.integers(0, 10**15), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 10**9))
+def test_pa_length_is_zero_when_the_syndrome_is_the_raw_key(raw, ex, ez, s):
+    assert pa_length(raw, ex, ez, raw, s) == 0
+
+
+# rows 0, between 0 and the block, and the whole block (the reveal path): the stats
+# known before the key is drawn are error_correct's; at rows 0 and at the block EC
+# draws nothing, and at the block it reveals every bit and leaves no residual
+@pytest.mark.parametrize("eps, block", [(0.0, 16), (0.02, 16), (0.5, 16), (0.02, 7)],
+                         ids=["none", "some", "reveal", "reveal-small-block"])
+@given(n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_syndrome_stats_match_error_correct(eps, block, n, seed):
+    rows = syndrome_rows(eps, block)
+    rng = np.random.default_rng(seed)
+    err = rng.integers(0, 2, n, dtype=np.uint8)
+    drawn = rng.bit_generator.state
+    _, stats = error_correct(err, eps, block, rng)
+    residual = stats.pop("residual_disagreements")
+    assert list(stats.items()) == list(syndrome_stats(n, eps, block).items())
+    if rows in (0, block):
+        assert rng.bit_generator.state == drawn
+    if rows == block:
+        assert stats["syndrome_bits"] == n and residual == 0
+    else:
+        assert 0 <= residual <= n
 
 
 def test_bits_to_hex():

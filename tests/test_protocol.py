@@ -383,7 +383,7 @@ def test_small_runs_are_reproducible_for_any_seed(seed):
 
 # sha256[:16] of the transcript JSON; a change here changes every rerun's bytes
 # and needs a TRANSCRIPT_SCHEMA bump
-@pytest.mark.parametrize("run, cfg, digest", [
+REFERENCE_TRANSCRIPTS = [
     (run_ppp, DESK_PPP, "f60955fe87d52c87"),
     (run_pm, DESK_PM, "9d62e28be4d69bbf"),
     (run_ppp, {**DESK_PPP, "eve": 0.3}, "6c777fdfe5ca3e11"),
@@ -395,9 +395,27 @@ def test_small_runs_are_reproducible_for_any_seed(seed):
     # rho_h at p*: one pattern code, key stage across several sampler slices
     (run_ppp, {**DESK_PPP, "n": 300000, "seed": 2, "source": {"p": P_STAR, "kappa": 0.0}},
      "0d12d89b7ec55705"),
-])
+]
+
+
+@pytest.mark.parametrize("run, cfg, digest", REFERENCE_TRANSCRIPTS)
 def test_reference_transcripts_are_byte_identical(run, cfg, digest):
     text = run(ProtocolConfig.from_dict(cfg)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# the desk rho_h runs complete on EC's reveal path, where the final key is empty:
+# they draw no key bit, correct nothing and hash nothing, and keep their bytes
+@pytest.mark.parametrize("run, cfg, digest", [REFERENCE_TRANSCRIPTS[i] for i in (0, 1, 8)])
+def test_reveal_path_draws_no_key(monkeypatch, run, cfg, digest):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reveal path reached the key stage")
+
+    for name in ("_sample_key_bits", "error_correct", "toeplitz_apply"):
+        monkeypatch.setattr(protocol, name, refuse)
+    transcript = run(ProtocolConfig.from_dict(cfg))
+    assert not transcript.abort and transcript.key["ec"]["rows_per_block"] == 16
+    text = transcript.to_json()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
@@ -559,11 +577,12 @@ def test_shuffle_draws_the_permutation_of_the_same_size(n, equal, uint32_first):
     assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
 
 
-# bytes per copy a run holds at its peak: in ppp the key stage, with the shuffled
-# codes, Alice's bits and the error pattern at one byte per copy each and no
-# 8-byte array; in pm the key stage as well
+# bytes per copy a run holds at its peak: a ppp run on rho_h completes on EC's
+# reveal path and draws no key, so its peak no longer sits in the key stage but
+# before it, with the shuffled codes at one byte per copy and no 8-byte array;
+# in keyed pm the key stage
 @pytest.mark.parametrize("run, cfg, bound", [
-    (run_ppp, {**DESK_PPP, "n": 10**6, "seed": 1}, 4.0),  # rho_h(p*, 0.001); seed 0 aborts
+    (run_ppp, {**DESK_PPP, "n": 10**6, "seed": 1}, 2.5),  # rho_h(p*, 0.001); seed 0 aborts
     (run_pm, {**KEYED_PM, "n": 10**6}, 25.0),
 ])
 def test_run_peak_memory_per_copy(run, cfg, bound):
