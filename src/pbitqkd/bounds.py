@@ -385,8 +385,8 @@ def check_solver_args(
     except (OverflowError, ZeroDivisionError):
         ok = False
     if not ok:
-        raise ValueError("need s >= 1, 0 < delta < 1, d >= 2, d_prime >= 1, n >= 2, and finite "
-                         "doubles n, 16 s / delta^2 and t^2 2^201 r (t = d^2 d', r at n)")
+        raise ValueError("need s >= 1, 0 < delta < 1, d >= 2, d_prime >= 1, n >= 2, and finite doubles "
+                         f"n, 16 s / delta^2 and t^2 2^{_MP_DOUBLINGS + 1} r (t = d^2 d', r at n)")
 
 
 def choose_params(
