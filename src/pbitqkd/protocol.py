@@ -254,16 +254,20 @@ def _pattern_codes(config: ProtocolConfig, rng: np.random.Generator) -> np.ndarr
     """Per-copy pattern code 2x + z in {0,1,2,3} from source noise XOR Eve.
 
     Each model's code (x << 1) | z is XORed into the one uint8 output, so
-    besides it only that model's two flip arrays are held.
+    besides it only that model's two flip arrays are held.  With no model
+    (rho_h or a noiseless pbit, and no Eve) every copy has code 0, and the
+    codes are a read-only zero-stride view of that one byte: no array.
     """
-    codes = np.zeros(config.n, dtype=np.uint8)
     noise = config.source.noise if config.source.kind == "pbit" else None
-    for model in (noise, config.eve):
-        if model is not None:
-            x, z = model.sample_pattern(config.n, rng)
-            x <<= 1
-            x |= z
-            codes ^= x
+    models = [model for model in (noise, config.eve) if model is not None]
+    if not models:
+        return np.broadcast_to(np.uint8(0), config.n)
+    codes = np.zeros(config.n, dtype=np.uint8)
+    for model in models:
+        x, z = model.sample_pattern(config.n, rng)
+        x <<= 1
+        x |= z
+        codes ^= x
     return codes
 
 
@@ -359,7 +363,7 @@ def _sample_key_bits(
     err = np.empty(codes.size, dtype=bool)
     for sl, u in _uniform_slices(codes.size, rng):
         codes_sl = codes[sl]
-        if codes_sl.min() == codes_sl.max():  # every copy of a rho_h run: no gather
+        if codes_sl.strides == (0,):  # one code for every copy (_pattern_codes): no gather
             _key_bits_into(u, cum[codes_sl[0]], alice[sl], err[sl])
             continue
         for c in np.flatnonzero(np.bincount(codes_sl)):
@@ -592,10 +596,11 @@ def _shuffle_codes(codes: np.ndarray, rng: np.random.Generator) -> None:
 
     ``permutation(n)`` shuffles ``arange(n)`` with the same draws, which
     ``shuffle`` makes whatever its input holds and whatever its item size.
-    Equal codes stay as they are, so they take only the draws, on a
-    zero-stride int64 view of 8 bytes (numpy's 8-byte loop on one cache line).
+    Zero-stride codes (one code for every copy) stay as they are, so they
+    take only the draws, on a zero-stride int64 view of 8 bytes (numpy's
+    8-byte loop on one cache line); the stride says so without a scan.
     """
-    if codes.min() == codes.max():
+    if codes.strides == (0,):
         rng.shuffle(np.lib.stride_tricks.as_strided(np.zeros(1, np.int64), codes.shape, (0,)))
     else:
         rng.shuffle(codes)
@@ -607,7 +612,7 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
     Position assignment: the copies' codes are shuffled into random order and
     cut into the bit-error sample (m_x), one group per support pair of the
     candidate decompositions (m_prime each), and the key block (the rest).
-    Equal codes (a noiseless rho_h run) take only the shuffle's draws.
+    Zero-stride codes (a rho_h run with no Eve) take only the shuffle's draws.
     """
     rng = np.random.default_rng(config.seed)
     setup = _setup(config.source, tuple(config.candidates))
@@ -640,10 +645,13 @@ def _basis_labels(n: int, labels: Sequence[int], n_c: int, rng: np.random.Genera
 
     labels[i] goes to the i-th n_c-slice of one random permutation, which is
     dropped on return: the caller holds one int8 per copy, not eight bytes.
+    The permutation is ``rng.permutation(n)``'s, whose draws ``shuffle`` makes
+    whatever the item size, held as int32 below n = 2^31.
     """
     assert all(0 <= label <= np.iinfo(np.int8).max for label in labels)
     out = np.full(n, -1, dtype=np.int8)
-    perm = rng.permutation(n)
+    perm = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    rng.shuffle(perm)
     for i, label in enumerate(labels):
         out[perm[i * n_c : (i + 1) * n_c]] = label
     return out

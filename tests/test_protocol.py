@@ -509,7 +509,7 @@ def _categorical_input(case):
         codes = gen.integers(0, 4, size=5000).astype(np.uint8)
         values = gen.integers(16, size=codes.size + 1) / 16
         return probs, codes, _Uniforms(values), _Uniforms(values)
-    seed = 0 if case == "one_code" else case
+    seed = 0 if case in ("one_code", "zero_stride") else case
     gen = np.random.default_rng(seed)
     probs = gen.random((4, 16)) * (gen.random((4, 16)) < 0.6)  # zero-probability categories
     probs[1] = 0.0
@@ -517,17 +517,30 @@ def _categorical_input(case):
     probs[3, 0] += 0.1  # every row has mass
     codes = gen.choice(np.array([0, 1, 3], dtype=np.uint8), size=5000)  # code 2 never occurs
     if case == "one_code":
-        codes = np.full(5000, 3, dtype=np.uint8)  # every copy on one code, as on rho_h
+        codes = np.full(5000, 3, dtype=np.uint8)  # every copy on one code, in a real array
+    if case == "zero_stride":
+        codes = _zero_stride_codes(3, 5000)  # one code, as _pattern_codes gives rho_h
     return probs, codes, np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
 
 
-@pytest.mark.parametrize("case", [*range(5), "one_code", "on_bounds"])
+class _NoScan(np.ndarray):
+    """Codes on which any ufunc (a min, a max, a comparison) fails the test."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise AssertionError("a value scan ran on zero-stride codes")
+
+
+def _zero_stride_codes(code: int, n: int) -> np.ndarray:
+    return np.broadcast_to(np.uint8(code), n).view(_NoScan)
+
+
+@pytest.mark.parametrize("case", [*range(5), "one_code", "zero_stride", "on_bounds"])
 def test_sample_categorical_matches_broadcast_formula(monkeypatch, case):
     # the key bits are those of the categorical outcome k = 4 ka + kb
     monkeypatch.setattr(channels, "_SAMPLE_CHUNK", 777)  # slice boundaries inside the input
     probs, codes, rng_a, rng_b = _categorical_input(case)
     alice, err = protocol._sample_key_bits(probs, codes, rng_a)
-    k = _broadcast_categorical(probs, codes, rng_b)
+    k = _broadcast_categorical(probs, np.asarray(codes), rng_b)
     assert alice.dtype == err.dtype == np.uint8
     assert np.array_equal(alice, k >> 3)
     assert np.array_equal(err, (k >> 3) ^ ((k >> 1) & 1))
@@ -553,40 +566,89 @@ def test_sample_categorical_memory_is_linear_without_a_category_table():
         assert peak < 2 * n + 64 * channels._SAMPLE_CHUNK, n_codes
 
 
-@pytest.mark.parametrize("n, equal", [
-    *(pytest.param(n, False, id=str(n)) for n in (4, 5, 17, 65537, 10**6)),
-    *(pytest.param(n, True, id=f"equal-{n}") for n in (4, 5, 17, 65537, 10**6)),
+SIZES = (4, 5, 17, 65537, 10**6)
+
+
+def _skip_half_a_word(*rngs):
+    """An odd number of uint32 draws, which leaves half a word buffered."""
+    for rng in rngs:
+        rng.integers(0, 1000, size=3, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("n, kind", [
+    *(pytest.param(n, "mixed", id=str(n)) for n in SIZES),
+    *(pytest.param(n, "equal", id=f"equal-{n}") for n in SIZES),
+    *(pytest.param(n, "zero_stride", id=f"zero-stride-{n}") for n in SIZES),
 ])
 @pytest.mark.parametrize("uint32_first", [False, True])
-def test_shuffle_draws_the_permutation_of_the_same_size(n, equal, uint32_first):
+def test_shuffle_draws_the_permutation_of_the_same_size(n, kind, uint32_first):
     # run_ppp shuffles its uint8 codes in place of gathering codes[rng.permutation(n)],
-    # and equal codes (every rho_h run) take only the draws; the transcripts stay the
-    # same only while numpy draws all of them from one Fisher-Yates loop
+    # and zero-stride codes (every rho_h run) take only the draws, found from the
+    # stride with no value scan; the transcripts stay the same only while numpy
+    # draws all of them from one Fisher-Yates loop
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-    if uint32_first:  # an odd number of uint32 draws leaves half a word buffered
-        for rng in (rng_a, rng_b):
-            rng.integers(0, 1000, size=3, dtype=np.uint32)
-    if equal:
-        c0 = np.full(n, 2, dtype=np.uint8)
+    if uint32_first:
+        _skip_half_a_word(rng_a, rng_b)
+    if kind == "zero_stride":
+        c0 = c = _zero_stride_codes(2, n)  # read-only: a write would fail
     else:
-        c0 = np.random.default_rng(n).integers(0, 4, size=n).astype(np.uint8)
-    c = c0.copy()
+        c0 = (np.full(n, 2, dtype=np.uint8) if kind == "equal"
+              else np.random.default_rng(n).integers(0, 4, size=n).astype(np.uint8))
+        c = c0.copy()
     protocol._shuffle_codes(c, rng_a)
-    assert np.array_equal(c, c0[rng_b.permutation(n)])
+    assert np.array_equal(np.asarray(c), np.asarray(c0)[rng_b.permutation(n)])
     assert rng_a.random() == rng_b.random()
     assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
 
 
-# bytes per copy a run holds at its peak: a ppp run on rho_h completes on EC's
-# reveal path and draws no key, so its peak no longer sits in the key stage but
-# before it, with the shuffled codes at one byte per copy and no 8-byte array;
-# in keyed pm the key stage
-@pytest.mark.parametrize("run, cfg, bound", [
-    (run_ppp, {**DESK_PPP, "n": 10**6, "seed": 1}, 2.5),  # rho_h(p*, 0.001); seed 0 aborts
-    (run_pm, {**KEYED_PM, "n": 10**6}, 25.0),
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("uint32_first", [False, True])
+def test_basis_labels_draw_the_permutation_of_the_same_size(n, uint32_first):
+    # _basis_labels shuffles an int32 arange in place of taking rng.permutation(n)'s
+    # int64 one: the same permutation, and the generator ends in the same state
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    if uint32_first:
+        _skip_half_a_word(rng_a, rng_b)
+    labels, n_c = (0, 3, 7), max(1, n // 4)
+    expected = np.full(n, -1, dtype=np.int8)
+    perm = rng_b.permutation(n)
+    for i, label in enumerate(labels):
+        expected[perm[i * n_c : (i + 1) * n_c]] = label
+    assert np.array_equal(protocol._basis_labels(n, labels, n_c, rng_a), expected)
+    assert rng_a.random() == rng_b.random()
+    assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+
+
+# the agreement test's sources: the noiseless comp00 pbit and one with iid flips
+NOISELESS_PBIT = SourceSpec(kind="pbit", twisting="u_h", ancilla="comp00")
+IID_PBIT = SourceSpec(kind="pbit", noise=channels.PauliNoiseModel(0.05, 0.11))
+EVE = channels.PauliNoiseModel(0.1, 0.0)
+
+
+@pytest.mark.parametrize("source, eve, zero_stride", [
+    pytest.param(SourceSpec(p=P_STAR, kappa=0.001), None, True, id="rho_h"),
+    # a rho_h source ignores noise, as every run does
+    pytest.param(SourceSpec(noise=channels.PauliNoiseModel(0.1, 0.1)), None, True,
+                 id="rho_h-noise-ignored"),
+    pytest.param(NOISELESS_PBIT, None, True, id="noiseless-pbit"),
+    pytest.param(SourceSpec.from_dict(KEYED_SOURCE), None, False, id="noisy-pbit"),
+    pytest.param(SourceSpec(p=P_STAR, kappa=0.001), EVE, False, id="rho_h-eve"),
+    pytest.param(NOISELESS_PBIT, EVE, False, id="noiseless-pbit-eve"),
 ])
-def test_run_peak_memory_per_copy(run, cfg, bound):
-    config = ProtocolConfig.from_dict(cfg)
+def test_pattern_codes_are_zero_stride_exactly_without_noise_or_eve(source, eve, zero_stride):
+    # every copy has code 0 without a noise model, and then no n-sized array is made
+    n = 1000
+    rng = np.random.default_rng(0)
+    codes = protocol._pattern_codes(ProtocolConfig(n=n, seed=0, source=source, eve=eve), rng)
+    assert codes.shape == (n,) and codes.dtype == np.uint8
+    assert (codes.strides == (0,)) is zero_stride
+    assert codes.flags.writeable is not zero_stride
+    if zero_stride:  # code 0 everywhere, and not one draw made
+        assert not codes.any() and rng.random() == np.random.default_rng(0).random()
+
+
+def _traced_peak(run, config: ProtocolConfig) -> int:
+    """A run's tracemalloc peak in bytes, after an untraced warm-up."""
     run(config)  # the set-up cache and lazily imported modules stay outside the trace
     tracemalloc.start()
     try:
@@ -594,13 +656,29 @@ def test_run_peak_memory_per_copy(run, cfg, bound):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not transcript.abort  # the key stage ran
-    assert peak / config.n <= bound
+    assert not transcript.abort  # every stage before the key ran
+    return peak
 
 
-# the agreement test's sources: the noiseless comp00 pbit and one with iid flips
-NOISELESS_PBIT = SourceSpec(kind="pbit", twisting="u_h", ancilla="comp00")
-IID_PBIT = SourceSpec(kind="pbit", noise=channels.PauliNoiseModel(0.05, 0.11))
+# a ppp run on rho_h has zero-stride codes (no array) and completes on EC's
+# reveal path with no key drawn, so it holds only its m_x + 9 m' test samples
+# (0.95 MB here), whatever n is
+@pytest.mark.parametrize("n", [10**6, 10**7])
+def test_rho_h_ppp_peak_memory_is_free_of_n(n):
+    peak = _traced_peak(run_ppp, ProtocolConfig.from_dict({**DESK_PPP, "n": n, "seed": 1}))
+    assert peak < 1.5e6  # rho_h(p*, 0.001); seed 0 aborts
+
+
+# bytes per copy a run holds at its peak: a rho_h pm run holds its int8 basis
+# labels, the int32 permutation that makes them and the gathered key codes;
+# keyed pm peaks in the key stage
+@pytest.mark.parametrize("run, cfg, bound", [
+    (run_pm, {**DESK_PM, "n": 10**6}, 7.0),
+    (run_pm, {**KEYED_PM, "n": 10**6}, 25.0),
+])
+def test_run_peak_memory_per_copy(run, cfg, bound):
+    config = ProtocolConfig.from_dict(cfg)
+    assert _traced_peak(run, config) / config.n <= bound
 
 
 @pytest.mark.parametrize("source", [NOISELESS_PBIT, IID_PBIT], ids=["noiseless", "iid"])
