@@ -17,22 +17,43 @@ shield subsystem), including:
 * deterministic end-to-end protocol runs -- entanglement-based and
   prepare-and-measure -- emitting versioned JSON transcripts (`protocol`);
 * a CLI front end (`cli`, console script ``pbitqkd``).
+
+The namespace is lazy (PEP 562): ``import pbitqkd`` loads no submodule, a
+submodule name loads that submodule alone, and the first exported name used
+loads the eight exporting submodules (and numpy) at once.
 """
 
-from . import linalg, states, twist, estimation, channels, bounds, ecpa, protocol
-from .linalg import *
-from .states import *
-from .twist import *
-from .estimation import *
-from .channels import *
-from .bounds import *
-from .ecpa import *
-from .protocol import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"] + [
-    name
-    for module in (linalg, states, twist, estimation, channels, bounds, ecpa, protocol)
-    for name in module.__all__
-]
+# in import order; each lists its exports in its own __all__
+_EXPORTING = ("linalg", "states", "twist", "estimation", "channels", "bounds", "ecpa", "protocol")
+_SUBMODULES = frozenset(_EXPORTING + ("canonical", "cli"))
+
+
+def _load_exports() -> None:
+    """Bind every submodule's exports, and ``__all__``, in the package namespace."""
+    if "__all__" in globals():
+        return
+    names = ["__version__"]
+    for mod in _EXPORTING:
+        module = importlib.import_module(f".{mod}", __name__)
+        globals().update((name, getattr(module, name)) for name in module.__all__)
+        names += module.__all__
+    globals()["__all__"] = names
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name == "__all__" or not name.startswith("__"):
+        _load_exports()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    _load_exports()
+    return sorted(globals())

@@ -33,6 +33,7 @@ __all__ = [
     "group_average_error_bound",
     "ParamSolution",
     "check_solver_args",
+    "check_beta_b",
     "choose_params",
 ]
 
@@ -373,20 +374,32 @@ def check_solver_args(
     s: int, delta: float, d: int = 2, d_prime: int = 4, n: int | None = None
 ) -> None:
     """Reject an s, delta, d, d_prime or n out of range, or one at which the
-    solver's doubles overflow: n, 16 s / delta^2 and the largest m_z the m'
-    search can reach, t^2 2^(_MP_DOUBLINGS + 1) r with r at n (at the n
-    search's cap when n is unset), must be finite doubles."""
+    solver's doubles overflow.  With r at n (at the n search's cap when n is
+    unset), these must be finite doubles: n, 16 s / delta^2, the largest m_z
+    the m' search can reach, t^2 2^(_MP_DOUBLINGS + 1) r, and the largest
+    post-selection product k (r + 1), which ``definetti_log2`` forms exactly
+    and then divides as a double, with k up to n."""
     try:
-        ok = (s >= 1 and 0.0 < delta < 1.0 and d >= 2 and d_prime >= 1
-              and (n is None or n >= 2)
+        n_top = _N_CAP if n is None else n
+        ok = (s >= 1 and 0.0 < delta < 1.0 and d >= 2 and d_prime >= 1 and n_top >= 2
               and math.isfinite(16.0 * s / (delta * delta))
               and math.isfinite(2.0 ** (_MP_DOUBLINGS + 1) * (d * d * d_prime) ** 2 * (
-                  4 * s + d**4 * d_prime**2 * math.log(float(_N_CAP if n is None else n)))))
+                  4 * s + d**4 * d_prime**2 * math.log(float(n_top))))
+              and math.isfinite(float(n_top * (relaxation_budget(s, n_top, d, d_prime) + 1))))
     except (OverflowError, ZeroDivisionError):
         ok = False
     if not ok:
         raise ValueError("need s >= 1, 0 < delta < 1, d >= 2, d_prime >= 1, n >= 2, and finite doubles "
-                         f"n, 16 s / delta^2 and t^2 2^{_MP_DOUBLINGS + 1} r (t = d^2 d', r at n)")
+                         f"n, 16 s / delta^2, t^2 2^{_MP_DOUBLINGS + 1} r and n (r + 1) "
+                         "(t = d^2 d', r at n)")
+
+
+def check_beta_b(beta_b) -> None:
+    """Reject a ``beta_b`` that is neither None nor a nonnegative real (bools excluded)."""
+    if beta_b is not None and (
+        isinstance(beta_b, bool) or not (isinstance(beta_b, (int, float)) and beta_b >= 0.0)
+    ):
+        raise ValueError(f"beta_b must be a nonnegative number, got {beta_b!r}")
 
 
 def choose_params(

@@ -10,6 +10,11 @@ Conventions shared by every subcommand:
   check, 2 on usage/config errors (argparse uses 2 natively);
 * run/estimate subcommands never seed from the wall clock -- a seed must
   come from ``--seed`` or the config file.
+
+At module level this file imports the standard library, ``bounds`` and
+``canonical`` only, none of which loads numpy, so ``bounds`` and
+``solve-params`` run without it; every other command imports the modules it
+uses when it runs.
 """
 
 from __future__ import annotations
@@ -23,12 +28,11 @@ import math
 import sys
 from collections import ChainMap
 from contextlib import contextmanager
-from typing import Callable, Mapping, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .bounds import (
     BoundParams,
+    check_beta_b,
     check_solver_args,
     choose_params,
     composable_insecurity,
@@ -36,32 +40,11 @@ from .bounds import (
     protocol_failure_bound,
     relaxation_budget,
 )
-from .channels import (
-    POVM_M0,
-    POVM_M1,
-    binding_channel_apply,
-    binding_channel_kraus,
-    channel_branches,
-)
-from .estimation import decompose_two_local, pm_signal_ensemble
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, herm_eig, kron_all, proj
-from .protocol import (
-    ProtocolConfig,
-    SourceSpec,
-    canonical_json,
-    run_estimate,
-    run_pm,
-    run_ppp,
-)
-from .states import (
-    KEY_SHIELD_LAYOUT,
-    P_STAR,
-    DensityState,
-    bell_vec,
-    rho_h,
-    sigma_ab,
-)
-from .twist import build_u_h, gamma_x, gamma_z, untwist_and_trace
+from .canonical import canonical_json
+
+if TYPE_CHECKING:
+    from .protocol import ProtocolConfig
+    from .states import DensityState
 
 log = logging.getLogger("pbitqkd")
 
@@ -213,6 +196,20 @@ def _check(name: str, value: float, tol: float, kind: str = "abs_max") -> dict:
 
 
 def cmd_verify_example(args, cfg: ChainMap) -> int:
+    import numpy as np
+
+    from .channels import (
+        POVM_M0,
+        POVM_M1,
+        binding_channel_apply,
+        binding_channel_kraus,
+        channel_branches,
+    )
+    from .estimation import decompose_two_local
+    from .linalg import herm_eig
+    from .states import P_STAR, rho_h, sigma_ab
+    from .twist import build_u_h, gamma_x, gamma_z, untwist_and_trace
+
     with _config_errors("verify-example"):
         p = float(_get(cfg, "p", P_STAR))
         kappa = float(_get(cfg, "kappa", 0.0))
@@ -283,12 +280,20 @@ def cmd_verify_example(args, cfg: ChainMap) -> int:
 
 def _phi_phi() -> DensityState:
     """Φ⊗Φ on the key/shield layout."""
+    from .linalg import kron_all, proj
+    from .states import KEY_SHIELD_LAYOUT, DensityState, bell_vec
+
     return DensityState(proj(kron_all(bell_vec(0), bell_vec(0))), KEY_SHIELD_LAYOUT)
 
 
 def _six_state_deviation(phi2: DensityState) -> float:
     """Max deviation of the aggregated signal ensemble from the equiprobable
     six-state ensemble, over both receiving factors."""
+    import numpy as np
+
+    from .estimation import pm_signal_ensemble
+    from .linalg import PAULI_X, PAULI_Y, PAULI_Z, proj
+
     projs = {}
     for axis, op in {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}.items():
         vals, vecs = np.linalg.eigh(op)
@@ -326,7 +331,7 @@ def cmd_bounds(args, cfg: ChainMap) -> int:
         m_x, m_z = (_get(cfg, k) for k in ("m_x", "m_z"))
         m_x, m_z = (None if v is None else int(v) for v in (m_x, m_z))
         beta_b = cfg.get("beta_b")
-        ProtocolConfig.check_beta_b(beta_b)
+        check_beta_b(beta_b)
 
     solver = choose_params(s, delta, d, d_prime, n=n)
     # allocation: explicit config values, else the solver split when it is
@@ -371,6 +376,8 @@ def cmd_solve_params(args, cfg: ChainMap) -> int:
 
 
 def cmd_estimate(args, cfg: ChainMap) -> int:
+    from .protocol import ProtocolConfig, SourceSpec, run_estimate
+
     seed = _require_seed(cfg)
     with _config_errors("estimate"):
         source = SourceSpec.from_dict(cfg["source"])
@@ -403,13 +410,15 @@ def cmd_estimate(args, cfg: ChainMap) -> int:
 
 
 def cmd_run(args, cfg: ChainMap) -> int:
+    from . import protocol
+
     if _get(cfg, "n") is None:
         raise UsageError("a protocol run needs --n (or config 'n')")
     seed = _require_seed(cfg)
     with _config_errors("protocol"):
-        config = ProtocolConfig.from_dict({**cfg, "seed": seed})
-    # resolved at call time so a rebound module-level run_ppp / run_pm is used
-    transcript = run_ppp(config) if args.command == "run-ppp" else run_pm(config)
+        config = protocol.ProtocolConfig.from_dict({**cfg, "seed": seed})
+    # looked up on the module at call time, so a rebound protocol.run_ppp / run_pm is used
+    transcript = (protocol.run_ppp if args.command == "run-ppp" else protocol.run_pm)(config)
     _emit_text(transcript.to_json(), args.out)
     if transcript.abort:
         log.info("run aborted: %s", transcript.abort_reason)
@@ -420,6 +429,11 @@ def cmd_run(args, cfg: ChainMap) -> int:
 
 
 def cmd_pm_ensemble(args, cfg: ChainMap) -> int:
+    import numpy as np
+
+    from .estimation import pm_signal_ensemble
+    from .protocol import SourceSpec
+
     if cfg["source"]:
         with _config_errors("pm-ensemble"):
             source = SourceSpec.from_dict(cfg["source"])
@@ -452,8 +466,10 @@ def cmd_pm_ensemble(args, cfg: ChainMap) -> int:
 
 
 def _sweep_row(task: tuple[str, ProtocolConfig]) -> dict:
-    protocol, config = task
-    transcript = run_ppp(config) if protocol == "ppp" else run_pm(config)
+    from . import protocol
+
+    flow, config = task
+    transcript = (protocol.run_ppp if flow == "ppp" else protocol.run_pm)(config)
     est = transcript.estimates or {}
     return {
         "seed": config.seed,
@@ -467,6 +483,9 @@ def _sweep_row(task: tuple[str, ProtocolConfig]) -> dict:
 
 
 def cmd_sweep(args, cfg: ChainMap) -> int:
+    from .protocol import ProtocolConfig
+    from .states import P_STAR
+
     if not cfg.maps[-1]:
         raise UsageError("sweep needs --config with the grid specification")
     if not args.out:

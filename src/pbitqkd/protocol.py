@@ -15,7 +15,6 @@ order, sorted keys, no wall-clock or environment values).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
@@ -27,6 +26,7 @@ import numpy as np
 from .bounds import (
     BoundParams,
     binary_entropy,
+    check_beta_b,
     check_solver_args,
     choose_params,
     composable_insecurity,
@@ -34,6 +34,7 @@ from .bounds import (
     protocol_failure_bound,
     relaxation_budget,
 )
+from .canonical import canonical_json
 from .channels import PauliNoiseModel, _uniform_slices, pauli_op
 from .ecpa import MAX_EC_BLOCK, bits_to_hex, error_correct, pa_length, syndrome_stats
 from .ecpa import toeplitz_apply, toeplitz_seed
@@ -159,7 +160,7 @@ class ProtocolConfig:
                 f"need m_x >= 1 and m_prime >= 1, got m_x = {self.m_x}, m_prime = {self.m_prime}"
             )
         self.check_candidates(self.candidates)
-        self.check_beta_b(self.beta_b)
+        check_beta_b(self.beta_b)
         if self.threads is not None and type(self.threads) is not int:  # bools excluded
             raise ValueError(f"threads must be an integer, got {self.threads!r}")
 
@@ -169,14 +170,6 @@ class ProtocolConfig:
         if not candidates:
             raise ValueError("need at least one candidate twisting")
         _check_names("candidate twisting", candidates, _TWISTINGS)
-
-    @staticmethod
-    def check_beta_b(beta_b) -> None:
-        """Reject a ``beta_b`` that is neither None nor a nonnegative real (bools excluded)."""
-        if beta_b is not None and (
-            isinstance(beta_b, bool) or not (isinstance(beta_b, (int, float)) and beta_b >= 0.0)
-        ):
-            raise ValueError(f"beta_b must be a nonnegative number, got {beta_b!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -230,23 +223,6 @@ class Transcript:
         return canonical_json(vars(self))
 
 
-def canonical_json(payload) -> str:
-    """The one JSON writer: sorted keys, no spaces, non-finite floats as null."""
-    return json.dumps(_jsonsafe(payload), sort_keys=True, separators=(",", ":"))
-
-
-def _jsonsafe(obj):
-    """Replace non-finite floats by None so the document stays valid JSON."""
-    if isinstance(obj, dict):
-        return {k: _jsonsafe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonsafe(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        return None if (math.isnan(x) or math.isinf(x)) else x
-    return obj
-
-
 # --- single-copy component model ---------------------------------------------
 
 
@@ -254,17 +230,21 @@ def _pattern_codes(config: ProtocolConfig, rng: np.random.Generator) -> np.ndarr
     """Per-copy pattern code 2x + z in {0,1,2,3} from source noise XOR Eve.
 
     Each model's code (x << 1) | z is XORed into the one uint8 output, so
-    besides it only that model's two flip arrays are held.  With no model
-    (rho_h or a noiseless pbit, and no Eve) every copy has code 0, and the
-    codes are a read-only zero-stride view of that one byte: no array.
+    besides it only that model's two flip arrays are held.  When no model
+    flips anything (rho_h or a noiseless pbit, and no Eve, or only models of
+    strength 0) every copy has code 0, and the codes are a read-only
+    zero-stride view of that one byte: no array.  A model of strength 0
+    still makes its draws, which later draws follow.
     """
     noise = config.source.noise if config.source.kind == "pbit" else None
     models = [model for model in (noise, config.eve) if model is not None]
-    if not models:
-        return np.broadcast_to(np.uint8(0), config.n)
-    codes = np.zeros(config.n, dtype=np.uint8)
+    codes = np.broadcast_to(np.uint8(0), config.n)
     for model in models:
         x, z = model.sample_pattern(config.n, rng)
+        if model.eps_x == model.eps_z == 0.0:  # no flip in x or z
+            continue
+        if not codes.flags.writeable:
+            codes = np.zeros(config.n, dtype=np.uint8)
         x <<= 1
         x |= z
         codes ^= x
@@ -612,7 +592,7 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
     Position assignment: the copies' codes are shuffled into random order and
     cut into the bit-error sample (m_x), one group per support pair of the
     candidate decompositions (m_prime each), and the key block (the rest).
-    Zero-stride codes (a rho_h run with no Eve) take only the shuffle's draws.
+    Zero-stride codes (no model flips anything) take only the shuffle's draws.
     """
     rng = np.random.default_rng(config.seed)
     setup = _setup(config.source, tuple(config.candidates))

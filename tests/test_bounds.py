@@ -32,7 +32,7 @@ from pbitqkd.bounds import (
     relaxation_budget,
     substring_sampling_bound,
 )
-from pbitqkd.protocol import canonical_json
+from pbitqkd.canonical import canonical_json
 
 mp.mp.dps = 30
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from pbitqkd import cli, protocol
+from pbitqkd import protocol
 from pbitqkd.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _build_parser, main
 from pbitqkd.states import P_STAR
 
@@ -75,6 +75,31 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", "import sys, pbitqkd; print('scipy' in sys.modules)"],
         capture_output=True, text=True,
     )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# bounds and solve-params are pure math: their children never import numpy
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "100000"],
+    ["solve-params", "--s", "40", "--delta", "0.05"],
+])
+def test_solver_commands_do_not_load_numpy(argv):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "pbitqkd.cli", *argv],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["schema"] == 1
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "pbitqkd.bounds" in imported
+    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+
+
+def test_cli_and_bounds_imports_do_not_load_numpy():
+    code = "import sys; from pbitqkd import cli, bounds; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -556,6 +581,9 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys):
     pytest.param(f"bounds --n 100000 --s {10**300}", id="bounds --n 100000 --s 10^300"),
     pytest.param(f"run-ppp --n 2000 --seed 1 --s {10**300}", id="run-ppp --n 2000 --seed 1 --s 10^300"),
     pytest.param(f"bounds --n {10**400}", id="bounds --n 10^400"),
+    # the post-selection product k (r + 1), k up to n, would leave the double range
+    pytest.param(f"bounds --n {10**300} --s {10**200}", id="bounds --n 10^300 --s 10^200"),
+    pytest.param(f"solve-params --n {10**305}", id="solve-params --n 10^305"),
 ])
 def test_out_of_range_values_are_usage_errors(capsys, caplog, argv):
     assert main(argv.split()) == EXIT_USAGE
@@ -624,7 +652,7 @@ def test_internal_errors_are_not_usage_errors(monkeypatch):
     def broken(config):
         raise ValueError("internal")
 
-    monkeypatch.setattr(cli, "run_ppp", broken)
+    monkeypatch.setattr(protocol, "run_ppp", broken)  # cmd_run looks it up there
     with pytest.raises(ValueError, match="internal"):
         main(["run-ppp", "--n", "2000", "--seed", "1"])
 

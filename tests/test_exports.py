@@ -50,3 +50,15 @@ def test_deleted_helpers_are_not_importable():
         holders = [mod for mod in SUBMODULES
                    if hasattr(importlib.import_module(f"pbitqkd.{mod}"), name)]
         assert not holders, name
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from pbitqkd import *", namespace)
+    assert [n for n in pbitqkd.__all__ if n not in namespace] == []
+
+
+def test_dir_lists_every_exported_name():
+    listed = set(dir(pbitqkd))
+    assert [n for n in pbitqkd.__all__ if n not in listed] == []
+    assert set(SUBMODULES) <= listed

@@ -134,6 +134,19 @@ def test_config_echo_is_byte_identical(cfg, digest):
     assert ProtocolConfig.from_dict(config.to_dict()) == config
 
 
+def test_canonical_json_writes_numpy_floating_scalars_as_floats():
+    payload = {
+        "f64": np.float64(0.1), "f32": np.float32(0.1), "f16": np.float16(1.5),
+        "nonfinite": [np.float64("nan"), np.float32("inf"), -np.float64("inf"), float("nan")],
+        "py": (1, 2.5, True, None, "x"),
+        "nested": {"b": np.float32(-3.25), "a": [np.float64(1e300)]},
+    }
+    assert canonical_json(payload) == (
+        '{"f16":1.5,"f32":0.10000000149011612,"f64":0.1,"nested":{"a":[1e+300],"b":-3.25},'
+        '"nonfinite":[null,null,null,null],"py":[1,2.5,true,null,"x"]}'
+    )
+
+
 def test_config_nulls_mean_none_only_where_none_is_the_default():
     cfg = ProtocolConfig.from_dict({**FULL_CONFIG, "eve": None, "m_x": None, "beta_b": None})
     assert cfg.eve is None and cfg.m_x is None and cfg.beta_b is None
@@ -395,6 +408,10 @@ REFERENCE_TRANSCRIPTS = [
     # rho_h at p*: one pattern code, key stage across several sampler slices
     (run_ppp, {**DESK_PPP, "n": 300000, "seed": 2, "source": {"p": P_STAR, "kappa": 0.0}},
      "0d12d89b7ec55705"),
+    # an Eve of strength 0 makes her draws but flips nothing: one pattern code
+    (run_ppp, {**DESK_PPP, "eve": 0}, "d847df772a27cf5b"),
+    (run_pm, {**DESK_PM, "eve": {"eps_x": 0, "eps_z": 0, "mode": "fixed_weight"}},
+     "8efb265a418de335"),
 ]
 
 
@@ -623,6 +640,8 @@ def test_basis_labels_draw_the_permutation_of_the_same_size(n, uint32_first):
 NOISELESS_PBIT = SourceSpec(kind="pbit", twisting="u_h", ancilla="comp00")
 IID_PBIT = SourceSpec(kind="pbit", noise=channels.PauliNoiseModel(0.05, 0.11))
 EVE = channels.PauliNoiseModel(0.1, 0.0)
+NO_FLIPS = channels.PauliNoiseModel(0.0, 0.0)
+NO_FLIPS_FIXED = channels.PauliNoiseModel(0.0, 0.0, "fixed_weight")
 
 
 @pytest.mark.parametrize("source, eve, zero_stride", [
@@ -634,17 +653,30 @@ EVE = channels.PauliNoiseModel(0.1, 0.0)
     pytest.param(SourceSpec.from_dict(KEYED_SOURCE), None, False, id="noisy-pbit"),
     pytest.param(SourceSpec(p=P_STAR, kappa=0.001), EVE, False, id="rho_h-eve"),
     pytest.param(NOISELESS_PBIT, EVE, False, id="noiseless-pbit-eve"),
+    # models of strength 0 flip nothing, whatever their mode
+    pytest.param(SourceSpec(p=P_STAR, kappa=0.001), NO_FLIPS, True, id="rho_h-eve-0"),
+    pytest.param(NOISELESS_PBIT, NO_FLIPS_FIXED, True, id="noiseless-pbit-fixed-eve-0"),
+    pytest.param(SourceSpec(kind="pbit", noise=NO_FLIPS), NO_FLIPS_FIXED, True,
+                 id="pbit-noise-0-eve-0"),
+    pytest.param(SourceSpec(kind="pbit", noise=NO_FLIPS), EVE, False, id="pbit-noise-0-eve"),
 ])
 def test_pattern_codes_are_zero_stride_exactly_without_noise_or_eve(source, eve, zero_stride):
-    # every copy has code 0 without a noise model, and then no n-sized array is made
+    # every copy has code 0 when no model flips anything, and then no n-sized array is made
     n = 1000
     rng = np.random.default_rng(0)
     codes = protocol._pattern_codes(ProtocolConfig(n=n, seed=0, source=source, eve=eve), rng)
     assert codes.shape == (n,) and codes.dtype == np.uint8
     assert (codes.strides == (0,)) is zero_stride
     assert codes.flags.writeable is not zero_stride
-    if zero_stride:  # code 0 everywhere, and not one draw made
-        assert not codes.any() and rng.random() == np.random.default_rng(0).random()
+    # every model makes its draws, even one that flips nothing, and no other draw is made
+    again = np.random.default_rng(0)
+    expected = np.zeros(n, dtype=np.uint8)
+    for model in (source.noise if source.kind == "pbit" else None, eve):
+        if model is not None:
+            x, z = model.sample_pattern(n, again)
+            expected ^= (x << 1) | z
+    assert np.array_equal(codes, expected)
+    assert rng.random() == again.random()
 
 
 def _traced_peak(run, config: ProtocolConfig) -> int:
