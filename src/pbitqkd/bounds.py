@@ -12,6 +12,7 @@ evaluation; the aggregate and three-term bounds are compositions of them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
@@ -40,8 +41,6 @@ __all__ = [
 _LN2 = math.log(2.0)
 #: The minimal-n search of ``choose_params`` gives up above this n.
 _N_CAP = 2**200
-#: Doublings of m' the solver tries before it calls a constraint unsatisfiable.
-_MP_DOUBLINGS = 200
 
 
 def binary_entropy(x: float) -> float:
@@ -111,7 +110,9 @@ def definetti_log2(n: int, k: int, r: int, dim: int, dim_power: int = 2) -> floa
         raise ValueError("dim_power must be 1 or 2")
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
-    expo = -k * (r + 1) / (2.0 * (n + k)) + 0.5 * dim**dim_power * math.log(k)
+    # int operands: the true division is correctly rounded and cannot overflow
+    # before its quotient, at most (r + 1) / 2, leaves the double range
+    expo = -k * (r + 1) / (2 * (n + k)) + 0.5 * dim**dim_power * math.log(k)
     return 1.0 + expo / _LN2
 
 
@@ -333,29 +334,30 @@ def _mprime_constraints(
 
 def _solve_mprime(
     s: int, delta: float, d: int, d_prime: int, r: int
-) -> tuple[int | None, str | None, dict]:
-    """Minimal m' meeting all constraint groups; (None, name, margins) if hopeless."""
+) -> tuple[int, str | None, dict]:
+    """Minimal m' meeting all constraint groups, the one that binds, and the margins.
+
+    The search doubles m' from 2r until all hold, then bisects.  The entropy
+    gap holds once r/m' is small enough, and past the double range the next
+    margin raises OverflowError, so the doubling always ends.
+    """
     cons = _mprime_constraints(s, delta, d, d_prime, r)
+
+    def margins(mp: int) -> dict:
+        return {name: fn(mp) for name, fn in cons.items()}
 
     def ok(mp: int) -> bool:
         return all(fn(mp) >= 0.0 for fn in cons.values())
 
     lo = max(2 * r, 2)
     mp = lo
-    for _ in range(_MP_DOUBLINGS):
-        if ok(mp):
-            break
+    while not ok(mp):
         mp *= 2
-    else:
-        failing = [name for name, fn in cons.items() if fn(mp) < 0.0]
-        return None, failing[0], {name: fn(mp) for name, fn in cons.items()}
     best = _least(ok, lo, mp)
-    margins = {name: fn(best) for name, fn in cons.items()}
     binding = None
     if best > lo:
-        failing = [name for name, fn in cons.items() if fn(best - 1) < 0.0]
-        binding = failing[0] if failing else None
-    return best, binding, margins
+        binding = next((name for name, m in margins(best - 1).items() if m < 0.0), None)
+    return best, binding, margins(best)
 
 
 def _least(ok: Callable[[int], bool], lo: int, hi: int) -> int:
@@ -372,34 +374,28 @@ def _least(ok: Callable[[int], bool], lo: int, hi: int) -> int:
 
 def check_solver_args(
     s: int, delta: float, d: int = 2, d_prime: int = 4, n: int | None = None
-) -> None:
-    """Reject an s, delta, d, d_prime or n out of range, or one at which the
-    solver's doubles overflow.  With r at n (at the n search's cap when n is
-    unset), these must be finite doubles: n, 16 s / delta^2, the largest m_z
-    the m' search can reach, t^2 2^(_MP_DOUBLINGS + 1) r, and the largest
-    post-selection product k (r + 1), which ``definetti_log2`` forms exactly
-    and then divides as a double, with k up to n."""
+) -> ParamSolution:
+    """Reject an s, delta, d, d_prime or n out of range, or one the solver
+    cannot answer: its attempt at n (at the n search's cap when n is unset)
+    leaves the double range.  Returns that attempt."""
+    if not (s >= 1 and 0.0 < delta < 1.0 and d >= 2 and d_prime >= 1
+            and (n is None or 2 <= n <= sys.float_info.max)):
+        raise ValueError("need s >= 1, 0 < delta < 1, d >= 2, d_prime >= 1 and n from 2 "
+                         "to the largest double")
     try:
-        n_top = _N_CAP if n is None else n
-        ok = (s >= 1 and 0.0 < delta < 1.0 and d >= 2 and d_prime >= 1 and n_top >= 2
-              and math.isfinite(16.0 * s / (delta * delta))
-              and math.isfinite(2.0 ** (_MP_DOUBLINGS + 1) * (d * d * d_prime) ** 2 * (
-                  4 * s + d**4 * d_prime**2 * math.log(float(n_top))))
-              and math.isfinite(float(n_top * (relaxation_budget(s, n_top, d, d_prime) + 1))))
-    except (OverflowError, ZeroDivisionError):
-        ok = False
-    if not ok:
-        raise ValueError("need s >= 1, 0 < delta < 1, d >= 2, d_prime >= 1, n >= 2, and finite doubles "
-                         f"n, 16 s / delta^2, t^2 2^{_MP_DOUBLINGS + 1} r and n (r + 1) "
-                         "(t = d^2 d', r at n)")
+        return _attempt(s, delta, d, d_prime, _N_CAP if n is None else int(n))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"the solver's doubles overflow at this s, delta, d, d_prime "
+                         f"and n: {exc}") from None
 
 
 def check_beta_b(beta_b) -> None:
-    """Reject a ``beta_b`` that is neither None nor a nonnegative real (bools excluded)."""
+    """Reject a ``beta_b`` that is neither None nor a finite nonnegative real (bools excluded)."""
     if beta_b is not None and (
-        isinstance(beta_b, bool) or not (isinstance(beta_b, (int, float)) and beta_b >= 0.0)
+        isinstance(beta_b, bool)
+        or not (isinstance(beta_b, (int, float)) and 0.0 <= beta_b <= sys.float_info.max)
     ):
-        raise ValueError(f"beta_b must be a nonnegative number, got {beta_b!r}")
+        raise ValueError(f"beta_b must be a finite nonnegative number, got {beta_b!r}")
 
 
 def choose_params(
@@ -422,71 +418,67 @@ def choose_params(
     minimal such n is located by doubling + bisection -- expect an
     astronomically large answer at meaningful s.
     """
-    check_solver_args(s, delta, d, d_prime, n)
-    t = d * d * d_prime
-    m_x = math.ceil(16.0 * s / (delta * delta))
-
-    # every aggregate-bound term must come in at or below the per-term target
-    term_target = -float(s) + math.log2(1.0 + 1e-6)
-
-    def attempt(n_val: int) -> ParamSolution:
-        r = relaxation_budget(s, n_val, d, d_prime)
-        mp, binding, margins = _solve_mprime(s, delta, d, d_prime, r)
-        # r is additive in a security part and a dimension part; expose both so
-        # callers can see which one dominates the relaxation budget
-        margins["r_security_part"] = float(4 * s)
-        margins["r_dimension_part"] = float(r - 4 * s)
-        # every variant below shares this margins dict, which the checks extend
-        sol = ParamSolution(
-            feasible=False, s=s, delta=delta, d=d, d_prime=d_prime, t=t, m_x=m_x,
-            r=r, n=n_val, binding_constraint=binding, margins=margins,
-        )
-        if mp is None:
-            return replace(sol, message=f"m' search failed: constraint {binding!r} unsatisfiable")
-        m_z = t * t * mp
-        sol = replace(sol, m_prime=mp, m_z=m_z)
-        margins["n_budget"] = float(n_val - m_x - m_z)
-        if m_x + m_z >= n_val:
-            return replace(
-                sol, binding_constraint="n_budget",
-                message=(
-                    f"estimation budget m_x + m_z = {m_x + m_z} leaves no key copies"
-                    f" out of n = {n_val}"
-                ),
-            )
-        bound = protocol_failure_bound(
-            BoundParams(n=n_val, m_x=m_x, m_z=m_z, delta=delta, r=r, d=d,
-                        d_prime=d_prime, s=s)
-        )
-        for term_name, log2_term in bound.log2_terms.items():
-            margins[f"term_{term_name}"] = term_target - log2_term
-        weak = [name for name, val in bound.log2_terms.items() if val > term_target]
-        if weak:
-            return replace(
-                sol, binding_constraint=f"term_{weak[0]}",
-                message=(
-                    f"aggregate-bound term(s) {weak} exceed the 2^-{s} per-term"
-                    f" target at n = {n_val}"
-                ),
-            )
-        return replace(sol, feasible=True)
-
+    top = check_solver_args(s, delta, d, d_prime, n)
     if n is not None:
-        return attempt(int(n))
+        return top
 
-    # locate the minimal feasible n (doubling, then bisection)
-    n_lo = max(4 * m_x, 1024)
+    def feasible(n_val: int) -> bool:
+        return _attempt(s, delta, d, d_prime, n_val).feasible
+
+    # locate the minimal feasible n (doubling, then bisection).  No attempt
+    # below the cap overflows where the cap's did not: r and the least m'
+    # shrink with n, the m' search stays below twice the least m', and the
+    # cap's budget margin held m_z = t^2 m' >= 16 m' as a finite double
+    n_lo = max(4 * top.m_x, 1024)
     n_hi = n_lo
     while n_hi <= _N_CAP:
-        if attempt(n_hi).feasible:
+        if feasible(n_hi):
             break
         n_hi *= 2
     else:
         return replace(
-            attempt(_N_CAP), feasible=False, n=None,
+            top, feasible=False, n=None,
             message=f"no feasible n below cap 2^{_N_CAP.bit_length() - 1}",
         )
-    return attempt(_least(lambda v: attempt(v).feasible, n_lo, n_hi))
+    return _attempt(s, delta, d, d_prime, _least(feasible, n_lo, n_hi))
+
+
+def _attempt(s: int, delta: float, d: int, d_prime: int, n: int) -> ParamSolution:
+    """``choose_params`` at one n: m_x, r and m', then the budget and the bound terms."""
+    t = d * d * d_prime
+    m_x = math.ceil(16.0 * s / (delta * delta))
+    r = relaxation_budget(s, n, d, d_prime)
+    mp, binding, margins = _solve_mprime(s, delta, d, d_prime, r)
+    # r is additive in a security part and a dimension part; expose both so
+    # callers can see which one dominates the relaxation budget
+    margins["r_security_part"] = float(4 * s)
+    margins["r_dimension_part"] = float(r - 4 * s)
+    m_z = t * t * mp
+    # every variant below shares this margins dict, which the checks extend
+    sol = ParamSolution(
+        feasible=False, s=s, delta=delta, d=d, d_prime=d_prime, t=t, m_x=m_x,
+        r=r, m_prime=mp, m_z=m_z, n=n, binding_constraint=binding, margins=margins,
+    )
+    margins["n_budget"] = float(n - m_x - m_z)
+    if m_x + m_z >= n:
+        return replace(
+            sol, binding_constraint="n_budget",
+            message=f"estimation budget m_x + m_z = {m_x + m_z} leaves no key copies out of n = {n}",
+        )
+    bound = protocol_failure_bound(
+        BoundParams(n=n, m_x=m_x, m_z=m_z, delta=delta, r=r, d=d, d_prime=d_prime, s=s)
+    )
+    # every aggregate-bound term must come in at or below the per-term target
+    term_target = -float(s) + math.log2(1.0 + 1e-6)
+    for term_name, log2_term in bound.log2_terms.items():
+        margins[f"term_{term_name}"] = term_target - log2_term
+    weak = [name for name, val in bound.log2_terms.items() if val > term_target]
+    if weak:
+        return replace(
+            sol, binding_constraint=f"term_{weak[0]}",
+            message=f"aggregate-bound term(s) {weak} exceed the 2^-{s} per-term target at n = {n}",
+        )
+    return replace(sol, feasible=True)
 
 
 # --- helpers ------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""The one JSON writer, shared by transcripts and CLI documents.
+"""The one JSON writer, shared by transcripts and CLI documents, and the one
+reader of integer config values.
 
-Standard library only, so a command that never touches numpy can emit with
-it: numpy's floating scalars register as ``numbers.Real`` (and its integers
-as ``numbers.Integral``), so they are caught without importing numpy.
+Standard library only, so a command that never touches numpy can use it:
+numpy's floating scalars register as ``numbers.Real`` (and its integers as
+``numbers.Integral``), so they are caught without importing numpy.
 """
 
 from __future__ import annotations
@@ -27,3 +28,16 @@ def _jsonsafe(obj):
         x = float(obj)
         return x if math.isfinite(x) else None
     return obj
+
+
+def json_int(value) -> int:
+    """An integer config value: an int, or an integral float such as 1e7.
+
+    A bool or a non-number raises TypeError; a fraction or a non-finite float
+    raises ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"need an integer, got {value!r}")
+    if not (isinstance(value, Integral) or float(value).is_integer()):
+        raise ValueError(f"need an integer, got {value!r}")
+    return int(value)

@@ -40,7 +40,7 @@ from .bounds import (
     protocol_failure_bound,
     relaxation_budget,
 )
-from .canonical import canonical_json
+from .canonical import canonical_json, json_int
 
 if TYPE_CHECKING:
     from .protocol import ProtocolConfig
@@ -166,7 +166,7 @@ def _require_seed(cfg: Mapping) -> int:
     if seed is None:
         raise UsageError("a --seed (or config 'seed') is required; no wall-clock seeding")
     with _config_errors("seed"):
-        seed = int(seed)
+        seed = json_int(seed)
         if seed < 0:
             raise ValueError(f"need a non-negative seed, got {seed}")
     return seed
@@ -177,10 +177,10 @@ def _solver_args(cfg: Mapping) -> tuple[int, float, int, int, int | None]:
 
     Raises ValueError on a value the solver rejects; read inside ``_config_errors``.
     """
-    s, delta = int(_get(cfg, "s", 40)), float(_get(cfg, "delta", 0.05))
-    d, d_prime = int(_get(cfg, "d", 2)), int(_get(cfg, "d_prime", 4))
+    s, delta = json_int(_get(cfg, "s", 40)), float(_get(cfg, "delta", 0.05))
+    d, d_prime = json_int(_get(cfg, "d", 2)), json_int(_get(cfg, "d_prime", 4))
     n = _get(cfg, "n")
-    n = None if n is None else int(n)
+    n = None if n is None else json_int(n)
     check_solver_args(s, delta, d, d_prime, n)
     return s, delta, d, d_prime, n
 
@@ -329,7 +329,7 @@ def cmd_bounds(args, cfg: ChainMap) -> int:
         if n is None:
             raise UsageError("bounds needs --n (or config 'n')")
         m_x, m_z = (_get(cfg, k) for k in ("m_x", "m_z"))
-        m_x, m_z = (None if v is None else int(v) for v in (m_x, m_z))
+        m_x, m_z = (None if v is None else json_int(v) for v in (m_x, m_z))
         beta_b = cfg.get("beta_b")
         check_beta_b(beta_b)
 
@@ -381,8 +381,8 @@ def cmd_estimate(args, cfg: ChainMap) -> int:
     seed = _require_seed(cfg)
     with _config_errors("estimate"):
         source = SourceSpec.from_dict(cfg["source"])
-        m_prime = int(_get(cfg, "m_prime", 400))
-        m_x = int(_get(cfg, "m_x", 1024))
+        m_prime = json_int(_get(cfg, "m_prime", 400))
+        m_x = json_int(_get(cfg, "m_x", 1024))
         candidates = tuple(_get(cfg, "candidates", ProtocolConfig.candidates))
         ProtocolConfig.check_candidates(candidates)  # a config error, not a run error
     if m_prime < 1 or m_x < 1:
@@ -506,8 +506,8 @@ def cmd_sweep(args, cfg: ChainMap) -> int:
         kappa_values = [float(v) for v in _get(
             cfg, "kappa_values", [_get(cfg, "kappa", source.get("kappa", 0.0))])]
         if seeds is None:
-            seeds = [int(seed0) + i for i in range(int(_get(cfg, "n_seeds", 1)))]
-        seeds = [int(v) for v in seeds]
+            seeds = [json_int(seed0) + i for i in range(json_int(_get(cfg, "n_seeds", 1)))]
+        seeds = [json_int(v) for v in seeds]
         # grid keys name no config field, so ProtocolConfig.from_dict skips them
         tasks = [
             (protocol, ProtocolConfig.from_dict(

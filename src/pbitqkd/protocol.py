@@ -34,7 +34,7 @@ from .bounds import (
     protocol_failure_bound,
     relaxation_budget,
 )
-from .canonical import canonical_json
+from .canonical import canonical_json, json_int
 from .channels import PauliNoiseModel, _uniform_slices, pauli_op
 from .ecpa import MAX_EC_BLOCK, bits_to_hex, error_correct, pa_length, syndrome_stats
 from .ecpa import toeplitz_apply, toeplitz_seed
@@ -155,6 +155,11 @@ class ProtocolConfig:
                 f"ec_block = {self.ec_block}"
             )
         check_solver_args(self.s, self.delta, n=self.n)
+        try:
+            self.n_c
+        except OverflowError:
+            raise ValueError("pm's test-set size n_c = ceil(sqrt(n s) log2(n) / delta) "
+                             "is no finite double") from None
         if any(m is not None and m < 1 for m in (self.m_x, self.m_prime)):
             raise ValueError(
                 f"need m_x >= 1 and m_prime >= 1, got m_x = {self.m_x}, m_prime = {self.m_prime}"
@@ -163,6 +168,11 @@ class ProtocolConfig:
         check_beta_b(self.beta_b)
         if self.threads is not None and type(self.threads) is not int:  # bools excluded
             raise ValueError(f"threads must be an integer, got {self.threads!r}")
+
+    @property
+    def n_c(self) -> int:
+        """pm's test-set size per support observable, ceil(sqrt(n s) log2(n) / delta)."""
+        return math.ceil(math.sqrt(self.n * self.s) * math.log2(self.n) / self.delta)
 
     @staticmethod
     def check_candidates(candidates: Sequence[str]) -> None:
@@ -177,8 +187,9 @@ class ProtocolConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolConfig":
         return _from_fields(cls, d, {
-            "n": int, "seed": int, "s": int, "delta": float, "source": SourceSpec.from_dict,
-            "eve": _parse_eve, "candidates": tuple, "m_x": int, "m_prime": int, "ec_block": int,
+            "n": json_int, "seed": json_int, "s": json_int, "delta": float,
+            "source": SourceSpec.from_dict, "eve": _parse_eve, "candidates": tuple,
+            "m_x": json_int, "m_prime": json_int, "ec_block": json_int,
         })
 
 
@@ -653,8 +664,7 @@ def run_pm(config: ProtocolConfig) -> Transcript:
     ja_set = sorted({ja for ja, _ in support})
     jb_set = sorted({jb for _, jb in support})
 
-    n, s = config.n, config.s
-    n_c = math.ceil(math.sqrt(n * s) * math.log2(n) / config.delta)
+    n, n_c = config.n, config.n_c
     m_x = config.m_x if config.m_x is not None else max(64, n // 100)
     min_group = config.m_prime if config.m_prime is not None else 16
     configure = {"event": "configure", "n": n, "seed": config.seed}

@@ -6,8 +6,10 @@ relative 1e-9.  The parameter solver's outputs are re-checked against each
 inequality they claim to satisfy.
 """
 
+import io
 import json
 import math
+from contextlib import redirect_stdout
 
 import mpmath as mp
 import numpy as np
@@ -33,6 +35,8 @@ from pbitqkd.bounds import (
     substring_sampling_bound,
 )
 from pbitqkd.canonical import canonical_json
+from pbitqkd.cli import EXIT_OK, EXIT_USAGE, main
+from pbitqkd.protocol import ProtocolConfig
 
 mp.mp.dps = 30
 
@@ -415,11 +419,16 @@ def test_solver_rejects_bad_arguments():
 
 
 def _largest_accepted(accepts, lo: int) -> int:
-    """The largest x >= lo with accepts(x), where accepts holds up to some point only."""
+    """About the largest x >= lo with accepts(x), to 16 significant bits, where lo
+    is a power of two and accepts holds up to some point only: square, then
+    bisect on log2 x, then on x."""
     hi = lo
     while accepts(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
+        lo, hi = hi, hi * hi
+    while hi.bit_length() - lo.bit_length() > 1:
+        mid = 1 << (lo.bit_length() + hi.bit_length()) // 2 - 1
+        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    while hi - lo > lo >> 16:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
     return lo
@@ -433,17 +442,52 @@ def _accepts(**kwargs) -> bool:
     return True
 
 
-# at the largest s or d the solver accepts, its doubles stay finite: it answers
-# instead of overflowing
-@pytest.mark.parametrize("name, n", [("s", None), ("s", 10**5), ("d", 10**5)])
+def _answers(s: int, delta: float, d: int = 2, d_prime: int = 4, n: int | None = None) -> None:
+    """Wherever check_solver_args accepts, the solver (at n, or with n unset)
+    and, at n, the bounds command (its even split when the solver's m_z does
+    not fit) and a run's test-set size n_c all compute without raising."""
+    if not _accepts(s=s, delta=delta, d=d, d_prime=d_prime, n=n):
+        return
+    sol = choose_params(s, delta, d, d_prime, n)
+    assert sol.m_prime is not None
+    if n is None:
+        return
+    argv = ["bounds", "--s", str(s), "--delta", repr(delta), "--d", str(d),
+            "--dprime", str(d_prime), "--n", str(n)]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) in (EXIT_OK, EXIT_USAGE)  # 2 when n cannot hold the split
+    if (d, d_prime) == (2, 4):
+        try:
+            config = ProtocolConfig(n=n, seed=0, s=s, delta=delta)
+        except ValueError as exc:
+            assert n < 4 or "n_c" in str(exc)
+        else:
+            assert config.n_c >= 1
+
+
+# the largest s, d or n the solver accepts, found by running it: there it
+# answers instead of overflowing, also at the smaller r of the n search below its cap
+@pytest.mark.parametrize("name, n", [("s", None), ("s", 10**5), ("d", 10**5), ("n", None)])
 def test_solver_answers_at_the_edge_of_its_range(name, n):
-    edge = _largest_accepted(lambda x: _accepts(**{name: x, "n": n}), 2)
+    edge = _largest_accepted(lambda x: _accepts(**{"n": n, name: x}), 2)
     assert edge > 10**20
-    sol = choose_params(**{"s": 40, "delta": 0.05, name: edge, "n": n})
-    assert sol.r is not None and math.isfinite(sum(sol.margins.values()))
+    args = {"s": 40, "delta": 0.05, "n": n, name: edge}
+    _answers(**args)
+    assert math.isfinite(sum(choose_params(**args).margins.values()))
 
 
 # --- property tests ---------------------------------------------------------------
+
+
+def _log_uniform_int(lo: int, max_digits: int):
+    return st.integers(0, max_digits).flatmap(lambda e: st.integers(lo, lo + 10**e))
+
+
+@given(_log_uniform_int(1, 308), st.floats(-160.0, -0.01).map(lambda e: 10.0**e),
+       _log_uniform_int(2, 75), _log_uniform_int(1, 12), st.none() | _log_uniform_int(2, 310))
+@settings(max_examples=15, deadline=None)
+def test_solver_answers_wherever_it_accepts(s, delta, d, d_prime, n):
+    _answers(s, delta, d, d_prime, n)
 
 
 @given(st.integers(1, 10**6), st.floats(0.0, 1.0))

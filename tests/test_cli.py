@@ -574,21 +574,70 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys):
     pytest.param(f"solve-params --s {10**400}", id="solve-params --s 10^400"),
     pytest.param(f"solve-params --n 100000 --d {10**80}", id="solve-params --n 100000 --d 10^80"),
     pytest.param(f"bounds --n 100000 --d {10**80}", id="bounds --n 100000 --d 10^80"),
-    # the m' search's doubling would leave the double range
+    # the m' search would leave the double range
     pytest.param(f"solve-params --s {10**300}", id="solve-params --s 10^300"),
     pytest.param(f"solve-params --n 100000 --d {10**70}", id="solve-params --n 100000 --d 10^70"),
     pytest.param(f"bounds --n 100000 --d {10**70}", id="bounds --n 100000 --d 10^70"),
     pytest.param(f"bounds --n 100000 --s {10**300}", id="bounds --n 100000 --s 10^300"),
     pytest.param(f"run-ppp --n 2000 --seed 1 --s {10**300}", id="run-ppp --n 2000 --seed 1 --s 10^300"),
+    # n is no finite double; in the second the solver's budget n - m_x - m_z is
+    # one, but bounds' even split of n is not
     pytest.param(f"bounds --n {10**400}", id="bounds --n 10^400"),
-    # the post-selection product k (r + 1), k up to n, would leave the double range
-    pytest.param(f"bounds --n {10**300} --s {10**200}", id="bounds --n 10^300 --s 10^200"),
-    pytest.param(f"solve-params --n {10**305}", id="solve-params --n 10^305"),
+    pytest.param(f"bounds --n {10**309} --s {5 * 10**97} --delta 1e-100",
+                 id="bounds --n 10^309 --s 5*10^97 --delta 1e-100"),
+    # pm's test-set size sqrt(n s) log2(n) / delta is no finite double
+    pytest.param(f"run-pm --n 2000000000000 --seed 1 --s {10**297} --delta 0.5",
+                 id="run-pm --n 2000000000000 --seed 1 --s 10^297 --delta 0.5"),
 ])
 def test_out_of_range_values_are_usage_errors(capsys, caplog, argv):
     assert main(argv.split()) == EXIT_USAGE
     assert capsys.readouterr().out == ""
     assert "bad " in caplog.text
+
+
+def _null_paths(doc, path: str = "") -> list[str]:
+    """The dotted paths of the nulls in a JSON document."""
+    if isinstance(doc, dict):
+        return [p for k, v in doc.items() for p in _null_paths(v, f"{path}.{k}")]
+    return [path] if doc is None else []
+
+
+# inputs at the top of the solver's range that it answers: a document with m',
+# and non-finite values only as null next to the bound's 'vacuous' flag
+@pytest.mark.parametrize("argv", [
+    pytest.param(f"bounds --n {10**300} --s {10**200}", id="bounds --n 10^300 --s 10^200"),
+    pytest.param(f"solve-params --n {10**305}", id="solve-params --n 10^305"),
+    # the solver's attempt stops at its budget; only bounds' even split meets the
+    # post-selection product k (r + 1), far beyond 2^53
+    pytest.param(f"bounds --n {10**150} --s {5 * 10**195}", id="bounds --n 10^150 --s 5*10^195"),
+    # the least m', near 2.66e268, lies beyond 200 doublings of 2r
+    pytest.param(f"solve-params --s {10**200} --delta 1e-30 --n 100000",
+                 id="solve-params --s 10^200 --delta 1e-30 --n 100000"),
+])
+def test_solver_answers_at_the_top_of_its_range(capsys, caplog, argv):
+    code, payload = run_cli(capsys, *argv.split())
+    assert code == EXIT_OK
+    solution = payload.get("solution") or payload["solver"]
+    assert solution["m_prime"] is not None
+    assert "unsatisfiable" not in solution["message"] + caplog.text
+    nulls = _null_paths(payload)
+    assert not nulls or payload["vacuous"] is True
+    assert all(p in (".f", ".log2_f", ".insecurity") or p.startswith(".log2_terms.")
+               for p in nulls)
+
+
+def test_bounds_takes_the_solver_split_past_200_doublings_of_m_prime(capsys):
+    # an even split of n = 10^90 gives a vacuous log2_f of about 18949
+    code, payload = run_cli(capsys, "bounds", "--n", str(10**90), "--s", "40", "--delta", "1e-30")
+    assert code == EXIT_OK
+    assert payload["solver"]["feasible"] is True
+    assert payload["params"]["m_z"] == payload["solver"]["m_z"]
+    assert payload["log2_f"] == pytest.approx(-56.7078, abs=1e-4)
+
+
+def _json_text(cfg: dict) -> str:
+    """``cfg`` as JSON, an infinity written as 1e400, which JSON readers take as inf."""
+    return json.dumps(cfg).replace("Infinity", "1e400")
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -602,6 +651,8 @@ def test_out_of_range_values_are_usage_errors(capsys, caplog, argv):
     ("run-ppp", {"beta_b": [1]}),
     ("run-ppp", {"beta_b": -1}),
     ("run-ppp", {"beta_b": True}),
+    ("run-ppp", {"beta_b": 1e400}),
+    ("run-pm", {"beta_b": 1e400}),
     ("sweep", {"threads": "two"}),
     ("run-ppp", {"threads": "two"}),
     ("run-pm", {"threads": 1.5}),
@@ -611,17 +662,65 @@ def test_out_of_range_values_are_usage_errors(capsys, caplog, argv):
     ("run-pm", {"m_prime": -3}),
     ("run-ppp", {"m_x": 0}),
     ("sweep", {"protocol": "pm", "m_x": 0}),
-], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+], ids=lambda v: _json_text(v) if isinstance(v, dict) else v)
 def test_out_of_range_config_values_are_usage_errors(tmp_path, capsys, caplog, command, cfg):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "n": 2000, "seed": 0, "m_x": 200, "m_prime": 150, "source": NOISY_PBIT, **cfg,
-    }))
+    cfg_path.write_text(_json_text(
+        {"n": 2000, "seed": 0, "m_x": 200, "m_prime": 150, "source": NOISY_PBIT, **cfg}))
     out_path = tmp_path / "grid.csv"
     assert main([command, "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_USAGE
     assert capsys.readouterr().out == ""
     assert not out_path.exists()
     assert "bad protocol config" in caplog.text
+
+
+# an integer setting takes an int or an integral float such as 2e3; a fraction or
+# a bool is refused, not truncated
+@pytest.mark.parametrize("command, cfg", [
+    ("run-ppp", {"n": 2000.7, "seed": 1.9, "s": 1.5, "m_x": 10.5, "m_prime": 10}),
+    ("run-ppp", {"n": 2000.7}),
+    ("run-ppp", {"seed": 1.9}),
+    ("run-pm", {"s": 1.5}),
+    ("run-ppp", {"m_x": 10.5}),
+    ("run-pm", {"m_prime": 150.5}),
+    ("run-ppp", {"ec_block": 16.5}),
+    ("run-ppp", {"n": True}),
+    ("run-pm", {"seed": True}),
+    ("bounds", {"n": 100000.9, "s": 40.5}),
+    ("bounds", {"s": 40.5}),
+    ("bounds", {"m_z": 10.5}),
+    ("bounds", {"m_x": True}),
+    ("solve-params", {"d": 2.5}),
+    ("solve-params", {"d_prime": True}),
+    ("estimate", {"m_x": 10.5}),
+    ("estimate", {"seed": 3.5}),
+    ("sweep", {"seeds": [1.5]}),
+    ("sweep", {"n_seeds": 2.5}),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+def test_fractional_or_bool_integers_are_usage_errors(tmp_path, capsys, caplog, command, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"n": 2000, "seed": 0, "m_x": 200, "m_prime": 150, "source": NOISY_PBIT, **cfg}))
+    out_path = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert not out_path.exists()
+    assert "need an integer" in caplog.text
+
+
+@pytest.mark.parametrize("command, ints, floats", [
+    ("run-ppp", {"n": 2000, "seed": 1, "m_x": 200, "m_prime": 150, "source": NOISY_PBIT},
+     {"n": 2e3, "seed": 1.0, "m_x": 200.0, "m_prime": 1.5e2, "source": NOISY_PBIT}),
+    ("bounds", {"n": 100000, "s": 40, "m_x": 1000}, {"n": 1e5, "s": 40.0, "m_x": 1e3}),
+], ids=["run-ppp", "bounds"])
+def test_integral_floats_read_as_integers(tmp_path, capsys, command, ints, floats):
+    docs = []
+    for cfg in (ints, floats):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(cfg_path)]) == EXIT_OK
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("argv, cfg, message", [
@@ -642,8 +741,8 @@ def test_usage_errors_write_nothing(tmp_path, capsys, caplog, argv, cfg, message
 def test_bounds_config_values_are_usage_errors(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     for bad in ({"m_x": "abc"}, {"beta_b": -1}, {"beta_b": "x"}, {"beta_b": [1]},
-                {"beta_b": True}):
-        cfg_path.write_text(json.dumps({"n": 100000, **bad}))
+                {"beta_b": True}, {"beta_b": 1e400}):
+        cfg_path.write_text(_json_text({"n": 100000, **bad}))
         assert main(["bounds", "--config", str(cfg_path)]) == EXIT_USAGE, bad
         assert capsys.readouterr().out == ""
 
@@ -662,7 +761,9 @@ def test_internal_errors_are_not_usage_errors(monkeypatch):
     (["verify-example"], "c8969df4ed864ec1"),
     (["bounds", "--n", "100000"], "ce70c9adabb991e3"),  # four non-finite values as null
     (["bounds", "--n", "1000000000000"], "b000f998c8c11301"),
-    (["solve-params"], "f1e796ebd17beb58"),
+    # the post-selection quotient k (r + 1) / (2 (n + k)) is taken on ints: k (r + 1)
+    # exceeds 2^53 here, so the term moved in its low bits (closer to mpmath)
+    (["solve-params"], "34c093b1ded01b12"),
     (["solve-params", "--n", "1000000"], "4384bb843c9bc040"),
     (["estimate", "--seed", "3"], "9c11cac70e27a72d"),
     (["estimate", "--seed", "3", "--p", "0.5", "--kappa", "0.01"], "df593d3b7dc845ee"),
