@@ -390,12 +390,15 @@ def check_solver_args(
 
 
 def check_beta_b(beta_b) -> None:
-    """Reject a ``beta_b`` that is neither None nor a finite nonnegative real (bools excluded)."""
+    """Reject a ``beta_b`` that is neither None nor a real in [0, 1] (bools excluded).
+
+    ``beta_b`` is a probability, so ``composable_insecurity`` stays finite.
+    """
     if beta_b is not None and (
         isinstance(beta_b, bool)
-        or not (isinstance(beta_b, (int, float)) and 0.0 <= beta_b <= sys.float_info.max)
+        or not (isinstance(beta_b, (int, float)) and 0.0 <= beta_b <= 1.0)
     ):
-        raise ValueError(f"beta_b must be a finite nonnegative number, got {beta_b!r}")
+        raise ValueError(f"beta_b must be a probability in [0, 1], got {beta_b!r}")
 
 
 def choose_params(

@@ -140,6 +140,8 @@ def joint_outcome_table(
     Returns (probs, products): ``probs[k]`` is the probability of the k-th
     joint eigenvector (side-A outcome varying slowest) and ``products[k]``
     the corresponding product of local eigenvalues lambda_a * lambda_b.
+    The run set-up reads the same statistics off ``decompose_two_local``;
+    this projection is their reference.
     """
     vals_a, vecs_a = local_eigensystem(decomp.labels_a[ja])
     vals_b, vecs_b = local_eigensystem(decomp.labels_b[jb])

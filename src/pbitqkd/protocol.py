@@ -44,11 +44,10 @@ from .estimation import (
     best_candidate,
     decompose_two_local,
     estimate_eps_z_locc,
-    joint_outcome_table,
 )
-from .linalg import basis_ket, kron_all, proj
+from .linalg import basis_ket, kron_all, proj, reorder
 from .states import DensityState, P_STAR, rho_h
-from .twist import TwistingOp, build_u_h, gamma_x, gamma_z, identity_twisting, make_pdit
+from .twist import TwistingOp, build_u_h, gamma_x, identity_twisting, make_pdit
 
 __all__ = [
     "SourceSpec",
@@ -276,56 +275,51 @@ def _component_states(source: SourceSpec) -> list[DensityState]:
 
 
 @dataclass(frozen=True)
-class _ObsTables:
-    """Per-component measurement statistics."""
+class _Setup:
+    """A run's seed-free set-up; read-only, as one record serves every run.
 
+    The outcome tables are indexed by pattern code 2x + z.
+    """
+
+    decomps: Mapping[str, ProductDecomposition]
+    support: tuple[tuple[int, int], ...]  # union of the candidates' support pairs
+    any_dec: ProductDecomposition  # names the support pairs in transcripts
     zz_plus: np.ndarray  # (4,) probability that the sigma_z sigma_z product is +1
     joint16: np.ndarray  # (4, 16) computational joint outcome distribution
     group_plus: Mapping  # (ja, jb) -> (4,) probability that the product is +1/4
 
 
-@dataclass(frozen=True)
-class _Setup:
-    """A run's seed-free set-up; read-only, as one record serves every run."""
-
-    decomps: Mapping[str, ProductDecomposition]
-    support: tuple[tuple[int, int], ...]  # union of the candidates' support pairs
-    any_dec: ProductDecomposition  # names the support pairs in transcripts
-    tables: _ObsTables
-
-
 @lru_cache(maxsize=8)  # a sweep asks for one grid point's entry at a time
 def _setup(source: SourceSpec, candidates: tuple[str, ...]) -> _Setup:
-    """Candidate decompositions, support union and tables, built once per process."""
+    """Candidate decompositions, support union and outcome tables, built once per process.
+
+    The tables come from each component's two-local Pauli expansion
+    s[a, b] = Tr[(O_a ⊗ O_b) rho]: a product O_a ⊗ O_b reads ±1/4, and +1/4
+    with probability (1 + 4 s[a, b]) / 2; (ZI, ZI) is sigma_z sigma_z on the
+    key qubits.  The key stage reads every qubit in the computational basis.
+    """
     decomps = {name: decompose_two_local(gamma_x(twisting_by_name(name))) for name in candidates}
     support = tuple(sorted({pair for dec in decomps.values() for pair in dec.support()}))
     any_dec = next(iter(decomps.values()))
-    tables = _build_tables(_component_states(source), support, any_dec)
-    for arr in (tables.zz_plus, tables.joint16, *tables.group_plus.values(),
-                *(dec.coeffs for dec in decomps.values())):
+    components = _component_states(source)
+    plus = np.array([(1.0 + 4.0 * decompose_two_local(c.mat).coeffs) / 2.0 for c in components])
+    plus = np.clip(plus, 0.0, 1.0)
+    zz = any_dec.labels_a.index("ZI")
+    joint16 = np.array([_computational_law(c) for c in components])
+    for arr in (plus, joint16, *(dec.coeffs for dec in decomps.values())):
         arr.setflags(write=False)
-    return _Setup(MappingProxyType(decomps), support, any_dec, tables)
+    group_plus = MappingProxyType({(ja, jb): plus[:, ja, jb] for ja, jb in support})
+    return _Setup(MappingProxyType(decomps), support, any_dec, plus[:, zz, zz], joint16, group_plus)
 
 
-def _build_tables(
-    components: list[DensityState], support: Sequence[tuple[int, int]], dec: ProductDecomposition
-) -> _ObsTables:
-    gz = gamma_z()
-    zz_plus = np.array([(1.0 + c.expect(gz)) / 2.0 for c in components])
-    zz_label_a = dec.labels_a.index("ZZ")
-    zz_label_b = dec.labels_b.index("ZZ")
-    joint16 = np.zeros((4, 16))
-    for i, c in enumerate(components):
-        probs, _ = joint_outcome_table(c, dec, zz_label_a, zz_label_b)
-        joint16[i] = probs
-    group_plus = {}
-    for ja, jb in support:
-        arr = np.zeros(4)
-        for i, c in enumerate(components):
-            probs, prods = joint_outcome_table(c, dec, ja, jb)
-            arr[i] = float(probs[prods > 0].sum())
-        group_plus[(ja, jb)] = np.clip(arr, 0.0, 1.0)
-    return _ObsTables(np.clip(zz_plus, 0.0, 1.0), joint16, MappingProxyType(group_plus))
+def _computational_law(state: DensityState) -> np.ndarray:
+    """Outcome law of every qubit read in the computational basis, (A, A', B, B') order."""
+    rho, _ = reorder(state.mat, state.layout, ("A", "A'", "B", "B'"))
+    probs = np.clip(np.diagonal(rho).real, 0.0, None)
+    total = probs.sum()
+    if not np.isclose(total, 1.0, atol=1e-8):
+        raise ValueError(f"outcome probabilities sum to {total}, state not normalized?")
+    return probs / total
 
 
 def _sample_signs(p_plus: np.ndarray, codes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -462,16 +456,16 @@ def _measure_and_estimate(
     sample and ``group_codes`` maps each support pair to those of its test
     copies, in support order.  Returns the transcript's ``estimates``.
     """
-    tables, any_dec = setup.tables, setup.any_dec
+    any_dec = setup.any_dec
     m_x = int(codes_x.size)
     m_z = int(sum(c.size for c in group_codes.values()))
 
-    bit_signs = _sample_signs(tables.zz_plus, codes_x, rng)
+    bit_signs = _sample_signs(setup.zz_plus, codes_x, rng)
     eps_x_hat = float((1.0 - bit_signs.mean()) / 2.0)
     events.append({"event": "measure_bit_error", "count": m_x})
 
     records = {
-        pair: 0.25 * _sample_signs(tables.group_plus[pair], codes, rng)
+        pair: 0.25 * _sample_signs(setup.group_plus[pair], codes, rng)
         for pair, codes in group_codes.items()
     }
     counts = _group_counts(any_dec, group_codes)
@@ -541,7 +535,7 @@ def _measure_and_finish(
     final_len = pa_length(raw_len, eps_x_hat, eps_z_hat, ec_stats["syndrome_bits"], config.s)
     alice_fin = bob_fin = np.zeros(0, dtype=np.uint8)
     if ec_stats["rows_per_block"] < config.ec_block:  # else the reveal path: final_len is 0
-        alice_bits, err = _sample_key_bits(setup.tables.joint16, key_codes, rng)
+        alice_bits, err = _sample_key_bits(setup.joint16, key_codes, rng)
         err, ec_stats = error_correct(err, eps_x_hat, config.ec_block, rng)
         seed = toeplitz_seed(raw_len, final_len, rng)
         alice_fin = toeplitz_apply(alice_bits, seed, final_len)
@@ -772,11 +766,11 @@ def model_estimates(source: SourceSpec, m_x: int, m_prime: int) -> dict:
     noise = source.noise if source.kind == "pbit" else None
     fx, fz = (noise.eps_x, noise.eps_z) if noise is not None else (0.0, 0.0)
     pi = np.outer([1.0 - fx, fx], [1.0 - fz, fz]).ravel()  # indexed by code 2x + z
-    p = float(pi @ (1.0 - setup.tables.zz_plus))
+    p = float(pi @ (1.0 - setup.zz_plus))
     out: dict = {"eps_x_hat": {"mean": p, "se": math.sqrt(p * (1.0 - p) / m_x)}, "candidates": {}}
     for name, dec in setup.decomps.items():
         c = np.array([dec.coeffs[pair] for pair in dec.support()])
-        q = np.array([pi @ setup.tables.group_plus[pair] for pair in dec.support()])
+        q = np.array([pi @ setup.group_plus[pair] for pair in dec.support()])
         mean = (1.0 - float(c @ (2.0 * q - 1.0)) / 4.0) / 2.0
         se = math.sqrt(float(c**2 @ (q * (1.0 - q))) / (16.0 * m_prime))
         out["candidates"][name] = {"eps_z_raw": {"mean": mean, "se": se}}

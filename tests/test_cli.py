@@ -653,6 +653,8 @@ def _json_text(cfg: dict) -> str:
     ("run-ppp", {"beta_b": True}),
     ("run-ppp", {"beta_b": 1e400}),
     ("run-pm", {"beta_b": 1e400}),
+    ("run-ppp", {"beta_b": 1.5}),
+    ("run-ppp", {"beta_b": 1e200}),
     ("sweep", {"threads": "two"}),
     ("run-ppp", {"threads": "two"}),
     ("run-pm", {"threads": 1.5}),
@@ -741,7 +743,7 @@ def test_usage_errors_write_nothing(tmp_path, capsys, caplog, argv, cfg, message
 def test_bounds_config_values_are_usage_errors(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     for bad in ({"m_x": "abc"}, {"beta_b": -1}, {"beta_b": "x"}, {"beta_b": [1]},
-                {"beta_b": True}, {"beta_b": 1e400}):
+                {"beta_b": True}, {"beta_b": 1e400}, {"beta_b": 1.5}, {"beta_b": 1e200}):
         cfg_path.write_text(_json_text({"n": 100000, **bad}))
         assert main(["bounds", "--config", str(cfg_path)]) == EXIT_USAGE, bad
         assert capsys.readouterr().out == ""

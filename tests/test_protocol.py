@@ -1,5 +1,6 @@
 """End-to-end protocol runs: configs, determinism, aborts, transcripts."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbitqkd import channels, protocol
-from pbitqkd.estimation import pm_signal_ensemble
+from pbitqkd import channels, estimation, protocol
+from pbitqkd.estimation import joint_outcome_table, pm_signal_ensemble
 from pbitqkd.protocol import (
     ProtocolConfig,
     SourceSpec,
@@ -24,7 +25,7 @@ from pbitqkd.protocol import (
     twisting_by_name,
 )
 from pbitqkd.states import P_STAR, rho_h
-from pbitqkd.twist import build_u_h, make_pdit
+from pbitqkd.twist import build_u_h, gamma_z, make_pdit
 from pbitqkd.linalg import basis_ket, kron_all, proj, reorder
 
 
@@ -446,7 +447,7 @@ def test_equal_sources_share_one_setup():
 
 def test_cached_setup_is_read_only():
     setup = protocol._setup(SourceSpec(kind="pbit"), ("identity", "u_h"))
-    arrays = [setup.tables.zz_plus, setup.tables.joint16, *setup.tables.group_plus.values(),
+    arrays = [setup.zz_plus, setup.joint16, *setup.group_plus.values(),
               *(dec.coeffs for dec in setup.decomps.values())]
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -454,7 +455,44 @@ def test_cached_setup_is_read_only():
     with pytest.raises(TypeError):
         setup.decomps["u_h"] = None
     with pytest.raises(TypeError):
-        setup.tables.group_plus[(0, 0)] = np.ones(4)
+        setup.group_plus[(0, 0)] = np.ones(4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setup.zz_plus = np.ones(4)
+
+
+def _eigenbasis_tables(source, support, dec):
+    """The set-up's tables by projecting each component onto each pair's joint eigenbasis."""
+    components = protocol._component_states(source)
+    zz_plus = np.clip([(1.0 + c.expect(gamma_z())) / 2.0 for c in components], 0.0, 1.0)
+    zz_a, zz_b = dec.labels_a.index("ZZ"), dec.labels_b.index("ZZ")
+    joint16 = np.array([joint_outcome_table(c, dec, zz_a, zz_b)[0] for c in components])
+    group_plus = {}
+    for pair in support:
+        plus = []
+        for c in components:
+            probs, products = joint_outcome_table(c, dec, *pair)
+            plus.append(probs[products > 0].sum())
+        group_plus[pair] = np.clip(plus, 0.0, 1.0)
+    return zz_plus, joint16, group_plus
+
+
+@pytest.mark.parametrize("source", [
+    {"p": P_STAR, "kappa": 0.0},
+    {"p": P_STAR, "kappa": 0.001},
+    {"p": 0.3, "kappa": 0.2},
+    {"kind": "pbit", "twisting": "u_h", "ancilla": "comp00"},
+    {"kind": "pbit", "twisting": "identity", "ancilla": "maximally_mixed"},
+    KEYED_SOURCE,
+], ids=lambda source: json.dumps(source))
+def test_setup_tables_match_the_eigenbasis_projections(source):
+    spec = SourceSpec.from_dict(source)
+    setup = protocol._setup(spec, ("identity", "u_h"))
+    zz_plus, joint16, group_plus = _eigenbasis_tables(spec, setup.support, setup.any_dec)
+    np.testing.assert_allclose(setup.zz_plus, zz_plus, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(setup.joint16, joint16, rtol=0, atol=1e-12)
+    assert set(setup.group_plus) == set(group_plus) == set(setup.support)
+    for pair, plus in group_plus.items():
+        np.testing.assert_allclose(setup.group_plus[pair], plus, rtol=0, atol=1e-12)
 
 
 # runs on sources that share cache entries: kappa -0.0 equals 0.0 as a key,
@@ -476,6 +514,28 @@ CACHE_JOBS = {  # name -> (source, job)
     "estimate": (KEYED_SOURCE, lambda: canonical_json(
         run_estimate(SourceSpec.from_dict(KEYED_SOURCE), 5, 2000, 400, ("identity", "u_h")))),
 }
+
+
+# a rho_h ppp, the Eve ppp, the keyed pm and the keyed estimation round
+NO_EIGENBASIS_JOBS = [
+    *[(_transcript_job(run, cfg), digest) for run, cfg, digest in
+      (REFERENCE_TRANSCRIPTS[i] for i in (0, 2, 4))],
+    (CACHE_JOBS["estimate"][1], "afaed1c85efeaa4a"),
+]
+
+
+def test_run_path_builds_no_eigenbasis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run path built an eigenbasis")
+
+    for name in ("joint_outcome_table", "local_eigensystem"):
+        monkeypatch.setattr(estimation, name, refuse)
+    protocol._setup.cache_clear()  # so every set-up is built under the patch
+    try:
+        for job, digest in NO_EIGENBASIS_JOBS:
+            assert hashlib.sha256(job().encode()).hexdigest()[:16] == digest
+    finally:
+        protocol._setup.cache_clear()
 
 
 @pytest.mark.parametrize("name", ["rho_h kappa -0.0", "keyed ppp", "keyed pm", "estimate"])
