@@ -63,6 +63,9 @@ KEYED_PPP = {
     "source": KEYED_SOURCE,
 }
 KEYED_PM = {"n": 200_000, "seed": 7, "s": 1, "delta": 0.5, "m_x": 2000, "source": KEYED_SOURCE}
+FIXED_WEIGHT_SOURCE = {
+    **KEYED_SOURCE, "noise": {"eps_x": 0.05, "eps_z": 0.05, "mode": "fixed_weight"},
+}
 
 
 def test_source_spec_round_trip():
@@ -413,6 +416,14 @@ REFERENCE_TRANSCRIPTS = [
     (run_ppp, {**DESK_PPP, "eve": 0}, "d847df772a27cf5b"),
     (run_pm, {**DESK_PM, "eve": {"eps_x": 0, "eps_z": 0, "mode": "fixed_weight"}},
      "8efb265a418de335"),
+    # a phase-only Eve on the keyed source
+    (run_ppp, {**KEYED_PPP, "eve": {"eps_x": 0, "eps_z": 0.27}}, "106a1cb8ed99b5e4"),
+    # fixed-weight source noise
+    (run_ppp, {**KEYED_PPP, "source": FIXED_WEIGHT_SOURCE}, "34804ed3f7d75625"),
+    (run_pm, {**KEYED_PM, "source": FIXED_WEIGHT_SOURCE}, "e0be3f0e8a960236"),
+    (run_ppp, {**DESK_PPP, "source": {"p": 0.3, "kappa": 0.2}}, "687eb649a6f104c2"),
+    (run_pm, {**DESK_PM, "source": {"kind": "pbit", "twisting": "identity",
+                                    "ancilla": "maximally_mixed"}}, "40478b3472057089"),
 ]
 
 
@@ -516,11 +527,14 @@ CACHE_JOBS = {  # name -> (source, job)
 }
 
 
-# a rho_h ppp, the Eve ppp, the keyed pm and the keyed estimation round
+# a rho_h ppp, the Eve ppp, the keyed pm and the keyed and rho_h estimation rounds
 NO_EIGENBASIS_JOBS = [
     *[(_transcript_job(run, cfg), digest) for run, cfg, digest in
       (REFERENCE_TRANSCRIPTS[i] for i in (0, 2, 4))],
     (CACHE_JOBS["estimate"][1], "afaed1c85efeaa4a"),
+    (lambda: canonical_json(run_estimate(
+        SourceSpec.from_dict(DESK_PPP["source"]), 5, 4000, 10600, ("identity", "u_h"))),
+     "05832dc5610ce386"),
 ]
 
 
