@@ -12,9 +12,9 @@ O_jb on a batch of copies and multiply outcomes.  Combining the empirical
 group means with the coefficients recovers <gamma_x> and hence the phase
 error rate eps_z = (1 - <gamma_x>)/2.
 
-Estimation always goes through per-group product outcomes; nothing in this
-module evaluates the global observable against the state behind the
-estimator's back.
+Estimation always goes through per-group means of sampled product
+outcomes; nothing in this module evaluates the global observable against the
+state behind the estimator's back.
 """
 
 from __future__ import annotations
@@ -202,25 +202,24 @@ class EstimationResult:
 
 
 def estimate_eps_z_locc(
-    records: Mapping[tuple[int, int], np.ndarray],
+    means: Mapping[tuple[int, int], float],
     decomp: ProductDecomposition,
 ) -> EstimationResult:
-    """Combine per-group product outcomes into a phase-error estimate.
+    """Combine per-group product means into a phase-error estimate.
 
-    ``records`` maps (ja, jb) basis-pair indices to arrays of sampled
-    products.  Every pair in the decomposition's support must come with a
-    nonempty record (pairs with zero coefficient may be omitted -- they
-    cannot contribute).  The raw estimate (1 - out)/2 is clamped to [0, 1]
-    with a flag; callers keep the raw value for transcripts.
+    ``means`` maps (ja, jb) basis-pair indices to the mean of the group's
+    sampled products.  Every pair in the decomposition's support must have
+    one (pairs with zero coefficient may be omitted -- they cannot
+    contribute).  The raw estimate (1 - out)/2 is clamped to [0, 1] with a
+    flag; callers keep the raw value for transcripts.
     """
     out = 0.0
     for ja, jb in decomp.support():
-        rec = records.get((ja, jb))
-        if rec is None or len(rec) == 0:
+        if (ja, jb) not in means:
             raise ValueError(
                 f"support pair ({decomp.labels_a[ja]},{decomp.labels_b[jb]}) has no outcomes"
             )
-        out += float(decomp.coeffs[ja, jb]) * float(np.asarray(rec, dtype=float).mean())
+        out += float(decomp.coeffs[ja, jb]) * float(means[ja, jb])
     raw = (1.0 - out) / 2.0
     clamped = not 0.0 <= raw <= 1.0
     eps_z = min(max(raw, 0.0), 1.0)

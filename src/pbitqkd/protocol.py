@@ -4,9 +4,9 @@ Runs never materialize tensor-power states.  A per-copy *pattern code*
 (which X/Z flips hit Bob's qubit) selects one of at most four single-copy
 component states.  Every measurement statistic of those states is computed
 once per process per (source, candidates) pair, by the cached ``_setup``,
-and the per-copy outcomes are then sampled in bulk.  This keeps n = 1e5-scale
-runs in milliseconds while remaining exactly faithful to the iid component
-model.
+and the outcomes are then sampled in bulk: a test sample keeps only its count
+of +1 outcomes, the key block its bits.  This keeps n = 1e5-scale runs in
+milliseconds while remaining exactly faithful to the iid component model.
 
 Every run returns a :class:`Transcript` whose JSON serialization is
 byte-identical across reruns with the same config and seed (fixed RNG draw
@@ -45,7 +45,7 @@ from .estimation import (
     decompose_two_local,
     estimate_eps_z_locc,
 )
-from .linalg import basis_ket, kron_all, proj, reorder
+from .linalg import basis_ket, kron_all, pauli_product_basis, proj, reorder
 from .states import DensityState, P_STAR, rho_h
 from .twist import TwistingOp, build_u_h, gamma_x, identity_twisting, make_pdit
 
@@ -283,7 +283,7 @@ class _Setup:
 
     decomps: Mapping[str, ProductDecomposition]
     support: tuple[tuple[int, int], ...]  # union of the candidates' support pairs
-    any_dec: ProductDecomposition  # names the support pairs in transcripts
+    labels: Mapping  # (ja, jb) -> "O_a|O_b", the pair's name in transcripts
     zz_plus: np.ndarray  # (4,) probability that the sigma_z sigma_z product is +1
     joint16: np.ndarray  # (4, 16) computational joint outcome distribution
     group_plus: Mapping  # (ja, jb) -> (4,) probability that the product is +1/4
@@ -300,16 +300,17 @@ def _setup(source: SourceSpec, candidates: tuple[str, ...]) -> _Setup:
     """
     decomps = {name: decompose_two_local(gamma_x(twisting_by_name(name))) for name in candidates}
     support = tuple(sorted({pair for dec in decomps.values() for pair in dec.support()}))
-    any_dec = next(iter(decomps.values()))
+    names = [label for label, _ in pauli_product_basis()]  # every decomposition's labels
+    labels = MappingProxyType({(ja, jb): f"{names[ja]}|{names[jb]}" for ja, jb in support})
     components = _component_states(source)
     plus = np.array([(1.0 + 4.0 * decompose_two_local(c.mat).coeffs) / 2.0 for c in components])
     plus = np.clip(plus, 0.0, 1.0)
-    zz = any_dec.labels_a.index("ZI")
+    zz = names.index("ZI")
     joint16 = np.array([_computational_law(c) for c in components])
     for arr in (plus, joint16, *(dec.coeffs for dec in decomps.values())):
         arr.setflags(write=False)
     group_plus = MappingProxyType({(ja, jb): plus[:, ja, jb] for ja, jb in support})
-    return _Setup(MappingProxyType(decomps), support, any_dec, plus[:, zz, zz], joint16, group_plus)
+    return _Setup(MappingProxyType(decomps), support, labels, plus[:, zz, zz], joint16, group_plus)
 
 
 def _computational_law(state: DensityState) -> np.ndarray:
@@ -322,10 +323,36 @@ def _computational_law(state: DensityState) -> np.ndarray:
     return probs / total
 
 
-def _sample_signs(p_plus: np.ndarray, codes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """±1 outcomes with per-copy success probability p_plus[code]."""
-    u = rng.random(codes.size)
-    return np.where(u < p_plus[codes], 1.0, -1.0)
+def _code_slices(codes: np.ndarray, rng: np.random.Generator):
+    """The uniforms of one ``rng.random(codes.size)``, split by slice and pattern code.
+
+    Yields (slice, code, selection, uniforms): ``selection`` picks the copies
+    of ``slice`` that carry ``code`` and ``uniforms`` are theirs.  Zero-stride
+    codes (one code for every copy, ``_pattern_codes``) select the whole slice
+    with no gather.  The uniforms are only valid until the next item
+    (``_uniform_slices``).
+    """
+    for sl, u in _uniform_slices(codes.size, rng):
+        codes_sl = codes[sl]
+        if codes_sl.strides == (0,):
+            yield sl, codes_sl[0], slice(None), u
+            continue
+        for c in np.flatnonzero(np.bincount(codes_sl)):
+            sel = codes_sl == c
+            yield sl, c, sel, u[sel]
+
+
+def _sample_mean(
+    p_plus: np.ndarray, codes: np.ndarray, rng: np.random.Generator, scale: float = 1.0
+) -> float:
+    """Mean of one ±scale outcome per copy, +scale with probability p_plus[code].
+
+    Only the count k of +scale outcomes is kept: the mean of m outcomes is
+    scale (2k - m) / m, which equals the mean of the ±scale array bit for
+    bit, since a sum of m ±1 or ±1/4 values is exact in float64.
+    """
+    k = sum(int(np.count_nonzero(u < p_plus[c])) for _, c, _, u in _code_slices(codes, rng))
+    return scale * (2 * k - codes.size) / codes.size
 
 
 def _sample_key_bits(
@@ -346,31 +373,13 @@ def _sample_key_bits(
     cum = cum / cum[:, -1:]
     alice = np.empty(codes.size, dtype=bool)
     err = np.empty(codes.size, dtype=bool)
-    for sl, u in _uniform_slices(codes.size, rng):
-        codes_sl = codes[sl]
-        if codes_sl.strides == (0,):  # one code for every copy (_pattern_codes): no gather
-            _key_bits_into(u, cum[codes_sl[0]], alice[sl], err[sl])
-            continue
-        for c in np.flatnonzero(np.bincount(codes_sl)):
-            sel = codes_sl == c
-            u_c = u[sel]
-            a, e = np.empty(u_c.size, dtype=bool), np.empty(u_c.size, dtype=bool)
-            _key_bits_into(u_c, cum[c], a, e)
-            alice[sl][sel], err[sl][sel] = a, e
+    for sl, c, sel, u in _code_slices(codes, rng):
+        alice[sl][sel] = u > cum[c, 7]
+        err_c = u > cum[c, 1]
+        for bound in cum[c, [3, 5, 9, 11, 13]]:
+            err_c ^= u > bound
+        err[sl][sel] = err_c
     return alice.view(np.uint8), err.view(np.uint8)
-
-
-def _key_bits_into(u: np.ndarray, cum_c: np.ndarray, alice: np.ndarray, err: np.ndarray) -> None:
-    """Write Alice's bits and the error pattern of uniforms ``u`` under one code's bounds."""
-    np.greater(u, cum_c[7], out=alice)
-    np.greater(u, cum_c[1], out=err)
-    above = np.empty_like(err)
-    for bound in cum_c[[3, 5, 9, 11, 13]]:
-        err ^= np.greater(u, bound, out=above)
-
-
-def _pair_label(dec: ProductDecomposition, ja: int, jb: int) -> str:
-    return f"{dec.labels_a[ja]}|{dec.labels_b[jb]}"
 
 
 def _security_block(config: ProtocolConfig, m_x: int, m_z: int) -> dict:
@@ -412,8 +421,8 @@ def _resolve_budgets(config: ProtocolConfig, n_groups: int) -> tuple[int | None,
     return m_x, m_prime, ""
 
 
-def _group_counts(dec: ProductDecomposition, group_codes: dict) -> dict[str, int]:
-    return {_pair_label(dec, *pair): int(codes.size) for pair, codes in group_codes.items()}
+def _group_counts(setup: _Setup, group_codes: dict) -> dict[str, int]:
+    return {setup.labels[pair]: int(codes.size) for pair, codes in group_codes.items()}
 
 
 def _abort(
@@ -456,23 +465,21 @@ def _measure_and_estimate(
     sample and ``group_codes`` maps each support pair to those of its test
     copies, in support order.  Returns the transcript's ``estimates``.
     """
-    any_dec = setup.any_dec
     m_x = int(codes_x.size)
     m_z = int(sum(c.size for c in group_codes.values()))
 
-    bit_signs = _sample_signs(setup.zz_plus, codes_x, rng)
-    eps_x_hat = float((1.0 - bit_signs.mean()) / 2.0)
+    eps_x_hat = (1.0 - _sample_mean(setup.zz_plus, codes_x, rng)) / 2.0
     events.append({"event": "measure_bit_error", "count": m_x})
 
-    records = {
-        pair: 0.25 * _sample_signs(setup.group_plus[pair], codes, rng)
+    means = {
+        pair: _sample_mean(setup.group_plus[pair], codes, rng, 0.25)
         for pair, codes in group_codes.items()
     }
-    counts = _group_counts(any_dec, group_codes)
+    counts = _group_counts(setup, group_codes)
     events.append({"event": "measure_phase_groups", "counts": counts})
 
     results: dict[str, EstimationResult] = {
-        name: estimate_eps_z_locc(records, dec) for name, dec in setup.decomps.items()
+        name: estimate_eps_z_locc(means, dec) for name, dec in setup.decomps.items()
     }
     best = list(results)[best_candidate(list(results.values()))]
     eps_z_hat = results[best].eps_z
@@ -494,9 +501,7 @@ def _measure_and_estimate(
         "rate": rate,
         "rate_raw": 1.0 - binary_entropy(ex) - binary_entropy(eps_z_hat),
         "net_rate": (1.0 - (m_x + m_z) / config.n) * rate,
-        "group_means": {
-            _pair_label(any_dec, *pair): float(rec.mean()) for pair, rec in records.items()
-        },
+        "group_means": {setup.labels[pair]: mean for pair, mean in means.items()},
         "group_counts": counts,
     }
 
@@ -617,7 +622,7 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
         "m_x": m_x,
         "m_prime": m_prime,
         "m_z": m_prime * len(support),
-        "groups": _group_counts(setup.any_dec, group_codes),
+        "groups": _group_counts(setup, group_codes),
         "key_count": int(key_codes.size),
     })
     return _measure_and_finish(
@@ -654,7 +659,7 @@ def run_pm(config: ProtocolConfig) -> Transcript:
     """
     rng = np.random.default_rng(config.seed)
     setup = _setup(config.source, tuple(config.candidates))
-    support, any_dec = setup.support, setup.any_dec
+    support = setup.support
     ja_set = sorted({ja for ja, _ in support})
     jb_set = sorted({jb for _, jb in support})
 
@@ -688,16 +693,12 @@ def run_pm(config: ProtocolConfig) -> Transcript:
     del codes, a_obs, b_obs
     events.append({
         "event": "sift",
-        "matched_counts": _group_counts(any_dec, group_codes),
+        "matched_counts": _group_counts(setup, group_codes),
         "key_candidates": int(key_codes.size),
         "discarded": int(n - key_codes.size - sum(v.size for v in group_codes.values())),
     })
 
-    short = [
-        _pair_label(any_dec, *pair)
-        for pair in support
-        if group_codes[pair].size < min_group
-    ]
+    short = [setup.labels[pair] for pair in support if group_codes[pair].size < min_group]
     if short or key_codes.size < m_x + config.ec_block:
         return _abort(
             config, "pm", events,

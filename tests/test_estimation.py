@@ -25,11 +25,11 @@ def u_h_pbit():
 
 
 def exact_records(state, decomp):
-    """Per-pair 'records' holding the exact mean as a single pseudo-outcome."""
+    """Per-pair exact means of the product outcomes."""
     out = {}
     for ja, jb in decomp.support():
         probs, products = joint_outcome_table(state, decomp, ja, jb)
-        out[(ja, jb)] = np.array([float(np.dot(probs, products))])
+        out[(ja, jb)] = float(np.dot(probs, products))
     return out
 
 
@@ -172,7 +172,7 @@ def test_estimator_clamps_and_flags():
     dec = ProductDecomposition(
         labels_a=("XX",), labels_b=("XX",), coeffs=np.array([[4.0]]),
     )
-    res = estimate_eps_z_locc({(0, 0): np.array([1.0])}, dec)
+    res = estimate_eps_z_locc({(0, 0): 1.0}, dec)
     assert res.clamped and res.eps_z == 0.0 and res.eps_z_raw < 0.0
 
 
@@ -183,7 +183,7 @@ def test_sampling_concentrates_with_m():
     records = {}
     for pair in dec.support():
         probs, products = joint_outcome_table(state, dec, *pair)
-        records[pair] = products[rng.choice(probs.size, size=20000, p=probs)]
+        records[pair] = products[rng.choice(probs.size, size=20000, p=probs)].mean()
     res = estimate_eps_z_locc(records, dec)
     assert res.eps_z < 0.02  # truth is 0; generous envelope at m' = 20000
 

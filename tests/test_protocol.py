@@ -498,7 +498,8 @@ def _eigenbasis_tables(source, support, dec):
 def test_setup_tables_match_the_eigenbasis_projections(source):
     spec = SourceSpec.from_dict(source)
     setup = protocol._setup(spec, ("identity", "u_h"))
-    zz_plus, joint16, group_plus = _eigenbasis_tables(spec, setup.support, setup.any_dec)
+    dec = setup.decomps["identity"]
+    zz_plus, joint16, group_plus = _eigenbasis_tables(spec, setup.support, dec)
     np.testing.assert_allclose(setup.zz_plus, zz_plus, rtol=0, atol=1e-12)
     np.testing.assert_allclose(setup.joint16, joint16, rtol=0, atol=1e-12)
     assert set(setup.group_plus) == set(group_plus) == set(setup.support)
@@ -657,6 +658,43 @@ def test_sample_categorical_memory_is_linear_without_a_category_table():
         assert peak < 2 * n + 64 * channels._SAMPLE_CHUNK, n_codes
 
 
+def _sample_signs(p_plus, codes, rng):
+    # the measurement core's former per-copy outcome array, kept as the reference
+    u = rng.random(codes.size)
+    return np.where(u < p_plus[codes], 1.0, -1.0)
+
+
+# sizes around the sampler's 65536-copy slices
+@pytest.mark.parametrize("m", [1, 65535, 65536, 65537, 200001])
+@pytest.mark.parametrize("kind", ["zero_stride", "mixed"])
+@pytest.mark.parametrize("scale", [1.0, 0.25])
+def test_sample_mean_equals_the_mean_of_the_outcome_array(m, kind, scale):
+    gen = np.random.default_rng(m)
+    p_plus = gen.random(4)
+    if kind == "zero_stride":
+        codes = _zero_stride_codes(2, m)
+    else:
+        codes = gen.integers(0, 4, size=m).astype(np.uint8)
+    rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+    mean = protocol._sample_mean(p_plus, codes, rng_a, scale)
+    assert mean == float((scale * _sample_signs(p_plus, np.asarray(codes), rng_b)).mean())
+    assert rng_a.random() == rng_b.random()  # exactly one uniform per copy
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    mk=st.integers(1, 200_000).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+    scale=st.sampled_from([1.0, 0.25]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_count_mean_equals_the_array_mean(mk, scale, seed):
+    # code 0 always reads +scale and code 1 never does, so k copies read +scale
+    m, k = mk
+    codes = np.random.default_rng(seed).permutation(np.repeat(np.uint8([0, 1]), [k, m - k]))
+    mean = protocol._sample_mean(np.array([1.0, 0.0, 0.0, 0.0]), codes, np.random.default_rng(0), scale)
+    assert mean == scale * (2 * k - m) / m == np.where(codes == 0, scale, -scale).mean()
+
+
 SIZES = (4, 5, 17, 65537, 10**6)
 
 
@@ -767,12 +805,12 @@ def _traced_peak(run, config: ProtocolConfig) -> int:
 
 
 # a ppp run on rho_h has zero-stride codes (no array) and completes on EC's
-# reveal path with no key drawn, so it holds only its m_x + 9 m' test samples
-# (0.95 MB here), whatever n is
+# reveal path with no key drawn; its test samples keep only their +1 counts, so
+# it holds one group's uniforms at a time (0.10 MB here), whatever n is
 @pytest.mark.parametrize("n", [10**6, 10**7])
 def test_rho_h_ppp_peak_memory_is_free_of_n(n):
     peak = _traced_peak(run_ppp, ProtocolConfig.from_dict({**DESK_PPP, "n": n, "seed": 1}))
-    assert peak < 1.5e6  # rho_h(p*, 0.001); seed 0 aborts
+    assert peak < 0.15e6  # rho_h(p*, 0.001); seed 0 aborts
 
 
 # bytes per copy a run holds at its peak: a rho_h pm run holds its int8 basis
