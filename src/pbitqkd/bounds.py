@@ -419,7 +419,8 @@ def choose_params(
     every term of the aggregate failure bound at (n, m_x, m_z, r) coming
     in at or below 2^-s (within a 1e-6 relative slack); with n = None the
     minimal such n is located by doubling + bisection -- expect an
-    astronomically large answer at meaningful s.
+    astronomically large answer at meaningful s.  An infeasible attempt at
+    the search's cap answers n = None at once, from that attempt.
     """
     top = check_solver_args(s, delta, d, d_prime, n)
     if n is not None:
@@ -434,16 +435,12 @@ def choose_params(
     # cap's budget margin held m_z = t^2 m' >= 16 m' as a finite double
     n_lo = max(4 * top.m_x, 1024)
     n_hi = n_lo
-    while n_hi <= _N_CAP:
+    while top.feasible and n_hi <= _N_CAP:
         if feasible(n_hi):
-            break
+            return _attempt(s, delta, d, d_prime, _least(feasible, n_lo, n_hi))
         n_hi *= 2
-    else:
-        return replace(
-            top, feasible=False, n=None,
-            message=f"no feasible n below cap 2^{_N_CAP.bit_length() - 1}",
-        )
-    return _attempt(s, delta, d, d_prime, _least(feasible, n_lo, n_hi))
+    return replace(top, feasible=False, n=None,
+                   message=f"no feasible n below cap 2^{_N_CAP.bit_length() - 1}")
 
 
 def _attempt(s: int, delta: float, d: int, d_prime: int, n: int) -> ParamSolution:

@@ -1,5 +1,5 @@
-"""The one JSON writer, shared by transcripts and CLI documents, and the one
-reader of integer config values.
+"""The one JSON writer, shared by transcripts and CLI documents, and the
+readers of integer and real config values.
 
 Standard library only, so a command that never touches numpy can use it:
 numpy's floating scalars register as ``numbers.Real`` (and its integers as
@@ -41,3 +41,13 @@ def json_int(value) -> int:
     if not (isinstance(value, Integral) or float(value).is_integer()):
         raise ValueError(f"need an integer, got {value!r}")
     return int(value)
+
+
+def json_real(value) -> float:
+    """A real config value: an int or a float, as a float.
+
+    A bool or a non-number raises TypeError; the range is the caller's to check.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"need a real number, got {value!r}")
+    return float(value)

@@ -25,6 +25,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import sys
 from collections import ChainMap
 from contextlib import contextmanager
@@ -33,14 +34,13 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 from .bounds import (
     BoundParams,
     check_beta_b,
-    check_solver_args,
     choose_params,
     composable_insecurity,
     key_rate,
     protocol_failure_bound,
     relaxation_budget,
 )
-from .canonical import canonical_json, json_int
+from .canonical import canonical_json, json_int, json_real
 
 if TYPE_CHECKING:
     from .protocol import ProtocolConfig
@@ -175,14 +175,13 @@ def _require_seed(cfg: Mapping) -> int:
 def _solver_args(cfg: Mapping) -> tuple[int, float, int, int, int | None]:
     """s, delta, d, d_prime and n (None when unset) for the parameter solver.
 
-    Raises ValueError on a value the solver rejects; read inside ``_config_errors``.
+    Raises TypeError or ValueError on a value that is no number of its kind;
+    the solver's own call checks the range.  Read inside ``_config_errors``.
     """
-    s, delta = json_int(_get(cfg, "s", 40)), float(_get(cfg, "delta", 0.05))
+    s, delta = json_int(_get(cfg, "s", 40)), json_real(_get(cfg, "delta", 0.05))
     d, d_prime = json_int(_get(cfg, "d", 2)), json_int(_get(cfg, "d_prime", 4))
     n = _get(cfg, "n")
-    n = None if n is None else json_int(n)
-    check_solver_args(s, delta, d, d_prime, n)
-    return s, delta, d, d_prime, n
+    return s, delta, d, d_prime, None if n is None else json_int(n)
 
 
 # --- verify-example ------------------------------------------------------------
@@ -211,8 +210,8 @@ def cmd_verify_example(args, cfg: ChainMap) -> int:
     from .twist import build_u_h, gamma_x, gamma_z, untwist_and_trace
 
     with _config_errors("verify-example"):
-        p = float(_get(cfg, "p", P_STAR))
-        kappa = float(_get(cfg, "kappa", 0.0))
+        p = json_real(_get(cfg, "p", P_STAR))
+        kappa = json_real(_get(cfg, "kappa", 0.0))
         state = rho_h(p, kappa)
     checks = []
 
@@ -328,12 +327,12 @@ def cmd_bounds(args, cfg: ChainMap) -> int:
         s, delta, d, d_prime, n = _solver_args(cfg)
         if n is None:
             raise UsageError("bounds needs --n (or config 'n')")
+        solver = choose_params(s, delta, d, d_prime, n=n)
         m_x, m_z = (_get(cfg, k) for k in ("m_x", "m_z"))
         m_x, m_z = (None if v is None else json_int(v) for v in (m_x, m_z))
         beta_b = cfg.get("beta_b")
         check_beta_b(beta_b)
 
-    solver = choose_params(s, delta, d, d_prime, n=n)
     # allocation: explicit config values, else the solver split when it is
     # feasible at this n, else an even key/test heuristic (vacuous at desk scale)
     if m_x is None:
@@ -363,8 +362,7 @@ def cmd_bounds(args, cfg: ChainMap) -> int:
 
 def cmd_solve_params(args, cfg: ChainMap) -> int:
     with _config_errors("solve-params"):
-        s, delta, d, d_prime, n = _solver_args(cfg)
-    sol = choose_params(s, delta, d, d_prime, n=n)
+        sol = choose_params(*_solver_args(cfg))
     payload = {"schema": SCHEMA, "solution": sol.to_dict()}
     _emit(payload, args.out)
     if not sol.feasible:
@@ -383,8 +381,8 @@ def cmd_estimate(args, cfg: ChainMap) -> int:
         source = SourceSpec.from_dict(cfg["source"])
         m_prime = json_int(_get(cfg, "m_prime", 400))
         m_x = json_int(_get(cfg, "m_x", 1024))
-        candidates = tuple(_get(cfg, "candidates", ProtocolConfig.candidates))
-        ProtocolConfig.check_candidates(candidates)  # a config error, not a run error
+        candidates = _get(cfg, "candidates", ProtocolConfig.candidates)
+        candidates = ProtocolConfig.check_candidates(candidates)  # a config error, not a run error
     if m_prime < 1 or m_x < 1:
         raise UsageError("m_prime and m_x must be positive")
 
@@ -501,9 +499,9 @@ def cmd_sweep(args, cfg: ChainMap) -> int:
     with _config_errors("protocol"):
         # a grid axis, else the top-level value, else the source's, else the default
         source = cfg["source"]
-        p_values = [float(v) for v in _get(
+        p_values = [json_real(v) for v in _get(
             cfg, "p_values", [_get(cfg, "p", source.get("p", P_STAR))])]
-        kappa_values = [float(v) for v in _get(
+        kappa_values = [json_real(v) for v in _get(
             cfg, "kappa_values", [_get(cfg, "kappa", source.get("kappa", 0.0))])]
         if seeds is None:
             seeds = [json_int(seed0) + i for i in range(json_int(_get(cfg, "n_seeds", 1)))]
@@ -518,11 +516,13 @@ def cmd_sweep(args, cfg: ChainMap) -> int:
             for seed in seeds
         ]
 
-    threads = _get(cfg, "threads")  # an int: every task's ProtocolConfig checked it
-    if tasks and threads is not None and threads > 1:
+    # threads is an int >= 1 wherever a task's ProtocolConfig checked it; on Linux the
+    # pool forks all its workers at once, so it gets no more than there are runs or cores
+    workers = min(_get(cfg, "threads", 1), len(tasks), os.cpu_count() or 1) if tasks else 1
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]

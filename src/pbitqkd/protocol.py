@@ -34,7 +34,7 @@ from .bounds import (
     protocol_failure_bound,
     relaxation_budget,
 )
-from .canonical import canonical_json, json_int
+from .canonical import canonical_json, json_int, json_real
 from .channels import PauliNoiseModel, _uniform_slices, pauli_op
 from .ecpa import MAX_EC_BLOCK, bits_to_hex, error_correct, pa_length, syndrome_stats
 from .ecpa import toeplitz_apply, toeplitz_seed
@@ -118,7 +118,9 @@ class SourceSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SourceSpec":
-        return _from_fields(cls, d, {"p": float, "kappa": float, "noise": PauliNoiseModel.from_dict})
+        return _from_fields(cls, d, {
+            "p": json_real, "kappa": json_real, "noise": PauliNoiseModel.from_dict,
+        })
 
 
 @dataclass(frozen=True)
@@ -159,14 +161,12 @@ class ProtocolConfig:
         except OverflowError:
             raise ValueError("pm's test-set size n_c = ceil(sqrt(n s) log2(n) / delta) "
                              "is no finite double") from None
-        if any(m is not None and m < 1 for m in (self.m_x, self.m_prime)):
-            raise ValueError(
-                f"need m_x >= 1 and m_prime >= 1, got m_x = {self.m_x}, m_prime = {self.m_prime}"
-            )
+        _check_budgets(self.m_x, self.m_prime)
         self.check_candidates(self.candidates)
         check_beta_b(self.beta_b)
-        if self.threads is not None and type(self.threads) is not int:  # bools excluded
-            raise ValueError(f"threads must be an integer, got {self.threads!r}")
+        # type(), not isinstance(): a bool is no thread count
+        if self.threads is not None and (type(self.threads) is not int or self.threads < 1):
+            raise ValueError(f"threads must be a positive integer, got {self.threads!r}")
 
     @property
     def n_c(self) -> int:
@@ -174,11 +174,17 @@ class ProtocolConfig:
         return math.ceil(math.sqrt(self.n * self.s) * math.log2(self.n) / self.delta)
 
     @staticmethod
-    def check_candidates(candidates: Sequence[str]) -> None:
-        """Reject an empty candidate list or one naming an unknown twisting."""
+    def check_candidates(candidates: Sequence[str]) -> tuple[str, ...]:
+        """The candidates as a tuple: TypeError unless a list or tuple of names,
+        ValueError if empty or naming an unknown twisting."""
+        if not isinstance(candidates, (list, tuple)) or not all(
+            isinstance(name, str) for name in candidates
+        ):
+            raise TypeError(f"candidates must be a list of twisting names, got {candidates!r}")
         if not candidates:
             raise ValueError("need at least one candidate twisting")
         _check_names("candidate twisting", candidates, _TWISTINGS)
+        return tuple(candidates)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -186,10 +192,16 @@ class ProtocolConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolConfig":
         return _from_fields(cls, d, {
-            "n": json_int, "seed": json_int, "s": json_int, "delta": float,
-            "source": SourceSpec.from_dict, "eve": _parse_eve, "candidates": tuple,
+            "n": json_int, "seed": json_int, "s": json_int, "delta": json_real,
+            "source": SourceSpec.from_dict, "eve": _parse_eve, "candidates": cls.check_candidates,
             "m_x": json_int, "m_prime": json_int, "ec_block": json_int,
         })
+
+
+def _check_budgets(m_x: int | None, m_prime: int | None) -> None:
+    """Reject an m_x or m_prime below 1; None (left to the solver) passes."""
+    if any(m is not None and m < 1 for m in (m_x, m_prime)):
+        raise ValueError(f"need m_x >= 1 and m_prime >= 1, got m_x = {m_x}, m_prime = {m_prime}")
 
 
 def _parse_eve(eve) -> PauliNoiseModel:
@@ -236,8 +248,10 @@ class Transcript:
 # --- single-copy component model ---------------------------------------------
 
 
-def _pattern_codes(config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
-    """Per-copy pattern code 2x + z in {0,1,2,3} from source noise XOR Eve.
+def _pattern_codes(
+    source: SourceSpec, eve: PauliNoiseModel | None, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-copy pattern code 2x + z in {0,1,2,3} of n copies, from source noise XOR Eve.
 
     Each model's code (x << 1) | z is XORed into the one uint8 output, so
     besides it only that model's two flip arrays are held.  When no model
@@ -246,15 +260,15 @@ def _pattern_codes(config: ProtocolConfig, rng: np.random.Generator) -> np.ndarr
     zero-stride view of that one byte: no array.  A model of strength 0
     still makes its draws, which later draws follow.
     """
-    noise = config.source.noise if config.source.kind == "pbit" else None
-    models = [model for model in (noise, config.eve) if model is not None]
-    codes = np.broadcast_to(np.uint8(0), config.n)
+    noise = source.noise if source.kind == "pbit" else None
+    models = [model for model in (noise, eve) if model is not None]
+    codes = np.broadcast_to(np.uint8(0), n)
     for model in models:
-        x, z = model.sample_pattern(config.n, rng)
+        x, z = model.sample_pattern(n, rng)
         if model.eps_x == model.eps_z == 0.0:  # no flip in x or z
             continue
         if not codes.flags.writeable:
-            codes = np.zeros(config.n, dtype=np.uint8)
+            codes = np.zeros(n, dtype=np.uint8)
         x <<= 1
         x |= z
         codes ^= x
@@ -451,7 +465,7 @@ def _abort(
 
 
 def _measure_and_estimate(
-    config: ProtocolConfig,
+    n: int,
     rng: np.random.Generator,
     events: list,
     setup: _Setup,
@@ -463,7 +477,8 @@ def _measure_and_estimate(
     The one measurement core behind ``run_ppp``, ``run_pm`` and
     ``run_estimate``.  ``codes_x`` holds the pattern codes of the bit-error
     sample and ``group_codes`` maps each support pair to those of its test
-    copies, in support order.  Returns the transcript's ``estimates``.
+    copies, in support order; the net rate is over n copies.  Returns the
+    transcript's ``estimates``.
     """
     m_x = int(codes_x.size)
     m_z = int(sum(c.size for c in group_codes.values()))
@@ -500,7 +515,7 @@ def _measure_and_estimate(
         "eps_z_hat": eps_z_hat,
         "rate": rate,
         "rate_raw": 1.0 - binary_entropy(ex) - binary_entropy(eps_z_hat),
-        "net_rate": (1.0 - (m_x + m_z) / config.n) * rate,
+        "net_rate": (1.0 - (m_x + m_z) / n) * rate,
         "group_means": {setup.labels[pair]: mean for pair, mean in means.items()},
         "group_counts": counts,
     }
@@ -528,7 +543,7 @@ def _measure_and_finish(
     into the residual one in place, and Bob's corrected bits, Alice's XOR the
     residual, are rebuilt in that array just for his PA call.
     """
-    estimates = _measure_and_estimate(config, rng, events, setup, codes_x, group_codes)
+    estimates = _measure_and_estimate(config.n, rng, events, setup, codes_x, group_codes)
     eps_x_hat, eps_z_hat = estimates["eps_x_hat"], estimates["eps_z_hat"]
     security = _security_block(config, estimates["m_x"], estimates["m_z"])
     estimates.update(extra_estimates or {})
@@ -612,7 +627,7 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
     if err:
         return _abort(config, "ppp", events, err)
 
-    codes = _pattern_codes(config, rng)
+    codes = _pattern_codes(config.source, config.eve, config.n, rng)
     events.append({"event": "distribute", "source": config.source.kind, "copies": config.n})
 
     _shuffle_codes(codes, rng)
@@ -676,7 +691,7 @@ def run_pm(config: ProtocolConfig) -> Transcript:
 
     events: list = [{**configure, "n_c": n_c}]
 
-    codes = _pattern_codes(config, rng)
+    codes = _pattern_codes(config.source, config.eve, config.n, rng)
     events.append({"event": "prepare_and_send", "source": config.source.kind, "copies": n})
     events.append({"event": "measure", "note": "receiver measures on arrival"})
     events.append({"event": "receipt_confirmed", "copies": n})
@@ -728,24 +743,21 @@ def run_estimate(
     Same set-up, position layout and measurement core as ``run_ppp`` on
     n = m_x + |support|*m_prime copies, with no shuffle, so the bit-error
     sample and the groups are the leading slices of the codes.  Source
-    noise acts on pbit sources only, as in the runs.
+    noise acts on pbit sources only, as in the runs.  Refuses what a run's
+    config would (candidates, m_x or m_prime below 1, a negative seed).
     Returns the ``estimates`` block a run's transcript would carry.
     """
-    ProtocolConfig.check_candidates(candidates)
-    setup = _setup(source, tuple(candidates))
-    # a config needs n >= 4; copies past the tests stay unmeasured
-    config = ProtocolConfig(
-        n=max(4, m_x + len(setup.support) * m_prime),
-        seed=seed,
-        source=source,
-        candidates=tuple(candidates),
-        m_x=m_x,
-        m_prime=m_prime,
-    )
+    candidates = ProtocolConfig.check_candidates(candidates)
+    _check_budgets(m_x, m_prime)
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got seed = {seed}")
+    setup = _setup(source, candidates)
+    # at least a run's 4 copies; copies past the tests stay unmeasured
+    n = max(4, m_x + len(setup.support) * m_prime)
     rng = np.random.default_rng(seed)
-    codes = _pattern_codes(config, rng)
+    codes = _pattern_codes(source, None, n, rng)
     codes_x, group_codes, _ = _split_codes(codes, m_x, m_prime, setup.support)
-    return _measure_and_estimate(config, rng, [], setup, codes_x, group_codes)
+    return _measure_and_estimate(n, rng, [], setup, codes_x, group_codes)
 
 
 def model_estimates(source: SourceSpec, m_x: int, m_prime: int) -> dict:
@@ -761,8 +773,7 @@ def model_estimates(source: SourceSpec, m_x: int, m_prime: int) -> dict:
     twisting as a candidate,
     ``{"eps_x_hat": {"mean", "se"}, "candidates": {name: {"eps_z_raw": {"mean", "se"}}}}``.
     """
-    if m_x < 1 or m_prime < 1:
-        raise ValueError(f"need m_x >= 1 and m_prime >= 1, got m_x = {m_x}, m_prime = {m_prime}")
+    _check_budgets(m_x, m_prime)
     setup = _setup(source, tuple(_TWISTINGS))
     noise = source.noise if source.kind == "pbit" else None
     fx, fz = (noise.eps_x, noise.eps_z) if noise is not None else (0.0, 0.0)

@@ -10,6 +10,7 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbitqkd import bounds
 from pbitqkd.bounds import (
     BoundParams,
     binary_entropy,
@@ -401,6 +403,37 @@ def test_solver_reports_infeasibility_with_binding_constraint():
     sol2 = choose_params(1, 0.05, n=10**19)
     assert not sol2.feasible
     assert sol2.binding_constraint == "term_bit_sampling"
+
+
+def _count_attempts(monkeypatch) -> list:
+    """Wrap the solver's one-n attempt; the returned list grows by one per attempt."""
+    made, attempt = [], bounds._attempt
+    monkeypatch.setattr(bounds, "_attempt", lambda *args: made.append(args) or attempt(*args))
+    return made
+
+
+def _doubling_search(s: int, delta: float, d: int, d_prime: int) -> int | None:
+    """The first feasible n of the full doubling search below the cap, or None:
+    the reference an infeasible cap is answered against."""
+    n = max(4 * math.ceil(16.0 * s / (delta * delta)), 1024)
+    while n <= bounds._N_CAP:
+        if bounds._attempt(s, delta, d, d_prime, n).feasible:
+            return n
+        n *= 2
+    return None
+
+
+# at d = 1024 the post-selection term, at d = 2^20 the budget fails at every n
+@pytest.mark.parametrize("d, binding", [(1024, "term_post_selection"), (2**20, "n_budget")])
+@pytest.mark.parametrize("s, delta", [(5, 0.5), (40, 0.05)])
+def test_an_infeasible_cap_is_answered_from_its_one_attempt(monkeypatch, s, delta, d, binding):
+    cap = bounds._attempt(s, delta, d, 4, bounds._N_CAP)
+    assert not cap.feasible and cap.binding_constraint == binding
+    made = _count_attempts(monkeypatch)
+    sol = choose_params(s, delta, d, 4)
+    assert len(made) == 1
+    assert sol == replace(cap, n=None, message="no feasible n below cap 2^200")
+    assert _doubling_search(s, delta, d, 4) is None
 
 
 def test_solver_reports_r_composition():

@@ -1,16 +1,18 @@
 """CLI contract: exit codes, one-JSON-document stdout, file outputs, CSV."""
 
 import argparse
+import concurrent.futures
 import csv
 import hashlib
 import json
 import logging
+import os
 import subprocess
 import sys
 
 import pytest
 
-from pbitqkd import protocol
+from pbitqkd import bounds, protocol
 from pbitqkd.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _build_parser, main
 from pbitqkd.states import P_STAR
 
@@ -446,6 +448,45 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     assert serial.read_text() == parallel.read_text()
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+# workers: at most threads, runs and cores, since the pool starts all of them at once
+@pytest.mark.parametrize("threads, cores, workers", [
+    (100000, 8, 6), (100000, 2, 2), (3, 8, 3), (2, None, None), (1, 8, None),
+])
+def test_sweep_pool_starts_no_more_workers_than_runs_or_cores(
+    tmp_path, capsys, monkeypatch, threads, cores, workers
+):
+    cfg_path = tmp_path / "sweep.json"
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pool.csv"
+    cfg_path.write_text(json.dumps({**SWEEP, "p_values": [P_STAR, 0.5], "seeds": [0, 1, 2]}))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(serial)]) == EXIT_OK
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(pooled),
+                 "--threads", str(threads)]) == EXIT_OK
+    capsys.readouterr()
+    assert _SerialPool.sizes == ([] if workers is None else [workers])
+    assert pooled.read_text() == serial.read_text()
+
+
 def test_sweep_usage_errors(tmp_path, capsys):
     assert main(["sweep"]) == EXIT_USAGE
     capsys.readouterr()
@@ -520,6 +561,13 @@ def test_null_entries_read_by_the_cli_are_unset(tmp_path, capsys, caplog, comman
     ("estimate", {"candidates": ["foo"]}, "bad estimate config"),
     ("estimate", {"source": {"kind": "pbit", "ancilla": "bar"}}, "bad estimate config"),
     ("pm-ensemble", {"source": {"kind": "pbit", "ancilla": "bar"}}, "bad pm-ensemble config"),
+    # candidates is a JSON list of names: a string is not split, an object not keyed
+    ("run-ppp", {"candidates": "identity"}, "list of twisting names"),
+    ("run-pm", {"candidates": {"u_h": 1}}, "list of twisting names"),
+    ("sweep", {"candidates": "identity"}, "list of twisting names"),
+    ("sweep", {"candidates": {"u_h": 1}}, "list of twisting names"),
+    ("estimate", {"candidates": "identity"}, "list of twisting names"),
+    ("estimate", {"candidates": {"u_h": 1}}, "list of twisting names"),
 ])
 def test_unknown_names_are_config_errors(tmp_path, capsys, caplog, command, cfg, message):
     cfg_path = tmp_path / "cfg.json"
@@ -659,6 +707,9 @@ def _json_text(cfg: dict) -> str:
     ("run-ppp", {"threads": "two"}),
     ("run-pm", {"threads": 1.5}),
     ("run-pm", {"threads": True}),
+    ("sweep", {"threads": 0}),
+    ("sweep", {"threads": -5}),
+    ("run-ppp", {"threads": 0}),
     ("run-pm", {"m_x": 0}),
     ("run-pm", {"m_x": -5}),
     ("run-pm", {"m_prime": -3}),
@@ -710,6 +761,36 @@ def test_fractional_or_bool_integers_are_usage_errors(tmp_path, capsys, caplog, 
     assert "need an integer" in caplog.text
 
 
+# a real setting takes an int or a float; a bool or a string is refused, not converted
+@pytest.mark.parametrize("command, cfg", [
+    ("run-ppp", {"delta": "0.05"}),
+    ("run-pm", {"delta": True}),
+    ("bounds", {"delta": "0.05"}),
+    ("solve-params", {"delta": "0.05"}),
+    ("run-ppp", {"source": {"p": True}}),
+    ("run-pm", {"source": {"kind": "rho_h", "kappa": "0.01"}}),
+    ("estimate", {"source": {"p": "0.5"}}),
+    ("pm-ensemble", {"source": {"p": True}}),
+    ("run-ppp", {"source": {**NOISY_PBIT, "noise": {"eps_x": True, "eps_z": 0.01}}}),
+    ("run-pm", {"source": {**NOISY_PBIT, "noise": {"eps_x": 0.02, "eps_z": "0.01"}}}),
+    ("run-ppp", {"eve": {"eps_x": True, "eps_z": 0.0}}),
+    ("run-pm", {"eve": {"eps_x": 0.0, "eps_z": "0.01"}}),
+    ("sweep", {"p_values": [True]}),
+    ("sweep", {"kappa_values": ["0.01"]}),
+    ("verify-example", {"p": True}),
+    ("verify-example", {"kappa": "0"}),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+def test_bool_or_text_reals_are_usage_errors(tmp_path, capsys, caplog, command, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"n": 2000, "seed": 0, "m_x": 200, "m_prime": 150, "source": NOISY_PBIT, **cfg}))
+    out_path = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert not out_path.exists()
+    assert "need a real number" in caplog.text
+
+
 @pytest.mark.parametrize("command, ints, floats", [
     ("run-ppp", {"n": 2000, "seed": 1, "m_x": 200, "m_prime": 150, "source": NOISY_PBIT},
      {"n": 2e3, "seed": 1.0, "m_x": 200.0, "m_prime": 1.5e2, "source": NOISY_PBIT}),
@@ -740,9 +821,22 @@ def test_usage_errors_write_nothing(tmp_path, capsys, caplog, argv, cfg, message
     assert message in caplog.text
 
 
+# each solver command validates and answers with the attempts its answer needs
+@pytest.mark.parametrize("argv", [
+    "bounds --n 100000",
+    "solve-params --d 1099511627776",  # the cap's attempt already shows no n is feasible
+])
+def test_solver_commands_make_one_attempt(monkeypatch, capsys, argv):
+    made, attempt = [], bounds._attempt
+    monkeypatch.setattr(bounds, "_attempt", lambda *args: made.append(args) or attempt(*args))
+    assert main(argv.split()) == EXIT_OK
+    capsys.readouterr()
+    assert len(made) == 1
+
+
 def test_bounds_config_values_are_usage_errors(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    for bad in ({"m_x": "abc"}, {"beta_b": -1}, {"beta_b": "x"}, {"beta_b": [1]},
+    for bad in ({"m_x": "abc"}, {"delta": "0.05"}, {"beta_b": -1}, {"beta_b": "x"}, {"beta_b": [1]},
                 {"beta_b": True}, {"beta_b": 1e400}, {"beta_b": 1.5}, {"beta_b": 1e200}):
         cfg_path.write_text(_json_text({"n": 100000, **bad}))
         assert main(["bounds", "--config", str(cfg_path)]) == EXIT_USAGE, bad
@@ -771,6 +865,7 @@ def test_internal_errors_are_not_usage_errors(monkeypatch):
     (["estimate", "--seed", "3", "--p", "0.5", "--kappa", "0.01"], "df593d3b7dc845ee"),
     (["pm-ensemble"], "60657e27a10a281d"),
     (["pm-ensemble", "--p", "0.5"], "1c60e1a414e0ce3a"),
+    (["solve-params", "--d", "1099511627776"], "179e4a8581107dc4"),  # no feasible n below the cap
 ])
 def test_reference_cli_documents_are_byte_identical(capsys, argv, digest):
     assert main(argv) == EXIT_OK

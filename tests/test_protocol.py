@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbitqkd import channels, estimation, protocol
+from pbitqkd import bounds, channels, estimation, protocol
 from pbitqkd.estimation import joint_outcome_table, pm_signal_ensemble
 from pbitqkd.protocol import (
     ProtocolConfig,
@@ -193,6 +193,7 @@ def test_config_rejects_tiny_n():
     lambda: ProtocolConfig(n=100, seed=0, m_x=0),
     lambda: ProtocolConfig(n=100, seed=0, m_x=-5),
     lambda: ProtocolConfig(n=100, seed=0, m_prime=-3),
+    lambda: ProtocolConfig(n=100, seed=0, threads=0),
 ])
 def test_out_of_range_values_are_rejected_at_construction(make):
     with pytest.raises(ValueError):
@@ -553,6 +554,27 @@ def test_run_path_builds_no_eigenbasis(monkeypatch):
         protocol._setup.cache_clear()
 
 
+def test_estimation_rounds_make_no_solver_attempt(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an estimation round ran the parameter solver")
+
+    monkeypatch.setattr(bounds, "_attempt", refuse)
+    for job, digest in NO_EIGENBASIS_JOBS[-2:]:
+        assert hashlib.sha256(job().encode()).hexdigest()[:16] == digest
+
+
+# an estimation round refuses what a run's config refuses
+@pytest.mark.parametrize("args, error", [
+    ((1, 0, 10, ("u_h",)), "need m_x >= 1 and m_prime >= 1"),
+    ((1, 10, 0, ("u_h",)), "need m_x >= 1 and m_prime >= 1"),
+    ((-1, 10, 10, ("u_h",)), "need seed >= 0"),
+    ((1, 10, 10, ("u_h", "foo")), "unknown candidate twisting 'foo'"),
+])
+def test_estimation_round_refusals(args, error):
+    with pytest.raises(ValueError, match=error):
+        run_estimate(SourceSpec(), *args)
+
+
 @pytest.mark.parametrize("name", ["rho_h kappa -0.0", "keyed ppp", "keyed pm", "estimate"])
 def test_transcripts_do_not_depend_on_the_cache(name):
     source, job = CACHE_JOBS[name]
@@ -776,7 +798,7 @@ def test_pattern_codes_are_zero_stride_exactly_without_noise_or_eve(source, eve,
     # every copy has code 0 when no model flips anything, and then no n-sized array is made
     n = 1000
     rng = np.random.default_rng(0)
-    codes = protocol._pattern_codes(ProtocolConfig(n=n, seed=0, source=source, eve=eve), rng)
+    codes = protocol._pattern_codes(source, eve, n, rng)
     assert codes.shape == (n,) and codes.dtype == np.uint8
     assert (codes.strides == (0,)) is zero_stride
     assert codes.flags.writeable is not zero_stride
