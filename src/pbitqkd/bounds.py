@@ -389,8 +389,8 @@ def check_solver_args(
                          f"and n: {exc}") from None
 
 
-def check_beta_b(beta_b) -> None:
-    """Reject a ``beta_b`` that is neither None nor a real in [0, 1] (bools excluded).
+def check_beta_b(beta_b):
+    """``beta_b``; ValueError unless it is None or a real in [0, 1] (bools excluded).
 
     ``beta_b`` is a probability, so ``composable_insecurity`` stays finite.
     """
@@ -399,6 +399,7 @@ def check_beta_b(beta_b) -> None:
         or not (isinstance(beta_b, (int, float)) and 0.0 <= beta_b <= 1.0)
     ):
         raise ValueError(f"beta_b must be a probability in [0, 1], got {beta_b!r}")
+    return beta_b
 
 
 def choose_params(

@@ -1,5 +1,5 @@
-"""The one JSON writer, shared by transcripts and CLI documents, and the
-readers of integer and real config values.
+"""The one JSON writer, shared by transcripts and CLI documents, the readers
+of integer and real config values, and the one reader of config objects.
 
 Standard library only, so a command that never touches numpy can use it:
 numpy's floating scalars register as ``numbers.Real`` (and its integers as
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Container, Mapping
+from dataclasses import MISSING, fields
 from numbers import Integral, Real
 
 
@@ -51,3 +53,50 @@ def json_real(value) -> float:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise TypeError(f"need a real number, got {value!r}")
     return float(value)
+
+
+def read_entries(d, parsers: Mapping, keep_none: Container = ()) -> dict:
+    """The entries of the JSON object ``d``, each through its parser.
+
+    ``parsers`` maps every key ``d`` may hold to its parser (None: the value
+    as it is); a null under a key in ``keep_none`` stays None.  Each key not
+    in ``parsers`` and each value its parser refuses is named in one error:
+    a TypeError if each of them is one, else a ValueError.
+    """
+    if not isinstance(d, Mapping):
+        raise TypeError(f"need a JSON object, got {d!r}")
+    out, errors = {}, []
+    for key, value in d.items():
+        try:
+            if key not in parsers:
+                import difflib  # only a refused key pays for it
+
+                close = difflib.get_close_matches(str(key), list(parsers), n=1)
+                raise ValueError("unknown key" + "".join(f" (did you mean {c!r}?)" for c in close))
+            parse = parsers[key]
+            keep = parse is None or (value is None and key in keep_none)
+            out[key] = value if keep else parse(value)
+        except (TypeError, ValueError) as exc:
+            errors.append((key, exc))
+    if errors:
+        kind = TypeError if all(isinstance(exc, TypeError) for _, exc in errors) else ValueError
+        raise kind("; ".join(f"{key}: {exc}" for key, exc in errors))
+    return out
+
+
+def from_fields(cls, d, parsers: Mapping):
+    """The dataclass ``cls`` read from the JSON object ``d``, whose keys are its fields.
+
+    ``read_entries`` reads ``d`` with ``parsers``; an absent field keeps its
+    default, and one with no default is a TypeError that names it.  A null is
+    None only where the default is None; anywhere else it fails in the
+    field's parser (or the constructor).
+    """
+    known = fields(cls)
+    values = read_entries(d, {f.name: parsers.get(f.name) for f in known},
+                          {f.name for f in known if f.default is None})
+    missing = [repr(f.name) for f in known
+               if f.name not in values and f.default is f.default_factory is MISSING]
+    if missing:
+        raise TypeError(f"missing {' and '.join(missing)}")
+    return cls(**values)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .canonical import json_real
+from .canonical import from_fields, json_real
 from .linalg import (
     PAULI_I,
     PAULI_X,
@@ -111,7 +111,7 @@ class PauliNoiseModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PauliNoiseModel":
-        return cls(json_real(d["eps_x"]), json_real(d["eps_z"]), str(d.get("mode", "iid")))
+        return from_fields(cls, d, {"eps_x": json_real, "eps_z": json_real})
 
 
 def pauli_op(x: int, z: int) -> np.ndarray:

@@ -27,7 +27,6 @@ import logging
 import math
 import os
 import sys
-from collections import ChainMap
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
@@ -40,7 +39,7 @@ from .bounds import (
     protocol_failure_bound,
     relaxation_budget,
 )
-from .canonical import canonical_json, json_int, json_real
+from .canonical import canonical_json, json_int, json_real, read_entries
 
 if TYPE_CHECKING:
     from .protocol import ProtocolConfig
@@ -85,10 +84,11 @@ _FLAGS = {
 
 
 class _Command(NamedTuple):
-    run: Callable[[argparse.Namespace, ChainMap], int]
+    run: Callable[[argparse.Namespace, dict], int]
     flags: tuple[str, ...]  # the _FLAGS it reads besides --config and --out
+    keys: Mapping[str, object]  # config entry it reads -> its default; _PARSERS reads it
     help: str
-    source: bool = False  # runs the config's 'source'; --p / --kappa lay over it
+    protocol: bool = False  # runs the protocol: every other entry is a ProtocolConfig field
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,29 +124,69 @@ def _config_errors(what: str):
     """Report a bad config value met inside the block as a usage error."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad {what} config: {exc}") from exc
 
 
-def _settings(args, command: _Command) -> ChainMap:
-    """The flags given, laid over the config file: ``maps`` is (flags, file).
+def _seed(value) -> int:
+    seed = json_int(value)
+    if seed < 0:
+        raise ValueError(f"need a non-negative seed, got {seed}")
+    return seed
 
-    Precedence is flag > non-null config entry > default: the flags map wins
-    here, and ``_get`` reads a null entry as unset.  A subcommand that runs a
-    source reads a null 'source' as the default source.
+
+def _source(value):
+    """A SourceSpec, or None for an empty source (pm-ensemble's default input)."""
+    from .protocol import SourceSpec
+
+    return SourceSpec.from_dict(value) if value else None
+
+
+def _candidates(value) -> tuple[str, ...]:
+    from .protocol import ProtocolConfig
+
+    return ProtocolConfig.check_candidates(value)
+
+
+def _each(parse: Callable) -> Callable:
+    return lambda values: [parse(v) for v in values]
+
+
+# config entry -> its parser (None: as it is), for every entry a command reads itself
+_PARSERS = {
+    "seed": _seed, "n": json_int, "s": json_int, "delta": json_real, "d": json_int,
+    "d_prime": json_int, "m_x": json_int, "m_z": json_int, "m_prime": json_int,
+    "beta_b": check_beta_b, "p": json_real, "kappa": json_real, "source": _source,
+    "candidates": _candidates, "protocol": None, "seeds": _each(_seed), "n_seeds": json_int,
+    "p_values": _each(json_real), "kappa_values": _each(json_real),
+}
+_NEEDED = object()  # the default of an entry that a command cannot run without
+
+
+def _settings(args, command: _Command) -> dict:
+    """The flags laid over the config file: flag > non-null entry > default.
+
+    Each entry in ``command.keys`` is read by its parser, a null or absent
+    one as its default there.  A command that runs the protocol keeps every
+    other entry as it is, for ProtocolConfig's reader; any other command
+    refuses it.  A command that runs a source lays --p and --kappa over the
+    config's 'source', and reads a null 'source' as the default source.
     """
     cfg = _load_config(args.config)
     given = {_FLAGS[f][0]: getattr(args, f) for f in command.flags if getattr(args, f) is not None}
-    if command.source:
-        with _config_errors("source"):
-            source = dict(cfg.get("source") or {})
-        given["source"] = {**source, **{k: given.pop(k) for k in ("p", "kappa") if k in given}}
-    return ChainMap(given, cfg)
-
-
-def _get(cfg: Mapping, key: str, default=None):
-    value = cfg.get(key)
-    return default if value is None else value
+    own = {k: _PARSERS[k] for k in command.keys}
+    with _config_errors("protocol" if command.protocol else args.command):
+        if command.protocol or "source" in own:
+            laid = {k: given.pop(k) for k in ("p", "kappa") if k in given}
+            given["source"] = {**(cfg.get("source") or {}), **laid}
+        entries = {**cfg, **given}
+        parsers = {**dict.fromkeys(entries), **own} if command.protocol else own
+        read = read_entries(entries, parsers, keep_none=own)
+    settings = {**command.keys, **{k: v for k, v in read.items() if v is not None or k not in own}}
+    needed = [k for k, v in settings.items() if v is _NEEDED]
+    if needed:
+        raise UsageError(f"{args.command} needs --{needed[0]} (or config {needed[0]!r})")
+    return settings
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -161,29 +201,6 @@ def _emit_text(text: str, out_path: str | None) -> None:
     print(text)
 
 
-def _require_seed(cfg: Mapping) -> int:
-    seed = _get(cfg, "seed")
-    if seed is None:
-        raise UsageError("a --seed (or config 'seed') is required; no wall-clock seeding")
-    with _config_errors("seed"):
-        seed = json_int(seed)
-        if seed < 0:
-            raise ValueError(f"need a non-negative seed, got {seed}")
-    return seed
-
-
-def _solver_args(cfg: Mapping) -> tuple[int, float, int, int, int | None]:
-    """s, delta, d, d_prime and n (None when unset) for the parameter solver.
-
-    Raises TypeError or ValueError on a value that is no number of its kind;
-    the solver's own call checks the range.  Read inside ``_config_errors``.
-    """
-    s, delta = json_int(_get(cfg, "s", 40)), json_real(_get(cfg, "delta", 0.05))
-    d, d_prime = json_int(_get(cfg, "d", 2)), json_int(_get(cfg, "d_prime", 4))
-    n = _get(cfg, "n")
-    return s, delta, d, d_prime, None if n is None else json_int(n)
-
-
 # --- verify-example ------------------------------------------------------------
 
 
@@ -194,7 +211,7 @@ def _check(name: str, value: float, tol: float, kind: str = "abs_max") -> dict:
     return {"name": name, "value": value, "tolerance": tol, "pass": bool(ok)}
 
 
-def cmd_verify_example(args, cfg: ChainMap) -> int:
+def cmd_verify_example(args, cfg: dict) -> int:
     import numpy as np
 
     from .channels import (
@@ -209,9 +226,8 @@ def cmd_verify_example(args, cfg: ChainMap) -> int:
     from .states import P_STAR, rho_h, sigma_ab
     from .twist import build_u_h, gamma_x, gamma_z, untwist_and_trace
 
+    p, kappa = P_STAR if cfg["p"] is None else cfg["p"], cfg["kappa"]
     with _config_errors("verify-example"):
-        p = json_real(_get(cfg, "p", P_STAR))
-        kappa = json_real(_get(cfg, "kappa", 0.0))
         state = rho_h(p, kappa)
     checks = []
 
@@ -322,16 +338,10 @@ def _six_state_deviation(phi2: DensityState) -> float:
 # --- bounds / solve-params ------------------------------------------------------
 
 
-def cmd_bounds(args, cfg: ChainMap) -> int:
+def cmd_bounds(args, cfg: dict) -> int:
+    s, delta, d, d_prime, n, m_x, m_z, beta_b = cfg.values()
     with _config_errors("bounds"):
-        s, delta, d, d_prime, n = _solver_args(cfg)
-        if n is None:
-            raise UsageError("bounds needs --n (or config 'n')")
         solver = choose_params(s, delta, d, d_prime, n=n)
-        m_x, m_z = (_get(cfg, k) for k in ("m_x", "m_z"))
-        m_x, m_z = (None if v is None else json_int(v) for v in (m_x, m_z))
-        beta_b = cfg.get("beta_b")
-        check_beta_b(beta_b)
 
     # allocation: explicit config values, else the solver split when it is
     # feasible at this n, else an even key/test heuristic (vacuous at desk scale)
@@ -360,9 +370,9 @@ def cmd_bounds(args, cfg: ChainMap) -> int:
     return EXIT_OK
 
 
-def cmd_solve_params(args, cfg: ChainMap) -> int:
+def cmd_solve_params(args, cfg: dict) -> int:
     with _config_errors("solve-params"):
-        sol = choose_params(*_solver_args(cfg))
+        sol = choose_params(*cfg.values())
     payload = {"schema": SCHEMA, "solution": sol.to_dict()}
     _emit(payload, args.out)
     if not sol.feasible:
@@ -373,16 +383,12 @@ def cmd_solve_params(args, cfg: ChainMap) -> int:
 # --- estimate -------------------------------------------------------------------
 
 
-def cmd_estimate(args, cfg: ChainMap) -> int:
+def cmd_estimate(args, cfg: dict) -> int:
     from .protocol import ProtocolConfig, SourceSpec, run_estimate
 
-    seed = _require_seed(cfg)
-    with _config_errors("estimate"):
-        source = SourceSpec.from_dict(cfg["source"])
-        m_prime = json_int(_get(cfg, "m_prime", 400))
-        m_x = json_int(_get(cfg, "m_x", 1024))
-        candidates = _get(cfg, "candidates", ProtocolConfig.candidates)
-        candidates = ProtocolConfig.check_candidates(candidates)  # a config error, not a run error
+    seed, m_x, m_prime = cfg["seed"], cfg["m_x"], cfg["m_prime"]
+    source = cfg["source"] or SourceSpec()
+    candidates = cfg["candidates"] or ProtocolConfig.candidates
     if m_prime < 1 or m_x < 1:
         raise UsageError("m_prime and m_x must be positive")
 
@@ -407,14 +413,11 @@ def cmd_estimate(args, cfg: ChainMap) -> int:
 # --- protocol runs ---------------------------------------------------------------
 
 
-def cmd_run(args, cfg: ChainMap) -> int:
+def cmd_run(args, cfg: dict) -> int:
     from . import protocol
 
-    if _get(cfg, "n") is None:
-        raise UsageError("a protocol run needs --n (or config 'n')")
-    seed = _require_seed(cfg)
     with _config_errors("protocol"):
-        config = protocol.ProtocolConfig.from_dict({**cfg, "seed": seed})
+        config = protocol.ProtocolConfig.from_dict(cfg)
     # looked up on the module at call time, so a rebound protocol.run_ppp / run_pm is used
     transcript = (protocol.run_ppp if args.command == "run-ppp" else protocol.run_pm)(config)
     _emit_text(transcript.to_json(), args.out)
@@ -426,16 +429,13 @@ def cmd_run(args, cfg: ChainMap) -> int:
 # --- pm-ensemble ------------------------------------------------------------------
 
 
-def cmd_pm_ensemble(args, cfg: ChainMap) -> int:
+def cmd_pm_ensemble(args, cfg: dict) -> int:
     import numpy as np
 
     from .estimation import pm_signal_ensemble
-    from .protocol import SourceSpec
 
     if cfg["source"]:
-        with _config_errors("pm-ensemble"):
-            source = SourceSpec.from_dict(cfg["source"])
-        state = source.base_state()
+        state = cfg["source"].base_state()
         default_input = False
     else:
         state = _phi_phi()
@@ -480,45 +480,43 @@ def _sweep_row(task: tuple[str, ProtocolConfig]) -> dict:
     }
 
 
-def cmd_sweep(args, cfg: ChainMap) -> int:
-    from .protocol import ProtocolConfig
-    from .states import P_STAR
+def cmd_sweep(args, cfg: dict) -> int:
+    from dataclasses import replace
 
-    if not cfg.maps[-1]:
+    from .protocol import ProtocolConfig
+
+    if args.config is None:
         raise UsageError("sweep needs --config with the grid specification")
     if not args.out:
         raise UsageError("sweep needs --out for the CSV (stdout carries JSON only)")
-    protocol = _get(cfg, "protocol", "ppp")
-    if protocol not in ("ppp", "pm"):
-        raise UsageError(f"unknown protocol {protocol!r}")
-    if _get(cfg, "n") is None:
-        raise UsageError("sweep needs 'n' in config (or --n)")
-    seed0, seeds = _get(cfg, "seed"), _get(cfg, "seeds")
-    if seeds is None and seed0 is None:
-        raise UsageError("sweep needs config 'seeds' or a base --seed")
+    if cfg["protocol"] not in ("ppp", "pm"):
+        raise UsageError(f"unknown protocol {cfg['protocol']!r}")
+    seeds = cfg["seeds"]
+    if seeds is None:
+        if cfg["seed"] is None:
+            raise UsageError("sweep needs config 'seeds' or a base --seed")
+        seeds = [cfg["seed"] + i for i in range(cfg["n_seeds"])]
+    if [] in (seeds, cfg["p_values"], cfg["kappa_values"]):
+        raise UsageError("sweep needs a value on each of seeds, p_values and kappa_values")
     with _config_errors("protocol"):
-        # a grid axis, else the top-level value, else the source's, else the default
-        source = cfg["source"]
-        p_values = [json_real(v) for v in _get(
-            cfg, "p_values", [_get(cfg, "p", source.get("p", P_STAR))])]
-        kappa_values = [json_real(v) for v in _get(
-            cfg, "kappa_values", [_get(cfg, "kappa", source.get("kappa", 0.0))])]
-        if seeds is None:
-            seeds = [json_int(seed0) + i for i in range(json_int(_get(cfg, "n_seeds", 1)))]
-        seeds = [json_int(v) for v in seeds]
-        # grid keys name no config field, so ProtocolConfig.from_dict skips them
+        # every run setting is checked once, on a template, before the grid is expanded
+        template = ProtocolConfig.from_dict({k: v for k, v in cfg.items() if k not in _GRID}
+                                            | {"seed": 0})
+        # a grid axis, else the top-level value, else the source's (or its default)
+        source = template.source
+        p_values = cfg["p_values"] or [source.p if cfg["p"] is None else cfg["p"]]
+        kappa_values = cfg["kappa_values"] or [source.kappa if cfg["kappa"] is None else cfg["kappa"]]
         tasks = [
-            (protocol, ProtocolConfig.from_dict(
-                {**cfg, "seed": seed, "source": {**source, "p": p, "kappa": kappa}}
-            ))
+            (cfg["protocol"],
+             replace(template, seed=seed, source=replace(source, p=p, kappa=kappa)))
             for p in p_values
             for kappa in kappa_values
             for seed in seeds
         ]
 
-    # threads is an int >= 1 wherever a task's ProtocolConfig checked it; on Linux the
-    # pool forks all its workers at once, so it gets no more than there are runs or cores
-    workers = min(_get(cfg, "threads", 1), len(tasks), os.cpu_count() or 1) if tasks else 1
+    # on Linux the pool forks all its workers at once, so it gets no more than
+    # there are runs or cores
+    workers = min(template.threads or 1, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -541,23 +539,33 @@ def cmd_sweep(args, cfg: ChainMap) -> int:
 # --- dispatch ----------------------------------------------------------------------
 
 
+# in choose_params' order, as bounds and solve-params unpack their settings
+_SOLVER = {"s": 40, "delta": 0.05, "d": 2, "d_prime": 4, "n": None}
+_RUN = {"seed": _NEEDED, "n": _NEEDED}
+# a sweep's entries besides n; the others make up each run's ProtocolConfig
+_GRID = {"protocol": "ppp", "seed": None, "seeds": None, "n_seeds": 1, "p_values": None,
+         "kappa_values": None, "p": None, "kappa": None}
+
 _COMMANDS = {
-    "verify-example": _Command(cmd_verify_example, ("p", "kappa"),
+    "verify-example": _Command(cmd_verify_example, ("p", "kappa"), {"p": None, "kappa": 0.0},
                                "re-check the worked-example identities numerically"),
     "bounds": _Command(cmd_bounds, ("s", "delta", "d", "dprime", "n"),
+                       {**_SOLVER, "n": _NEEDED, "m_x": None, "m_z": None, "beta_b": None},
                        "evaluate the aggregate failure bound and insecurity at given n"),
-    "solve-params": _Command(cmd_solve_params, ("s", "delta", "d", "dprime", "n"),
+    "solve-params": _Command(cmd_solve_params, ("s", "delta", "d", "dprime", "n"), _SOLVER,
                              "solve the security-parameter constraints (minimal n if --n absent)"),
     "estimate": _Command(cmd_estimate, ("seed", "p", "kappa"),
-                         "one LOCC estimation round on a configured source", source=True),
-    "run-ppp": _Command(cmd_run, ("seed", "n", "s", "delta", "p", "kappa"),
-                        "full entanglement-based protocol run, transcript out", source=True),
-    "run-pm": _Command(cmd_run, ("seed", "n", "s", "delta", "p", "kappa"),
-                       "full prepare-and-measure protocol run, transcript out", source=True),
-    "pm-ensemble": _Command(cmd_pm_ensemble, ("p", "kappa"),
-                            "signal ensembles induced by measuring Pauli products", source=True),
-    "sweep": _Command(cmd_sweep, ("seed", "n", "threads"),
-                      "grid of runs over (p, kappa, seeds); CSV to --out", source=True),
+                         {"seed": _NEEDED, "source": None, "m_x": 1024, "m_prime": 400,
+                          "candidates": None},
+                         "one LOCC estimation round on a configured source"),
+    "run-ppp": _Command(cmd_run, ("seed", "n", "s", "delta", "p", "kappa"), _RUN,
+                        "full entanglement-based protocol run, transcript out", protocol=True),
+    "run-pm": _Command(cmd_run, ("seed", "n", "s", "delta", "p", "kappa"), _RUN,
+                       "full prepare-and-measure protocol run, transcript out", protocol=True),
+    "pm-ensemble": _Command(cmd_pm_ensemble, ("p", "kappa"), {"source": None},
+                            "signal ensembles induced by measuring Pauli products"),
+    "sweep": _Command(cmd_sweep, ("seed", "n", "threads"), {**_GRID, "n": _NEEDED},
+                      "grid of runs over (p, kappa, seeds); CSV to --out", protocol=True),
 }
 
 

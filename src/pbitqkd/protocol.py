@@ -34,7 +34,7 @@ from .bounds import (
     protocol_failure_bound,
     relaxation_budget,
 )
-from .canonical import canonical_json, json_int, json_real
+from .canonical import canonical_json, from_fields, json_int, json_real
 from .channels import PauliNoiseModel, _uniform_slices, pauli_op
 from .ecpa import MAX_EC_BLOCK, bits_to_hex, error_correct, pa_length, syndrome_stats
 from .ecpa import toeplitz_apply, toeplitz_seed
@@ -89,7 +89,9 @@ class SourceSpec:
 
     kind "rho_h": the hiding family at (p, kappa).  kind "pbit": a twisted
     maximally-entangled core make_pdit(twisting, ancilla), optionally hit by
-    an X/Z pattern noise model on Bob's key qubit.
+    an X/Z pattern noise model on Bob's key qubit.  A field that the kind
+    does not read (noise, twisting or ancilla on rho_h; p or kappa on pbit)
+    must keep its default.
     """
 
     kind: str = "rho_h"
@@ -102,11 +104,15 @@ class SourceSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("rho_h", "pbit"):
             raise ValueError(f"unknown source kind {self.kind!r}")
-        # checked whatever the kind, since config.source echoes them all
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.kappa <= 1.0):
             raise ValueError(f"p = {self.p} and kappa = {self.kappa} must lie in [0, 1]")
         _check_names("twisting", [self.twisting], _TWISTINGS)
         _check_names("ancilla", [self.ancilla], _ANCILLAS)
+        unread = ("noise", "twisting", "ancilla") if self.kind == "rho_h" else ("p", "kappa")
+        given = [f.name for f in fields(self)
+                 if f.name in unread and getattr(self, f.name) != f.default]
+        if given:
+            raise ValueError(f"a {self.kind} source reads no {' or '.join(given)}")
 
     def base_state(self) -> DensityState:
         if self.kind == "rho_h":
@@ -118,7 +124,7 @@ class SourceSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SourceSpec":
-        return _from_fields(cls, d, {
+        return from_fields(cls, d, {
             "p": json_real, "kappa": json_real, "noise": PauliNoiseModel.from_dict,
         })
 
@@ -191,7 +197,7 @@ class ProtocolConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolConfig":
-        return _from_fields(cls, d, {
+        return from_fields(cls, d, {
             "n": json_int, "seed": json_int, "s": json_int, "delta": json_real,
             "source": SourceSpec.from_dict, "eve": _parse_eve, "candidates": cls.check_candidates,
             "m_x": json_int, "m_prime": json_int, "ec_block": json_int,
@@ -209,22 +215,6 @@ def _parse_eve(eve) -> PauliNoiseModel:
         # bare number = iid bit-flip-only intercept strength
         eve = {"eps_x": eve, "eps_z": 0.0}
     return PauliNoiseModel.from_dict(eve)
-
-
-def _from_fields(cls, d: dict, parsers: dict):
-    """``cls`` built from the entries of ``d`` that name one of its fields.
-
-    Absent fields keep their dataclass default and keys that name no field
-    are ignored.  A null means None only where the default is None; anywhere
-    else it goes to the field's parser (or the constructor) and fails there.
-    """
-    kwargs = {}
-    for f in fields(cls):
-        if f.name in d:
-            value, parse = d[f.name], parsers.get(f.name)
-            keep = parse is None or (value is None and f.default is None)
-            kwargs[f.name] = value if keep else parse(value)
-    return cls(**kwargs)
 
 
 @dataclass
@@ -260,8 +250,7 @@ def _pattern_codes(
     zero-stride view of that one byte: no array.  A model of strength 0
     still makes its draws, which later draws follow.
     """
-    noise = source.noise if source.kind == "pbit" else None
-    models = [model for model in (noise, eve) if model is not None]
+    models = [model for model in (source.noise, eve) if model is not None]
     codes = np.broadcast_to(np.uint8(0), n)
     for model in models:
         x, z = model.sample_pattern(n, rng)
@@ -743,9 +732,10 @@ def run_estimate(
     Same set-up, position layout and measurement core as ``run_ppp`` on
     n = m_x + |support|*m_prime copies, with no shuffle, so the bit-error
     sample and the groups are the leading slices of the codes.  Source
-    noise acts on pbit sources only, as in the runs.  Refuses what a run's
-    config would (candidates, m_x or m_prime below 1, a negative seed).
-    Returns the ``estimates`` block a run's transcript would carry.
+    noise (only a pbit source carries one) acts as in the runs.  Refuses
+    what a run's config would (candidates, m_x or m_prime below 1, a
+    negative seed).  Returns the ``estimates`` block a run's transcript
+    would carry.
     """
     candidates = ProtocolConfig.check_candidates(candidates)
     _check_budgets(m_x, m_prime)
@@ -775,7 +765,7 @@ def model_estimates(source: SourceSpec, m_x: int, m_prime: int) -> dict:
     """
     _check_budgets(m_x, m_prime)
     setup = _setup(source, tuple(_TWISTINGS))
-    noise = source.noise if source.kind == "pbit" else None
+    noise = source.noise
     fx, fz = (noise.eps_x, noise.eps_z) if noise is not None else (0.0, 0.0)
     pi = np.outer([1.0 - fx, fx], [1.0 - fz, fz]).ravel()  # indexed by code 2x + z
     p = float(pi @ (1.0 - setup.zz_plus))

@@ -4,15 +4,17 @@ import argparse
 import concurrent.futures
 import csv
 import hashlib
+import importlib
 import json
 import logging
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from pbitqkd import bounds, protocol
+from pbitqkd import bounds, cli, protocol
 from pbitqkd.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _build_parser, main
 from pbitqkd.states import P_STAR
 
@@ -81,12 +83,27 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
-# bounds and solve-params are pure math: their children never import numpy
+# every entry bounds and solve-params read, with a value of its kind
+SOLVER_CONFIGS = {
+    "bounds": {"s": 40, "delta": 0.05, "d": 2, "d_prime": 4, "n": 100000, "m_x": 1000,
+               "m_z": 2000, "beta_b": 1e-6},
+    "solve-params": {"s": 40, "delta": 0.05, "d": 2, "d_prime": 4, "n": 10**19},
+}
+
+
+# bounds and solve-params are pure math: their children never import numpy, and a
+# valid config never imports difflib, which only names the closest key to a refused one
 @pytest.mark.parametrize("argv", [
     ["bounds", "--n", "100000"],
     ["solve-params", "--s", "40", "--delta", "0.05"],
+    ["bounds", "--config"],
+    ["solve-params", "--config"],
 ])
-def test_solver_commands_do_not_load_numpy(argv):
+def test_solver_commands_do_not_load_numpy(tmp_path, argv):
+    if argv[-1] == "--config":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SOLVER_CONFIGS[argv[0]]))
+        argv = [*argv, str(cfg_path)]
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "pbitqkd.cli", *argv],
         capture_output=True, text=True,
@@ -96,7 +113,7 @@ def test_solver_commands_do_not_load_numpy(argv):
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "pbitqkd.bounds" in imported
-    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+    assert [name for name in imported if name.split(".")[0] in ("numpy", "difflib")] == []
 
 
 def test_cli_and_bounds_imports_do_not_load_numpy():
@@ -205,17 +222,14 @@ def test_estimate_applies_pbit_source_noise(tmp_path, capsys):
     assert payload["best"]["twisting"] == "u_h"
 
 
-def test_estimate_ignores_noise_on_rho_h_sources(tmp_path, capsys):
-    # as in run_ppp / run_pm, source noise acts on pbit sources only
-    payloads = []
-    for noise in (None, {"eps_x": 0.2, "eps_z": 0.1}):
-        cfg_path = tmp_path / "cfg.json"
+def test_estimate_refuses_noise_on_rho_h_sources(tmp_path, capsys, caplog):
+    # a rho_h source reads no noise: a null one is unset, any other is refused
+    cfg_path = tmp_path / "cfg.json"
+    for noise, code in ((None, EXIT_OK), ({"eps_x": 0.2, "eps_z": 0.1}, EXIT_USAGE)):
         cfg_path.write_text(json.dumps({"source": {"kind": "rho_h", "noise": noise}}))
-        code, payload = run_cli(capsys, "estimate", "--seed", "4", "--config", str(cfg_path))
-        assert code == EXIT_OK
-        payloads.append(payload)
-    assert payloads[0]["eps_x_hat"] == payloads[1]["eps_x_hat"]
-    assert payloads[0]["candidates"] == payloads[1]["candidates"]
+        assert main(["estimate", "--seed", "4", "--config", str(cfg_path)]) == code
+    assert capsys.readouterr().out.count("\n") == 1  # the refused round printed nothing
+    assert "a rho_h source reads no noise" in caplog.text
 
 
 def test_run_ppp_writes_out_file_and_stdout(tmp_path, capsys):
@@ -338,16 +352,19 @@ def test_null_source_in_config_is_the_default_source(tmp_path, capsys):
     code, doc = run_cli(capsys, "run-ppp", "--config", str(cfg_path))
     assert code == EXIT_OK
     assert doc["config"]["source"]["p"] == pytest.approx(P_STAR)
-    code, payload = run_cli(capsys, "estimate", "--config", str(cfg_path))
-    assert code == EXIT_OK
-    assert payload["source"]["p"] == pytest.approx(P_STAR)
-    code, payload = run_cli(capsys, "pm-ensemble", "--config", str(cfg_path))
-    assert code == EXIT_OK
-    assert payload["default_input"] is True
     code, payload = run_cli(capsys, "sweep", "--config", str(cfg_path),
                             "--out", str(tmp_path / "grid.csv"))
     assert code == EXIT_OK
     assert payload["rows"] == 1
+    # estimate and pm-ensemble are given only the entries they read
+    cfg_path.write_text(json.dumps({"seed": 5, "m_x": 200, "m_prime": 150, "source": None}))
+    code, payload = run_cli(capsys, "estimate", "--config", str(cfg_path))
+    assert code == EXIT_OK
+    assert payload["source"]["p"] == pytest.approx(P_STAR)
+    cfg_path.write_text(json.dumps({"source": None}))
+    code, payload = run_cli(capsys, "pm-ensemble", "--config", str(cfg_path))
+    assert code == EXIT_OK
+    assert payload["default_input"] is True
 
 
 def test_run_pm_via_cli(tmp_path, capsys):
@@ -420,7 +437,7 @@ def test_sweep_reads_p_and_kappa_from_grid_then_top_level_then_source(tmp_path, 
         (row,) = csv.DictReader(out_path.read_text().splitlines())
         assert (row["p"], row["kappa"]) == want, extra
     # the row of the source-only config is the run-ppp run of that config
-    cfg_path.write_text(json.dumps({**base, "seed": 0}))
+    cfg_path.write_text(json.dumps({**{k: v for k, v in base.items() if k != "seeds"}, "seed": 0}))
     code, doc = run_cli(capsys, "run-ppp", "--config", str(cfg_path))
     assert code == EXIT_OK
     cfg_path.write_text(json.dumps(base))
@@ -502,9 +519,11 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == EXIT_USAGE
     assert not out_path.exists()
     capsys.readouterr()
-    # so are null seeds and grid values
+    # so are null seeds and grid values, an empty axis, and bad settings behind one
     for bad in ({"seeds": None}, {"seeds": [None]}, {"p_values": [None]},
-                {"kappa_values": [None]}):
+                {"kappa_values": [None]}, {"seeds": []}, {"p_values": []}, {"kappa_values": []},
+                {"p_values": [], "threads": "two", "candidates": "zzz", "delta": "x"},
+                {"threads": "two", "candidates": "zzz", "delta": "x"}):
         cfg_path.write_text(json.dumps({
             "protocol": "ppp", "n": 2000, "m_x": 200, "m_prime": 150, "seeds": [0], **bad,
         }))
@@ -811,6 +830,20 @@ def test_integral_floats_read_as_integers(tmp_path, capsys, command, ints, float
     ("bounds --n 2", {}, "too small to allocate"),
     ("sweep", {"protocol": "qkd", "n": 2000, "seeds": [0]}, "unknown protocol"),
     ("run-ppp --n 2000 --seed 1", [{"n": 2000}], "must hold a JSON object"),
+    # a missing field is named with the entry that misses it
+    ("run-ppp --n 2000 --seed 1", {"eve": {"eps_x": 0.3}},
+     "bad protocol config: eve: missing 'eps_z'"),
+    ("run-pm --n 2000 --seed 1", {"source": {"kind": "pbit", "noise": {"eps_x": 0.3}}},
+     "bad protocol config: source: noise: missing 'eps_z'"),
+    # an entry that nothing reads is refused, with the closest key it may have meant
+    ("run-ppp --n 2000 --seed 1", {"source": {"kind": "rho_h", "kapa": 0.2}, "eev": 0.3},
+     "source: kapa: unknown key (did you mean 'kappa'?); eev: unknown key (did you mean 'eve'?)"),
+    ("bounds --n 100000", {"mx": 1000}, "bad bounds config: mx: unknown key (did you mean 'm_x'?)"),
+    ("pm-ensemble --p 0.3", {"source": {"kind": "pbit"}}, "source: a pbit source reads no p"),
+    ("estimate --seed 1", {"source": {"noise": {"eps_x": 0.1, "eps_z": 0.0}}},
+     "source: a rho_h source reads no noise"),
+    ("estimate --seed 1", {"p": 0.3}, "bad estimate config: p: unknown key"),
+    ("sweep", {"n": 2000, "seeds": [0], "p_valuse": [0.3]}, "p_valuse: unknown key"),
 ])
 def test_usage_errors_write_nothing(tmp_path, capsys, caplog, argv, cfg, message):
     cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "out"
@@ -871,3 +904,36 @@ def test_reference_cli_documents_are_byte_identical(capsys, argv, digest):
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_benchmark_inputs_pass_the_config_readers(tmp_path, monkeypatch, capsys):
+    # every config and argv the benchmark generates, read as its ops read it: a
+    # refusal here would fail every op of that workload
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.chdir(tmp_path)
+    in_process = [workload(0, tmp_path, {}).next_op(0)
+                  for workload in (workloads.PppLarge, workloads.KeyedPbit)]
+    cold = workloads.CliCold(0, tmp_path, {})
+    ops = [twin for op in in_process for twin in workloads.cli_twins(op)]
+    ops += [cold.next_op(i) for i in range(cold.cycle)]
+    assert [op.label for op in ops] == [
+        "run-ppp", "run-ppp", "run-pm", "verify-example", "solve-params", "bounds", "estimate",
+        "run-ppp", "run-ppp eve", "run-pm", "sweep",
+    ]
+    for op in in_process:
+        for _, cfg in op.runs:
+            protocol.ProtocolConfig.from_dict(cfg)  # the in-process ops' reader
+    # the sweep's grid is read and checked in full; its runs are not made
+    monkeypatch.setattr(cli, "_sweep_row", lambda task: dict.fromkeys(
+        ["seed", "p", "kappa", "eps_x_hat", "eps_z_hat", "rate", "abort"]))
+    for op in ops:
+        for name, text in op.files.items():
+            (tmp_path / name).write_text(text)
+        command = cli._COMMANDS[op.argv[0]]
+        settings = cli._settings(_build_parser().parse_args(op.argv), command)
+        if op.argv[0] == "sweep":
+            assert main(op.argv) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["rows"] == workloads.SWEEP_RUNS
+        elif command.protocol:
+            protocol.ProtocolConfig.from_dict(settings)

@@ -82,13 +82,48 @@ def test_source_spec_rejects_unknown_kind():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: SourceSpec(kind="rho_h", twisting="moebius"),  # echoed even where unused
+    lambda: SourceSpec(kind="rho_h", twisting="moebius"),  # named before the kind rule
     lambda: SourceSpec(kind="pbit", ancilla="bar"),
     lambda: ProtocolConfig(n=100, seed=0, candidates=("u_h", "foo")),
 ])
 def test_unknown_names_are_rejected_at_construction(make):
     with pytest.raises(ValueError, match="unknown"):
         make()
+
+
+# a field the source's kind does not read keeps its default, or is refused
+@pytest.mark.parametrize("entries, unread", [
+    ({"kind": "pbit", "p": 0.5}, "p"),
+    ({"kind": "pbit", "kappa": 0.01}, "kappa"),
+    ({"kind": "pbit", "p": 0.5, "kappa": 0.01}, "p or kappa"),
+    ({"noise": channels.PauliNoiseModel(0.1, 0.0)}, "noise"),
+    ({"noise": channels.PauliNoiseModel(0.0, 0.0)}, "noise"),  # a model, even of strength 0
+    ({"twisting": "identity"}, "twisting"),
+    ({"kind": "rho_h", "ancilla": "maximally_mixed"}, "ancilla"),
+])
+def test_a_source_refuses_fields_its_kind_does_not_read(entries, unread):
+    kind = entries.get("kind", "rho_h")
+    with pytest.raises(ValueError, match=f"^a {kind} source reads no {unread}$"):
+        SourceSpec(**entries)
+    # at their defaults they pass
+    SourceSpec(kind="pbit", p=P_STAR, kappa=0.0)
+    SourceSpec(kind="rho_h", twisting="u_h", ancilla="comp00", noise=None)
+
+
+# every reader refuses a key that names no field, and names the closest field
+@pytest.mark.parametrize("read, entries, message", [
+    (ProtocolConfig.from_dict, {"n": 5000, "seed": 1, "eev": 0.3},
+     "eev: unknown key (did you mean 'eve'?)"),
+    (SourceSpec.from_dict, {"kind": "rho_h", "kapa": 0.2},
+     "kapa: unknown key (did you mean 'kappa'?)"),
+    (channels.PauliNoiseModel.from_dict, {"eps_x": 0.1, "eps_z": 0.0, "mdoe": "iid"},
+     "mdoe: unknown key (did you mean 'mode'?)"),
+    (SourceSpec.from_dict, {"zzz": 1}, "zzz: unknown key"),
+])
+def test_readers_refuse_keys_that_name_no_field(read, entries, message):
+    with pytest.raises(ValueError) as exc:
+        read(entries)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("make", [
@@ -114,21 +149,21 @@ def test_config_json_round_trip():
     assert again.source.p == pytest.approx(P_STAR)
 
 
-# every field set, plus a key that names no field
+# every field set that its source kind reads
 FULL_CONFIG = {
     "source": {
-        "kind": "pbit", "p": 0.5, "kappa": 0, "twisting": "u_h", "ancilla": "maximally_mixed",
+        "kind": "pbit", "kappa": 0, "twisting": "u_h", "ancilla": "maximally_mixed",
         "noise": {"eps_x": 0.02, "eps_z": 0, "mode": "fixed_weight"},
     },
     "eve": {"eps_x": 0, "eps_z": 0.01}, "candidates": ["u_h", "identity"],
     "n": 60000, "seed": 9, "s": 20, "delta": 0.1, "m_x": 1000, "m_prime": 2000,
-    "ec_block": 8, "beta_b": 1e-6, "threads": 2, "unknown": 1,
+    "ec_block": 8, "beta_b": 1e-6, "threads": 2,
 }
 
 
 # sha256[:16] of the config echo a transcript carries
 @pytest.mark.parametrize("cfg, digest", [
-    (FULL_CONFIG, "8aa4015844d3a82d"),
+    (FULL_CONFIG, "9a033f642b41588e"),
     ({"n": 5000, "seed": 1, "eve": 0.3}, "6c67fa64dd80f6fa"),
 ])
 def test_config_echo_is_byte_identical(cfg, digest):
@@ -181,7 +216,7 @@ def test_config_rejects_tiny_n():
 
 @pytest.mark.parametrize("make", [
     lambda: SourceSpec(p=1.5),
-    lambda: SourceSpec(kind="pbit", kappa=-0.1),  # echoed even where unused
+    lambda: SourceSpec(kind="pbit", kappa=-0.1),  # out of range before its kind
     lambda: SourceSpec(p=math.nan),
     lambda: ProtocolConfig(n=100, seed=0, s=0),
     lambda: ProtocolConfig(n=100, seed=0, delta=1.0),
@@ -780,8 +815,8 @@ NO_FLIPS_FIXED = channels.PauliNoiseModel(0.0, 0.0, "fixed_weight")
 
 @pytest.mark.parametrize("source, eve, zero_stride", [
     pytest.param(SourceSpec(p=P_STAR, kappa=0.001), None, True, id="rho_h"),
-    # a rho_h source ignores noise, as every run does
-    pytest.param(SourceSpec(noise=channels.PauliNoiseModel(0.1, 0.1)), None, True,
+    # a rho_h source reads no noise, so it refuses one
+    pytest.param({"noise": channels.PauliNoiseModel(0.1, 0.1)}, None, ValueError,
                  id="rho_h-noise-ignored"),
     pytest.param(NOISELESS_PBIT, None, True, id="noiseless-pbit"),
     pytest.param(SourceSpec.from_dict(KEYED_SOURCE), None, False, id="noisy-pbit"),
@@ -795,6 +830,10 @@ NO_FLIPS_FIXED = channels.PauliNoiseModel(0.0, 0.0, "fixed_weight")
     pytest.param(SourceSpec(kind="pbit", noise=NO_FLIPS), EVE, False, id="pbit-noise-0-eve"),
 ])
 def test_pattern_codes_are_zero_stride_exactly_without_noise_or_eve(source, eve, zero_stride):
+    if zero_stride is ValueError:
+        with pytest.raises(ValueError, match="a rho_h source reads no noise"):
+            SourceSpec(**source)
+        return
     # every copy has code 0 when no model flips anything, and then no n-sized array is made
     n = 1000
     rng = np.random.default_rng(0)
@@ -805,7 +844,7 @@ def test_pattern_codes_are_zero_stride_exactly_without_noise_or_eve(source, eve,
     # every model makes its draws, even one that flips nothing, and no other draw is made
     again = np.random.default_rng(0)
     expected = np.zeros(n, dtype=np.uint8)
-    for model in (source.noise if source.kind == "pbit" else None, eve):
+    for model in (source.noise, eve):
         if model is not None:
             x, z = model.sample_pattern(n, again)
             expected ^= (x << 1) | z
