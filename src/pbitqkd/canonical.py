@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Container, Mapping
+from collections.abc import Container, Iterable, Mapping
 from dataclasses import MISSING, fields
 from numbers import Integral, Real
 
@@ -55,13 +55,15 @@ def json_real(value) -> float:
     return float(value)
 
 
-def read_entries(d, parsers: Mapping, keep_none: Container = ()) -> dict:
+def read_entries(d, parsers: Mapping, keep_none: Container = (), near: Iterable = ()) -> dict:
     """The entries of the JSON object ``d``, each through its parser.
 
     ``parsers`` maps every key ``d`` may hold to its parser (None: the value
     as it is); a null under a key in ``keep_none`` stays None.  Each key not
     in ``parsers`` and each value its parser refuses is named in one error:
-    a TypeError if each of them is one, else a ValueError.
+    a TypeError if each of them is one, else a ValueError.  A refused key
+    names the closest of ``parsers``' keys and ``near``, the keys that
+    another reader took from the same object.
     """
     if not isinstance(d, Mapping):
         raise TypeError(f"need a JSON object, got {d!r}")
@@ -71,7 +73,7 @@ def read_entries(d, parsers: Mapping, keep_none: Container = ()) -> dict:
             if key not in parsers:
                 import difflib  # only a refused key pays for it
 
-                close = difflib.get_close_matches(str(key), list(parsers), n=1)
+                close = difflib.get_close_matches(str(key), [*parsers, *near], n=1)
                 raise ValueError("unknown key" + "".join(f" (did you mean {c!r}?)" for c in close))
             parse = parsers[key]
             keep = parse is None or (value is None and key in keep_none)
@@ -84,17 +86,17 @@ def read_entries(d, parsers: Mapping, keep_none: Container = ()) -> dict:
     return out
 
 
-def from_fields(cls, d, parsers: Mapping):
+def from_fields(cls, d, parsers: Mapping, near: Iterable = ()):
     """The dataclass ``cls`` read from the JSON object ``d``, whose keys are its fields.
 
-    ``read_entries`` reads ``d`` with ``parsers``; an absent field keeps its
-    default, and one with no default is a TypeError that names it.  A null is
-    None only where the default is None; anywhere else it fails in the
-    field's parser (or the constructor).
+    ``read_entries`` reads ``d`` with ``parsers`` and ``near``; an absent field
+    keeps its default, and one with no default is a TypeError that names it.
+    A null is None only where the default is None; anywhere else it fails in
+    the field's parser (or the constructor).
     """
     known = fields(cls)
     values = read_entries(d, {f.name: parsers.get(f.name) for f in known},
-                          {f.name for f in known if f.default is None})
+                          {f.name for f in known if f.default is None}, near)
     missing = [repr(f.name) for f in known
                if f.name not in values and f.default is f.default_factory is MISSING]
     if missing:

@@ -501,7 +501,7 @@ def cmd_sweep(args, cfg: dict) -> int:
     with _config_errors("protocol"):
         # every run setting is checked once, on a template, before the grid is expanded
         template = ProtocolConfig.from_dict({k: v for k, v in cfg.items() if k not in _GRID}
-                                            | {"seed": 0})
+                                            | {"seed": 0}, near=_GRID)
         # a grid axis, else the top-level value, else the source's (or its default)
         source = template.source
         p_values = cfg["p_values"] or [source.p if cfg["p"] is None else cfg["p"]]

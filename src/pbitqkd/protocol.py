@@ -1,11 +1,13 @@
 """End-to-end protocol runs: entanglement-based (ppp) and prepare-and-measure (pm).
 
 Runs never materialize tensor-power states.  A per-copy *pattern code*
-(which X/Z flips hit Bob's qubit) selects one of at most four single-copy
-component states.  Every measurement statistic of those states is computed
-once per process per (source, candidates) pair, by the cached ``_setup``,
-and the outcomes are then sampled in bulk: a test sample keeps only its count
-of +1 outcomes, the key block its bits.  This keeps n = 1e5-scale runs in
+2x + z names the Pauli X^x Z^z that hits Bob's key qubit, and indexes every
+outcome table.  One two-local Pauli expansion of the single-copy state gives
+the tables of all four codes, since such a Pauli only flips the sign of some
+coefficients (and an X swaps B's computational bit).  They are computed once
+per process per (source, candidates) pair, by the cached ``_setup``, and the
+outcomes are then sampled in bulk: a test sample keeps only its count of +1
+outcomes, the key block its bits.  This keeps n = 1e5-scale runs in
 milliseconds while remaining exactly faithful to the iid component model.
 
 Every run returns a :class:`Transcript` whose JSON serialization is
@@ -35,7 +37,7 @@ from .bounds import (
     relaxation_budget,
 )
 from .canonical import canonical_json, from_fields, json_int, json_real
-from .channels import PauliNoiseModel, _uniform_slices, pauli_op
+from .channels import PauliNoiseModel, _uniform_slices
 from .ecpa import MAX_EC_BLOCK, bits_to_hex, error_correct, pa_length, syndrome_stats
 from .ecpa import toeplitz_apply, toeplitz_seed
 from .estimation import (
@@ -196,12 +198,13 @@ class ProtocolConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ProtocolConfig":
+    def from_dict(cls, d: dict, near: Sequence[str] = ()) -> "ProtocolConfig":
+        """Read a config; ``near`` names the keys a caller took from ``d`` first."""
         return from_fields(cls, d, {
             "n": json_int, "seed": json_int, "s": json_int, "delta": json_real,
             "source": SourceSpec.from_dict, "eve": _parse_eve, "candidates": cls.check_candidates,
             "m_x": json_int, "m_prime": json_int, "ec_block": json_int,
-        })
+        }, near)
 
 
 def _check_budgets(m_x: int | None, m_prime: int | None) -> None:
@@ -235,7 +238,7 @@ class Transcript:
         return canonical_json(vars(self))
 
 
-# --- single-copy component model ---------------------------------------------
+# --- pattern codes and their outcome tables ------------------------------------
 
 
 def _pattern_codes(
@@ -264,56 +267,51 @@ def _pattern_codes(
     return codes
 
 
-def _component_states(source: SourceSpec) -> list[DensityState]:
-    """The four pattern-conjugated single-copy states, indexed by code 2x+z."""
-    base = source.base_state()
-    out = []
-    for code in range(4):
-        xf, zf = code >> 1, code & 1
-        if xf or zf:
-            out.append(base.conjugate_by(pauli_op(xf, zf), ["B"]))
-        else:
-            out.append(base)
-    return out
+#: Index of "ZI" in the two-qubit Pauli basis: sigma_z on the key qubit, I on the shield.
+_ZI = 12
+#: _SIGN[code, l] is -1 where code 2x + z's Pauli X^x Z^z anticommutes with B's
+#: letter l in I, X, Y, Z order: X with Y and Z, Z with X and Y.
+_SIGN = np.array([[1, 1, 1, 1], [1, -1, -1, 1], [1, 1, -1, -1], [1, -1, 1, -1]])
 
 
 @dataclass(frozen=True)
 class _Setup:
     """A run's seed-free set-up; read-only, as one record serves every run.
 
-    The outcome tables are indexed by pattern code 2x + z.
+    The outcome tables are indexed by pattern code 2x + z first.
     """
 
     decomps: Mapping[str, ProductDecomposition]
     support: tuple[tuple[int, int], ...]  # union of the candidates' support pairs
     labels: Mapping  # (ja, jb) -> "O_a|O_b", the pair's name in transcripts
-    zz_plus: np.ndarray  # (4,) probability that the sigma_z sigma_z product is +1
+    plus: np.ndarray  # (4, 16, 16) probability that O_ja ⊗ O_jb reads +1/4
     joint16: np.ndarray  # (4, 16) computational joint outcome distribution
-    group_plus: Mapping  # (ja, jb) -> (4,) probability that the product is +1/4
 
 
 @lru_cache(maxsize=8)  # a sweep asks for one grid point's entry at a time
 def _setup(source: SourceSpec, candidates: tuple[str, ...]) -> _Setup:
     """Candidate decompositions, support union and outcome tables, built once per process.
 
-    The tables come from each component's two-local Pauli expansion
+    The tables come from the source state's one two-local Pauli expansion
     s[a, b] = Tr[(O_a ⊗ O_b) rho]: a product O_a ⊗ O_b reads ±1/4, and +1/4
-    with probability (1 + 4 s[a, b]) / 2; (ZI, ZI) is sigma_z sigma_z on the
-    key qubits.  The key stage reads every qubit in the computational basis.
+    with probability (1 + 4 s[a, b]) / 2; plus[:, _ZI, _ZI] is sigma_z sigma_z
+    on the key qubits.  Code 2x + z conjugates B by X^x Z^z, which negates
+    s[a, b] where B's letter of O_b anticommutes with it (``_SIGN``).  The key
+    stage reads every qubit in the computational basis, outcome
+    k = 8 A + 4 A' + 2 B + B', and an X on B swaps B's bit: row c is
+    law[k ^ 2x].
     """
     decomps = {name: decompose_two_local(gamma_x(twisting_by_name(name))) for name in candidates}
     support = tuple(sorted({pair for dec in decomps.values() for pair in dec.support()}))
     names = [label for label, _ in pauli_product_basis()]  # every decomposition's labels
     labels = MappingProxyType({(ja, jb): f"{names[ja]}|{names[jb]}" for ja, jb in support})
-    components = _component_states(source)
-    plus = np.array([(1.0 + 4.0 * decompose_two_local(c.mat).coeffs) / 2.0 for c in components])
-    plus = np.clip(plus, 0.0, 1.0)
-    zz = names.index("ZI")
-    joint16 = np.array([_computational_law(c) for c in components])
+    base = source.base_state()
+    sign = np.repeat(_SIGN, 4, axis=1)[:, None, :]  # O_jb's B letter is jb // 4
+    plus = np.clip((1.0 + 4.0 * sign * decompose_two_local(base.mat).coeffs) / 2.0, 0.0, 1.0)
+    joint16 = _computational_law(base)[np.arange(16) ^ np.array([[0], [0], [2], [2]])]
     for arr in (plus, joint16, *(dec.coeffs for dec in decomps.values())):
         arr.setflags(write=False)
-    group_plus = MappingProxyType({(ja, jb): plus[:, ja, jb] for ja, jb in support})
-    return _Setup(MappingProxyType(decomps), support, labels, plus[:, zz, zz], joint16, group_plus)
+    return _Setup(MappingProxyType(decomps), support, labels, plus, joint16)
 
 
 def _computational_law(state: DensityState) -> np.ndarray:
@@ -327,22 +325,16 @@ def _computational_law(state: DensityState) -> np.ndarray:
 
 
 def _code_slices(codes: np.ndarray, rng: np.random.Generator):
-    """The uniforms of one ``rng.random(codes.size)``, split by slice and pattern code.
+    """The uniforms of one ``rng.random(codes.size)``, as (codes, slice, uniforms).
 
-    Yields (slice, code, selection, uniforms): ``selection`` picks the copies
-    of ``slice`` that carry ``code`` and ``uniforms`` are theirs.  Zero-stride
-    codes (one code for every copy, ``_pattern_codes``) select the whole slice
-    with no gather.  The uniforms are only valid until the next item
-    (``_uniform_slices``).
+    ``codes`` are the slice's pattern codes, or their one code where the
+    codes are zero-stride (one code for every copy, ``_pattern_codes``), so
+    a table's ``take`` gives one bound there and no slice-sized gather.  The
+    uniforms are only valid until the next item (``_uniform_slices``).
     """
     for sl, u in _uniform_slices(codes.size, rng):
-        codes_sl = codes[sl]
-        if codes_sl.strides == (0,):
-            yield sl, codes_sl[0], slice(None), u
-            continue
-        for c in np.flatnonzero(np.bincount(codes_sl)):
-            sel = codes_sl == c
-            yield sl, c, sel, u[sel]
+        c = codes[sl]
+        yield (c[0] if c.strides == (0,) else c), sl, u
 
 
 def _sample_mean(
@@ -354,7 +346,7 @@ def _sample_mean(
     scale (2k - m) / m, which equals the mean of the ±scale array bit for
     bit, since a sum of m ±1 or ±1/4 values is exact in float64.
     """
-    k = sum(int(np.count_nonzero(u < p_plus[c])) for _, c, _, u in _code_slices(codes, rng))
+    k = sum(int(np.count_nonzero(u < p_plus.take(c))) for c, _, u in _code_slices(codes, rng))
     return scale * (2 * k - codes.size) / codes.size
 
 
@@ -365,23 +357,23 @@ def _sample_key_bits(
 
     A copy's outcome k = 4 ka + kb (side outcome = 2 key bit + shield bit) is
     the number of cumulative bounds below its uniform.  Those bounds form a
-    prefix, so Alice's bit k >> 3 is ``u > cum[7]`` and Bob's (k >> 1) & 1 the
-    XOR of ``u > cum[j]`` over odd j <= 13.  The error pattern, Alice's bit
-    XOR Bob's, is then the XOR over j in {1, 3, 5, 9, 11, 13}: 7 comparisons,
-    and neither k nor Bob's bits are built.  The uniforms are those of one
-    ``rng.random(codes.size)``, drawn one slice at a time
+    prefix, so Alice's bit k >> 3 is ``u > bounds[7]`` and Bob's (k >> 1) & 1
+    the XOR of ``u > bounds[j]`` over odd j <= 13.  The error pattern, Alice's
+    bit XOR Bob's, is then the XOR over j in {1, 3, 5, 9, 11, 13}: 7
+    comparisons, and neither k nor Bob's bits are built.  ``bounds[j]`` holds
+    bound j of each code, and each copy reads its code's.  The uniforms are
+    those of one ``rng.random(codes.size)``, drawn one slice at a time
     (``_uniform_slices``).  Returns two uint8 arrays.
     """
     cum = np.cumsum(joint16, axis=1)
-    cum = cum / cum[:, -1:]
+    bounds = (cum / cum[:, -1:]).T  # (16, 4): bound j of code c is bounds[j, c]
     alice = np.empty(codes.size, dtype=bool)
     err = np.empty(codes.size, dtype=bool)
-    for sl, c, sel, u in _code_slices(codes, rng):
-        alice[sl][sel] = u > cum[c, 7]
-        err_c = u > cum[c, 1]
-        for bound in cum[c, [3, 5, 9, 11, 13]]:
-            err_c ^= u > bound
-        err[sl][sel] = err_c
+    for c, sl, u in _code_slices(codes, rng):
+        np.greater(u, bounds[7].take(c), out=alice[sl])
+        err_sl = np.greater(u, bounds[1].take(c), out=err[sl])
+        for j in (3, 5, 9, 11, 13):
+            err_sl ^= u > bounds[j].take(c)
     return alice.view(np.uint8), err.view(np.uint8)
 
 
@@ -472,12 +464,12 @@ def _measure_and_estimate(
     m_x = int(codes_x.size)
     m_z = int(sum(c.size for c in group_codes.values()))
 
-    eps_x_hat = (1.0 - _sample_mean(setup.zz_plus, codes_x, rng)) / 2.0
+    eps_x_hat = (1.0 - _sample_mean(setup.plus[:, _ZI, _ZI], codes_x, rng)) / 2.0
     events.append({"event": "measure_bit_error", "count": m_x})
 
     means = {
-        pair: _sample_mean(setup.group_plus[pair], codes, rng, 0.25)
-        for pair, codes in group_codes.items()
+        (ja, jb): _sample_mean(setup.plus[:, ja, jb], codes, rng, 0.25)
+        for (ja, jb), codes in group_codes.items()
     }
     counts = _group_counts(setup, group_codes)
     events.append({"event": "measure_phase_groups", "counts": counts})
@@ -756,10 +748,11 @@ def model_estimates(source: SourceSpec, m_x: int, m_prime: int) -> dict:
     Every outcome is an independent +-1 draw under the per-copy code law pi
     that ``_pattern_codes`` samples (code 0 for rho_h; pbit noise as iid
     flips, fixed-weight noise taken at its rates).  So ``eps_x_hat`` is
-    binomial with p = sum_c pi_c (1 - zz_plus[c]), and with
-    q_j = sum_c pi_c group_plus[j][c] over a candidate's support, its
+    binomial with p = sum_c pi_c (1 - plus[c, ZI, ZI]), and with
+    q_j = sum_c pi_c plus[c, ja, jb] over a candidate's pairs j = (ja, jb), its
     ``eps_z_raw`` has mean (1 - sum_j c_j (2 q_j - 1) / 4) / 2 and variance
-    sum_j c_j^2 q_j (1 - q_j) / (16 m_prime).  Returns, for every known
+    sum_j c_j^2 q_j (1 - q_j) / (16 m_prime), where ``plus`` is the set-up
+    table that the samplers read.  Returns, for every known
     twisting as a candidate,
     ``{"eps_x_hat": {"mean", "se"}, "candidates": {name: {"eps_z_raw": {"mean", "se"}}}}``.
     """
@@ -768,11 +761,11 @@ def model_estimates(source: SourceSpec, m_x: int, m_prime: int) -> dict:
     noise = source.noise
     fx, fz = (noise.eps_x, noise.eps_z) if noise is not None else (0.0, 0.0)
     pi = np.outer([1.0 - fx, fx], [1.0 - fz, fz]).ravel()  # indexed by code 2x + z
-    p = float(pi @ (1.0 - setup.zz_plus))
+    p = float(pi @ (1.0 - setup.plus[:, _ZI, _ZI]))
     out: dict = {"eps_x_hat": {"mean": p, "se": math.sqrt(p * (1.0 - p) / m_x)}, "candidates": {}}
     for name, dec in setup.decomps.items():
         c = np.array([dec.coeffs[pair] for pair in dec.support()])
-        q = np.array([pi @ setup.group_plus[pair] for pair in dec.support()])
+        q = np.array([pi @ setup.plus[:, ja, jb] for ja, jb in dec.support()])
         mean = (1.0 - float(c @ (2.0 * q - 1.0)) / 4.0) / 2.0
         se = math.sqrt(float(c**2 @ (q * (1.0 - q))) / (16.0 * m_prime))
         out["candidates"][name] = {"eps_z_raw": {"mean": mean, "se": se}}

@@ -843,7 +843,8 @@ def test_integral_floats_read_as_integers(tmp_path, capsys, command, ints, float
     ("estimate --seed 1", {"source": {"noise": {"eps_x": 0.1, "eps_z": 0.0}}},
      "source: a rho_h source reads no noise"),
     ("estimate --seed 1", {"p": 0.3}, "bad estimate config: p: unknown key"),
-    ("sweep", {"n": 2000, "seeds": [0], "p_valuse": [0.3]}, "p_valuse: unknown key"),
+    # a misspelt grid key is hinted from the grid's keys and the run's fields together
+    ("sweep", {"n": 2000, "seeds": [0], "p_valuse": [0.3]}, "unknown key (did you mean 'p_values'?)"),
 ])
 def test_usage_errors_write_nothing(tmp_path, capsys, caplog, argv, cfg, message):
     cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "out"

@@ -24,7 +24,7 @@ from pbitqkd.protocol import (
     run_ppp,
     twisting_by_name,
 )
-from pbitqkd.states import P_STAR, rho_h
+from pbitqkd.states import P_STAR, DensityState, rho_h
 from pbitqkd.twist import build_u_h, gamma_z, make_pdit
 from pbitqkd.linalg import basis_ket, kron_all, proj, reorder
 
@@ -494,22 +494,21 @@ def test_equal_sources_share_one_setup():
 
 def test_cached_setup_is_read_only():
     setup = protocol._setup(SourceSpec(kind="pbit"), ("identity", "u_h"))
-    arrays = [setup.zz_plus, setup.joint16, *setup.group_plus.values(),
-              *(dec.coeffs for dec in setup.decomps.values())]
+    arrays = [setup.plus, setup.joint16, *(dec.coeffs for dec in setup.decomps.values())]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.5
     with pytest.raises(TypeError):
         setup.decomps["u_h"] = None
-    with pytest.raises(TypeError):
-        setup.group_plus[(0, 0)] = np.ones(4)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        setup.zz_plus = np.ones(4)
+        setup.plus = np.ones((4, 16, 16))
 
 
 def _eigenbasis_tables(source, support, dec):
-    """The set-up's tables by projecting each component onto each pair's joint eigenbasis."""
-    components = protocol._component_states(source)
+    """The set-up's tables by projecting each code's conjugated state onto each pair's joint
+    eigenbasis: (plus of sigma_z sigma_z, joint16, {pair: plus}), each indexed by code 2x + z."""
+    base = source.base_state()
+    components = [channels.apply_pauli(base, code >> 1, code & 1, "B") for code in range(4)]
     zz_plus = np.clip([(1.0 + c.expect(gamma_z())) / 2.0 for c in components], 0.0, 1.0)
     zz_a, zz_b = dec.labels_a.index("ZZ"), dec.labels_b.index("ZZ")
     joint16 = np.array([joint_outcome_table(c, dec, zz_a, zz_b)[0] for c in components])
@@ -527,7 +526,11 @@ def _eigenbasis_tables(source, support, dec):
     {"p": P_STAR, "kappa": 0.0},
     {"p": P_STAR, "kappa": 0.001},
     {"p": 0.3, "kappa": 0.2},
+    {"p": 1.0, "kappa": 0.0},
+    {"p": 0.0, "kappa": 1.0},
     {"kind": "pbit", "twisting": "u_h", "ancilla": "comp00"},
+    {"kind": "pbit", "twisting": "u_h", "ancilla": "maximally_mixed"},
+    {"kind": "pbit", "twisting": "identity", "ancilla": "comp00"},
     {"kind": "pbit", "twisting": "identity", "ancilla": "maximally_mixed"},
     KEYED_SOURCE,
 ], ids=lambda source: json.dumps(source))
@@ -536,11 +539,12 @@ def test_setup_tables_match_the_eigenbasis_projections(source):
     setup = protocol._setup(spec, ("identity", "u_h"))
     dec = setup.decomps["identity"]
     zz_plus, joint16, group_plus = _eigenbasis_tables(spec, setup.support, dec)
-    np.testing.assert_allclose(setup.zz_plus, zz_plus, rtol=0, atol=1e-12)
+    zi = dec.labels_a.index("ZI")
+    np.testing.assert_allclose(setup.plus[:, zi, zi], zz_plus, rtol=0, atol=1e-12)
     np.testing.assert_allclose(setup.joint16, joint16, rtol=0, atol=1e-12)
-    assert set(setup.group_plus) == set(group_plus) == set(setup.support)
-    for pair, plus in group_plus.items():
-        np.testing.assert_allclose(setup.group_plus[pair], plus, rtol=0, atol=1e-12)
+    assert set(group_plus) == set(setup.support)
+    for (ja, jb), plus in group_plus.items():
+        np.testing.assert_allclose(setup.plus[:, ja, jb], plus, rtol=0, atol=1e-12)
 
 
 # runs on sources that share cache entries: kappa -0.0 equals 0.0 as a key,
@@ -583,6 +587,42 @@ def test_run_path_builds_no_eigenbasis(monkeypatch):
         monkeypatch.setattr(estimation, name, refuse)
     protocol._setup.cache_clear()  # so every set-up is built under the patch
     try:
+        for job, digest in NO_EIGENBASIS_JOBS:
+            assert hashlib.sha256(job().encode()).hexdigest()[:16] == digest
+    finally:
+        protocol._setup.cache_clear()
+
+
+def test_setup_expands_each_source_once(monkeypatch):
+    # one Pauli expansion and one computational law of the source serve all four
+    # pattern codes: no conjugated copy of the state is built
+    calls = {"decompose_two_local": 0, "_computational_law": 0}
+
+    def counted(name):
+        fn = getattr(protocol, name)
+
+        def count(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(protocol, name, counted(name))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the set-up conjugated the source state")
+
+    monkeypatch.setattr(DensityState, "conjugate_by", refuse)
+    candidates = ("identity", "u_h")
+    try:
+        # the benchmark's sources: rho_h(p*, 0.001), the keyed pbit and rho_h(p*, 0)
+        for source in (DESK_PPP["source"], KEYED_SOURCE, {"p": P_STAR, "kappa": 0.0}):
+            protocol._setup.cache_clear()
+            calls.update(dict.fromkeys(calls, 0))
+            protocol._setup(SourceSpec.from_dict(source), candidates)
+            assert calls == {"decompose_two_local": 1 + len(candidates), "_computational_law": 1}
+        protocol._setup.cache_clear()
         for job, digest in NO_EIGENBASIS_JOBS:
             assert hashlib.sha256(job().encode()).hexdigest()[:16] == digest
     finally:
