@@ -460,6 +460,10 @@ REFERENCE_TRANSCRIPTS = [
     (run_ppp, {**DESK_PPP, "source": {"p": 0.3, "kappa": 0.2}}, "687eb649a6f104c2"),
     (run_pm, {**DESK_PM, "source": {"kind": "pbit", "twisting": "identity",
                                     "ancilla": "maximally_mixed"}}, "40478b3472057089"),
+    # source noise and an Eve that both flip X and Z: their codes XOR per copy
+    (run_ppp, {**KEYED_PPP, "eve": {"eps_x": 0.1, "eps_z": 0.05, "mode": "fixed_weight"}},
+     "2413722b4a6ad415"),
+    (run_pm, {**KEYED_PM, "eve": {"eps_x": 0.05, "eps_z": 0.05}}, "e5d0076a82c264ac"),
 ]
 
 
