@@ -4,8 +4,8 @@ Two noise mechanisms appear in protocol runs:
 
 * independent (or fixed-weight) X/Z Pauli patterns on Bob's key qubit --
   the adversarially-flavored noise class the estimators are calibrated
-  against; patterns are sampled per copy, never materialized as 16^n
-  matrices;
+  against; a model XORs each copy's pattern code 2x + z into the run's one
+  uint8 code array and states that code's law;
 * the binding channel: a six-branch Kraus map on Bob's key/shield pair
   B ⊗ B' that turns two maximally entangled pairs into the hiding state
   rho_h(p, kappa) exactly (white noise enters as a convex mix with the
@@ -14,13 +14,12 @@ Two noise mechanisms appear in protocol runs:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .canonical import from_fields, json_real
+from .canonical import canonical_json, from_fields, json_real
 from .linalg import (
     PAULI_I,
     PAULI_X,
@@ -62,14 +61,6 @@ def _uniform_slices(n: int, rng: np.random.Generator):
         yield slice(start, stop), rng.random(out=buf[: stop - start])
 
 
-def _iid_flips(n: int, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """uint8 indicators of ``rng.random(n) < eps``, drawn slice by slice."""
-    out = np.empty(n, dtype=np.uint8)
-    for sl, u in _uniform_slices(n, rng):
-        np.less(u, eps, out=out[sl])
-    return out
-
-
 @dataclass(frozen=True)
 class PauliNoiseModel:
     """iid or fixed-weight X/Z flip patterns on the B factor of each copy.
@@ -78,6 +69,7 @@ class PauliNoiseModel:
     eps_x and a Z flip with probability eps_z.  mode "fixed_weight": exactly
     round(n*eps_x) X flips and round(n*eps_z) Z flips land on uniformly
     random positions (sampled without replacement, X and Z independent).
+    A copy's flips are its pattern code 2x + z, whose law is ``code_law``.
     """
 
     eps_x: float
@@ -90,24 +82,31 @@ class PauliNoiseModel:
         if self.mode not in ("iid", "fixed_weight"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
-    def sample_pattern(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Per-copy flip indicators (x, z), each a uint8 array of length n."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if self.mode == "iid":
-            return _iid_flips(n, self.eps_x, rng), _iid_flips(n, self.eps_z, rng)
-        x = np.zeros(n, dtype=np.uint8)
-        z = np.zeros(n, dtype=np.uint8)
-        kx = int(round(n * self.eps_x))
-        kz = int(round(n * self.eps_z))
-        if kx:
-            x[rng.choice(n, size=kx, replace=False)] = 1
-        if kz:
-            z[rng.choice(n, size=kz, replace=False)] = 1
-        return x, z
+    def sample_pattern(self, codes: np.ndarray, rng: np.random.Generator) -> None:
+        """XOR each copy's pattern code 2x + z into the uint8 ``codes``, in place.
+
+        The X flips are drawn first, then the Z flips: each from one
+        ``rng.random(n)`` (slice by slice) in mode "iid", or from one
+        ``rng.choice`` of its count of positions, if nonzero, in mode
+        "fixed_weight".  A rate of 0 writes nothing (an iid model still draws),
+        so a model of strength 0 may be handed read-only codes.
+        """
+        n = len(codes)
+        for bit, eps in ((2, self.eps_x), (1, self.eps_z)):
+            if self.mode == "iid":
+                for sl, u in _uniform_slices(n, rng):
+                    if eps:
+                        codes[sl] ^= (u < eps).view(np.uint8) * np.uint8(bit)
+                u = None  # a view of the spent sampler's buffer: the Z draws make their own
+            elif k := int(round(n * eps)):
+                codes[rng.choice(n, size=k, replace=False)] ^= bit
+
+    def code_law(self) -> np.ndarray:
+        """The (4,) law of a copy's pattern code 2x + z (a fixed-weight model's at its rates)."""
+        return np.outer([1.0 - self.eps_x, self.eps_x], [1.0 - self.eps_z, self.eps_z]).ravel()
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return canonical_json(asdict(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "PauliNoiseModel":

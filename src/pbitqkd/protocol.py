@@ -246,24 +246,19 @@ def _pattern_codes(
 ) -> np.ndarray:
     """Per-copy pattern code 2x + z in {0,1,2,3} of n copies, from source noise XOR Eve.
 
-    Each model's code (x << 1) | z is XORed into the one uint8 output, so
-    besides it only that model's two flip arrays are held.  When no model
-    flips anything (rho_h or a noiseless pbit, and no Eve, or only models of
-    strength 0) every copy has code 0, and the codes are a read-only
-    zero-stride view of that one byte: no array.  A model of strength 0
-    still makes its draws, which later draws follow.
+    Each model XORs its codes into the one uint8 array, so it is all that is
+    held.  When no model flips anything (rho_h or a noiseless pbit, and no
+    Eve, or only models of strength 0) every copy has code 0, and the codes
+    are a read-only zero-stride view of that one byte: no array.  A model of
+    strength 0 still makes its draws, which later draws follow.
     """
     models = [model for model in (source.noise, eve) if model is not None]
-    codes = np.broadcast_to(np.uint8(0), n)
+    if any(model.eps_x or model.eps_z for model in models):
+        codes = np.zeros(n, dtype=np.uint8)
+    else:
+        codes = np.broadcast_to(np.uint8(0), n)
     for model in models:
-        x, z = model.sample_pattern(n, rng)
-        if model.eps_x == model.eps_z == 0.0:  # no flip in x or z
-            continue
-        if not codes.flags.writeable:
-            codes = np.zeros(n, dtype=np.uint8)
-        x <<= 1
-        x |= z
-        codes ^= x
+        model.sample_pattern(codes, rng)
     return codes
 
 
@@ -746,9 +741,9 @@ def model_estimates(source: SourceSpec, m_x: int, m_prime: int) -> dict:
     """Exact mean and standard error of each estimate ``run_estimate`` reports, with no draw.
 
     Every outcome is an independent +-1 draw under the per-copy code law pi
-    that ``_pattern_codes`` samples (code 0 for rho_h; pbit noise as iid
-    flips, fixed-weight noise taken at its rates).  So ``eps_x_hat`` is
-    binomial with p = sum_c pi_c (1 - plus[c, ZI, ZI]), and with
+    that ``_pattern_codes`` samples: the source noise's ``code_law`` (code 0
+    for rho_h and a noiseless pbit; fixed-weight noise taken at its rates).
+    So ``eps_x_hat`` is binomial with p = sum_c pi_c (1 - plus[c, ZI, ZI]), and with
     q_j = sum_c pi_c plus[c, ja, jb] over a candidate's pairs j = (ja, jb), its
     ``eps_z_raw`` has mean (1 - sum_j c_j (2 q_j - 1) / 4) / 2 and variance
     sum_j c_j^2 q_j (1 - q_j) / (16 m_prime), where ``plus`` is the set-up
@@ -758,9 +753,7 @@ def model_estimates(source: SourceSpec, m_x: int, m_prime: int) -> dict:
     """
     _check_budgets(m_x, m_prime)
     setup = _setup(source, tuple(_TWISTINGS))
-    noise = source.noise
-    fx, fz = (noise.eps_x, noise.eps_z) if noise is not None else (0.0, 0.0)
-    pi = np.outer([1.0 - fx, fx], [1.0 - fz, fz]).ravel()  # indexed by code 2x + z
+    pi = (source.noise or PauliNoiseModel(0.0, 0.0)).code_law()
     p = float(pi @ (1.0 - setup.plus[:, _ZI, _ZI]))
     out: dict = {"eps_x_hat": {"mean": p, "se": math.sqrt(p * (1.0 - p) / m_x)}, "candidates": {}}
     for name, dec in setup.decomps.items():

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -44,10 +45,16 @@ def test_pauli_noise_model_validation():
         PauliNoiseModel(0.1, 0.1, mode="other")
 
 
+def _codes(model, n, rng):
+    """The pattern codes ``model`` XORs into n zeros, and their (x, z) bits."""
+    codes = np.zeros(n, dtype=np.uint8)
+    model.sample_pattern(codes, rng)
+    return codes, codes >> 1, codes & 1
+
+
 def test_pauli_noise_iid_rates():
     model = PauliNoiseModel(0.25, 0.1)
-    rng = np.random.default_rng(0)
-    x, z = model.sample_pattern(200000, rng)
+    _, x, z = _codes(model, 200000, np.random.default_rng(0))
     assert abs(x.mean() - 0.25) < 5e-3
     assert abs(z.mean() - 0.10) < 5e-3
 
@@ -57,11 +64,32 @@ def test_pauli_noise_iid_draws_the_uniforms_of_one_array(monkeypatch):
     model = PauliNoiseModel(0.25, 0.1)
     for n in (0, 776, 777, 5000):
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
-        x, z = model.sample_pattern(n, rng)
-        assert x.dtype == z.dtype == np.uint8
+        codes, x, z = _codes(model, n, rng)
+        assert codes.dtype == np.uint8 and codes.max(initial=0) <= 3
         assert np.array_equal(x, ref.random(n) < 0.25)
         assert np.array_equal(z, ref.random(n) < 0.1)
         assert rng.random() == ref.random()  # exactly one uniform per copy and flip
+
+
+@pytest.mark.parametrize("mode", ["iid", "fixed_weight"])
+def test_sample_pattern_xors_into_the_codes_it_is_given(mode):
+    model = PauliNoiseModel(0.3, 0.2, mode=mode)
+    start = np.random.default_rng(5).integers(0, 4, size=3000, dtype=np.uint8)
+    codes = start.copy()
+    model.sample_pattern(codes, np.random.default_rng(6))
+    fresh, _, _ = _codes(model, 3000, np.random.default_rng(6))
+    assert np.array_equal(codes, start ^ fresh)
+
+
+# so it may be handed the read-only zero-stride codes of a run that flips nothing;
+# an iid model still draws its 2n uniforms, a fixed-weight one chooses 0 positions
+@pytest.mark.parametrize("mode, uniforms", [("iid", 2000), ("fixed_weight", 0)])
+def test_a_model_of_strength_0_draws_but_writes_nothing(mode, uniforms):
+    codes = np.broadcast_to(np.uint8(0), 1000)
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    PauliNoiseModel(0.0, 0.0, mode=mode).sample_pattern(codes, rng)
+    ref.random(uniforms)
+    assert rng.random() == ref.random()
 
 
 def test_pauli_noise_iid_memory_holds_no_n_sized_uniforms():
@@ -69,26 +97,52 @@ def test_pauli_noise_iid_memory_holds_no_n_sized_uniforms():
     model = PauliNoiseModel(0.02, 0.01)
     tracemalloc.start()
     try:
-        model.sample_pattern(n, np.random.default_rng(0))
+        _codes(model, n, np.random.default_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # two output bytes per copy; the uniforms and every other temporary live for
+    # one code byte per copy; the uniforms and every other temporary live for
     # one slice (an n-sized float64 uniform array alone is 8 bytes per copy)
-    assert peak < 2 * n + 64 * channels._SAMPLE_CHUNK
+    assert peak < n + 64 * channels._SAMPLE_CHUNK
 
 
 def test_pauli_noise_fixed_weight_exact():
     model = PauliNoiseModel(0.1, 0.05, mode="fixed_weight")
-    rng = np.random.default_rng(1)
-    x, z = model.sample_pattern(1000, rng)
+    _, x, z = _codes(model, 1000, np.random.default_rng(1))
     assert int(x.sum()) == 100
     assert int(z.sum()) == 50
 
 
+@pytest.mark.parametrize("model", [
+    PauliNoiseModel(0.25, 0.1),
+    PauliNoiseModel(0.02, 0.0),
+    PauliNoiseModel(0.1, 0.05, mode="fixed_weight"),
+    PauliNoiseModel(0.5, 0.3, mode="fixed_weight"),
+], ids=["iid", "iid-x-only", "fixed-weight", "fixed-weight-wide"])
+def test_code_law_matches_the_sampled_code_frequencies(model):
+    n = 10**6
+    law = model.code_law()
+    assert law.shape == (4,) and law.sum() == pytest.approx(1.0, abs=1e-15)
+    codes, _, _ = _codes(model, n, np.random.default_rng(11))
+    freq = np.bincount(codes, minlength=4) / n
+    # a binomial band of two-sided probability 1e-9 per code; a fixed-weight
+    # model's code counts spread less than binomial ones
+    z = NormalDist().inv_cdf(1 - 0.5e-9)
+    band = z * np.sqrt(law * (1 - law) / n)
+    assert np.all(np.abs(freq - law) <= band)
+
+
 def test_pauli_noise_json_round_trip():
-    model = PauliNoiseModel(0.3, 0.0, mode="fixed_weight")
-    assert PauliNoiseModel.from_dict(json.loads(model.to_json())) == model
+    # the bytes of the former json.dumps(asdict(model), sort_keys=True, separators=(",", ":"))
+    for model, text in [
+        (PauliNoiseModel(0.3, 0.0, mode="fixed_weight"),
+         '{"eps_x":0.3,"eps_z":0.0,"mode":"fixed_weight"}'),
+        (PauliNoiseModel(0.02, 0.01), '{"eps_x":0.02,"eps_z":0.01,"mode":"iid"}'),
+        (PauliNoiseModel(0, 1), '{"eps_x":0,"eps_z":1,"mode":"iid"}'),
+        (PauliNoiseModel(np.float64(0.1), 1e-300), '{"eps_x":0.1,"eps_z":1e-300,"mode":"iid"}'),
+    ]:
+        assert model.to_json() == text
+        assert PauliNoiseModel.from_dict(json.loads(text)) == model
 
 
 def test_pauli_op_table():

@@ -890,13 +890,12 @@ def test_pattern_codes_are_zero_stride_exactly_without_noise_or_eve(source, eve,
     expected = np.zeros(n, dtype=np.uint8)
     for model in (source.noise, eve):
         if model is not None:
-            x, z = model.sample_pattern(n, again)
-            expected ^= (x << 1) | z
+            model.sample_pattern(expected, again)
     assert np.array_equal(codes, expected)
     assert rng.random() == again.random()
 
 
-def _traced_peak(run, config: ProtocolConfig) -> int:
+def _traced_peak(run, config: ProtocolConfig, abort: bool = False) -> int:
     """A run's tracemalloc peak in bytes, after an untraced warm-up."""
     run(config)  # the set-up cache and lazily imported modules stay outside the trace
     tracemalloc.start()
@@ -905,7 +904,7 @@ def _traced_peak(run, config: ProtocolConfig) -> int:
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not transcript.abort  # every stage before the key ran
+    assert transcript.abort is abort  # every stage before the key ran, unless it aborts
     return peak
 
 
@@ -916,6 +915,19 @@ def _traced_peak(run, config: ProtocolConfig) -> int:
 def test_rho_h_ppp_peak_memory_is_free_of_n(n):
     peak = _traced_peak(run_ppp, ProtocolConfig.from_dict({**DESK_PPP, "n": n, "seed": 1}))
     assert peak < 0.15e6  # rho_h(p*, 0.001); seed 0 aborts
+
+
+# with a model that flips something, the pattern stage holds the one uint8 code
+# array and one sampler slice's uniforms and flags (10 slices' bytes); a 0.3 Eve
+# aborts the rho_h run and sends the keyed one down EC's reveal path, so no later
+# stage holds more
+@pytest.mark.parametrize("cfg, abort", [
+    ({**DESK_PPP, "eve": 0.3}, True),
+    ({**KEYED_PPP, "eve": 0.3}, False),
+], ids=["rho_h", "keyed-pbit"])
+def test_a_run_with_noise_holds_one_code_byte_per_copy(cfg, abort):
+    config = ProtocolConfig.from_dict({**cfg, "n": 10**6})
+    assert _traced_peak(run_ppp, config, abort) < config.n + 12 * channels._SAMPLE_CHUNK
 
 
 # bytes per copy a run holds at its peak: a rho_h pm run holds its int8 basis
