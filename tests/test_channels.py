@@ -65,7 +65,7 @@ def test_pauli_noise_iid_draws_the_uniforms_of_one_array(monkeypatch):
     for n in (0, 776, 777, 5000):
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
         codes, x, z = _codes(model, n, rng)
-        assert codes.dtype == np.uint8 and codes.max(initial=0) <= 3
+        assert codes.dtype == np.uint8
         assert np.array_equal(x, ref.random(n) < 0.25)
         assert np.array_equal(z, ref.random(n) < 0.1)
         assert rng.random() == ref.random()  # exactly one uniform per copy and flip
@@ -79,17 +79,6 @@ def test_sample_pattern_xors_into_the_codes_it_is_given(mode):
     model.sample_pattern(codes, np.random.default_rng(6))
     fresh, _, _ = _codes(model, 3000, np.random.default_rng(6))
     assert np.array_equal(codes, start ^ fresh)
-
-
-# so it may be handed the read-only zero-stride codes of a run that flips nothing;
-# an iid model still draws its 2n uniforms, a fixed-weight one chooses 0 positions
-@pytest.mark.parametrize("mode, uniforms", [("iid", 2000), ("fixed_weight", 0)])
-def test_a_model_of_strength_0_draws_but_writes_nothing(mode, uniforms):
-    codes = np.broadcast_to(np.uint8(0), 1000)
-    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-    PauliNoiseModel(0.0, 0.0, mode=mode).sample_pattern(codes, rng)
-    ref.random(uniforms)
-    assert rng.random() == ref.random()
 
 
 def test_pauli_noise_iid_memory_holds_no_n_sized_uniforms():
