@@ -900,11 +900,20 @@ def test_internal_errors_are_not_usage_errors(monkeypatch):
     (["pm-ensemble"], "60657e27a10a281d"),
     (["pm-ensemble", "--p", "0.5"], "1c60e1a414e0ce3a"),
     (["solve-params", "--d", "1099511627776"], "179e4a8581107dc4"),  # no feasible n below the cap
+    (["verify-example", "--kappa", "0.01"], "1cec3b3f0fbe2e80"),  # the channel's kappa > 0 branches
 ])
 def test_reference_cli_documents_are_byte_identical(capsys, argv, digest):
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_reference_failing_check_document_is_byte_identical(capsys):
+    # rho_h(0.3, 0.01) is not PPT: the document reports that check failing, and the
+    # binding channel's kappa > 0 branches still reproduce the state
+    assert main(["verify-example", "--p", "0.3", "--kappa", "0.01"]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "7eab3910b7c6114d"
 
 
 def test_benchmark_inputs_pass_the_config_readers(tmp_path, monkeypatch, capsys):
