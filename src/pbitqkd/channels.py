@@ -36,7 +36,6 @@ __all__ = [
     "POVM_M0",
     "POVM_M1",
     "binding_channel_kraus",
-    "apply_channel",
     "binding_channel_apply",
     "channel_branches",
 ]
@@ -171,23 +170,13 @@ def binding_channel_kraus(p: float, kappa: float = 0.0) -> list[tuple[str, np.nd
     return ops
 
 
-def apply_channel(
-    state: DensityState,
-    kraus: Sequence[tuple[str, np.ndarray]] | Sequence[np.ndarray],
-    labels: Sequence[str] = ("B", "B'"),
-) -> DensityState:
-    """Deterministic channel action sum_k K rho K† on the given factors."""
+def binding_channel_apply(state: DensityState, p: float, kappa: float = 0.0) -> DensityState:
+    """Apply the binding channel, sum_k K rho K† on B ⊗ B', to a four-factor state."""
     out = np.zeros_like(state.mat)
-    for item in kraus:
-        k = item[1] if isinstance(item, tuple) else item
-        big = promote(k, state.layout, labels)
+    for _, k in binding_channel_kraus(p, kappa):
+        big = promote(k, state.layout, ("B", "B'"))
         out += big @ state.mat @ dagger(big)
     return DensityState(out, state.layout)
-
-
-def binding_channel_apply(state: DensityState, p: float, kappa: float = 0.0) -> DensityState:
-    """Apply the binding channel to the B ⊗ B' factors of a four-factor state."""
-    return apply_channel(state, binding_channel_kraus(p, kappa), ("B", "B'"))
 
 
 def channel_branches(

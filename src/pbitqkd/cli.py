@@ -3,7 +3,8 @@
 Conventions shared by every subcommand:
 
 * stdout carries exactly one JSON document; all logging goes to stderr;
-* nothing is written outside ``--out``;
+* nothing is written outside ``--out``, and an ``--out`` that cannot be
+  written is refused before any work;
 * every numeric in emitted JSON is finite (non-finite values are emitted as
   null next to an explicit flag, e.g. ``vacuous``);
 * exit code 0 on success, 1 when a verification subcommand finds a failing
@@ -189,6 +190,15 @@ def _settings(args, command: _Command) -> dict:
     return settings
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an --out that names a directory or lies in no writable one."""
+    folder = os.path.dirname(path or "") or "."
+    if path and os.path.isdir(path):
+        raise UsageError(f"cannot write --out {path!r}: it is a directory")
+    if path and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise UsageError(f"cannot write --out {path!r}: {folder!r} is no writable directory")
+
+
 def _emit(payload, out_path: str | None) -> None:
     _emit_text(canonical_json(payload), out_path)
 
@@ -349,8 +359,11 @@ def cmd_bounds(args, cfg: dict) -> int:
         m_x = min(solver.m_x, n // 4)
     if m_z is None:
         m_z = solver.m_z if (solver.m_z and solver.m_z + m_x < n) else (n - m_x) // 2
-    if m_x < 1 or m_z < 1 or n - m_z < 2:
+    if m_x < 1 or m_z < 1:
         raise UsageError(f"n = {n} is too small to allocate estimation samples")
+    if m_x + m_z >= n:
+        raise UsageError(f"estimation budget m_x + m_z = {m_x + m_z} leaves no key copies "
+                         f"out of n = {n}")
     r = relaxation_budget(s, n, d, d_prime)
     params = BoundParams(
         n=n, m_x=m_x, m_z=m_z, delta=delta, r=r, d=d, d_prime=d_prime, s=s, beta_b=beta_b
@@ -434,12 +447,11 @@ def cmd_pm_ensemble(args, cfg: dict) -> int:
 
     from .estimation import pm_signal_ensemble
 
-    if cfg["source"]:
-        state = cfg["source"].base_state()
-        default_input = False
-    else:
-        state = _phi_phi()
-        default_input = True
+    source = cfg["source"]
+    if source and source.noise:
+        raise UsageError("bad pm-ensemble config: source: pm-ensemble reads no noise")
+    default_input = not source
+    state = _phi_phi() if default_input else source.base_state()
 
     observables = {}
     for label in map("".join, itertools.product("IXYZ", repeat=2)):
@@ -578,6 +590,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     command = _COMMANDS[args.command]
     try:
+        _check_out(args.out)
         return command.run(args, _settings(args, command))
     except UsageError as exc:
         log.error("%s", exc)

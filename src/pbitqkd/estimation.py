@@ -157,26 +157,21 @@ def joint_outcome_table(
     return probs, products
 
 
-def pm_signal_ensemble(
-    state: DensityState,
-    label_a: str,
-    side_a: Sequence[str] = _SIDE_A,
-    side_b: Sequence[str] = _SIDE_B,
-) -> list[tuple[float, DensityState]]:
+def pm_signal_ensemble(state: DensityState, label_a: str) -> list[tuple[float, DensityState]]:
     """Signal ensemble Alice prepares on Bob's side by measuring one observable.
 
-    Measuring the product observable ``label_a`` (letters over IXYZ, one per
-    side-A factor, identity factors read in the computational basis) on her
-    share of ``state`` collapses Bob's share to a conditional state with the
-    outcome's probability.  Returns the (probability, normalized state)
+    Measuring the product observable ``label_a`` (two letters over IXYZ, for
+    A and A', identity factors read in the computational basis) on her share
+    (A, A') of ``state`` collapses Bob's share (B, B') to a conditional state
+    with the outcome's probability.  Returns the (probability, normalized state)
     list in eigenvector order; zero-probability outcomes keep a zero state.
     """
     _, vecs_a = local_eigensystem(label_a)
-    rho, sides = reorder(state.mat, state.layout, (*side_a, *side_b))
+    rho, sides = reorder(state.mat, state.layout, (*_SIDE_A, *_SIDE_B))
     da = vecs_a.shape[0]
     db = state.layout.dim // da
     rho4 = rho.reshape(da, db, da, db)
-    out_layout = sides.restrict(side_b)
+    out_layout = sides.restrict(_SIDE_B)
     out = []
     for k in range(da):
         v = vecs_a[:, k]

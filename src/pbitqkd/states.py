@@ -1,7 +1,7 @@
-"""State constructors: Bell pairs, pdit cores, the hiding family rho_h, and ccq reductions.
+"""State constructors: Bell pairs, the hiding family rho_h, and ccq reductions.
 
 The canonical four-factor arena is ``A ⊗ B ⊗ A' ⊗ B'``: A/B carry the key
-qudits, A'/B' the shield.  All constructors return :class:`DensityState`
+qubits, A'/B' the two-qubit shield.  All constructors return :class:`DensityState`
 objects that pair the dense matrix with its :class:`~pbitqkd.linalg.TensorLayout`.
 """
 
@@ -34,8 +34,6 @@ __all__ = [
     "bell_state",
     "chi_plus_vec",
     "chi_minus_vec",
-    "phi_d_vec",
-    "maximally_mixed",
     "rho_h",
     "sigma_ab",
     "P_STAR",
@@ -132,21 +130,6 @@ def chi_plus_vec() -> np.ndarray:
 def chi_minus_vec() -> np.ndarray:
     """|chi-> = s|00> - c|11> (orthogonal completion of |chi+> in span{00,11})."""
     return np.array([CHI_S, 0, 0, -CHI_C], dtype=complex)
-
-
-def phi_d_vec(d: int) -> np.ndarray:
-    """Maximally entangled |Phi_d> = sum_i |ii>/sqrt(d) on C^d ⊗ C^d."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    v = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        v[i * d + i] = 1.0
-    return v / np.sqrt(d)
-
-
-def maximally_mixed(layout: TensorLayout) -> DensityState:
-    d = layout.dim
-    return DensityState(np.eye(d, dtype=complex) / d, layout)
 
 
 # --- the hiding family -----------------------------------------------------

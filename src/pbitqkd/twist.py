@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import TensorLayout, dagger, kron_all, promote, random_unitary, PAULI_X, PAULI_Z
-from .states import KEY_SHIELD_LAYOUT, CHI_C, CHI_S, DensityState, phi_d_vec, proj
+from .states import KEY_SHIELD_LAYOUT, CHI_C, CHI_S, DensityState, bell_vec, proj
 
 __all__ = [
     "TwistingOp",
@@ -108,14 +108,14 @@ def build_u_h() -> TwistingOp:
 
 
 def make_pdit(tw: TwistingOp, anc: np.ndarray) -> DensityState:
-    """Twisted maximally-entangled core U (Phi_d ⊗ anc) U† on A ⊗ B ⊗ A' ⊗ B'.
+    """Twisted maximally-entangled core U (psi_0 ⊗ anc) U† on A ⊗ B ⊗ A' ⊗ B'.
 
     ``anc`` is the shield state, a 4×4 matrix on A' ⊗ B'.
     """
     anc_mat = np.asarray(anc, dtype=complex)
     if anc_mat.shape != (4, 4):
         raise ValueError(f"ancilla shape {anc_mat.shape} != shield dim 4")
-    core = np.kron(proj(phi_d_vec(2)), anc_mat)
+    core = np.kron(proj(bell_vec(0)), anc_mat)
     u = tw.assemble()
     return DensityState(u @ core @ dagger(u), KEY_SHIELD_LAYOUT)
 

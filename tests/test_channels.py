@@ -14,7 +14,6 @@ from pbitqkd.channels import (
     POVM_M0,
     POVM_M1,
     PauliNoiseModel,
-    apply_channel,
     apply_pauli,
     binding_channel_apply,
     binding_channel_kraus,
@@ -27,14 +26,14 @@ from pbitqkd.states import (
     P_STAR,
     DensityState,
     bell_state,
-    phi_d_vec,
+    bell_vec,
     rho_h,
 )
 
 
 def double_phi():
     """Phi ⊗ Phi arranged on A B A' B' (first pair = key, second = shield)."""
-    phi = proj(phi_d_vec(2))
+    phi = proj(bell_vec(0))
     return DensityState(np.kron(phi, phi), KEY_SHIELD_LAYOUT)
 
 
@@ -191,12 +190,6 @@ def test_branch_posteriors_are_states():
     for lab, prob, post in channel_branches(src, binding_channel_kraus(0.3, 0.01)):
         if prob > 1e-12:
             post.validate()
-
-
-def test_apply_channel_accepts_bare_operator_lists():
-    src = bell_state(0)
-    flipped = apply_channel(src, [PAULI_X], labels=("B",))
-    assert flipped.distance_to(bell_state(2)) < 1e-12
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))

@@ -845,6 +845,12 @@ def test_integral_floats_read_as_integers(tmp_path, capsys, command, ints, float
     ("estimate --seed 1", {"p": 0.3}, "bad estimate config: p: unknown key"),
     # a misspelt grid key is hinted from the grid's keys and the run's fields together
     ("sweep", {"n": 2000, "seeds": [0], "p_valuse": [0.3]}, "unknown key (did you mean 'p_values'?)"),
+    # pm-ensemble prepares from the noiseless source state, so a source noise is not read
+    ("pm-ensemble", {"source": {"kind": "pbit", "noise": {"eps_x": 0.3, "eps_z": 0.2}}},
+     "source: pm-ensemble reads no noise"),
+    # an allocation must leave a key copy
+    ("bounds", {"n": 1000, "m_x": 5000, "m_z": 100},
+     "estimation budget m_x + m_z = 5100 leaves no key copies out of n = 1000"),
 ])
 def test_usage_errors_write_nothing(tmp_path, capsys, caplog, argv, cfg, message):
     cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "out"
@@ -853,6 +859,25 @@ def test_usage_errors_write_nothing(tmp_path, capsys, caplog, argv, cfg, message
     assert capsys.readouterr().out == ""
     assert not out_path.exists()
     assert message in caplog.text
+
+
+# an --out that cannot be written is refused before the command runs
+@pytest.mark.parametrize("command, cfg", [
+    ("bounds", {"n": 100000}),
+    ("sweep", {"n": 2000, "seeds": [0], "m_x": 200, "m_prime": 150}),
+])
+@pytest.mark.parametrize("where", ["missing directory", "a file's child", "a directory"])
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, caplog, monkeypatch,
+                                                   command, cfg, where):
+    monkeypatch.setitem(cli._COMMANDS, command, cli._COMMANDS[command]._replace(run=None))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = {"missing directory": tmp_path / "missing" / "o.csv",
+           "a file's child": cfg_path / "o.csv", "a directory": tmp_path}[where]
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert f"cannot write --out {str(out)!r}" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 # each solver command validates and answers with the attempts its answer needs

@@ -17,6 +17,7 @@ DELETED = (
     "layout_of", "hs_inner", "op_norm", "net_key_rate", "hoeffding_tail",
     "binary_entropy_inv_left", "estimate_eps_x", "optimal_untwist",
     "sample_product_outcomes", "toeplitz_extract", "sample_branch",
+    "phi_d_vec", "maximally_mixed", "apply_channel",
 )
 
 

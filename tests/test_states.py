@@ -25,8 +25,6 @@ from pbitqkd.states import (
     ccq_state,
     chi_minus_vec,
     chi_plus_vec,
-    maximally_mixed,
-    phi_d_vec,
     purify,
     rho_h,
     sigma_ab,
@@ -62,19 +60,6 @@ def test_chi_vectors():
     assert abs(CHI_C**2 + CHI_S**2 - 1.0) < 1e-14
     # the coefficients that make the hiding construction tick: c² - s² = 1/sqrt2
     assert abs(CHI_C**2 - CHI_S**2 - 1.0 / np.sqrt(2.0)) < 1e-14
-
-
-def test_phi_d_vec():
-    v = phi_d_vec(3)
-    assert abs(np.vdot(v, v) - 1.0) < 1e-14
-    assert v[0] == v[4] == v[8]
-    with pytest.raises(ValueError):
-        phi_d_vec(1)
-
-
-def test_maximally_mixed():
-    mm = maximally_mixed(KEY_SHIELD_LAYOUT)
-    assert np.allclose(mm.mat, np.eye(16) / 16.0)
 
 
 def test_rho_h_is_a_state():

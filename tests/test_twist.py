@@ -10,7 +10,7 @@ from pbitqkd.linalg import PAULI_X, PAULI_Z
 from pbitqkd.states import (
     P_STAR,
     basis_ket,
-    phi_d_vec,
+    bell_vec,
     rho_h,
     sigma_ab,
 )
@@ -75,13 +75,13 @@ def test_untwisting_rho_h_yields_sigma_ab():
 
 
 def test_pdit_core_round_trip():
-    # untwisting the pdit and tracing the shield gives back the Phi_d projector
+    # untwisting the pdit and tracing the shield gives back the Phi projector
     tw = build_u_h()
     anc = proj(kron_all(basis_ket(0, 2), basis_ket(0, 2)))
     pdit = make_pdit(tw, anc)
     pdit.validate()
     back = untwist_and_trace(pdit, tw)
-    assert trace_distance(back.mat, proj(phi_d_vec(2))) < 1e-12
+    assert trace_distance(back.mat, proj(bell_vec(0))) < 1e-12
 
 
 def test_make_pdit_checks_ancilla_shape():
