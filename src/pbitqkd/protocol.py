@@ -10,6 +10,11 @@ outcomes are then sampled in bulk: a test sample keeps only its count of +1
 outcomes, the key block its bits.  This keeps n = 1e5-scale runs in
 milliseconds while remaining exactly faithful to the iid component model.
 
+``decide`` is the one place a run is judged.  It reads only the public
+counts (the +1 count and size of every test sample, and the key block's
+length) and gives the estimates, the security block, the abort reason, EC's
+charge and the final key length; key bits are drawn only if it says so.
+
 Every run returns a :class:`Transcript` whose JSON serialization is
 byte-identical across reruns with the same config and seed (fixed RNG draw
 order, sorted keys, no wall-clock or environment values).
@@ -18,7 +23,7 @@ order, sorted keys, no wall-clock or environment values).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -41,7 +46,6 @@ from .channels import PauliNoiseModel, _uniform_slices
 from .ecpa import MAX_EC_BLOCK, bits_to_hex, error_correct, pa_length, syndrome_stats
 from .ecpa import toeplitz_apply, toeplitz_seed
 from .estimation import (
-    EstimationResult,
     ProductDecomposition,
     best_candidate,
     decompose_two_local,
@@ -332,17 +336,16 @@ def _code_slices(codes: np.ndarray, rng: np.random.Generator):
         yield (c[0] if c.strides == (0,) else c), sl, u
 
 
-def _sample_mean(
-    p_plus: np.ndarray, codes: np.ndarray, rng: np.random.Generator, scale: float = 1.0
-) -> float:
-    """Mean of one ±scale outcome per copy, +scale with probability p_plus[code].
+def _sample_count(p_plus: np.ndarray, codes: np.ndarray, rng: np.random.Generator) -> int:
+    """How many copies read +1, each with probability p_plus[code]: one uniform per
+    copy (``_code_slices``), and no outcome is kept."""
+    return sum(int(np.count_nonzero(u < p_plus.take(c))) for c, _, u in _code_slices(codes, rng))
 
-    Only the count k of +scale outcomes is kept: the mean of m outcomes is
-    scale (2k - m) / m, which equals the mean of the ±scale array bit for
-    bit, since a sum of m ±1 or ±1/4 values is exact in float64.
-    """
-    k = sum(int(np.count_nonzero(u < p_plus.take(c))) for c, _, u in _code_slices(codes, rng))
-    return scale * (2 * k - codes.size) / codes.size
+
+def _count_mean(k: int, m: int, scale: float = 1.0) -> float:
+    """Mean of m ±scale outcomes of which k read +scale, bit for bit the mean of
+    the ±scale array: a sum of m ±1 or ±1/4 values is exact in float64."""
+    return scale * (2 * k - m) / m
 
 
 def _sample_key_bits(
@@ -372,25 +375,6 @@ def _sample_key_bits(
     return alice.view(np.uint8), err.view(np.uint8)
 
 
-def _security_block(config: ProtocolConfig, m_x: int, m_z: int) -> dict:
-    """The failure bound at the run's budgets: m_x, m_z >= 1 and n - m_z > m_x in both flows."""
-    r = relaxation_budget(config.s, config.n)
-    params = BoundParams(
-        n=config.n, m_x=m_x, m_z=m_z, delta=config.delta, r=r,
-        d=2, d_prime=4, s=config.s, beta_b=config.beta_b,
-    )
-    fb = protocol_failure_bound(params)
-    return {
-        "r": r,
-        "bound_params": params.to_dict(),
-        "log2_f": fb.log2_f,
-        "f": fb.f,
-        "vacuous": fb.vacuous,
-        "beta_b": params.beta,
-        "insecurity": composable_insecurity(fb.f, params.beta),
-    }
-
-
 def _resolve_budgets(config: ProtocolConfig, n_groups: int) -> tuple[int | None, int | None, str]:
     """Fill m_x / m_prime from the solver when unset; '' message on success."""
     m_x, m_prime = config.m_x, config.m_prime
@@ -411,148 +395,158 @@ def _resolve_budgets(config: ProtocolConfig, n_groups: int) -> tuple[int | None,
     return m_x, m_prime, ""
 
 
-def _group_counts(setup: _Setup, group_codes: dict) -> dict[str, int]:
+def _group_sizes(setup: _Setup, group_codes: dict) -> dict[str, int]:
     return {setup.labels[pair]: int(codes.size) for pair, codes in group_codes.items()}
 
 
-def _abort(
-    config: ProtocolConfig,
-    protocol: str,
-    events: list,
-    reason: str,
-    estimates: dict | None = None,
-    security: dict | None = None,
-    raw_len: int = 0,
-) -> Transcript:
-    """Log the abort and return the empty-key transcript (every abort path)."""
-    events.append({"event": "abort", "reason": reason})
-    return Transcript(
-        schema=TRANSCRIPT_SCHEMA,
-        protocol=protocol,
-        config=config.to_dict(),
-        events=events,
-        estimates=estimates or {},
-        security=security or {},
-        key={"alice_hex": "", "bob_hex": "", "final_len": 0, "raw_len": raw_len,
-             "agreement": None, "final_key_empty": True, "ec": None},
-        abort=True,
-        abort_reason=reason,
-    )
-
-
-def _measure_and_estimate(
-    n: int,
-    rng: np.random.Generator,
-    events: list,
-    setup: _Setup,
-    codes_x: np.ndarray,
-    group_codes: dict,
-) -> dict:
-    """Bit-error and phase-group sampling, candidate estimates and rates.
-
-    The one measurement core behind ``run_ppp``, ``run_pm`` and
-    ``run_estimate``.  ``codes_x`` holds the pattern codes of the bit-error
-    sample and ``group_codes`` maps each support pair to those of its test
-    copies, in support order; the net rate is over n copies.  Returns the
-    transcript's ``estimates``.
-    """
-    m_x = int(codes_x.size)
-    m_z = int(sum(c.size for c in group_codes.values()))
-
-    eps_x_hat = (1.0 - _sample_mean(setup.plus[:, _ZI, _ZI], codes_x, rng)) / 2.0
-    events.append({"event": "measure_bit_error", "count": m_x})
-
-    means = {
-        (ja, jb): _sample_mean(setup.plus[:, ja, jb], codes, rng, 0.25)
+def _measure(
+    setup: _Setup, codes_x: np.ndarray, group_codes: dict, rng: np.random.Generator, events: list
+) -> tuple[int, dict]:
+    """The test samples' public counts: k_x, the bit-error sample's +1 count, and
+    each support pair's (+1 count, size), drawn in that order."""
+    k_x = _sample_count(setup.plus[:, _ZI, _ZI], codes_x, rng)
+    events.append({"event": "measure_bit_error", "count": int(codes_x.size)})
+    group_counts = {
+        (ja, jb): (_sample_count(setup.plus[:, ja, jb], codes, rng), int(codes.size))
         for (ja, jb), codes in group_codes.items()
     }
-    counts = _group_counts(setup, group_codes)
-    events.append({"event": "measure_phase_groups", "counts": counts})
+    events.append({"event": "measure_phase_groups", "counts": _group_sizes(setup, group_codes)})
+    return k_x, group_counts
 
-    results: dict[str, EstimationResult] = {
-        name: estimate_eps_z_locc(means, dec) for name, dec in setup.decomps.items()
-    }
+
+def _estimates(setup: _Setup, n: int, k_x: int, m_x: int, group_counts: Mapping) -> dict:
+    """The ``estimates`` block from the public counts, with the net rate over n copies.
+
+    A test reads ±1 (the bit-error sample) or ±1/4 (a phase group) per copy,
+    and its mean is ``_count_mean`` of its count; ε̂x = (1 - mean) / 2 lies
+    in [0, 1].  The best candidate is the one with the smallest ε̂z.
+    """
+    eps_x_hat = (1.0 - _count_mean(k_x, m_x)) / 2.0
+    means = {pair: _count_mean(k, m, 0.25) for pair, (k, m) in group_counts.items()}
+    m_z = sum(m for _, m in group_counts.values())
+    results = {name: estimate_eps_z_locc(means, dec) for name, dec in setup.decomps.items()}
     best = list(results)[best_candidate(list(results.values()))]
     eps_z_hat = results[best].eps_z
-    ex = min(max(eps_x_hat, 0.0), 1.0)
-    rate = key_rate(ex, eps_z_hat)
-    events.append({
-        "event": "estimate",
-        "eps_x_hat": eps_x_hat,
-        "eps_z_hat": eps_z_hat,
-        "best_candidate": best,
-    })
+    rate = key_rate(eps_x_hat, eps_z_hat)
     return {
-        "eps_x_hat": eps_x_hat,
-        "m_x": m_x,
-        "m_z": m_z,
+        "eps_x_hat": eps_x_hat, "m_x": m_x, "m_z": m_z, "best_candidate": best,
+        "eps_z_hat": eps_z_hat, "rate": rate, "net_rate": (1.0 - (m_x + m_z) / n) * rate,
+        "rate_raw": 1.0 - binary_entropy(eps_x_hat) - binary_entropy(eps_z_hat),
         "candidates": {name: asdict(res) for name, res in results.items()},
-        "best_candidate": best,
-        "eps_z_hat": eps_z_hat,
-        "rate": rate,
-        "rate_raw": 1.0 - binary_entropy(ex) - binary_entropy(eps_z_hat),
-        "net_rate": (1.0 - (m_x + m_z) / n) * rate,
         "group_means": {setup.labels[pair]: mean for pair, mean in means.items()},
-        "group_counts": counts,
+        "group_counts": {setup.labels[pair]: m for pair, (_, m) in group_counts.items()},
     }
+
+
+@dataclass(frozen=True)
+class Decision:
+    """What ``decide`` makes of a run's public counts."""
+
+    estimates: dict
+    security: dict
+    abort_reason: str | None
+    ec: dict | None  # EC's charge (``syndrome_stats``); None on an abort
+    final_len: int
+    raw_len: int
+    key_stage: bool  # key bits are drawn: no abort and not EC's reveal path
+
+    @property
+    def event(self) -> dict:
+        """The run's ``estimate`` event."""
+        names = ("eps_x_hat", "eps_z_hat", "best_candidate")
+        return {"event": "estimate", **{name: self.estimates[name] for name in names}}
+
+
+def decide(
+    config: ProtocolConfig, setup: _Setup, k_x: int, m_x: int, group_counts: Mapping, raw_len: int
+) -> Decision:
+    """Judge a run from its public counts alone, with no rng and no per-copy array.
+
+    ``k_x`` of the ``m_x`` bit-error tests read +1, ``group_counts`` maps
+    each support pair of ``setup`` (``_setup``'s record) to its (+1 count,
+    size), and ``raw_len`` is the key block's length.  The security block is
+    the failure bound at the run's budgets.  On EC's reveal path (rows =
+    ``ec_block``) the whole raw key is charged, so the final key is empty.
+    """
+    estimates = _estimates(setup, config.n, k_x, m_x, group_counts)
+    r = relaxation_budget(config.s, config.n)
+    params = BoundParams(
+        n=config.n, m_x=m_x, m_z=estimates["m_z"], delta=config.delta, r=r,
+        d=2, d_prime=4, s=config.s, beta_b=config.beta_b,
+    )
+    fb = protocol_failure_bound(params)
+    security = {
+        "r": r, "bound_params": params.to_dict(), "log2_f": fb.log2_f, "f": fb.f,
+        "vacuous": fb.vacuous, "beta_b": params.beta,
+        "insecurity": composable_insecurity(fb.f, params.beta),
+    }
+    if estimates["rate"] <= 0.0:
+        return Decision(estimates, security, "rate_nonpositive", None, 0, raw_len, False)
+    eps_x_hat = estimates["eps_x_hat"]
+    ec = syndrome_stats(raw_len, eps_x_hat, config.ec_block)
+    final_len = pa_length(raw_len, eps_x_hat, estimates["eps_z_hat"], ec["syndrome_bits"], config.s)
+    key_stage = ec["rows_per_block"] < config.ec_block
+    return Decision(estimates, security, None, ec, final_len, raw_len, key_stage)
+
+
+#: The final key of a run that draws no key bit.
+_NO_KEY = np.zeros(0, dtype=np.uint8)
+
+
+def _transcript(
+    protocol: str, config: ProtocolConfig, events: list, reason: str | None,
+    decision: Decision | None = None, ec: dict | None = None, alice=_NO_KEY, bob=_NO_KEY,
+) -> Transcript:
+    """Every run's record.  An abort (``reason``) logs its event and keeps the
+    empty key; ``decision`` is None for the aborts before measurement."""
+    events.append({"event": "abort", "reason": reason} if reason else {"event": "complete"})
+    final_len = decision.final_len if decision else 0
+    key = {
+        "raw_len": decision.raw_len if decision else 0, "final_len": final_len, "ec": ec,
+        "alice_hex": bits_to_hex(alice), "bob_hex": bits_to_hex(bob),
+        "agreement": bool(np.array_equal(alice, bob)) if final_len > 0 else None,
+        "final_key_empty": final_len == 0,
+    }
+    return Transcript(
+        schema=TRANSCRIPT_SCHEMA, protocol=protocol, config=config.to_dict(), events=events,
+        estimates=decision.estimates if decision else {},
+        security=decision.security if decision else {},
+        key=key, abort=reason is not None, abort_reason=reason,
+    )
 
 
 def _measure_and_finish(
-    protocol: str,
-    config: ProtocolConfig,
-    rng: np.random.Generator,
-    events: list,
-    setup: _Setup,
-    codes_x: np.ndarray,
-    group_codes: dict,
-    key_codes: np.ndarray,
-    extra_estimates: dict | None = None,
+    protocol: str, config: ProtocolConfig, rng: np.random.Generator, events: list, setup: _Setup,
+    codes_x: np.ndarray, group_codes: dict, key_codes: np.ndarray, extra_estimates: dict | None = None,
 ) -> Transcript:
     """Everything after position assignment, shared by ppp and pm.
 
-    Measurement and estimation, the security block, the rate abort, key
-    sampling, toy EC, PA and transcript assembly.  Each stage gets the
-    pattern codes of its copies (``_split_codes``), not positions.  On EC's
-    reveal path (rows = ``ec_block``, known from the estimates) the final key
-    is empty and EC and PA draw nothing, so no key bit is drawn.  Else the key
-    stage holds Alice's bits and the error pattern only: EC turns the pattern
-    into the residual one in place, and Bob's corrected bits, Alice's XOR the
+    Each stage gets the pattern codes of its copies (``_split_codes``), not
+    positions.  The tests' counts are drawn and ``decide`` judges the run;
+    key bits are drawn only if it says the key stage runs.  That stage holds
+    Alice's bits and the error pattern only: EC turns the pattern into the
+    residual one in place, and Bob's corrected bits, Alice's XOR the
     residual, are rebuilt in that array just for his PA call.
     """
-    estimates = _measure_and_estimate(config.n, rng, events, setup, codes_x, group_codes)
-    eps_x_hat, eps_z_hat = estimates["eps_x_hat"], estimates["eps_z_hat"]
-    security = _security_block(config, estimates["m_x"], estimates["m_z"])
-    estimates.update(extra_estimates or {})
-    raw_len = int(key_codes.size)
-    if estimates["rate"] <= 0.0:
-        return _abort(config, protocol, events, "rate_nonpositive", estimates, security, raw_len)
+    k_x, group_counts = _measure(setup, codes_x, group_codes, rng, events)
+    decision = decide(config, setup, k_x, int(codes_x.size), group_counts, int(key_codes.size))
+    if extra_estimates:
+        decision = replace(decision, estimates={**decision.estimates, **extra_estimates})
+    events.append(decision.event)
+    if decision.abort_reason:
+        return _transcript(protocol, config, events, decision.abort_reason, decision)
 
-    ec_stats = {**syndrome_stats(raw_len, eps_x_hat, config.ec_block), "residual_disagreements": 0}
-    final_len = pa_length(raw_len, eps_x_hat, eps_z_hat, ec_stats["syndrome_bits"], config.s)
-    alice_fin = bob_fin = np.zeros(0, dtype=np.uint8)
-    if ec_stats["rows_per_block"] < config.ec_block:  # else the reveal path: final_len is 0
+    ec, alice_fin, bob_fin = {**decision.ec, "residual_disagreements": 0}, _NO_KEY, _NO_KEY
+    final_len = decision.final_len
+    if decision.key_stage:
         alice_bits, err = _sample_key_bits(setup.joint16, key_codes, rng)
-        err, ec_stats = error_correct(err, eps_x_hat, config.ec_block, rng)
-        seed = toeplitz_seed(raw_len, final_len, rng)
+        err, ec = error_correct(err, decision.estimates["eps_x_hat"], config.ec_block, rng)
+        seed = toeplitz_seed(decision.raw_len, final_len, rng)
         alice_fin = toeplitz_apply(alice_bits, seed, final_len)
         bob_fin = toeplitz_apply(np.bitwise_xor(alice_bits, err, out=err), seed, final_len)
-    events.append({"event": "error_correct", **ec_stats})
-    events.append({"event": "privacy_amplify", "raw_len": raw_len, "final_len": final_len})
-    events.append({"event": "complete"})
-    key = {
-        "raw_len": raw_len,
-        "alice_hex": bits_to_hex(alice_fin),
-        "bob_hex": bits_to_hex(bob_fin),
-        "final_len": final_len,
-        "agreement": bool(np.array_equal(alice_fin, bob_fin)) if final_len > 0 else None,
-        "final_key_empty": final_len == 0,
-        "ec": ec_stats,
-    }
-    return Transcript(
-        schema=TRANSCRIPT_SCHEMA, protocol=protocol, config=config.to_dict(),
-        events=events, estimates=estimates, security=security, key=key,
-        abort=False, abort_reason=None,
-    )
+    events.append({"event": "error_correct", **ec})
+    events.append({"event": "privacy_amplify", "raw_len": decision.raw_len, "final_len": final_len})
+    return _transcript(protocol, config, events, None, decision, ec, alice_fin, bob_fin)
 
 
 def _split_codes(
@@ -601,7 +595,7 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
     events: list = [{"event": "configure", "n": config.n, "seed": config.seed}]
     m_x, m_prime, err = _resolve_budgets(config, len(support))
     if err:
-        return _abort(config, "ppp", events, err)
+        return _transcript("ppp", config, events, err)
 
     codes = _pattern_codes(config.source, config.eve, config.n, rng)
     events.append({"event": "distribute", "source": config.source.kind, "copies": config.n})
@@ -613,7 +607,7 @@ def run_ppp(config: ProtocolConfig) -> Transcript:
         "m_x": m_x,
         "m_prime": m_prime,
         "m_z": m_prime * len(support),
-        "groups": _group_counts(setup, group_codes),
+        "groups": _group_sizes(setup, group_codes),
         "key_count": int(key_codes.size),
     })
     return _measure_and_finish(
@@ -660,8 +654,8 @@ def run_pm(config: ProtocolConfig) -> Transcript:
     configure = {"event": "configure", "n": n, "seed": config.seed}
     load = max(len(ja_set), len(jb_set))
     if load * n_c >= n:
-        return _abort(
-            config, "pm", [configure],
+        return _transcript(
+            "pm", config, [configure],
             f"parameters_infeasible: test load {load} * n_c = {load * n_c} does not fit in n = {n}",
         )
 
@@ -684,15 +678,15 @@ def run_pm(config: ProtocolConfig) -> Transcript:
     del codes, a_obs, b_obs
     events.append({
         "event": "sift",
-        "matched_counts": _group_counts(setup, group_codes),
+        "matched_counts": _group_sizes(setup, group_codes),
         "key_candidates": int(key_codes.size),
         "discarded": int(n - key_codes.size - sum(v.size for v in group_codes.values())),
     })
 
     short = [setup.labels[pair] for pair in support if group_codes[pair].size < min_group]
     if short or key_codes.size < m_x + config.ec_block:
-        return _abort(
-            config, "pm", events,
+        return _transcript(
+            "pm", config, events,
             "insufficient_samples: "
             + (f"groups below floor {min_group}: {short}" if short
                else f"key candidates {key_codes.size} cannot cover m_x = {m_x}"),
@@ -734,7 +728,8 @@ def run_estimate(
     rng = np.random.default_rng(seed)
     codes = _pattern_codes(source, None, n, rng)
     codes_x, group_codes, _ = _split_codes(codes, m_x, m_prime, setup.support)
-    return _measure_and_estimate(n, rng, [], setup, codes_x, group_codes)
+    k_x, group_counts = _measure(setup, codes_x, group_codes, rng, [])
+    return _estimates(setup, n, k_x, m_x, group_counts)
 
 
 def model_estimates(source: SourceSpec, m_x: int, m_prime: int) -> dict:

@@ -339,9 +339,9 @@ def test_criterion_12_end_to_end_runs_yield_positive_rate_and_catch_eve():
     assert elapsed < 300.0
     assert good >= 18 and aborts >= 20, (
         f"no-Eve positive-rate runs {good}/20 (need >= 18), Eve aborts "
-        f"{aborts}/20 (need 20): the phase-estimate spread at this budget "
-        f"(std ~ 0.003 vs margin ~ 0.0017) caps the no-Eve success rate "
-        f"near 55%; documented failure, see README.md"
+        f"{aborts}/20 (need 20): at this budget one seed passes with probability "
+        f"0.651 +- 0.001 (the exact count law judged by protocol.decide), so "
+        f"P(>= 18/20) ~ 1.2%; documented failure, see README.md"
     )
 
 

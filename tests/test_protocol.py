@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbitqkd import bounds, channels, estimation, protocol
+from pbitqkd.ecpa import pa_length, syndrome_stats
 from pbitqkd.estimation import joint_outcome_table, pm_signal_ensemble
 from pbitqkd.protocol import (
     ProtocolConfig,
@@ -460,13 +462,95 @@ REFERENCE_TRANSCRIPTS = [
     (run_ppp, {**KEYED_PPP, "eve": {"eps_x": 0.1, "eps_z": 0.05, "mode": "fixed_weight"}},
      "2413722b4a6ad415"),
     (run_pm, {**KEYED_PM, "eve": {"eps_x": 0.05, "eps_z": 0.05}}, "e5d0076a82c264ac"),
+    # non-default EC blocks: 7 reveals every block (rows = 7), 32 keeps a key
+    (run_ppp, {**KEYED_PPP, "ec_block": 7}, "6d9f2a222f57fbd6"),
+    (run_ppp, {**KEYED_PPP, "ec_block": 32}, "0a0f06b9ac476cac"),
+    # solver-filled budgets: infeasible at this n, with the solver's binding constraint
+    (run_ppp, {"n": 100000, "seed": 0}, "33242b4c6fc12bc6"),
 ]
+
+
+def _public_counts(doc: dict, setup) -> tuple[int, int, dict, int]:
+    """(k_x, m_x, group_counts, raw_len) read back from a transcript's published numbers."""
+    est = doc["estimates"]
+    pairs = {label: pair for pair, label in setup.labels.items()}
+    m_x = est["m_x"]
+    k_x = round(m_x * (1.0 - est["eps_x_hat"]))  # eps_x_hat = (m_x - k_x) / m_x
+    group_counts = {  # a group's mean is (2k - m) / (4m)
+        pairs[label]: (round(m * (1.0 + 4.0 * est["group_means"][label]) / 2.0), m)
+        for label, m in est["group_counts"].items()
+    }
+    return k_x, m_x, group_counts, doc["key"]["raw_len"]
+
+
+def _assert_decision_replays(config: ProtocolConfig, text: str) -> None:
+    """decide, on the counts the transcript publishes, gives back everything it decided."""
+    doc = json.loads(text)
+    setup = protocol._setup(config.source, config.candidates)
+    decision = protocol.decide(config, setup, *_public_counts(doc, setup))
+    estimates = decision.estimates
+    if doc["protocol"] == "pm":
+        estimates = {**estimates, "n_c": config.n_c}
+    ec = doc["key"]["ec"]
+    assert canonical_json(
+        [estimates, decision.security, decision.abort_reason, decision.ec, decision.final_len]
+    ) == canonical_json([
+        doc["estimates"], doc["security"], doc["abort_reason"],
+        ec and {k: v for k, v in ec.items() if k != "residual_disagreements"},
+        doc["key"]["final_len"],
+    ])
 
 
 @pytest.mark.parametrize("run, cfg, digest", REFERENCE_TRANSCRIPTS)
 def test_reference_transcripts_are_byte_identical(run, cfg, digest):
-    text = run(ProtocolConfig.from_dict(cfg)).to_json()
+    config = ProtocolConfig.from_dict(cfg)
+    text = run(config).to_json()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    if '"event":"estimate"' in text:  # the run reached measurement
+        _assert_decision_replays(config, text)
+
+
+# decide on hand-built counts of the noiseless pbit: the truth at code 0 for the
+# phase groups, and the bit-error count picks the outcome
+PBIT_DECIDE = ProtocolConfig(n=200_000, seed=0, m_x=4000, m_prime=4000,
+                             source=SourceSpec(kind="pbit"))
+
+
+@pytest.mark.parametrize("k_x, reason, rows, key_stage", [
+    (2000, "rate_nonpositive", None, False),  # eps_x_hat = 0.5
+    (3600, None, 16, False),  # eps_x_hat = 0.1: EC's reveal path
+    (3960, None, 8, True),  # eps_x_hat = 0.01: a keyed completion
+])
+def test_decide_judges_hand_built_counts(k_x, reason, rows, key_stage):
+    config = PBIT_DECIDE
+    setup = protocol._setup(config.source, config.candidates)
+    m = config.m_prime
+    group_counts = {(ja, jb): (round(m * float(setup.plus[0, ja, jb])), m)
+                    for ja, jb in setup.support}
+    raw_len = config.n - config.m_x - len(setup.support) * m
+    decision = protocol.decide(config, setup, k_x, config.m_x, group_counts, raw_len)
+    assert decision == protocol.decide(config, setup, k_x, config.m_x, group_counts, raw_len)
+    est = decision.estimates
+    assert est["eps_x_hat"] == pytest.approx((config.m_x - k_x) / config.m_x, abs=1e-15)
+    assert est["eps_z_hat"] == pytest.approx(0.0, abs=1e-3)
+    assert decision.event == {"event": "estimate", "eps_x_hat": est["eps_x_hat"],
+                              "eps_z_hat": est["eps_z_hat"], "best_candidate": est["best_candidate"]}
+    assert decision.security["bound_params"]["m_z"] == len(setup.support) * m
+    assert (decision.abort_reason, decision.key_stage, decision.raw_len) == (reason, key_stage, raw_len)
+    if reason is not None:
+        assert decision.ec is None and decision.final_len == 0 and est["rate"] == 0.0
+        return
+    assert decision.ec == syndrome_stats(raw_len, est["eps_x_hat"], config.ec_block)
+    assert decision.ec["rows_per_block"] == rows
+    assert decision.final_len == pa_length(raw_len, est["eps_x_hat"], est["eps_z_hat"],
+                                           decision.ec["syndrome_bits"], config.s)
+    assert (decision.final_len > 0) == key_stage
+
+
+def test_decide_takes_no_rng_and_no_array():
+    params = inspect.signature(protocol.decide).parameters
+    assert list(params) == ["config", "setup", "k_x", "m_x", "group_counts", "raw_len"]
+    assert [params[name].annotation for name in ("k_x", "m_x", "raw_len")] == ["int"] * 3
 
 
 # the desk rho_h runs complete on EC's reveal path, where the final key is empty:
@@ -766,6 +850,7 @@ def _sample_signs(p_plus, codes, rng):
 @pytest.mark.parametrize("kind", ["zero_stride", "mixed"])
 @pytest.mark.parametrize("scale", [1.0, 0.25])
 def test_sample_mean_equals_the_mean_of_the_outcome_array(m, kind, scale):
+    # the mean taken from the count sampler's +1 count
     gen = np.random.default_rng(m)
     p_plus = gen.random(4)
     if kind == "zero_stride":
@@ -773,7 +858,7 @@ def test_sample_mean_equals_the_mean_of_the_outcome_array(m, kind, scale):
     else:
         codes = gen.integers(0, 4, size=m).astype(np.uint8)
     rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-    mean = protocol._sample_mean(p_plus, codes, rng_a, scale)
+    mean = protocol._count_mean(protocol._sample_count(p_plus, codes, rng_a), m, scale)
     assert mean == float((scale * _sample_signs(p_plus, np.asarray(codes), rng_b)).mean())
     assert rng_a.random() == rng_b.random()  # exactly one uniform per copy
 
@@ -788,7 +873,8 @@ def test_count_mean_equals_the_array_mean(mk, scale, seed):
     # code 0 always reads +scale and code 1 never does, so k copies read +scale
     m, k = mk
     codes = np.random.default_rng(seed).permutation(np.repeat(np.uint8([0, 1]), [k, m - k]))
-    mean = protocol._sample_mean(np.array([1.0, 0.0, 0.0, 0.0]), codes, np.random.default_rng(0), scale)
+    assert protocol._sample_count(np.array([1.0, 0.0, 0.0, 0.0]), codes, np.random.default_rng(0)) == k
+    mean = protocol._count_mean(k, m, scale)
     assert mean == scale * (2 * k - m) / m == np.where(codes == 0, scale, -scale).mean()
 
 
