@@ -4,8 +4,8 @@ Dense linear-algebra simulation of key distribution drawn from *private
 states* (twisted maximally-entangled states whose key is protected by a
 shield subsystem), including:
 
-* construction of pbits/pdits, the hiding-state family rho_H(p, kappa), and
-  the specific twisting whose untwisted marginal is an explicit two-qubit
+* construction of qubit-key pbits, the hiding-state family rho_H(p, kappa),
+  and the specific twisting whose untwisted marginal is an explicit two-qubit
   state (`states`, `twist`);
 * a six-branch Kraus channel on the B/B' factors that binds key noise to the
   shield, reproducing rho_H exactly (`channels`);

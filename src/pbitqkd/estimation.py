@@ -31,7 +31,6 @@ __all__ = [
     "ProductDecomposition",
     "decompose_two_local",
     "local_eigensystem",
-    "joint_outcome_table",
     "pm_signal_ensemble",
     "EstimationResult",
     "estimate_eps_z_locc",
@@ -103,13 +102,6 @@ class ProductDecomposition:
         ja, jb = np.nonzero(np.abs(self.coeffs) > 1e-12)
         return sorted(zip(ja.tolist(), jb.tolist()))
 
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the matrix sum_jajb s O_ja ⊗ O_jb on A ⊗ B ⊗ A' ⊗ B'."""
-        # each O_j is indexed (key row, shield row, key col, shield col)
-        basis = np.stack([op for _, op in pauli_product_basis()]).reshape(16, 2, 2, 2, 2)
-        out = np.einsum("ab,apqrs,btuvw->ptqurvsw", self.coeffs, basis, basis)
-        return out.reshape(16, 16)
-
 
 def decompose_two_local(op: np.ndarray) -> ProductDecomposition:
     """Expand a Hermitian observable on A ⊗ B ⊗ A' ⊗ B' over the two-sided Pauli product basis.
@@ -127,34 +119,6 @@ def decompose_two_local(op: np.ndarray) -> ProductDecomposition:
         raise ValueError(f"observable is not Hermitian enough (imag coeff {imag_max:.3e})")
     labels = tuple(lab for lab, _ in basis)
     return ProductDecomposition(labels_a=labels, labels_b=labels, coeffs=coeffs.real)
-
-
-def joint_outcome_table(
-    state: DensityState,
-    decomp: ProductDecomposition,
-    ja: int,
-    jb: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint outcome distribution for one product-observable pair.
-
-    Returns (probs, products): ``probs[k]`` is the probability of the k-th
-    joint eigenvector (side-A outcome varying slowest) and ``products[k]``
-    the corresponding product of local eigenvalues lambda_a * lambda_b.
-    The run set-up reads the same statistics off ``decompose_two_local``;
-    this projection is their reference.
-    """
-    vals_a, vecs_a = local_eigensystem(decomp.labels_a[ja])
-    vals_b, vecs_b = local_eigensystem(decomp.labels_b[jb])
-    rho, _ = reorder(state.mat, state.layout, (*_SIDE_A, *_SIDE_B))
-    v = np.kron(vecs_a, vecs_b)
-    probs = np.real(np.einsum("ik,ij,jk->k", v.conj(), rho, v))
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if not np.isclose(total, 1.0, atol=1e-8):
-        raise ValueError(f"outcome probabilities sum to {total}, state not normalized?")
-    probs = probs / total
-    products = np.kron(vals_a, vals_b)
-    return probs, products
 
 
 def pm_signal_ensemble(state: DensityState, label_a: str) -> list[tuple[float, DensityState]]:

@@ -28,8 +28,6 @@ __all__ = [
     "trace_norm",
     "trace_distance",
     "pauli_product_basis",
-    "random_unitary",
-    "random_density",
 ]
 
 #: Hard cap on the total Hilbert-space dimension of any labeled layout.
@@ -258,39 +256,3 @@ def proj(vec: np.ndarray) -> np.ndarray:
     v = np.asarray(vec, dtype=complex).reshape(-1)
     return np.outer(v, v.conj())
 
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    # fix the phase ambiguity so the distribution is Haar
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph[np.newaxis, :]
-
-
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random density matrix (Ginibre ensemble, optionally rank-restricted)."""
-    rank = dim if rank is None else rank
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank {rank} out of range for dim {dim}")
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = g @ dagger(g)
-    return rho / np.trace(rho).real
-
-
-def check_density(mat: np.ndarray) -> None:
-    """Raise ValueError unless ``mat`` is a density matrix within 1e-9."""
-    tol = 1e-9
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"not square: shape {mat.shape}")
-    herm_dev = np.max(np.abs(mat - dagger(mat)))
-    if herm_dev > tol:
-        raise ValueError(f"not Hermitian (deviation {herm_dev:.3e})")
-    tr = np.trace(mat)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"trace {tr} is not 1")
-    vals = np.linalg.eigvalsh(mat)
-    if vals.min() < -tol:
-        raise ValueError(f"negative eigenvalue {vals.min():.3e}")

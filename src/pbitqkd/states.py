@@ -15,7 +15,6 @@ import numpy as np
 from .linalg import (
     TensorLayout,
     basis_ket,
-    check_density,
     dagger,
     herm_eig,
     kron_all,
@@ -31,7 +30,6 @@ __all__ = [
     "AB_LAYOUT",
     "DensityState",
     "bell_vec",
-    "bell_state",
     "chi_plus_vec",
     "chi_minus_vec",
     "rho_h",
@@ -63,10 +61,6 @@ class DensityState:
             raise ValueError(f"matrix shape {self.mat.shape} != layout dim {d}")
 
     # --- structure ---------------------------------------------------------
-
-    def validate(self) -> "DensityState":
-        check_density(self.mat)
-        return self
 
     def partial_trace(self, keep: Sequence[str]) -> "DensityState":
         red, lay = partial_trace(self.mat, self.layout, keep)
@@ -110,11 +104,6 @@ def bell_vec(k: int) -> np.ndarray:
     if k not in table:
         raise ValueError(f"Bell index {k} not in 0..3")
     return np.array(table[k], dtype=complex)
-
-
-def bell_state(k: int) -> DensityState:
-    """Bell projector |psi_k><psi_k| as a DensityState on A ⊗ B."""
-    return DensityState(proj(bell_vec(k)), AB_LAYOUT)
 
 
 # chi± coefficients: c = sqrt(2+sqrt2)/2, s = sqrt(2-sqrt2)/2 (c² + s² = 1)

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TensorLayout, dagger, kron_all, promote, random_unitary, PAULI_X, PAULI_Z
+from .linalg import TensorLayout, dagger, kron_all, promote, PAULI_X, PAULI_Z
 from .states import KEY_SHIELD_LAYOUT, CHI_C, CHI_S, DensityState, bell_vec, proj
 
 __all__ = [
     "TwistingOp",
     "identity_twisting",
-    "random_twisting",
     "build_u_h",
     "make_pdit",
     "untwist_and_trace",
@@ -60,11 +59,6 @@ class TwistingOp:
 def identity_twisting() -> TwistingOp:
     """The trivial twisting of a qubit key and a two-qubit shield (every block an identity)."""
     return TwistingOp({k: np.eye(4, dtype=complex) for k in _KEYS})
-
-
-def random_twisting(rng: np.random.Generator) -> TwistingOp:
-    """Twisting with independent Haar-random shield blocks."""
-    return TwistingOp({k: random_unitary(4, rng) for k in _KEYS})
 
 
 def build_u_h() -> TwistingOp:

@@ -30,17 +30,12 @@ from pbitqkd.bounds import (
 )
 from pbitqkd.channels import POVM_M0, POVM_M1, apply_pauli, binding_channel_apply
 from pbitqkd.cli import _six_state_deviation
-from pbitqkd.estimation import (
-    decompose_two_local,
-    estimate_eps_z_locc,
-    joint_outcome_table,
-)
+from pbitqkd.estimation import decompose_two_local, estimate_eps_z_locc
 from pbitqkd.linalg import (
     basis_ket,
     herm_eig,
     kron_all,
     proj,
-    random_density,
     trace_distance,
 )
 from pbitqkd.protocol import ProtocolConfig, run_pm, run_ppp
@@ -59,9 +54,9 @@ from pbitqkd.twist import (
     gamma_x,
     gamma_z,
     make_pdit,
-    random_twisting,
     untwist_and_trace,
 )
+from reference import joint_outcome_table, random_density, random_twisting
 
 mp.mp.dps = 30
 

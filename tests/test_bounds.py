@@ -288,10 +288,10 @@ def test_group_average_error_bound_dominates_brute_force():
     """Randomized transfer check: perturbing each group's outcome law by at
     most dist (total variation) moves the decomposed average by at most
     sqrt(t) * ||L||_HS * dist."""
-    from pbitqkd.estimation import decompose_two_local, joint_outcome_table
-    from pbitqkd.linalg import random_density
+    from pbitqkd.estimation import decompose_two_local
     from pbitqkd.states import KEY_SHIELD_LAYOUT, DensityState
-    from pbitqkd.twist import gamma_x, random_twisting
+    from pbitqkd.twist import gamma_x
+    from reference import joint_outcome_table, random_density, random_twisting
 
     rng = np.random.default_rng(99)
     for trial in range(5):

@@ -12,7 +12,6 @@ from pbitqkd.linalg import (
     PAULI_Z,
     TensorLayout,
     basis_ket,
-    check_density,
     dagger,
     herm_eig,
     kron_all,
@@ -21,12 +20,11 @@ from pbitqkd.linalg import (
     pauli_product_basis,
     proj,
     promote,
-    random_density,
-    random_unitary,
     reorder,
     trace_distance,
     trace_norm,
 )
+from reference import check_density, random_density, random_unitary
 
 L4 = TensorLayout((("A", 2), ("B", 2), ("A'", 2), ("B'", 2)))
 

@@ -9,8 +9,6 @@ from pbitqkd.linalg import (
     herm_eig,
     kron_all,
     proj,
-    random_density,
-    random_unitary,
     trace_distance,
 )
 from pbitqkd.states import (
@@ -20,7 +18,6 @@ from pbitqkd.states import (
     KEY_SHIELD_LAYOUT,
     P_STAR,
     DensityState,
-    bell_state,
     bell_vec,
     ccq_state,
     chi_minus_vec,
@@ -29,6 +26,7 @@ from pbitqkd.states import (
     rho_h,
     sigma_ab,
 )
+from reference import bell_state, check_density, random_density, random_unitary
 
 
 def test_p_star_value():
@@ -49,7 +47,7 @@ def test_bell_state_is_projector():
     st0 = bell_state(0)
     assert st0.layout == AB_LAYOUT
     assert np.allclose(st0.mat @ st0.mat, st0.mat, atol=1e-14)
-    st0.validate()
+    check_density(st0.mat)
 
 
 def test_chi_vectors():
@@ -65,7 +63,7 @@ def test_chi_vectors():
 def test_rho_h_is_a_state():
     for p, kappa in [(0.0, 0.0), (P_STAR, 0.0), (0.5858, 0.001), (1.0, 0.3)]:
         rho = rho_h(p, kappa)
-        rho.validate()
+        check_density(rho.mat)
         assert rho.layout == KEY_SHIELD_LAYOUT
     with pytest.raises(ValueError):
         rho_h(-0.1)
@@ -101,7 +99,7 @@ def test_rho_h_shield_flags_reduce_correctly():
 def test_sigma_ab_structure():
     p, kappa = 0.7, 0.05
     sig = sigma_ab(p, kappa)
-    sig.validate()
+    check_density(sig.mat)
     expected = (1 - kappa) * (p * proj(bell_vec(0)) + (1 - p) * proj(bell_vec(2)))
     expected += kappa * np.eye(4) / 4.0
     assert trace_distance(sig.mat, expected) < 1e-14
@@ -134,7 +132,7 @@ def test_ccq_state_of_classical_input():
     lay = AB_LAYOUT
     mat = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
     ccq = ccq_state(DensityState(mat, lay))
-    ccq.validate()
+    check_density(ccq.mat)
     # key marginal weights survive
     key_probs = np.array(
         [ccq.partial_trace(("A", "B")).mat[i, i].real for i in range(4)]
@@ -146,7 +144,7 @@ def test_ccq_state_is_block_diagonal_in_the_key():
     rng = np.random.default_rng(11)
     rho = DensityState(random_density(16, rng), KEY_SHIELD_LAYOUT)
     ccq = ccq_state(rho)
-    ccq.validate()
+    check_density(ccq.mat)
     env = ccq.layout.dim_of("E")
     m = ccq.mat
     for a in range(4):
@@ -188,7 +186,7 @@ def test_ccq_invariant_under_key_controlled_shield_unitaries():
 )
 @settings(max_examples=40, deadline=None)
 def test_rho_h_always_a_state(p, kappa):
-    rho_h(p, kappa).validate()
+    check_density(rho_h(p, kappa).mat)
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 0.2))

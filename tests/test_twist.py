@@ -21,9 +21,9 @@ from pbitqkd.twist import (
     gamma_z,
     identity_twisting,
     make_pdit,
-    random_twisting,
     untwist_and_trace,
 )
+from reference import check_density, random_twisting
 
 
 def rng_for(seed):
@@ -79,7 +79,7 @@ def test_pdit_core_round_trip():
     tw = build_u_h()
     anc = proj(kron_all(basis_ket(0, 2), basis_ket(0, 2)))
     pdit = make_pdit(tw, anc)
-    pdit.validate()
+    check_density(pdit.mat)
     back = untwist_and_trace(pdit, tw)
     assert trace_distance(back.mat, proj(bell_vec(0))) < 1e-12
 
