@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linalg import pauli_product_basis, reorder
-from .states import KEY_SHIELD_LAYOUT, DensityState
+from .states import _SIDES_LAYOUT, KEY_SHIELD_LAYOUT, DensityState
 
 __all__ = [
     "ProductDecomposition",
@@ -68,11 +68,6 @@ def local_eigensystem(label: str) -> tuple[np.ndarray, np.ndarray]:
     return vals / np.sqrt(2.0 ** len(label)), vecs
 
 
-#: The two sides of the cut: each party's key qubit and shield qubit, in order.
-_SIDE_A = ("A", "A'")
-_SIDE_B = ("B", "B'")
-
-
 @dataclass
 class ProductDecomposition:
     """Expansion of a two-sided observable over local Pauli product bases.
@@ -110,7 +105,7 @@ def decompose_two_local(op: np.ndarray) -> ProductDecomposition:
     s[ja, jb] = Tr[(O_ja ⊗ O_jb) op]; for Hermitian input they are real
     (enforced within 1e-9).
     """
-    gperm, _ = reorder(op, KEY_SHIELD_LAYOUT, (*_SIDE_A, *_SIDE_B))
+    gperm = reorder(op, KEY_SHIELD_LAYOUT, _SIDES_LAYOUT)
     basis = pauli_product_basis()
     mats = np.stack([m for _, m in basis])
     coeffs = np.einsum("aij,bkl,jlik->ab", mats, mats, gperm.reshape(4, 4, 4, 4))
@@ -131,11 +126,10 @@ def pm_signal_ensemble(state: DensityState, label_a: str) -> list[tuple[float, D
     list in eigenvector order; zero-probability outcomes keep a zero state.
     """
     _, vecs_a = local_eigensystem(label_a)
-    rho, sides = reorder(state.mat, state.layout, (*_SIDE_A, *_SIDE_B))
+    rho = reorder(state.mat, state.layout, _SIDES_LAYOUT)
     da = vecs_a.shape[0]
-    db = state.layout.dim // da
+    db = rho.shape[0] // da
     rho4 = rho.reshape(da, db, da, db)
-    out_layout = sides.restrict(_SIDE_B)
     out = []
     for k in range(da):
         v = vecs_a[:, k]
@@ -146,7 +140,7 @@ def pm_signal_ensemble(state: DensityState, label_a: str) -> list[tuple[float, D
         else:
             prob = 0.0
             cond = np.zeros((db, db), dtype=complex)
-        out.append((prob, DensityState(cond, out_layout)))
+        out.append((prob, DensityState(cond, _SIDES_LAYOUT[2:])))
     return out
 
 

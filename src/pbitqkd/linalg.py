@@ -1,37 +1,22 @@
-"""Dense complex linear algebra on small labeled tensor factors.
+"""Dense complex linear algebra on a few labeled qubits.
 
 Everything downstream (states, twistings, channels, estimators) works with
-explicit dense matrices on a :class:`TensorLayout` -- an ordered tuple of
-labeled factors such as ``A ⊗ B ⊗ A' ⊗ B'``.  Dimensions are deliberately
-capped (dense only, no sparsity, no symbolic shortcuts); protocols at scale
-never materialize tensor powers, they sample patterns instead.
+explicit dense matrices on a layout: a tuple of qubit labels such as
+``("A", "B", "A'", "B'")``, in the order `numpy.kron` builds the matrix.
+Protocols at scale never materialize tensor powers, they sample patterns.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "PAULI_I",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "TensorLayout",
-    "kron_all",
-    "partial_trace",
-    "partial_transpose",
-    "herm_eig",
-    "trace_norm",
-    "trace_distance",
-    "pauli_product_basis",
+    "PAULI_I", "PAULI_X", "PAULI_Y", "PAULI_Z", "kron_all", "partial_trace",
+    "partial_transpose", "herm_eig", "trace_norm", "trace_distance", "pauli_product_basis",
 ]
-
-#: Hard cap on the total Hilbert-space dimension of any labeled layout.
-MAX_DIM = 256
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -55,156 +40,73 @@ def kron_all(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TensorLayout:
-    """Ordered labeled tensor factors, e.g. ``(("A", 2), ("B", 2), ("A'", 2), ("B'", 2))``.
-
-    The layout fixes the row/column index convention of every matrix that
-    claims to live on it: indices run over the factors left to right
-    (row-major), exactly as produced by `numpy.kron` in layout order.
-    """
-
-    factors: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        labels = [lab for lab, _ in self.factors]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate factor labels in {labels}")
-        for lab, d in self.factors:
-            if d < 1:
-                raise ValueError(f"factor {lab!r} has dimension {d}")
-        if self.dim > MAX_DIM:
-            raise ValueError(
-                f"total dimension {self.dim} exceeds the dense cap {MAX_DIM}"
-            )
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.factors)
-
-    @property
-    def dim(self) -> int:
-        out = 1
-        for _, d in self.factors:
-            out *= d
-        return out
-
-    def axis(self, label: str) -> int:
-        for i, (lab, _) in enumerate(self.factors):
-            if lab == label:
-                return i
-        raise KeyError(f"no factor labeled {label!r} in {self.labels}")
-
-    def dim_of(self, label: str) -> int:
-        return self.factors[self.axis(label)][1]
-
-    def restrict(self, labels: Sequence[str]) -> "TensorLayout":
-        """Sub-layout of the given labels, in this layout's order."""
-        keep = [f for f in self.factors if f[0] in set(labels)]
-        if len(keep) != len(set(labels)):
-            missing = set(labels) - {lab for lab, _ in keep}
-            raise KeyError(f"labels {sorted(missing)} not in layout {self.labels}")
-        return TensorLayout(tuple(keep))
-
-    def extend(self, label: str, dim: int) -> "TensorLayout":
-        return TensorLayout(self.factors + ((label, dim),))
+def _axes(layout: tuple[str, ...], labels: Sequence[str]) -> list[int]:
+    """Positions of ``labels`` in ``layout``; KeyError on a label it does not hold."""
+    missing = [lab for lab in labels if lab not in layout]
+    if missing:
+        raise KeyError(f"labels {missing} not in layout {layout}")
+    return [layout.index(lab) for lab in labels]
 
 
-def _as_tensor(mat: np.ndarray, layout: TensorLayout) -> np.ndarray:
-    dims = layout.dims
-    return np.asarray(mat, dtype=complex).reshape(dims + dims)
+def _as_tensor(mat: np.ndarray, layout: tuple[str, ...]) -> np.ndarray:
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape != (2 ** len(layout),) * 2:
+        raise ValueError(f"matrix shape {mat.shape} does not match the qubits {layout}")
+    return mat.reshape((2,) * 2 * len(layout))
 
 
-def promote(op: np.ndarray, layout: TensorLayout, labels: Sequence[str]) -> np.ndarray:
-    """Embed ``op`` (acting on ``labels``, in the order given) into the full layout.
+def promote(op: np.ndarray, layout: tuple[str, ...], labels: Sequence[str]) -> np.ndarray:
+    """Embed ``op`` into the full layout, with an identity on every other qubit.
 
-    Parameters
-    ----------
-    op : ndarray
-        Square matrix on the tensor product of the listed factors, indexed in
-        the order the labels are listed (which may differ from layout order).
-    layout : TensorLayout
-        Target space.
-    labels : sequence of str
-        Factors ``op`` acts on; every other factor gets an identity.
-
-    Returns
-    -------
-    ndarray
-        ``layout.dim x layout.dim`` matrix.
-    """
-    labels = list(labels)
-    op_dims = tuple(layout.dim_of(lab) for lab in labels)
-    d_op = int(np.prod(op_dims)) if op_dims else 1
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (d_op, d_op):
-        raise ValueError(f"operator shape {op.shape} does not match factors {labels}")
-    rest = [f for f in layout.factors if f[0] not in set(labels)]
-    d_rest = int(np.prod([d for _, d in rest])) if rest else 1
-    big = np.kron(op, np.eye(d_rest, dtype=complex))
-    # big lives on (labels..., rest...); permute axes back to layout order
-    inter = TensorLayout(tuple((lab, layout.dim_of(lab)) for lab in labels) + tuple(rest))
-    return reorder(big, inter, layout.labels)[0]
-
-
-def reorder(
-    mat: np.ndarray, layout: TensorLayout, labels: Sequence[str]
-) -> tuple[np.ndarray, TensorLayout]:
-    """``mat`` with its tensor factors permuted into the order of ``labels``.
-
-    ``labels`` must name every factor of ``layout`` exactly once.  Returns the
-    permuted matrix together with its layout.
+    ``op`` acts on ``labels``, indexed in the order they are listed (which may
+    differ from layout order).
     """
     labels = tuple(labels)
-    if sorted(labels) != sorted(layout.labels):
-        raise ValueError(f"labels {labels} must name the layout {layout.labels} exactly")
-    perm = [layout.axis(lab) for lab in labels]
+    _axes(layout, labels)
+    op = np.asarray(op, dtype=complex)
+    if len(set(labels)) != len(labels) or op.shape != (2 ** len(labels),) * 2:
+        raise ValueError(f"operator shape {op.shape} does not match qubits {labels}")
+    rest = tuple(lab for lab in layout if lab not in labels)
+    big = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
+    # big lives on (labels..., rest...); permute its qubits back to layout order
+    return reorder(big, labels + rest, layout)
+
+
+def reorder(mat: np.ndarray, layout: tuple[str, ...], labels: Sequence[str]) -> np.ndarray:
+    """``mat`` with its qubits permuted into the order of ``labels``, which names each once."""
+    labels = tuple(labels)
+    if sorted(labels) != sorted(layout):
+        raise ValueError(f"labels {labels} must name the layout {layout} exactly")
+    perm = _axes(layout, labels)
     n = len(perm)
     tens = _as_tensor(mat, layout).transpose(perm + [a + n for a in perm])
-    new_layout = TensorLayout(tuple(layout.factors[a] for a in perm))
-    return tens.reshape(layout.dim, layout.dim), new_layout
+    return tens.reshape(2**n, 2**n)
 
 
-def partial_trace(
-    mat: np.ndarray, layout: TensorLayout, keep: Sequence[str]
-) -> tuple[np.ndarray, TensorLayout]:
-    """Trace out every factor not in ``keep``.
-
-    Returns the reduced matrix together with its (order-preserving) layout.
-    """
-    keep_set = set(keep)
-    for lab in keep_set:
-        layout.axis(lab)
+def partial_trace(mat: np.ndarray, layout: tuple[str, ...], keep: Sequence[str]) -> np.ndarray:
+    """Trace out every qubit not in ``keep``; the kept qubits stay in layout order."""
+    _axes(layout, keep)
     tens = _as_tensor(mat, layout)
-    n = len(layout.factors)
+    n = len(layout)
     # trace axes from the back so positions stay valid
     removed = 0
     for i in reversed(range(n)):
-        lab = layout.factors[i][0]
-        if lab in keep_set:
-            continue
-        tens = np.trace(tens, axis1=i, axis2=i + (n - removed))
-        removed += 1
-    new_layout = layout.restrict([lab for lab in layout.labels if lab in keep_set])
-    d = new_layout.dim
-    return tens.reshape(d, d), new_layout
+        if layout[i] not in keep:
+            tens = np.trace(tens, axis1=i, axis2=i + (n - removed))
+            removed += 1
+    return tens.reshape((2 ** (n - removed),) * 2)
 
 
 def partial_transpose(
-    mat: np.ndarray, layout: TensorLayout, subsystems: Sequence[str]
+    mat: np.ndarray, layout: tuple[str, ...], subsystems: Sequence[str]
 ) -> np.ndarray:
-    """Transpose the listed factors in place (same layout)."""
+    """Transpose the listed qubits in place (same layout)."""
     tens = _as_tensor(mat, layout)
-    n = len(layout.factors)
+    n = len(layout)
     perm = list(range(2 * n))
-    for lab in subsystems:
-        i = layout.axis(lab)
+    for i in _axes(layout, subsystems):
         perm[i], perm[i + n] = perm[i + n], perm[i]
-    return tens.transpose(perm).reshape(layout.dim, layout.dim)
+    return tens.transpose(perm).reshape(2**n, 2**n)
 
 
 def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +118,7 @@ def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dev = np.max(np.abs(mat - dagger(mat))) if mat.size else 0.0
     if dev > 1e-10:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    vals, vecs = np.linalg.eigh(mat)
-    return vals, vecs
+    return np.linalg.eigh(mat)
 
 
 def trace_norm(mat: np.ndarray) -> float:

@@ -52,7 +52,7 @@ from .estimation import (
     estimate_eps_z_locc,
 )
 from .linalg import basis_ket, kron_all, pauli_product_basis, proj, reorder
-from .states import DensityState, P_STAR, rho_h
+from .states import _SIDES_LAYOUT, DensityState, P_STAR, rho_h
 from .twist import TwistingOp, build_u_h, gamma_x, identity_twisting, make_pdit
 
 __all__ = [
@@ -315,7 +315,7 @@ def _setup(source: SourceSpec, candidates: tuple[str, ...]) -> _Setup:
 
 def _computational_law(state: DensityState) -> np.ndarray:
     """Outcome law of every qubit read in the computational basis, (A, A', B, B') order."""
-    rho, _ = reorder(state.mat, state.layout, ("A", "A'", "B", "B'"))
+    rho = reorder(state.mat, state.layout, _SIDES_LAYOUT)
     probs = np.clip(np.diagonal(rho).real, 0.0, None)
     total = probs.sum()
     if not np.isclose(total, 1.0, atol=1e-8):

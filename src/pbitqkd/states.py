@@ -1,8 +1,8 @@
 """State constructors: Bell pairs, the hiding family rho_h, and ccq reductions.
 
-The canonical four-factor arena is ``A ⊗ B ⊗ A' ⊗ B'``: A/B carry the key
+The canonical four-qubit arena is ``A ⊗ B ⊗ A' ⊗ B'``: A/B carry the key
 qubits, A'/B' the two-qubit shield.  All constructors return :class:`DensityState`
-objects that pair the dense matrix with its :class:`~pbitqkd.linalg.TensorLayout`.
+objects that pair the dense matrix with its qubit labels, in `numpy.kron` order.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
-    TensorLayout,
+    _axes,
     basis_ket,
     dagger,
     herm_eig,
@@ -40,8 +40,10 @@ __all__ = [
 ]
 
 #: Default arena: two key qubits and a two-qubit shield.
-KEY_SHIELD_LAYOUT = TensorLayout((("A", 2), ("B", 2), ("A'", 2), ("B'", 2)))
-AB_LAYOUT = TensorLayout((("A", 2), ("B", 2)))
+KEY_SHIELD_LAYOUT = ("A", "B", "A'", "B'")
+AB_LAYOUT = ("A", "B")
+#: The arena's qubits by side of the cut: Alice's (A, A'), then Bob's (B, B').
+_SIDES_LAYOUT = ("A", "A'", "B", "B'")
 
 #: Threshold value of the mixing weight p at which rho_h becomes PPT.
 P_STAR = float(np.sqrt(2.0) / (1.0 + np.sqrt(2.0)))
@@ -49,22 +51,24 @@ P_STAR = float(np.sqrt(2.0) / (1.0 + np.sqrt(2.0)))
 
 @dataclass
 class DensityState:
-    """A density matrix together with the labeled layout it lives on."""
+    """A density matrix together with the labels of the qubits it lives on."""
 
     mat: np.ndarray
-    layout: TensorLayout
+    layout: tuple[str, ...]
 
     def __post_init__(self) -> None:
         self.mat = np.asarray(self.mat, dtype=complex)
-        d = self.layout.dim
+        if len(set(self.layout)) != len(self.layout):
+            raise ValueError(f"repeated qubit labels in {self.layout}")
+        d = 2 ** len(self.layout)
         if self.mat.shape != (d, d):
             raise ValueError(f"matrix shape {self.mat.shape} != layout dim {d}")
 
     # --- structure ---------------------------------------------------------
 
     def partial_trace(self, keep: Sequence[str]) -> "DensityState":
-        red, lay = partial_trace(self.mat, self.layout, keep)
-        return DensityState(red, lay)
+        red = partial_trace(self.mat, self.layout, keep)
+        return DensityState(red, tuple(lab for lab in self.layout if lab in keep))
 
     def partial_transpose(self, subsystems: Sequence[str]) -> np.ndarray:
         return partial_transpose(self.mat, self.layout, subsystems)
@@ -181,60 +185,46 @@ def sigma_ab(p: float, kappa: float = 0.0) -> DensityState:
 # --- purification and ccq reduction ----------------------------------------
 
 
-def purify(state: DensityState) -> tuple[np.ndarray, TensorLayout]:
+def purify(state: DensityState) -> np.ndarray:
     """Canonical purification from the eigendecomposition.
 
-    Returns (vector, layout) where the environment factor E has dimension
-    equal to the numerical rank (eigenvalues > 1e-12).  The canonical choice
-    |psi> = sum_k sqrt(l_k) |v_k> ⊗ |k>_E makes the construction
-    deterministic given the matrix.
+    Returns the (dim, rank) matrix W whose columns are sqrt(l_k) |v_k> over
+    the eigenvalues l_k > 1e-12, so rho = W W†, and W read row-major is the
+    purification |psi> = sum_k sqrt(l_k) |v_k> ⊗ |k>_E.  The canonical choice
+    makes the construction deterministic given the matrix.
     """
     vals, vecs = herm_eig(state.mat)
     keep = vals > 1e-12
     vals, vecs = vals[keep], vecs[:, keep]
-    rank = int(vals.size)
-    if rank == 0:
+    if vals.size == 0:
         raise ValueError("state has numerical rank 0")
-    # columns of vecs, scaled; |psi> components indexed by (system, env)
-    vec = (vecs * np.sqrt(vals)[np.newaxis, :]).reshape(-1)
-    return vec, state.layout.extend("E", rank)
+    return vecs * np.sqrt(vals)[np.newaxis, :]
 
 
-def ccq_state(state: DensityState | tuple[np.ndarray, TensorLayout]) -> DensityState:
-    """ccq reduction: measure the key factors A, B, keep the purifying system E.
+def ccq_state(state: DensityState, purification: np.ndarray | None = None) -> np.ndarray:
+    """ccq reduction: measure the key qubits A, B, keep the purifying system E.
 
-    Accepts either a DensityState (purified canonically here) or an explicit
-    (vector, layout) purification with an environment factor E.  The output
-    lives on (A, B, E) and equals
+    ``purification`` is a (dim, r) matrix W with rho = W W† on the state's
+    qubits (``purify(state)`` when not given).  Returns the (4r x 4r) matrix
 
-        sum_ab  P(ab) |ab><ab| ⊗ rho_E(ab)
+        sum_ab  P(ab) |ab><ab| ⊗ rho_E(ab),
 
-    with the shield factors traced out of each conditional environment state.
+    block-diagonal in the key ab, with the shield qubits traced out of each
+    conditional environment state.
     """
-    if isinstance(state, DensityState):
-        vec, layout = purify(state)
-    else:
-        vec, layout = state
-    key_labels = ("A", "B")
-    dims = layout.dims
-    tens = np.asarray(vec, dtype=complex).reshape(dims)
-    n = len(dims)
-    key_axes = [layout.axis(lab) for lab in key_labels]
-    env_axis = layout.axis("E")
-    other_axes = [i for i in range(n) if i not in key_axes and i != env_axis]
+    w = purify(state) if purification is None else np.asarray(purification, dtype=complex)
+    if w.ndim != 2 or w.shape[0] != state.mat.shape[0]:
+        raise ValueError(f"purification shape {w.shape} does not fit a {state.mat.shape} state")
+    n = len(state.layout)
+    key_axes = _axes(state.layout, ("A", "B"))
+    other_axes = [i for i in range(n) if i not in key_axes]
     # reorder to (key..., other..., env)
-    tens = tens.transpose(key_axes + other_axes + [env_axis])
-    key_dim = int(np.prod([dims[i] for i in key_axes]))
-    other_dim = int(np.prod([dims[i] for i in other_axes])) if other_axes else 1
-    env_dim = dims[env_axis]
-    tens = tens.reshape(key_dim, other_dim, env_dim)
-    out_layout = TensorLayout(
-        tuple((lab, layout.dim_of(lab)) for lab in key_labels) + (("E", env_dim),)
-    )
-    out = np.zeros((key_dim * env_dim, key_dim * env_dim), dtype=complex)
-    for ab in range(key_dim):
+    tens = w.reshape((2,) * n + (-1,)).transpose(key_axes + other_axes + [n])
+    env_dim = tens.shape[-1]
+    tens = tens.reshape(4, 2 ** (n - 2), env_dim)
+    out = np.zeros((4 * env_dim, 4 * env_dim), dtype=complex)
+    for ab in range(4):
         block = tens[ab]  # (other, env)
-        rho_e = dagger(block) @ block  # trace over the shield factors
         sl = slice(ab * env_dim, (ab + 1) * env_dim)
-        out[sl, sl] = rho_e
-    return DensityState(out, out_layout)
+        out[sl, sl] = dagger(block) @ block  # trace over the shield qubits
+    return out

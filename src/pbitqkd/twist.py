@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TensorLayout, dagger, kron_all, promote, PAULI_X, PAULI_Z
+from .linalg import dagger, kron_all, promote, PAULI_X, PAULI_Z
 from .states import KEY_SHIELD_LAYOUT, CHI_C, CHI_S, DensityState, bell_vec, proj
 
 __all__ = [
@@ -121,16 +121,13 @@ def untwist_and_trace(state: DensityState, tw: TwistingOp) -> DensityState:
     return DensityState(undone, state.layout).partial_trace(("A", "B"))
 
 
-def gamma_z(layout: TensorLayout = KEY_SHIELD_LAYOUT) -> np.ndarray:
+def gamma_z(layout: tuple[str, ...] = KEY_SHIELD_LAYOUT) -> np.ndarray:
     """Key-correlation observable sigma_z ⊗ sigma_z on the two key qubits.
 
     Commutes with every twisting (the blocks are key-diagonal), so its
     statistics survive twisting exactly; <gamma_z> = 1 - 2*eps_x.
     """
-    a, b = layout.labels[:2]
-    if layout.dim_of(a) != 2 or layout.dim_of(b) != 2:
-        raise ValueError("gamma_z is defined for qubit keys")
-    return promote(kron_all(PAULI_Z, PAULI_Z), layout, [a, b])
+    return promote(kron_all(PAULI_Z, PAULI_Z), layout, layout[:2])
 
 
 def gamma_x(tw: TwistingOp) -> np.ndarray:

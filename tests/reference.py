@@ -11,7 +11,7 @@ import numpy as np
 
 from pbitqkd.estimation import ProductDecomposition, local_eigensystem
 from pbitqkd.linalg import dagger, pauli_product_basis, proj, reorder
-from pbitqkd.states import AB_LAYOUT, DensityState, bell_vec
+from pbitqkd.states import _SIDES_LAYOUT, AB_LAYOUT, DensityState, bell_vec
 from pbitqkd.twist import TwistingOp
 
 
@@ -86,7 +86,7 @@ def joint_outcome_table(
     """
     vals_a, vecs_a = local_eigensystem(decomp.labels_a[ja])
     vals_b, vecs_b = local_eigensystem(decomp.labels_b[jb])
-    rho, _ = reorder(state.mat, state.layout, ("A", "A'", "B", "B'"))
+    rho = reorder(state.mat, state.layout, _SIDES_LAYOUT)
     v = np.kron(vecs_a, vecs_b)
     probs = np.real(np.einsum("ik,ij,jk->k", v.conj(), rho, v))
     probs = np.clip(probs, 0.0, None)

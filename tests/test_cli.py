@@ -972,3 +972,16 @@ def test_benchmark_inputs_pass_the_config_readers(tmp_path, monkeypatch, capsys)
             assert json.loads(capsys.readouterr().out)["rows"] == workloads.SWEEP_RUNS
         elif command.protocol:
             protocol.ProtocolConfig.from_dict(settings)
+
+
+def test_benchmark_checker_agrees_with_the_exact_model(tmp_path, monkeypatch):
+    # the benchmark holds every estimate against Checker.exact_eps_x, which reads the
+    # library's states and observables directly: it must give the model's exact rate
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    checker = importlib.import_module("checks").Checker()
+    for workload in (workloads.PppLarge, workloads.KeyedPbit):
+        for _, cfg in workload(0, tmp_path, {}).next_op(0).runs:
+            source = protocol.ProtocolConfig.from_dict(cfg).source
+            model = protocol.model_estimates(source, 4000, 400)["eps_x_hat"]["mean"]
+            assert abs(checker.exact_eps_x(cfg) - model) <= 1e-12, cfg

@@ -12,7 +12,7 @@ SUBMODULES = (
     "linalg", "states", "twist", "estimation", "channels", "bounds", "ecpa", "protocol",
 )
 
-# test-only helpers that were deleted, or moved to tests/reference.py; none may
+# names that were deleted, or moved to tests/reference.py; none may
 # come back as an export
 DELETED = (
     "layout_of", "hs_inner", "op_norm", "net_key_rate", "hoeffding_tail",
@@ -20,6 +20,7 @@ DELETED = (
     "sample_product_outcomes", "toeplitz_extract", "sample_branch",
     "phi_d_vec", "maximally_mixed", "apply_channel",
     "random_unitary", "random_density", "bell_state", "random_twisting", "joint_outcome_table",
+    "TensorLayout",
 )
 
 

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: layouts, promotion, partial operations, norms."""
+"""Dense linear-algebra kernel: qubit layouts, promotion, partial operations, norms."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbitqkd.linalg import (
-    MAX_DIM,
     PAULI_I,
     PAULI_X,
     PAULI_Z,
-    TensorLayout,
     basis_ket,
     dagger,
     herm_eig,
@@ -24,31 +22,10 @@ from pbitqkd.linalg import (
     trace_distance,
     trace_norm,
 )
+from pbitqkd.states import KEY_SHIELD_LAYOUT, DensityState, rho_h
 from reference import check_density, random_density, random_unitary
 
-L4 = TensorLayout((("A", 2), ("B", 2), ("A'", 2), ("B'", 2)))
-
-
-def test_layout_basics():
-    assert L4.dim == 16
-    assert L4.labels == ("A", "B", "A'", "B'")
-    assert L4.dims == (2, 2, 2, 2)
-    assert L4.axis("A'") == 2
-    assert L4.dim_of("B'") == 2
-    with pytest.raises(KeyError):
-        L4.axis("C")
-
-
-def test_layout_restrict_drop_extend():
-    sub = L4.restrict(["B", "B'"])
-    assert sub.labels == ("B", "B'")
-    assert L4.restrict(["A", "B", "B'"]).labels == ("A", "B", "B'")  # A' dropped
-    ext = L4.extend("E", 3)
-    assert ext.labels[-1] == "E" and ext.dim == 48
-    with pytest.raises(ValueError):
-        TensorLayout((("A", 2), ("A", 2)))  # duplicate label
-    with pytest.raises(ValueError):
-        TensorLayout((("A", MAX_DIM + 1),))
+L4 = ("A", "B", "A'", "B'")
 
 
 def test_kron_all_matches_numpy():
@@ -76,37 +53,63 @@ def test_promote_respects_label_order_not_layout_order():
     assert np.allclose(big, kron_all(PAULI_I, PAULI_Z, PAULI_I, PAULI_X))
 
 
+def test_promote_refuses_unknown_repeated_or_misshapen():
+    with pytest.raises(KeyError):
+        promote(PAULI_X, L4, ["Q"])  # a label the layout does not hold
+    with pytest.raises(ValueError):
+        promote(np.kron(PAULI_X, PAULI_Z), L4, ["B", "B"])  # a repeated label
+    with pytest.raises(ValueError):
+        promote(np.kron(PAULI_X, PAULI_Z), L4, ["B"])  # 4x4 operator on one qubit
+
+
 def test_reorder_permutes_factors_and_their_layout():
     rng = np.random.default_rng(2)
     a, b, c, d = (random_density(2, rng) for _ in range(4))
-    mat, layout = reorder(kron_all(a, b, c, d), L4, ["B'", "A", "B", "A'"])
-    assert layout.labels == ("B'", "A", "B", "A'")
+    permuted = ("B'", "A", "B", "A'")
+    mat = reorder(kron_all(a, b, c, d), L4, permuted)
     assert np.allclose(mat, kron_all(d, a, b, c))
-    back, layout = reorder(mat, layout, L4.labels)
-    assert layout == L4 and np.allclose(back, kron_all(a, b, c, d))
-    for labels in (["A", "B"], ["A", "A", "B", "B'"]):  # missing or repeated factors
-        with pytest.raises(ValueError):
+    back = reorder(mat, permuted, L4)
+    assert np.allclose(back, kron_all(a, b, c, d))
+    for labels in (["A", "B"], ["A", "A", "B", "B'"], ["A", "B", "A'", "Q"]):
+        with pytest.raises(ValueError):  # missing, repeated or unknown qubits
             reorder(mat, L4, labels)
+    with pytest.raises(ValueError):
+        reorder(np.eye(8), L4, L4)  # a matrix on three qubits
+
+
+def test_partial_operations_refuse_unknown_labels_and_misshapen_matrices():
+    rho = random_density(16, np.random.default_rng(4))
+    with pytest.raises(KeyError):
+        partial_trace(rho, L4, ["A", "Q"])
+    with pytest.raises(KeyError):
+        partial_transpose(rho, L4, ["Q"])
+    with pytest.raises(ValueError):
+        partial_trace(rho[:8, :8], L4, ["A"])
+    with pytest.raises(ValueError):
+        partial_transpose(rho[:, :8], L4, ["B"])
 
 
 def test_partial_trace_of_product_state():
     rng = np.random.default_rng(0)
     rho_a = random_density(2, rng)
     rho_b = random_density(2, rng)
-    lay = TensorLayout((("A", 2), ("B", 2)))
-    red, red_lay = partial_trace(np.kron(rho_a, rho_b), lay, ["A"])
-    assert red_lay.labels == ("A",)
+    lay = ("A", "B")
+    red = partial_trace(np.kron(rho_a, rho_b), lay, ["A"])
+    assert red.shape == (2, 2)
     assert np.allclose(red, rho_a, atol=1e-12)
-    red_b, _ = partial_trace(np.kron(rho_a, rho_b), lay, ["B"])
+    red_b = partial_trace(np.kron(rho_a, rho_b), lay, ["B"])
     assert np.allclose(red_b, rho_b, atol=1e-12)
 
 
 def test_partial_trace_preserves_trace_and_order():
     rng = np.random.default_rng(1)
     rho = random_density(16, rng)
-    red, lay = partial_trace(rho, L4, ["B'", "A"])  # keep order is layout order
-    assert lay.labels == ("A", "B'")
+    red = partial_trace(rho, L4, ["B'", "A"])
     assert abs(np.trace(red) - 1.0) < 1e-12
+    # the kept qubits come out in layout order (A, B'), not in the order listed
+    a, b, c, d = (random_density(2, rng) for _ in range(4))
+    red = partial_trace(kron_all(a, b, c, d), L4, ["B'", "A"])
+    assert np.allclose(red, np.kron(a, d), atol=1e-12)
 
 
 def test_partial_transpose_involution_and_trace():
@@ -117,15 +120,29 @@ def test_partial_transpose_involution_and_trace():
     again = partial_transpose(pt, L4, ["B", "B'"])
     assert np.allclose(again, rho, atol=1e-14)
     # transposing every factor is the full transpose
-    full = partial_transpose(rho, L4, list(L4.labels))
+    full = partial_transpose(rho, L4, list(L4))
     assert np.allclose(full, rho.T, atol=1e-14)
 
 
 def test_partial_transpose_detects_bell_entanglement():
     bell = proj(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-    lay = TensorLayout((("A", 2), ("B", 2)))
-    vals = np.linalg.eigvalsh(partial_transpose(bell, lay, ["B"]))
+    vals = np.linalg.eigvalsh(partial_transpose(bell, ("A", "B"), ["B"]))
     assert vals.min() < -0.49  # the famous -1/2 eigenvalue
+
+
+def test_density_state_refuses_unknown_labels_and_misshapen_matrices():
+    with pytest.raises(KeyError):
+        rho_h(0.5).partial_trace(("A", "Q"))
+    with pytest.raises(KeyError):
+        rho_h(0.5).partial_transpose(("Q",))
+    with pytest.raises(KeyError):
+        rho_h(0.5).conjugate_by(PAULI_X, ["Q"])
+    with pytest.raises(ValueError):
+        DensityState(np.eye(8) / 8, KEY_SHIELD_LAYOUT)  # 3 qubits' matrix on 4 labels
+    with pytest.raises(ValueError):
+        DensityState(np.eye(4)[:, :2], ("A",))  # not square
+    with pytest.raises(ValueError):
+        DensityState(np.eye(4) / 4, ("A", "A"))  # a repeated label
 
 
 def test_herm_eig_rejects_non_hermitian():
@@ -226,5 +243,5 @@ def test_partial_trace_contracts_expectations(seed):
     rho = random_density(16, rng)
     o = random_density(2, rng)  # any Hermitian works; density is convenient
     big = promote(o, L4, ["B"])
-    red, _ = partial_trace(rho, L4, ["B"])
+    red = partial_trace(rho, L4, ["B"])
     assert abs(np.trace(rho @ big) - np.trace(red @ o)) < 1e-10

@@ -407,7 +407,7 @@ def test_pm_signal_ensemble_is_a_valid_ensemble():
                 assert np.trace(state.mat).real == pytest.approx(1.0, abs=1e-10)
                 eigs = np.linalg.eigvalsh(state.mat)
                 assert eigs.min() > -1e-10
-                assert state.layout.dim == 4
+                assert state.layout == ("B", "B'")  # Bob's qubits
 
 
 def test_pm_signal_ensemble_on_hiding_state_matches_partial_trace():
@@ -417,7 +417,7 @@ def test_pm_signal_ensemble_on_hiding_state_matches_partial_trace():
     avg = sum(p * s.mat for p, s in ens)
     from pbitqkd.linalg import partial_trace
 
-    reduced, _ = partial_trace(state.mat, state.layout, keep=("B", "B'"))
+    reduced = partial_trace(state.mat, state.layout, keep=("B", "B'"))
     np.testing.assert_allclose(avg, reduced, atol=1e-12)
 
 

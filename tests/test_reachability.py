@@ -32,7 +32,6 @@ KEPT = {
     "__init__.__dir__": "the PEP 562 loader: dir(pbitqkd)",
     "states.purify": "the ccq oracle that checks the rate formula",
     "states.ccq_state": "the ccq oracle that checks the rate formula",
-    "linalg.TensorLayout.extend": "the ccq oracle that checks the rate formula (via purify)",
 }
 
 KEYED = {"kind": "pbit", "twisting": "u_h", "ancilla": "comp00",

@@ -118,25 +118,25 @@ def test_density_state_expect_and_conjugate():
 def test_purify_round_trip():
     rng = np.random.default_rng(7)
     rho = DensityState(random_density(4, rng, rank=3), AB_LAYOUT)
-    vec, layout = purify(rho)
-    assert layout.labels == ("A", "B", "E")
-    assert layout.dim_of("E") == 3  # numerical rank
+    w = purify(rho)
+    assert w.shape == (4, 3)  # one column per nonzero eigenvalue: the numerical rank
     # tracing the environment recovers the state
-    full = DensityState(proj(vec), layout)
-    back = full.partial_trace(("A", "B"))
-    assert trace_distance(back.mat, rho.mat) < 1e-10
+    assert trace_distance(w @ w.conj().T, rho.mat) < 1e-10
+
+
+def _key_blocks(ccq):
+    """The (env x env) diagonal blocks of a ccq matrix, in key order 00, 01, 10, 11."""
+    env = ccq.shape[0] // 4
+    return [ccq[k * env : (k + 1) * env, k * env : (k + 1) * env] for k in range(4)]
 
 
 def test_ccq_state_of_classical_input():
     # a classically correlated AB state has a ccq with the same diagonal weights
-    lay = AB_LAYOUT
     mat = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    ccq = ccq_state(DensityState(mat, lay))
-    check_density(ccq.mat)
+    ccq = ccq_state(DensityState(mat, AB_LAYOUT))
+    check_density(ccq)
     # key marginal weights survive
-    key_probs = np.array(
-        [ccq.partial_trace(("A", "B")).mat[i, i].real for i in range(4)]
-    )
+    key_probs = np.array([np.trace(block).real for block in _key_blocks(ccq)])
     assert np.allclose(key_probs, [0.5, 0, 0, 0.5], atol=1e-12)
 
 
@@ -144,40 +144,37 @@ def test_ccq_state_is_block_diagonal_in_the_key():
     rng = np.random.default_rng(11)
     rho = DensityState(random_density(16, rng), KEY_SHIELD_LAYOUT)
     ccq = ccq_state(rho)
-    check_density(ccq.mat)
-    env = ccq.layout.dim_of("E")
-    m = ccq.mat
+    check_density(ccq)
+    env = ccq.shape[0] // 4
+    assert ccq.shape == (4 * env, 4 * env)
     for a in range(4):
         for b in range(4):
             if a == b:
                 continue
-            block = m[a * env : (a + 1) * env, b * env : (b + 1) * env]
+            block = ccq[a * env : (a + 1) * env, b * env : (b + 1) * env]
             assert np.max(np.abs(block)) < 1e-14
 
 
 def test_ccq_accepts_explicit_purification():
     rng = np.random.default_rng(13)
     rho = DensityState(random_density(16, rng), KEY_SHIELD_LAYOUT)
-    vec, lay = purify(rho)
-    via_state = ccq_state(rho)
-    via_vec = ccq_state((vec, lay))
-    assert trace_distance(via_state.mat, via_vec.mat) < 1e-12
+    w = purify(rho)
+    assert trace_distance(ccq_state(rho), ccq_state(rho, w)) < 1e-12
+    for bad in (w[:8], w.reshape(-1)):  # rows that do not fit the state, or no columns
+        with pytest.raises(ValueError):
+            ccq_state(rho, bad)
 
 
 def test_ccq_invariant_under_key_controlled_shield_unitaries():
     # the structural fact behind the security argument, in miniature
     rng = np.random.default_rng(17)
     rho = DensityState(random_density(16, rng), KEY_SHIELD_LAYOUT)
-    vec, lay = purify(rho)
+    w = purify(rho)
     # build a key-controlled unitary U = sum |ij><ij| ⊗ U_ij on A B A' B'
     u = np.zeros((16, 16), dtype=complex)
     for key in range(4):
         u[key * 4 : (key + 1) * 4, key * 4 : (key + 1) * 4] = random_unitary(4, rng)
-    env = lay.dim_of("E")
-    vec_rot = (np.kron(u, np.eye(env)) @ vec.reshape(-1, 1)).reshape(-1)
-    ccq_before = ccq_state((vec, lay))
-    ccq_after = ccq_state((vec_rot, lay))
-    assert trace_distance(ccq_before.mat, ccq_after.mat) < 1e-10
+    assert trace_distance(ccq_state(rho, w), ccq_state(rho, u @ w)) < 1e-10
 
 
 @given(
