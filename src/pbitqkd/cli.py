@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import logging
 import math
@@ -278,9 +277,9 @@ def cmd_verify_example(args, cfg: dict) -> int:
         _check("phase_observable_twist_invariance", float(np.abs(u @ gz @ u.conj().T - gz).max()), 1e-10)
     )
 
-    gx = gamma_x(tw)
-    dec = decompose_two_local(gx)
-    checks.append(_check("decomposition_norm_sq_minus_16", abs(dec.hs_norm_sq - 16.0), 1e-8))
+    coeffs = decompose_two_local(gamma_x(tw))
+    norm_sq = float(np.sum(coeffs**2))  # ||Gamma_x||_HS^2: the basis is orthonormal
+    checks.append(_check("decomposition_norm_sq_minus_16", abs(norm_sq - 16.0), 1e-8))
 
     six_dev = _six_state_deviation(phi2)
     checks.append(_check("six_state_correspondence", six_dev, 1e-12))
@@ -405,7 +404,8 @@ def cmd_estimate(args, cfg: dict) -> int:
     if m_prime < 1 or m_x < 1:
         raise UsageError("m_prime and m_x must be positive")
 
-    estimates = run_estimate(source, seed, m_x, m_prime, candidates)
+    with _config_errors("estimate"):
+        estimates = run_estimate(source, seed, m_x, m_prime, candidates)
     payload = {
         "schema": SCHEMA,
         "seed": seed,
@@ -446,6 +446,7 @@ def cmd_pm_ensemble(args, cfg: dict) -> int:
     import numpy as np
 
     from .estimation import pm_signal_ensemble
+    from .linalg import PAULI_PRODUCT_LABELS
 
     source = cfg["source"]
     if source and source.noise:
@@ -454,7 +455,7 @@ def cmd_pm_ensemble(args, cfg: dict) -> int:
     state = _phi_phi() if default_input else source.base_state()
 
     observables = {}
-    for label in map("".join, itertools.product("IXYZ", repeat=2)):
+    for label in PAULI_PRODUCT_LABELS:
         observables[label] = [
             {
                 "prob": prob,

@@ -15,7 +15,8 @@ import numpy as np
 
 __all__ = [
     "PAULI_I", "PAULI_X", "PAULI_Y", "PAULI_Z", "kron_all", "partial_trace",
-    "partial_transpose", "herm_eig", "trace_norm", "trace_distance", "pauli_product_basis",
+    "partial_transpose", "herm_eig", "trace_norm", "trace_distance", "PAULI_PRODUCT_LABELS",
+    "pauli_product_basis",
 ]
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -131,15 +132,19 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * trace_norm(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
 
 
+#: The labels "II", "IX", ..., "ZZ" of the two-qubit Pauli products, in
+#: lexicographic (I<X<Y<Z) order: index j of a coefficient table is O_j.
+PAULI_PRODUCT_LABELS = tuple(p1 + p2 for p1, p2 in itertools.product("IXYZ", repeat=2))
+
+
 def pauli_product_basis() -> list[tuple[str, np.ndarray]]:
     """Hilbert-Schmidt-orthonormal Pauli product basis on two qubits.
 
-    Elements are (P_1 ⊗ P_2)/2, labeled "II", "IX", ..., "ZZ" in
-    lexicographic (I<X<Y<Z) order.
+    Elements are (P_1 ⊗ P_2)/2, labeled by ``PAULI_PRODUCT_LABELS``.
     """
     return [
-        (p1 + p2, np.kron(PAULIS[p1], PAULIS[p2]) / 2.0)
-        for p1, p2 in itertools.product("IXYZ", repeat=2)
+        (label, np.kron(PAULIS[label[0]], PAULIS[label[1]]) / 2.0)
+        for label in PAULI_PRODUCT_LABELS
     ]
 
 

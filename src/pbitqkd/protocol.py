@@ -45,13 +45,8 @@ from .canonical import canonical_json, from_fields, json_int, json_real
 from .channels import PauliNoiseModel, _uniform_slices
 from .ecpa import MAX_EC_BLOCK, bits_to_hex, error_correct, pa_length, syndrome_stats
 from .ecpa import toeplitz_apply, toeplitz_seed
-from .estimation import (
-    ProductDecomposition,
-    best_candidate,
-    decompose_two_local,
-    estimate_eps_z_locc,
-)
-from .linalg import basis_ket, kron_all, pauli_product_basis, proj, reorder
+from .estimation import decompose_two_local, estimate_eps_z_locc, support_pairs
+from .linalg import PAULI_PRODUCT_LABELS, basis_ket, kron_all, proj, reorder
 from .states import _SIDES_LAYOUT, DensityState, P_STAR, rho_h
 from .twist import TwistingOp, build_u_h, gamma_x, identity_twisting, make_pdit
 
@@ -67,6 +62,9 @@ __all__ = [
 ]
 
 TRANSCRIPT_SCHEMA = 1
+
+#: A run addresses fewer than 2^60 copies, so a shuffle's 8-byte view of them fits in 2^63 bytes.
+_MAX_N = 2**60
 
 
 #: The names a config may give a twisting or an ancilla, and their builders.
@@ -160,8 +158,8 @@ class ProtocolConfig:
     threads: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 4:
-            raise ValueError("n must be at least 4")
+        if not 4 <= self.n < _MAX_N:
+            raise ValueError(f"need 4 <= n < 2^60 copies, got n = {self.n}")
         if self.seed < 0 or not 1 <= self.ec_block <= MAX_EC_BLOCK:
             raise ValueError(
                 f"need seed >= 0 and 1 <= ec_block <= {MAX_EC_BLOCK}, got seed = {self.seed}, "
@@ -280,7 +278,7 @@ class _Setup:
     The outcome tables are indexed by pattern code 2x + z first.
     """
 
-    decomps: Mapping[str, ProductDecomposition]
+    decomps: Mapping[str, np.ndarray]  # each candidate's (16, 16) coefficient table
     support: tuple[tuple[int, int], ...]  # union of the candidates' support pairs
     labels: Mapping  # (ja, jb) -> "O_a|O_b", the pair's name in transcripts
     plus: np.ndarray  # (4, 16, 16) probability that O_ja ⊗ O_jb reads +1/4
@@ -301,14 +299,14 @@ def _setup(source: SourceSpec, candidates: tuple[str, ...]) -> _Setup:
     law[k ^ 2x].
     """
     decomps = {name: decompose_two_local(gamma_x(twisting_by_name(name))) for name in candidates}
-    support = tuple(sorted({pair for dec in decomps.values() for pair in dec.support()}))
-    names = [label for label, _ in pauli_product_basis()]  # every decomposition's labels
-    labels = MappingProxyType({(ja, jb): f"{names[ja]}|{names[jb]}" for ja, jb in support})
+    support = tuple(sorted({pair for coeffs in decomps.values() for pair in support_pairs(coeffs)}))
+    labels = MappingProxyType({pair: "|".join(PAULI_PRODUCT_LABELS[j] for j in pair)
+                               for pair in support})
     base = source.base_state()
     sign = np.repeat(_SIGN, 4, axis=1)[:, None, :]  # O_jb's B letter is jb // 4
-    plus = np.clip((1.0 + 4.0 * sign * decompose_two_local(base.mat).coeffs) / 2.0, 0.0, 1.0)
+    plus = np.clip((1.0 + 4.0 * sign * decompose_two_local(base.mat)) / 2.0, 0.0, 1.0)
     joint16 = _computational_law(base)[np.arange(16) ^ np.array([[0], [0], [2], [2]])]
-    for arr in (plus, joint16, *(dec.coeffs for dec in decomps.values())):
+    for arr in (plus, joint16, *decomps.values()):
         arr.setflags(write=False)
     return _Setup(MappingProxyType(decomps), support, labels, plus, joint16)
 
@@ -424,15 +422,15 @@ def _estimates(setup: _Setup, n: int, k_x: int, m_x: int, group_counts: Mapping)
     eps_x_hat = (1.0 - _count_mean(k_x, m_x)) / 2.0
     means = {pair: _count_mean(k, m, 0.25) for pair, (k, m) in group_counts.items()}
     m_z = sum(m for _, m in group_counts.values())
-    results = {name: estimate_eps_z_locc(means, dec) for name, dec in setup.decomps.items()}
-    best = list(results)[best_candidate(list(results.values()))]
-    eps_z_hat = results[best].eps_z
+    results = {name: estimate_eps_z_locc(means, coeffs) for name, coeffs in setup.decomps.items()}
+    best = min(results, key=lambda name: results[name]["eps_z"])  # the first on ties
+    eps_z_hat = results[best]["eps_z"]
     rate = key_rate(eps_x_hat, eps_z_hat)
     return {
         "eps_x_hat": eps_x_hat, "m_x": m_x, "m_z": m_z, "best_candidate": best,
         "eps_z_hat": eps_z_hat, "rate": rate, "net_rate": (1.0 - (m_x + m_z) / n) * rate,
         "rate_raw": 1.0 - binary_entropy(eps_x_hat) - binary_entropy(eps_z_hat),
-        "candidates": {name: asdict(res) for name, res in results.items()},
+        "candidates": results,
         "group_means": {setup.labels[pair]: mean for pair, mean in means.items()},
         "group_counts": {setup.labels[pair]: m for pair, (_, m) in group_counts.items()},
     }
@@ -715,8 +713,8 @@ def run_estimate(
     sample and the groups are the leading slices of the codes.  Source
     noise (only a pbit source carries one) acts as in the runs.  Refuses
     what a run's config would (candidates, m_x or m_prime below 1, a
-    negative seed).  Returns the ``estimates`` block a run's transcript
-    would carry.
+    negative seed, 2^60 copies or more).  Returns the ``estimates`` block a
+    run's transcript would carry.
     """
     candidates = ProtocolConfig.check_candidates(candidates)
     _check_budgets(m_x, m_prime)
@@ -725,6 +723,8 @@ def run_estimate(
     setup = _setup(source, candidates)
     # at least a run's 4 copies; copies past the tests stay unmeasured
     n = max(4, m_x + len(setup.support) * m_prime)
+    if n >= _MAX_N:
+        raise ValueError(f"need m_x + |support| * m_prime < 2^60 copies, got {n}")
     rng = np.random.default_rng(seed)
     codes = _pattern_codes(source, None, n, rng)
     codes_x, group_codes, _ = _split_codes(codes, m_x, m_prime, setup.support)
@@ -751,9 +751,10 @@ def model_estimates(source: SourceSpec, m_x: int, m_prime: int) -> dict:
     pi = (source.noise or PauliNoiseModel(0.0, 0.0)).code_law()
     p = float(pi @ (1.0 - setup.plus[:, _ZI, _ZI]))
     out: dict = {"eps_x_hat": {"mean": p, "se": math.sqrt(p * (1.0 - p) / m_x)}, "candidates": {}}
-    for name, dec in setup.decomps.items():
-        c = np.array([dec.coeffs[pair] for pair in dec.support()])
-        q = np.array([pi @ setup.plus[:, ja, jb] for ja, jb in dec.support()])
+    for name, coeffs in setup.decomps.items():
+        pairs = support_pairs(coeffs)
+        c = np.array([coeffs[pair] for pair in pairs])
+        q = np.array([pi @ setup.plus[:, ja, jb] for ja, jb in pairs])
         mean = (1.0 - float(c @ (2.0 * q - 1.0)) / 4.0) / 2.0
         se = math.sqrt(float(c**2 @ (q * (1.0 - q))) / (16.0 * m_prime))
         out["candidates"][name] = {"eps_z_raw": {"mean": mean, "se": se}}

@@ -2,15 +2,15 @@
 
 No CLI command and no protocol run reaches these, so they live with the
 tests: Haar-random unitaries and twistings, Ginibre density matrices, a
-density-matrix check, the Bell projectors, the matrix a product
-decomposition stands for, and the joint-outcome projection that the run
-set-up's tables are checked against.
+density-matrix check, the Bell projectors, the matrix a coefficient table
+stands for, the local eigen-systems of the Pauli products and the
+joint-outcome projection that the run set-up's tables are checked against.
 """
 
 import numpy as np
 
-from pbitqkd.estimation import ProductDecomposition, local_eigensystem
-from pbitqkd.linalg import dagger, pauli_product_basis, proj, reorder
+from pbitqkd.estimation import _EIGVECS
+from pbitqkd.linalg import PAULI_PRODUCT_LABELS, dagger, pauli_product_basis, proj, reorder
 from pbitqkd.states import _SIDES_LAYOUT, AB_LAYOUT, DensityState, bell_vec
 from pbitqkd.twist import TwistingOp
 
@@ -62,30 +62,52 @@ def random_twisting(rng: np.random.Generator) -> TwistingOp:
     return TwistingOp({k: random_unitary(4, rng) for k in ("00", "01", "10", "11")})
 
 
-def reconstruct(decomp: ProductDecomposition) -> np.ndarray:
+def reconstruct(coeffs: np.ndarray) -> np.ndarray:
     """Rebuild the matrix sum_jajb s O_ja ⊗ O_jb on A ⊗ B ⊗ A' ⊗ B'."""
     # each O_j is indexed (key row, shield row, key col, shield col)
     basis = np.stack([op for _, op in pauli_product_basis()]).reshape(16, 2, 2, 2, 2)
-    out = np.einsum("ab,apqrs,btuvw->ptqurvsw", decomp.coeffs, basis, basis)
+    out = np.einsum("ab,apqrs,btuvw->ptqurvsw", coeffs, basis, basis)
     return out.reshape(16, 16)
 
 
-def joint_outcome_table(
-    state: DensityState,
-    decomp: ProductDecomposition,
-    ja: int,
-    jb: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint outcome distribution for one product-observable pair.
+_EIGVALS = {
+    "I": np.array([1.0, 1.0]),
+    "X": np.array([1.0, -1.0]),
+    "Y": np.array([1.0, -1.0]),
+    "Z": np.array([1.0, -1.0]),
+}
 
-    Returns (probs, products): ``probs[k]`` is the probability of the k-th
-    joint eigenvector (side-A outcome varying slowest) and ``products[k]``
-    the corresponding product of local eigenvalues lambda_a * lambda_b.
-    The run set-up reads the same statistics off ``decompose_two_local``;
-    this projection is their reference.
+
+def local_eigensystem(label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvector columns of the normalized basis element O_label.
+
+    ``label`` is a string over IXYZ, one letter per qubit; the observable is
+    the Pauli product divided by sqrt(2^k), so outcomes are products of ±1
+    divided by that normalization (identity factors contribute +1 and are
+    "measured" in the computational basis).
     """
-    vals_a, vecs_a = local_eigensystem(decomp.labels_a[ja])
-    vals_b, vecs_b = local_eigensystem(decomp.labels_b[jb])
+    vals = np.array([1.0])
+    vecs = np.array([[1.0]], dtype=complex)
+    for ch in label:
+        if ch not in _EIGVECS:
+            raise ValueError(f"unknown Pauli letter {ch!r}")
+        vals = np.kron(vals, _EIGVALS[ch])
+        vecs = np.kron(vecs, _EIGVECS[ch])
+    return vals / np.sqrt(2.0 ** len(label)), vecs
+
+
+def joint_outcome_table(state: DensityState, ja: int, jb: int) -> tuple[np.ndarray, np.ndarray]:
+    """Joint outcome distribution for one product-observable pair O_ja ⊗ O_jb.
+
+    ``ja`` and ``jb`` index ``PAULI_PRODUCT_LABELS``, as a coefficient
+    table does.  Returns (probs, products): ``probs[k]`` is the probability
+    of the k-th joint eigenvector (side-A outcome varying slowest) and
+    ``products[k]`` the corresponding product of local eigenvalues
+    lambda_a * lambda_b.  The run set-up reads the same statistics off
+    ``decompose_two_local``; this projection is their reference.
+    """
+    vals_a, vecs_a = local_eigensystem(PAULI_PRODUCT_LABELS[ja])
+    vals_b, vecs_b = local_eigensystem(PAULI_PRODUCT_LABELS[jb])
     rho = reorder(state.mat, state.layout, _SIDES_LAYOUT)
     v = np.kron(vecs_a, vecs_b)
     probs = np.real(np.einsum("ik,ij,jk->k", v.conj(), rho, v))

@@ -288,7 +288,7 @@ def test_group_average_error_bound_dominates_brute_force():
     """Randomized transfer check: perturbing each group's outcome law by at
     most dist (total variation) moves the decomposed average by at most
     sqrt(t) * ||L||_HS * dist."""
-    from pbitqkd.estimation import decompose_two_local
+    from pbitqkd.estimation import decompose_two_local, support_pairs
     from pbitqkd.states import KEY_SHIELD_LAYOUT, DensityState
     from pbitqkd.twist import gamma_x
     from reference import joint_outcome_table, random_density, random_twisting
@@ -299,18 +299,18 @@ def test_group_average_error_bound_dominates_brute_force():
         gx = gamma_x(tw)
         dec = decompose_two_local(gx)
         state = DensityState(random_density(16, rng), KEY_SHIELD_LAYOUT)
-        support = dec.support()
+        support = support_pairs(dec)
         true_avg, pert_avg, max_tv = 0.0, 0.0, 0.0
         for ja, jb in support:
-            probs, products = joint_outcome_table(state, dec, ja, jb)
+            probs, products = joint_outcome_table(state, ja, jb)
             noise = rng.uniform(-1, 1, size=probs.size) * 0.01
             noise -= noise.mean()
             q = np.clip(probs + noise, 0.0, None)
             q /= q.sum()
             max_tv = max(max_tv, 0.5 * float(np.abs(q - probs).sum()))
-            true_avg += dec.coeffs[ja, jb] * float(np.dot(probs, products))
-            pert_avg += dec.coeffs[ja, jb] * float(np.dot(q, products))
-        bound = group_average_error_bound(len(support), math.sqrt(dec.hs_norm_sq), max_tv)
+            true_avg += dec[ja, jb] * float(np.dot(probs, products))
+            pert_avg += dec[ja, jb] * float(np.dot(q, products))
+        bound = group_average_error_bound(len(support), math.sqrt(float(np.sum(dec**2))), max_tv)
         assert abs(true_avg - pert_avg) <= bound + 1e-12
 
 
@@ -478,7 +478,8 @@ def _accepts(**kwargs) -> bool:
 def _answers(s: int, delta: float, d: int = 2, d_prime: int = 4, n: int | None = None) -> None:
     """Wherever check_solver_args accepts, the solver (at n, or with n unset)
     and, at n, the bounds command (its even split when the solver's m_z does
-    not fit) and a run's test-set size n_c all compute without raising."""
+    not fit) and, below 2^60 copies, a run's test-set size n_c all compute
+    without raising."""
     if not _accepts(s=s, delta=delta, d=d, d_prime=d_prime, n=n):
         return
     sol = choose_params(s, delta, d, d_prime, n)
@@ -493,7 +494,8 @@ def _answers(s: int, delta: float, d: int = 2, d_prime: int = 4, n: int | None =
         try:
             config = ProtocolConfig(n=n, seed=0, s=s, delta=delta)
         except ValueError as exc:
-            assert n < 4 or "n_c" in str(exc)
+            # a run refuses fewer than 4 or 2^60 copies or more, and an n_c beyond a double
+            assert ("n < 2^60" if not 4 <= n < 2**60 else "n_c") in str(exc)
         else:
             assert config.n_c >= 1
 

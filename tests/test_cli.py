@@ -176,10 +176,12 @@ def test_estimate_requires_a_seed(capsys):
 
 def test_estimate_bad_config_values_are_usage_errors(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    for cfg in ({"candidates": [None]}, {"m_x": "many"}, {"m_prime": 0}, {"candidates": []}):
+    # a round of 2^60 copies or more is refused too
+    for cfg in ({"candidates": [None]}, {"m_x": "many"}, {"m_prime": 0}, {"candidates": []},
+                {"m_x": 1e40}, {"m_prime": 2e18}):
         cfg_path.write_text(json.dumps(cfg))
         assert main(["estimate", "--seed", "1", "--config", str(cfg_path)]) == EXIT_USAGE, cfg
-    capsys.readouterr()
+        assert capsys.readouterr().out == "", cfg
 
 
 def test_estimate_round(tmp_path, capsys):
@@ -734,6 +736,11 @@ def _json_text(cfg: dict) -> str:
     ("run-pm", {"m_prime": -3}),
     ("run-ppp", {"m_x": 0}),
     ("sweep", {"protocol": "pm", "m_x": 0}),
+    # a run addresses fewer than 2^60 copies
+    ("run-ppp", {"n": 2e18}),
+    ("run-ppp", {"n": 1e40}),
+    ("run-pm", {"n": 1e40}),
+    ("sweep", {"n": 1e40}),
 ], ids=lambda v: _json_text(v) if isinstance(v, dict) else v)
 def test_out_of_range_config_values_are_usage_errors(tmp_path, capsys, caplog, command, cfg):
     cfg_path = tmp_path / "cfg.json"

@@ -1,4 +1,6 @@
-"""LOCC estimation: product decomposition, outcome tables, the phase estimator."""
+"""LOCC estimation: coefficient tables, outcome tables, the phase estimator."""
+
+import re
 
 import numpy as np
 import pytest
@@ -7,16 +9,21 @@ from hypothesis import strategies as st
 
 from pbitqkd.channels import apply_pauli
 from pbitqkd.estimation import (
-    ProductDecomposition,
-    best_candidate,
     decompose_two_local,
     estimate_eps_z_locc,
-    local_eigensystem,
+    pm_signal_ensemble,
+    support_pairs,
 )
-from pbitqkd.linalg import dagger, kron_all, proj, trace_distance
+from pbitqkd.linalg import PAULI_PRODUCT_LABELS, dagger, kron_all, proj, trace_distance
 from pbitqkd.states import KEY_SHIELD_LAYOUT, DensityState, basis_ket
 from pbitqkd.twist import build_u_h, gamma_x, identity_twisting, make_pdit
-from reference import joint_outcome_table, random_density, random_twisting, reconstruct
+from reference import (
+    joint_outcome_table,
+    local_eigensystem,
+    random_density,
+    random_twisting,
+    reconstruct,
+)
 
 
 def u_h_pbit():
@@ -24,11 +31,11 @@ def u_h_pbit():
     return make_pdit(build_u_h(), anc)
 
 
-def exact_records(state, decomp):
+def exact_records(state, coeffs):
     """Per-pair exact means of the product outcomes."""
     out = {}
-    for ja, jb in decomp.support():
-        probs, products = joint_outcome_table(state, decomp, ja, jb)
+    for ja, jb in support_pairs(coeffs):
+        probs, products = joint_outcome_table(state, ja, jb)
         out[(ja, jb)] = float(np.dot(probs, products))
     return out
 
@@ -66,7 +73,7 @@ def test_decomposition_norm_is_sixteen_for_twisted_observables():
     rng = np.random.default_rng(0)
     for _ in range(10):
         dec = decompose_two_local(gamma_x(random_twisting(rng)))
-        assert abs(dec.hs_norm_sq - 16.0) < 1e-9
+        assert abs(float(np.sum(dec**2)) - 16.0) < 1e-9
 
 
 def test_decompose_rejects_non_hermitian():
@@ -76,15 +83,19 @@ def test_decompose_rejects_non_hermitian():
         decompose_two_local(m)
 
 
-def test_product_decomposition_validation_and_support():
-    dec = ProductDecomposition(
-        labels_a=("II", "XX"), labels_b=("II", "ZZ"),
-        coeffs=np.array([[0.0, 1.0], [2.0, 0.0]]),
-    )
-    assert dec.support() == [(0, 1), (1, 0)]
-    assert abs(dec.hs_norm_sq - 5.0) < 1e-15
-    with pytest.raises(ValueError):
-        ProductDecomposition(("II",), ("II",), np.zeros((2, 2)))
+def test_support_pairs_lists_the_nonzero_coefficients_in_order():
+    coeffs = np.zeros((16, 16))
+    coeffs[5, 0], coeffs[0, 15], coeffs[3, 3] = 2.0, 1.0, 1e-13  # 1e-13 counts as zero
+    assert support_pairs(coeffs) == [(0, 15), (5, 0)]
+    assert abs(float(np.sum(coeffs**2)) - 5.0) < 1e-15
+    assert support_pairs(np.zeros((16, 16))) == []
+
+
+def test_pm_signal_ensemble_refuses_labels_that_are_not_two_pauli_letters():
+    state = u_h_pbit()
+    for label in ("XQ", "X", "XYZ", "", "xz"):
+        with pytest.raises(ValueError, match="two Pauli letters"):
+            pm_signal_ensemble(state, label)
 
 
 def test_joint_outcome_table_matches_direct_expectation():
@@ -93,13 +104,13 @@ def test_joint_outcome_table_matches_direct_expectation():
     from pbitqkd.linalg import pauli_product_basis
 
     basis = dict(pauli_product_basis())
-    for ja, jb in dec.support():
-        probs, products = joint_outcome_table(state, dec, ja, jb)
+    for ja, jb in support_pairs(dec):
+        probs, products = joint_outcome_table(state, ja, jb)
         assert abs(probs.sum() - 1.0) < 1e-12
         assert probs.min() >= 0.0
         mean = float(np.dot(probs, products))
-        obs_a = basis[dec.labels_a[ja]]
-        obs_b = basis[dec.labels_b[jb]]
+        obs_a = basis[PAULI_PRODUCT_LABELS[ja]]
+        obs_b = basis[PAULI_PRODUCT_LABELS[jb]]
         # assemble O_a ⊗ O_b in layout order (A, A') x (B, B')
         direct = _expect_product(state, obs_a, obs_b)
         assert abs(mean - direct) < 1e-10
@@ -119,8 +130,9 @@ def test_estimator_on_exact_means_recovers_zero_phase_error():
     state = u_h_pbit()
     dec = decompose_two_local(gamma_x(build_u_h()))
     res = estimate_eps_z_locc(exact_records(state, dec), dec)
-    assert abs(res.out - 1.0) < 1e-10
-    assert res.eps_z == 0.0 or res.eps_z < 1e-10
+    assert set(res) == {"out", "eps_z_raw", "eps_z", "clamped"}
+    assert abs(res["out"] - 1.0) < 1e-10
+    assert res["eps_z"] == 0.0 or res["eps_z"] < 1e-10
 
 
 def test_pattern_expectations_on_u_h_pbit():
@@ -158,22 +170,31 @@ def test_estimator_tracks_planted_pattern_mixtures():
     mixed = DensityState(mix, state.layout)
     res = estimate_eps_z_locc(exact_records(mixed, dec), dec)
     truth = (1.0 - mixed.expect(gamma_x(build_u_h()))) / 2.0
-    assert abs(res.eps_z - truth) < 1e-10
+    assert abs(res["eps_z"] - truth) < 1e-10
     assert truth > 0.0  # the plant actually moved the phase error
 
 
 def test_estimator_requires_support_coverage():
     dec = decompose_two_local(gamma_x(build_u_h()))
+    records = exact_records(u_h_pbit(), dec)
+    ja, jb = max(records)
+    del records[ja, jb]
+    # the missing pair is named by its labels
+    pair = f"({PAULI_PRODUCT_LABELS[ja]},{PAULI_PRODUCT_LABELS[jb]})"
+    with pytest.raises(ValueError, match=f"support pair {re.escape(pair)} has no outcomes"):
+        estimate_eps_z_locc(records, dec)
     with pytest.raises(ValueError):
         estimate_eps_z_locc({}, dec)
 
 
 def test_estimator_clamps_and_flags():
-    dec = ProductDecomposition(
-        labels_a=("XX",), labels_b=("XX",), coeffs=np.array([[4.0]]),
-    )
-    res = estimate_eps_z_locc({(0, 0): 1.0}, dec)
-    assert res.clamped and res.eps_z == 0.0 and res.eps_z_raw < 0.0
+    coeffs = np.zeros((16, 16))
+    xx = PAULI_PRODUCT_LABELS.index("XX")
+    coeffs[xx, xx] = 4.0
+    res = estimate_eps_z_locc({(xx, xx): 1.0}, coeffs)
+    assert res["clamped"] and res["eps_z"] == 0.0 and res["eps_z_raw"] < 0.0
+    res = estimate_eps_z_locc({(xx, xx): 0.0}, coeffs)
+    assert not res["clamped"] and res["eps_z"] == res["eps_z_raw"] == 0.5
 
 
 def test_sampling_concentrates_with_m():
@@ -181,11 +202,11 @@ def test_sampling_concentrates_with_m():
     dec = decompose_two_local(gamma_x(build_u_h()))
     rng = np.random.default_rng(12)
     records = {}
-    for pair in dec.support():
-        probs, products = joint_outcome_table(state, dec, *pair)
+    for pair in support_pairs(dec):
+        probs, products = joint_outcome_table(state, *pair)
         records[pair] = products[rng.choice(probs.size, size=20000, p=probs)].mean()
     res = estimate_eps_z_locc(records, dec)
-    assert res.eps_z < 0.02  # truth is 0; generous envelope at m' = 20000
+    assert res["eps_z"] < 0.02  # truth is 0; generous envelope at m' = 20000
 
 
 def test_optimal_untwist_prefers_the_matching_candidate():
@@ -196,10 +217,9 @@ def test_optimal_untwist_prefers_the_matching_candidate():
     dec_bad = decompose_two_local(gamma_x(identity_twisting()))
     records = exact_records(state, dec_good)
     records.update(exact_records(state, dec_bad))
-    results = [estimate_eps_z_locc(records, dec) for dec in (dec_bad, dec_good)]
-    assert best_candidate(results) == 1
-    assert results[1].eps_z < 1e-10
-    assert abs(results[0].eps_z - 0.5) < 1e-10  # mismatched candidate reads 1/2
+    bad, good = (estimate_eps_z_locc(records, dec)["eps_z"] for dec in (dec_bad, dec_good))
+    assert good < 1e-10
+    assert abs(bad - 0.5) < 1e-10  # mismatched candidate reads 1/2
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -221,8 +241,8 @@ def test_outcome_tables_average_to_observable_expectation(seed):
     state = DensityState(random_density(16, rng), KEY_SHIELD_LAYOUT)
     dec = decompose_two_local(gx)
     total = 0.0
-    for ja, jb in dec.support():
-        probs, products = joint_outcome_table(state, dec, ja, jb)
-        total += dec.coeffs[ja, jb] * float(np.dot(probs, products))
+    for ja, jb in support_pairs(dec):
+        probs, products = joint_outcome_table(state, ja, jb)
+        total += dec[ja, jb] * float(np.dot(probs, products))
     assert abs(total - state.expect(gx)) < 1e-8
 

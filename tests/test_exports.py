@@ -20,7 +20,8 @@ DELETED = (
     "sample_product_outcomes", "toeplitz_extract", "sample_branch",
     "phi_d_vec", "maximally_mixed", "apply_channel",
     "random_unitary", "random_density", "bell_state", "random_twisting", "joint_outcome_table",
-    "TensorLayout",
+    "TensorLayout", "ProductDecomposition", "EstimationResult", "best_candidate",
+    "local_eigensystem",
 )
 
 

@@ -28,7 +28,7 @@ from pbitqkd.protocol import (
 )
 from pbitqkd.states import P_STAR, DensityState, rho_h
 from pbitqkd.twist import build_u_h, gamma_z, make_pdit
-from pbitqkd.linalg import basis_ket, kron_all, proj
+from pbitqkd.linalg import PAULI_PRODUCT_LABELS, basis_ket, kron_all, proj
 from reference import joint_outcome_table
 
 
@@ -217,6 +217,12 @@ def test_config_rejects_tiny_n():
         ProtocolConfig(n=2, seed=0)
 
 
+def test_every_n_below_2_to_the_60_is_accepted():
+    # the solver's n for s = 40, delta = 0.05 lies below the bound
+    ProtocolConfig(n=1092670364752616128, seed=0)
+    ProtocolConfig(n=2**60 - 1, seed=0)
+
+
 @pytest.mark.parametrize("make", [
     lambda: SourceSpec(p=1.5),
     lambda: SourceSpec(kind="pbit", kappa=-0.1),  # out of range before its kind
@@ -232,6 +238,7 @@ def test_config_rejects_tiny_n():
     lambda: ProtocolConfig(n=100, seed=0, m_x=-5),
     lambda: ProtocolConfig(n=100, seed=0, m_prime=-3),
     lambda: ProtocolConfig(n=100, seed=0, threads=0),
+    lambda: ProtocolConfig(n=2**60, seed=0),  # a run addresses fewer than 2^60 copies
 ])
 def test_out_of_range_values_are_rejected_at_construction(make):
     with pytest.raises(ValueError):
@@ -548,6 +555,15 @@ def test_decide_judges_hand_built_counts(k_x, reason, rows, key_stage):
     assert (decision.final_len > 0) == key_stage
 
 
+@pytest.mark.parametrize("candidates", [("identity", "u_h"), ("u_h", "identity")])
+def test_tied_candidates_pick_the_first(candidates):
+    # every group mean 0 gives out = 0, so each candidate reads eps_z = 1/2 exactly
+    setup = protocol._setup(SourceSpec(kind="pbit"), candidates)
+    est = protocol._estimates(setup, 10_000, 50, 100, dict.fromkeys(setup.support, (50, 100)))
+    assert [c["eps_z"] for c in est["candidates"].values()] == [0.5, 0.5]
+    assert est["best_candidate"] == candidates[0]
+
+
 def test_decide_takes_no_rng_and_no_array():
     params = inspect.signature(protocol.decide).parameters
     assert list(params) == ["config", "setup", "k_x", "m_x", "group_counts", "raw_len"]
@@ -579,7 +595,7 @@ def test_equal_sources_share_one_setup():
 
 def test_cached_setup_is_read_only():
     setup = protocol._setup(SourceSpec(kind="pbit"), ("identity", "u_h"))
-    arrays = [setup.plus, setup.joint16, *(dec.coeffs for dec in setup.decomps.values())]
+    arrays = [setup.plus, setup.joint16, *setup.decomps.values()]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.5
@@ -589,19 +605,19 @@ def test_cached_setup_is_read_only():
         setup.plus = np.ones((4, 16, 16))
 
 
-def _eigenbasis_tables(source, support, dec):
+def _eigenbasis_tables(source, support):
     """The set-up's tables by projecting each code's conjugated state onto each pair's joint
     eigenbasis: (plus of sigma_z sigma_z, joint16, {pair: plus}), each indexed by code 2x + z."""
     base = source.base_state()
     components = [channels.apply_pauli(base, code >> 1, code & 1, "B") for code in range(4)]
     zz_plus = np.clip([(1.0 + c.expect(gamma_z())) / 2.0 for c in components], 0.0, 1.0)
-    zz_a, zz_b = dec.labels_a.index("ZZ"), dec.labels_b.index("ZZ")
-    joint16 = np.array([joint_outcome_table(c, dec, zz_a, zz_b)[0] for c in components])
+    zz = PAULI_PRODUCT_LABELS.index("ZZ")
+    joint16 = np.array([joint_outcome_table(c, zz, zz)[0] for c in components])
     group_plus = {}
     for pair in support:
         plus = []
         for c in components:
-            probs, products = joint_outcome_table(c, dec, *pair)
+            probs, products = joint_outcome_table(c, *pair)
             plus.append(probs[products > 0].sum())
         group_plus[pair] = np.clip(plus, 0.0, 1.0)
     return zz_plus, joint16, group_plus
@@ -622,9 +638,8 @@ def _eigenbasis_tables(source, support, dec):
 def test_setup_tables_match_the_eigenbasis_projections(source):
     spec = SourceSpec.from_dict(source)
     setup = protocol._setup(spec, ("identity", "u_h"))
-    dec = setup.decomps["identity"]
-    zz_plus, joint16, group_plus = _eigenbasis_tables(spec, setup.support, dec)
-    zi = dec.labels_a.index("ZI")
+    zz_plus, joint16, group_plus = _eigenbasis_tables(spec, setup.support)
+    zi = PAULI_PRODUCT_LABELS.index("ZI")
     np.testing.assert_allclose(setup.plus[:, zi, zi], zz_plus, rtol=0, atol=1e-12)
     np.testing.assert_allclose(setup.joint16, joint16, rtol=0, atol=1e-12)
     assert set(group_plus) == set(setup.support)
@@ -668,7 +683,10 @@ def test_run_path_builds_no_eigenbasis(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the run path built an eigenbasis")
 
-    monkeypatch.setattr(estimation, "local_eigensystem", refuse)
+    # a run reads its tables off one Pauli expansion: neither a signal ensemble
+    # nor an eigendecomposition is built
+    monkeypatch.setattr(estimation, "pm_signal_ensemble", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     protocol._setup.cache_clear()  # so every set-up is built under the patch
     try:
         for job, digest in NO_EIGENBASIS_JOBS:
