@@ -20,14 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .canonical import canonical_json, from_fields, json_real
-from .linalg import (
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    dagger,
-    promote,
-)
+from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PAULIS, dagger, promote
 from .states import CHI_C, CHI_S, DensityState
 
 __all__ = [
@@ -160,13 +153,8 @@ def binding_channel_kraus(p: float, kappa: float = 0.0) -> list[tuple[str, np.nd
     ]
     ops = [(lab, np.sqrt(1.0 - kappa) * k) for lab, k in six]
     if kappa > 0.0:
-        paulis = [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]
-        letters = "IXYZ"
-        for i, pi in enumerate(paulis):
-            for j, pj in enumerate(paulis):
-                ops.append(
-                    (f"r{letters[i]}{letters[j]}", np.sqrt(kappa) / 4.0 * np.kron(pi, pj))
-                )
+        ops += [(f"r{a}{b}", np.sqrt(kappa) / 4.0 * np.kron(pa, pb))
+                for a, pa in PAULIS.items() for b, pb in PAULIS.items()]
     return ops
 
 

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import PAULI_PRODUCT_LABELS, pauli_product_basis, reorder
+from .linalg import PAULI_EIGVECS, PAULI_PRODUCT_LABELS, PAULI_PRODUCTS, reorder
 from .states import _SIDES_LAYOUT, KEY_SHIELD_LAYOUT, DensityState
 
 __all__ = [
@@ -33,14 +33,6 @@ __all__ = [
     "pm_signal_ensemble",
     "estimate_eps_z_locc",
 ]
-
-# eigenvector columns of each single-qubit Pauli, identity read in the computational basis
-_EIGVECS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
-    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2.0),
-    "Z": np.eye(2, dtype=complex),
-}
 
 
 def decompose_two_local(op: np.ndarray) -> np.ndarray:
@@ -51,8 +43,8 @@ def decompose_two_local(op: np.ndarray) -> np.ndarray:
     Bob's; for Hermitian input the coefficients are real (enforced within 1e-9).
     """
     gperm = reorder(op, KEY_SHIELD_LAYOUT, _SIDES_LAYOUT)
-    mats = np.stack([m for _, m in pauli_product_basis()])
-    coeffs = np.einsum("aij,bkl,jlik->ab", mats, mats, gperm.reshape(4, 4, 4, 4))
+    coeffs = np.einsum("aij,bkl,jlik->ab", PAULI_PRODUCTS, PAULI_PRODUCTS,
+                       gperm.reshape(4, 4, 4, 4))
     imag_max = float(np.max(np.abs(coeffs.imag)))
     if imag_max > 1e-9:
         raise ValueError(f"observable is not Hermitian enough (imag coeff {imag_max:.3e})")
@@ -78,7 +70,7 @@ def pm_signal_ensemble(state: DensityState, label_a: str) -> list[tuple[float, D
         raise ValueError(f"need two Pauli letters over IXYZ, got {label_a!r}")
     vecs_a = np.array([[1.0]], dtype=complex)
     for ch in label_a:
-        vecs_a = np.kron(vecs_a, _EIGVECS[ch])
+        vecs_a = np.kron(vecs_a, PAULI_EIGVECS[ch])
     rho = reorder(state.mat, state.layout, _SIDES_LAYOUT)
     da = vecs_a.shape[0]
     db = rho.shape[0] // da

@@ -3,7 +3,9 @@
 Everything downstream (states, twistings, channels, estimators) works with
 explicit dense matrices on a layout: a tuple of qubit labels such as
 ``("A", "B", "A'", "B'")``, in the order `numpy.kron` builds the matrix.
-Protocols at scale never materialize tensor powers, they sample patterns.
+The Paulis come as matrices, their eigenbases (``PAULI_EIGVECS``) and the
+(16, 4, 4) table of two-qubit products (``PAULI_PRODUCTS``).  Protocols at
+scale never materialize tensor powers, they sample patterns.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "PAULI_I", "PAULI_X", "PAULI_Y", "PAULI_Z", "kron_all", "partial_trace",
-    "partial_transpose", "herm_eig", "trace_norm", "trace_distance", "PAULI_PRODUCT_LABELS",
-    "pauli_product_basis",
+    "PAULI_I", "PAULI_X", "PAULI_Y", "PAULI_Z", "PAULI_EIGVECS", "partial_trace",
+    "partial_transpose", "herm_eig", "trace_distance", "PAULI_PRODUCT_LABELS", "PAULI_PRODUCTS",
 ]
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -24,21 +25,18 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+#: Eigenvector columns of each Pauli, eigenvalue +1 first; identity read in the computational basis.
+PAULI_EIGVECS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2.0),
+    "Z": np.eye(2, dtype=complex),
+}
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conjugate(a.T)
-
-
-def kron_all(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, left to right."""
-    if not ops:
-        raise ValueError("kron_all needs at least one operator")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
 
 
 def _axes(layout: tuple[str, ...], labels: Sequence[str]) -> list[int]:
@@ -122,39 +120,18 @@ def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(mat)
 
 
-def trace_norm(mat: np.ndarray) -> float:
-    """Sum of singular values (nuclear norm)."""
-    return float(np.sum(np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False)))
-
-
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance (1/2)||a - b||_1."""
-    return 0.5 * trace_norm(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
+    """Trace distance (1/2)||a - b||_1, half the sum of the singular values of a - b."""
+    diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
+    return 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
 
 
 #: The labels "II", "IX", ..., "ZZ" of the two-qubit Pauli products, in
 #: lexicographic (I<X<Y<Z) order: index j of a coefficient table is O_j.
 PAULI_PRODUCT_LABELS = tuple(p1 + p2 for p1, p2 in itertools.product("IXYZ", repeat=2))
-
-
-def pauli_product_basis() -> list[tuple[str, np.ndarray]]:
-    """Hilbert-Schmidt-orthonormal Pauli product basis on two qubits.
-
-    Elements are (P_1 ⊗ P_2)/2, labeled by ``PAULI_PRODUCT_LABELS``.
-    """
-    return [
-        (label, np.kron(PAULIS[label[0]], PAULIS[label[1]]) / 2.0)
-        for label in PAULI_PRODUCT_LABELS
-    ]
-
-
-def basis_ket(index: int, dim: int) -> np.ndarray:
-    """Computational basis column vector |index> in C^dim."""
-    if not 0 <= index < dim:
-        raise ValueError(f"index {index} out of range for dim {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
+#: The Hilbert-Schmidt-orthonormal two-qubit Pauli products O_j = (P_1 ⊗ P_2)/2,
+#: a (16, 4, 4) array in the order of ``PAULI_PRODUCT_LABELS``.
+PAULI_PRODUCTS = np.stack([np.kron(PAULIS[a], PAULIS[b]) / 2.0 for a, b in PAULI_PRODUCT_LABELS])
 
 
 def proj(vec: np.ndarray) -> np.ndarray:

@@ -46,9 +46,9 @@ from .channels import PauliNoiseModel, _uniform_slices
 from .ecpa import MAX_EC_BLOCK, bits_to_hex, error_correct, pa_length, syndrome_stats
 from .ecpa import toeplitz_apply, toeplitz_seed
 from .estimation import decompose_two_local, estimate_eps_z_locc, support_pairs
-from .linalg import PAULI_PRODUCT_LABELS, basis_ket, kron_all, proj, reorder
+from .linalg import PAULI_PRODUCT_LABELS, reorder
 from .states import _SIDES_LAYOUT, DensityState, P_STAR, rho_h
-from .twist import TwistingOp, build_u_h, gamma_x, identity_twisting, make_pdit
+from .twist import build_u_h, gamma_x, identity_twisting, make_pdit
 
 __all__ = [
     "SourceSpec",
@@ -70,7 +70,7 @@ _MAX_N = 2**60
 #: The names a config may give a twisting or an ancilla, and their builders.
 _TWISTINGS = {"identity": identity_twisting, "u_h": build_u_h}
 _ANCILLAS = {
-    "comp00": lambda: proj(kron_all(basis_ket(0, 2), basis_ket(0, 2))),
+    "comp00": lambda: np.diag([1, 0, 0, 0]).astype(complex),
     "maximally_mixed": lambda: np.eye(4, dtype=complex) / 4.0,
 }
 
@@ -81,8 +81,8 @@ def _check_names(what: str, names: Sequence[str], table: dict) -> None:
             raise ValueError(f"unknown {what} {name!r}")
 
 
-def twisting_by_name(name: str) -> TwistingOp:
-    """Resolve a twisting referenced by name in configs ("identity" or "u_h")."""
+def twisting_by_name(name: str) -> np.ndarray:
+    """The 16×16 twisting a config names ("identity" or "u_h")."""
     _check_names("twisting", [name], _TWISTINGS)
     return _TWISTINGS[name]()
 

@@ -14,10 +14,8 @@ import numpy as np
 
 from .linalg import (
     _axes,
-    basis_ket,
     dagger,
     herm_eig,
-    kron_all,
     partial_trace,
     partial_transpose,
     proj,
@@ -131,10 +129,8 @@ def chi_minus_vec() -> np.ndarray:
 def _rho_blocks(p: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """(AB Bell projector, A'B' flag state) pairs with their weights folded in."""
     psi = [proj(bell_vec(k)) for k in range(4)]
-    k00 = proj(kron_all(basis_ket(0, 2), basis_ket(0, 2)))
-    k11 = proj(kron_all(basis_ket(1, 2), basis_ket(1, 2)))
-    flag0 = 0.5 * (k00 + psi[2])
-    flag1 = 0.5 * (k11 + psi[3])
+    flag0 = 0.5 * (np.diag([1, 0, 0, 0]).astype(complex) + psi[2])  # |00><00| + psi_2
+    flag1 = 0.5 * (np.diag([0, 0, 0, 1]).astype(complex) + psi[3])  # |11><11| + psi_3
     chi_p = proj(chi_plus_vec())
     chi_m = proj(chi_minus_vec())
     return [

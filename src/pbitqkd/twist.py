@@ -5,23 +5,23 @@ is a block-diagonal unitary
 
     U = sum_ij |ij><ij|_AB ⊗ U_ij
 
-controlled by the computational key basis.  Twistings leave computational
-key measurements alone (``gamma_z`` commutes with every one of them) but move
-the phase-error observable to the conjugated ``gamma_x(U)``, which is what
-the LOCC estimation machinery has to track.
+controlled by the computational key basis; a twisting here is that 16×16
+matrix, and ``key_controlled`` builds one from its four shield blocks.
+Twistings leave computational key measurements alone (``gamma_z`` commutes
+with every one of them) but move the phase-error observable to the
+conjugated ``gamma_x(U)``, which is what the LOCC estimation machinery has
+to track.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import dagger, kron_all, promote, PAULI_X, PAULI_Z
+from .linalg import dagger, promote, PAULI_X, PAULI_Z
 from .states import KEY_SHIELD_LAYOUT, CHI_C, CHI_S, DensityState, bell_vec, proj
 
 __all__ = [
-    "TwistingOp",
+    "key_controlled",
     "identity_twisting",
     "build_u_h",
     "make_pdit",
@@ -30,38 +30,23 @@ __all__ = [
     "gamma_x",
 ]
 
-#: Block keys: the key values ij of A and B, in the row-major order of the blocks.
-_KEYS = ("00", "01", "10", "11")
+
+def key_controlled(
+    u00: np.ndarray, u01: np.ndarray, u10: np.ndarray, u11: np.ndarray
+) -> np.ndarray:
+    """The twisting sum_ij |ij><ij| ⊗ U_ij of 4×4 shield blocks in key order 00, 01, 10, 11."""
+    out = np.zeros((16, 16), dtype=complex)
+    for n, block in enumerate((u00, u01, u10, u11)):
+        out[4 * n : 4 * n + 4, 4 * n : 4 * n + 4] = block
+    return out
 
 
-@dataclass
-class TwistingOp:
-    """Block data of a twisting: the four 4×4 shield blocks U_ij of a qubit key."""
-
-    blocks: dict[str, np.ndarray]
-
-    def __post_init__(self) -> None:
-        if set(self.blocks) != set(_KEYS):
-            raise ValueError(f"block keys {sorted(self.blocks)} != {list(_KEYS)}")
-        shapes = {np.asarray(b).shape for b in self.blocks.values()}
-        if shapes != {(4, 4)}:
-            raise ValueError(f"blocks must all be 4x4, got {shapes}")
-        self.blocks = {k: np.asarray(v, dtype=complex) for k, v in self.blocks.items()}
-
-    def assemble(self) -> np.ndarray:
-        """Full block-diagonal unitary on A ⊗ B ⊗ A' ⊗ B', blocks in (i, j) row-major order."""
-        out = np.zeros((16, 16), dtype=complex)
-        for n, key in enumerate(_KEYS):
-            out[4 * n : 4 * n + 4, 4 * n : 4 * n + 4] = self.blocks[key]
-        return out
+def identity_twisting() -> np.ndarray:
+    """The trivial twisting of a qubit key and a two-qubit shield."""
+    return np.eye(16, dtype=complex)
 
 
-def identity_twisting() -> TwistingOp:
-    """The trivial twisting of a qubit key and a two-qubit shield (every block an identity)."""
-    return TwistingOp({k: np.eye(4, dtype=complex) for k in _KEYS})
-
-
-def build_u_h() -> TwistingOp:
+def build_u_h() -> np.ndarray:
     """Twisting whose pdit reproduces the hiding family's key structure.
 
     The blocks combine a controlled shield phase with two Hermitian basis
@@ -92,16 +77,10 @@ def build_u_h() -> TwistingOp:
         dtype=complex,
     )
     z_shield = np.kron(PAULI_Z, np.eye(2))  # sigma_z on A', identity on B'
-    blocks = {
-        "00": dagger(v1),
-        "01": dagger(v2),
-        "10": dagger(v2) @ z_shield,
-        "11": dagger(v1) @ z_shield,
-    }
-    return TwistingOp(blocks)
+    return key_controlled(dagger(v1), dagger(v2), dagger(v2) @ z_shield, dagger(v1) @ z_shield)
 
 
-def make_pdit(tw: TwistingOp, anc: np.ndarray) -> DensityState:
+def make_pdit(u: np.ndarray, anc: np.ndarray) -> DensityState:
     """Twisted maximally-entangled core U (psi_0 ⊗ anc) U† on A ⊗ B ⊗ A' ⊗ B'.
 
     ``anc`` is the shield state, a 4×4 matrix on A' ⊗ B'.
@@ -110,13 +89,11 @@ def make_pdit(tw: TwistingOp, anc: np.ndarray) -> DensityState:
     if anc_mat.shape != (4, 4):
         raise ValueError(f"ancilla shape {anc_mat.shape} != shield dim 4")
     core = np.kron(proj(bell_vec(0)), anc_mat)
-    u = tw.assemble()
     return DensityState(u @ core @ dagger(u), KEY_SHIELD_LAYOUT)
 
 
-def untwist_and_trace(state: DensityState, tw: TwistingOp) -> DensityState:
-    """Undo the twisting and keep only the key factors: Tr_shield(U† rho U)."""
-    u = tw.assemble()
+def untwist_and_trace(state: DensityState, u: np.ndarray) -> DensityState:
+    """Undo the twisting U and keep only the key factors: Tr_shield(U† rho U)."""
     undone = dagger(u) @ state.mat @ u
     return DensityState(undone, state.layout).partial_trace(("A", "B"))
 
@@ -127,16 +104,15 @@ def gamma_z(layout: tuple[str, ...] = KEY_SHIELD_LAYOUT) -> np.ndarray:
     Commutes with every twisting (the blocks are key-diagonal), so its
     statistics survive twisting exactly; <gamma_z> = 1 - 2*eps_x.
     """
-    return promote(kron_all(PAULI_Z, PAULI_Z), layout, layout[:2])
+    return promote(np.kron(PAULI_Z, PAULI_Z), layout, layout[:2])
 
 
-def gamma_x(tw: TwistingOp) -> np.ndarray:
+def gamma_x(u: np.ndarray) -> np.ndarray:
     """Twisted phase-error observable U (sigma_x ⊗ sigma_x ⊗ I) U† on A ⊗ B ⊗ A' ⊗ B'.
 
     On an untwisted ideal core <sigma_x sigma_x> = 1; conjugating by the
     twisting makes the observable followable through the shield:
     <gamma_x> = 1 - 2*eps_z on the twisted state.
     """
-    xx = promote(kron_all(PAULI_X, PAULI_X), KEY_SHIELD_LAYOUT, ["A", "B"])
-    u = tw.assemble()
+    xx = promote(np.kron(PAULI_X, PAULI_X), KEY_SHIELD_LAYOUT, ["A", "B"])
     return u @ xx @ dagger(u)

@@ -9,10 +9,11 @@ joint-outcome projection that the run set-up's tables are checked against.
 
 import numpy as np
 
-from pbitqkd.estimation import _EIGVECS
-from pbitqkd.linalg import PAULI_PRODUCT_LABELS, dagger, pauli_product_basis, proj, reorder
+from pbitqkd.linalg import (
+    PAULI_EIGVECS, PAULI_PRODUCT_LABELS, PAULI_PRODUCTS, dagger, proj, reorder,
+)
 from pbitqkd.states import _SIDES_LAYOUT, AB_LAYOUT, DensityState, bell_vec
-from pbitqkd.twist import TwistingOp
+from pbitqkd.twist import key_controlled
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -57,15 +58,15 @@ def bell_state(k: int) -> DensityState:
     return DensityState(proj(bell_vec(k)), AB_LAYOUT)
 
 
-def random_twisting(rng: np.random.Generator) -> TwistingOp:
+def random_twisting(rng: np.random.Generator) -> np.ndarray:
     """Twisting with independent Haar-random shield blocks, drawn in key order 00, 01, 10, 11."""
-    return TwistingOp({k: random_unitary(4, rng) for k in ("00", "01", "10", "11")})
+    return key_controlled(*[random_unitary(4, rng) for _ in range(4)])
 
 
 def reconstruct(coeffs: np.ndarray) -> np.ndarray:
     """Rebuild the matrix sum_jajb s O_ja ⊗ O_jb on A ⊗ B ⊗ A' ⊗ B'."""
     # each O_j is indexed (key row, shield row, key col, shield col)
-    basis = np.stack([op for _, op in pauli_product_basis()]).reshape(16, 2, 2, 2, 2)
+    basis = PAULI_PRODUCTS.reshape(16, 2, 2, 2, 2)
     out = np.einsum("ab,apqrs,btuvw->ptqurvsw", coeffs, basis, basis)
     return out.reshape(16, 16)
 
@@ -89,10 +90,10 @@ def local_eigensystem(label: str) -> tuple[np.ndarray, np.ndarray]:
     vals = np.array([1.0])
     vecs = np.array([[1.0]], dtype=complex)
     for ch in label:
-        if ch not in _EIGVECS:
+        if ch not in PAULI_EIGVECS:
             raise ValueError(f"unknown Pauli letter {ch!r}")
         vals = np.kron(vals, _EIGVALS[ch])
-        vecs = np.kron(vecs, _EIGVECS[ch])
+        vecs = np.kron(vecs, PAULI_EIGVECS[ch])
     return vals / np.sqrt(2.0 ** len(label)), vecs
 
 

@@ -177,8 +177,8 @@ def test_estimate_requires_a_seed(capsys):
 def test_estimate_bad_config_values_are_usage_errors(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     # a round of 2^60 copies or more is refused too
-    for cfg in ({"candidates": [None]}, {"m_x": "many"}, {"m_prime": 0}, {"candidates": []},
-                {"m_x": 1e40}, {"m_prime": 2e18}):
+    for cfg in ({"candidates": [None]}, {"m_x": "many"}, {"m_prime": 0}, {"m_x": 0}, {"m_x": -3},
+                {"candidates": []}, {"m_x": 1e40}, {"m_prime": 2e18}):
         cfg_path.write_text(json.dumps(cfg))
         assert main(["estimate", "--seed", "1", "--config", str(cfg_path)]) == EXIT_USAGE, cfg
         assert capsys.readouterr().out == "", cfg

@@ -14,8 +14,8 @@ from pbitqkd.estimation import (
     pm_signal_ensemble,
     support_pairs,
 )
-from pbitqkd.linalg import PAULI_PRODUCT_LABELS, dagger, kron_all, proj, trace_distance
-from pbitqkd.states import KEY_SHIELD_LAYOUT, DensityState, basis_ket
+from pbitqkd.linalg import PAULI_PRODUCT_LABELS, PAULI_PRODUCTS, dagger, trace_distance
+from pbitqkd.states import KEY_SHIELD_LAYOUT, DensityState
 from pbitqkd.twist import build_u_h, gamma_x, identity_twisting, make_pdit
 from reference import (
     joint_outcome_table,
@@ -27,8 +27,7 @@ from reference import (
 
 
 def u_h_pbit():
-    anc = proj(kron_all(basis_ket(0, 2), basis_ket(0, 2)))
-    return make_pdit(build_u_h(), anc)
+    return make_pdit(build_u_h(), np.diag([1, 0, 0, 0]).astype(complex))
 
 
 def exact_records(state, coeffs):
@@ -52,13 +51,11 @@ def test_local_eigensystem_shapes_and_values():
 
 
 def test_local_eigensystem_diagonalizes_the_basis_element():
-    from pbitqkd.linalg import pauli_product_basis
-
-    basis = dict(pauli_product_basis())
     for label in ("IX", "ZZ", "YX", "II"):
         vals, vecs = local_eigensystem(label)
         rebuilt = vecs @ np.diag(vals) @ dagger(vecs)
-        assert np.max(np.abs(rebuilt - basis[label])) < 1e-12, label
+        basis_element = PAULI_PRODUCTS[PAULI_PRODUCT_LABELS.index(label)]
+        assert np.max(np.abs(rebuilt - basis_element)) < 1e-12, label
 
 
 def test_decompose_reconstructs_gamma_x():
@@ -101,16 +98,12 @@ def test_pm_signal_ensemble_refuses_labels_that_are_not_two_pauli_letters():
 def test_joint_outcome_table_matches_direct_expectation():
     state = u_h_pbit()
     dec = decompose_two_local(gamma_x(build_u_h()))
-    from pbitqkd.linalg import pauli_product_basis
-
-    basis = dict(pauli_product_basis())
     for ja, jb in support_pairs(dec):
         probs, products = joint_outcome_table(state, ja, jb)
         assert abs(probs.sum() - 1.0) < 1e-12
         assert probs.min() >= 0.0
         mean = float(np.dot(probs, products))
-        obs_a = basis[PAULI_PRODUCT_LABELS[ja]]
-        obs_b = basis[PAULI_PRODUCT_LABELS[jb]]
+        obs_a, obs_b = PAULI_PRODUCTS[ja], PAULI_PRODUCTS[jb]
         # assemble O_a ⊗ O_b in layout order (A, A') x (B, B')
         direct = _expect_product(state, obs_a, obs_b)
         assert abs(mean - direct) < 1e-10

@@ -21,7 +21,8 @@ DELETED = (
     "phi_d_vec", "maximally_mixed", "apply_channel",
     "random_unitary", "random_density", "bell_state", "random_twisting", "joint_outcome_table",
     "TensorLayout", "ProductDecomposition", "EstimationResult", "best_candidate",
-    "local_eigensystem",
+    "local_eigensystem", "TwistingOp", "kron_all", "basis_ket", "trace_norm",
+    "pauli_product_basis",
 )
 
 

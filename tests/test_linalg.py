@@ -1,26 +1,28 @@
 """Dense linear-algebra kernel: qubit layouts, promotion, partial operations, norms."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbitqkd.linalg import (
+    PAULI_EIGVECS,
     PAULI_I,
+    PAULI_PRODUCT_LABELS,
+    PAULI_PRODUCTS,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
-    basis_ket,
     dagger,
     herm_eig,
-    kron_all,
     partial_trace,
     partial_transpose,
-    pauli_product_basis,
     proj,
     promote,
     reorder,
     trace_distance,
-    trace_norm,
 )
 from pbitqkd.states import KEY_SHIELD_LAYOUT, DensityState, rho_h
 from reference import check_density, random_density, random_unitary
@@ -28,29 +30,21 @@ from reference import check_density, random_density, random_unitary
 L4 = ("A", "B", "A'", "B'")
 
 
-def test_kron_all_matches_numpy():
-    a = np.arange(4).reshape(2, 2).astype(complex)
-    b = np.eye(2, dtype=complex) * 2
-    assert np.allclose(kron_all(a, b, a), np.kron(np.kron(a, b), a))
-    with pytest.raises(ValueError):
-        kron_all()
-
-
 def test_promote_in_layout_order():
     # X on A with everything else identity is X ⊗ I ⊗ I ⊗ I
     big = promote(PAULI_X, L4, ["A"])
-    assert np.allclose(big, kron_all(PAULI_X, PAULI_I, PAULI_I, PAULI_I))
+    assert np.allclose(big, reduce(np.kron, (PAULI_X, PAULI_I, PAULI_I, PAULI_I)))
     # two-factor op on (B, B')
     op = np.kron(PAULI_X, PAULI_Z)
     big = promote(op, L4, ["B", "B'"])
-    assert np.allclose(big, kron_all(PAULI_I, PAULI_X, PAULI_I, PAULI_Z))
+    assert np.allclose(big, reduce(np.kron, (PAULI_I, PAULI_X, PAULI_I, PAULI_Z)))
 
 
 def test_promote_respects_label_order_not_layout_order():
     # op indexed as (B', B): promoting with labels reversed must transpose the roles
     op = np.kron(PAULI_X, PAULI_Z)  # X on B', Z on B
     big = promote(op, L4, ["B'", "B"])
-    assert np.allclose(big, kron_all(PAULI_I, PAULI_Z, PAULI_I, PAULI_X))
+    assert np.allclose(big, reduce(np.kron, (PAULI_I, PAULI_Z, PAULI_I, PAULI_X)))
 
 
 def test_promote_refuses_unknown_repeated_or_misshapen():
@@ -66,10 +60,10 @@ def test_reorder_permutes_factors_and_their_layout():
     rng = np.random.default_rng(2)
     a, b, c, d = (random_density(2, rng) for _ in range(4))
     permuted = ("B'", "A", "B", "A'")
-    mat = reorder(kron_all(a, b, c, d), L4, permuted)
-    assert np.allclose(mat, kron_all(d, a, b, c))
+    mat = reorder(reduce(np.kron, (a, b, c, d)), L4, permuted)
+    assert np.allclose(mat, reduce(np.kron, (d, a, b, c)))
     back = reorder(mat, permuted, L4)
-    assert np.allclose(back, kron_all(a, b, c, d))
+    assert np.allclose(back, reduce(np.kron, (a, b, c, d)))
     for labels in (["A", "B"], ["A", "A", "B", "B'"], ["A", "B", "A'", "Q"]):
         with pytest.raises(ValueError):  # missing, repeated or unknown qubits
             reorder(mat, L4, labels)
@@ -108,7 +102,7 @@ def test_partial_trace_preserves_trace_and_order():
     assert abs(np.trace(red) - 1.0) < 1e-12
     # the kept qubits come out in layout order (A, B'), not in the order listed
     a, b, c, d = (random_density(2, rng) for _ in range(4))
-    red = partial_trace(kron_all(a, b, c, d), L4, ["B'", "A"])
+    red = partial_trace(reduce(np.kron, (a, b, c, d)), L4, ["B'", "A"])
     assert np.allclose(red, np.kron(a, d), atol=1e-12)
 
 
@@ -154,23 +148,32 @@ def test_herm_eig_rejects_non_hermitian():
 
 
 def test_norms_on_paulis():
-    assert abs(trace_norm(PAULI_X) - 2.0) < 1e-12
+    # ||X||_1 = 2: the trace distance of X from zero is half of it
+    assert abs(trace_distance(PAULI_X, np.zeros((2, 2))) - 1.0) < 1e-12
     assert abs(np.sqrt(np.trace(dagger(PAULI_Z) @ PAULI_Z).real) - np.sqrt(2)) < 1e-12
 
 
 def test_trace_distance_extremes():
-    k0, k1 = proj(basis_ket(0, 2)), proj(basis_ket(1, 2))
+    k0, k1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
     assert abs(trace_distance(k0, k1) - 1.0) < 1e-12
     assert trace_distance(k0, k0) == 0.0
 
 
 def test_pauli_product_basis_orthonormal():
-    basis = pauli_product_basis()
-    assert [lab for lab, _ in basis][:5] == ["II", "IX", "IY", "IZ", "XI"]
-    assert len(basis) == 16
-    mats = [m for _, m in basis]
-    gram = np.array([[np.trace(dagger(a) @ b) for b in mats] for a in mats])
+    assert PAULI_PRODUCT_LABELS[:5] == ("II", "IX", "IY", "IZ", "XI")
+    assert PAULI_PRODUCTS.shape == (16, 4, 4)
+    assert np.array_equal(PAULI_PRODUCTS[PAULI_PRODUCT_LABELS.index("XZ")],
+                          np.kron(PAULI_X, PAULI_Z) / 2.0)
+    gram = np.array([[np.trace(dagger(a) @ b) for b in PAULI_PRODUCTS] for a in PAULI_PRODUCTS])
     assert np.allclose(gram, np.eye(16), atol=1e-12)
+
+
+def test_pauli_eigvecs_diagonalize_the_paulis_plus_one_first():
+    for letter, pauli in zip("XYZ", (PAULI_X, PAULI_Y, PAULI_Z)):
+        vecs = PAULI_EIGVECS[letter]
+        assert np.allclose(dagger(vecs) @ vecs, np.eye(2), atol=1e-15)
+        assert np.allclose(dagger(vecs) @ pauli @ vecs, np.diag([1, -1]), atol=1e-15), letter
+    assert np.array_equal(PAULI_EIGVECS["I"], np.eye(2))
 
 
 def test_random_unitary_and_density():
@@ -192,10 +195,6 @@ def test_check_density_rejects_bad_inputs():
 
 
 def test_basis_ket_and_proj():
-    v = basis_ket(2, 4)
-    assert v[2] == 1.0 and np.sum(np.abs(v)) == 1.0
-    with pytest.raises(ValueError):
-        basis_ket(4, 4)
     p = proj(np.array([1, 1]) / np.sqrt(2))
     assert np.allclose(p, 0.5 * np.ones((2, 2)))
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pbitqkd.linalg import (
     herm_eig,
-    kron_all,
     proj,
     trace_distance,
 )
@@ -107,7 +106,7 @@ def test_sigma_ab_structure():
 
 def test_density_state_expect_and_conjugate():
     rho = bell_state(0)
-    zz = kron_all(np.diag([1, -1]).astype(complex), np.diag([1, -1]).astype(complex))
+    zz = np.kron(np.diag([1, -1]).astype(complex), np.diag([1, -1]).astype(complex))
     assert abs(rho.expect(zz) - 1.0) < 1e-14
     rng = np.random.default_rng(5)
     u = random_unitary(2, rng)
