@@ -36,10 +36,11 @@ __all__ = [
     "check_solver_args",
     "check_beta_b",
     "choose_params",
+    "search_n",
 ]
 
 _LN2 = math.log(2.0)
-#: The minimal-n search of ``choose_params`` gives up above this n.
+#: The minimal-n search (``search_n``) gives up above this n.
 _N_CAP = 2**200
 
 
@@ -424,16 +425,21 @@ def choose_params(
     the search's cap answers n = None at once, from that attempt.
     """
     top = check_solver_args(s, delta, d, d_prime, n)
-    if n is not None:
-        return top
+    return top if n is not None else search_n(top)
+
+
+def search_n(top: ParamSolution) -> ParamSolution:
+    """The minimal feasible n, by doubling and then bisection, at the s,
+    delta, d and d_prime of ``top``: ``check_solver_args``' attempt at the
+    search's cap, which answers n = None at once when it is infeasible."""
+    s, delta, d, d_prime = top.s, top.delta, top.d, top.d_prime
 
     def feasible(n_val: int) -> bool:
         return _attempt(s, delta, d, d_prime, n_val).feasible
 
-    # locate the minimal feasible n (doubling, then bisection).  No attempt
-    # below the cap overflows where the cap's did not: r and the least m'
-    # shrink with n, the m' search stays below twice the least m', and the
-    # cap's budget margin held m_z = t^2 m' >= 16 m' as a finite double
+    # no attempt below the cap overflows where the cap's did not: r and the
+    # least m' shrink with n, the m' search stays below twice the least m',
+    # and the cap's budget margin held m_z = t^2 m' >= 16 m' as a finite double
     n_lo = max(4 * top.m_x, 1024)
     n_hi = n_lo
     while top.feasible and n_hi <= _N_CAP:

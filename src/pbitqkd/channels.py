@@ -21,7 +21,7 @@ import numpy as np
 
 from .canonical import canonical_json, from_fields, json_real
 from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PAULIS, dagger, promote
-from .states import CHI_C, CHI_S, DensityState
+from .states import CHI_C, CHI_S, KEY_SHIELD_LAYOUT, DensityState
 
 __all__ = [
     "PauliNoiseModel",
@@ -158,26 +158,20 @@ def binding_channel_kraus(p: float, kappa: float = 0.0) -> list[tuple[str, np.nd
     return ops
 
 
-def binding_channel_apply(state: DensityState, p: float, kappa: float = 0.0) -> DensityState:
-    """Apply the binding channel, sum_k K rho K† on B ⊗ B', to a four-factor state."""
-    out = np.zeros_like(state.mat)
-    for _, k in binding_channel_kraus(p, kappa):
-        big = promote(k, state.layout, ("B", "B'"))
-        out += big @ state.mat @ dagger(big)
-    return DensityState(out, state.layout)
+def binding_channel_apply(rho: np.ndarray, p: float, kappa: float = 0.0) -> np.ndarray:
+    """Apply the binding channel, sum_k K rho K† on B ⊗ B', to a state on the arena."""
+    bigs = [promote(k, KEY_SHIELD_LAYOUT, ("B", "B'")) for _, k in binding_channel_kraus(p, kappa)]
+    return sum(big @ rho @ dagger(big) for big in bigs)
 
 
 def channel_branches(
-    state: DensityState, kraus: Sequence[tuple[str, np.ndarray]]
-) -> list[tuple[str, float, DensityState]]:
+    rho: np.ndarray, kraus: Sequence[tuple[str, np.ndarray]]
+) -> list[tuple[str, float, np.ndarray]]:
     """Branch probabilities and normalized post-states for each Kraus operator on B ⊗ B'."""
     out = []
     for lab, k in kraus:
-        big = promote(k, state.layout, ("B", "B'"))
-        post = big @ state.mat @ dagger(big)
+        big = promote(k, KEY_SHIELD_LAYOUT, ("B", "B'"))
+        post = big @ rho @ dagger(big)
         prob = float(np.trace(post).real)
-        if prob > 1e-15:
-            post = post / prob
-        out.append((lab, prob, DensityState(post, state.layout)))
+        out.append((lab, prob, post / prob if prob > 1e-15 else post))
     return out
-

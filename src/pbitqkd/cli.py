@@ -8,7 +8,8 @@ Conventions shared by every subcommand:
 * every numeric in emitted JSON is finite (non-finite values are emitted as
   null next to an explicit flag, e.g. ``vacuous``);
 * exit code 0 on success, 1 when a verification subcommand finds a failing
-  check, 2 on usage/config errors (argparse uses 2 natively);
+  check or the program fails (stderr tells the two apart: a logged failed
+  check, or a traceback), 2 on usage/config errors (argparse uses 2 natively);
 * run/estimate subcommands never seed from the wall clock -- a seed must
   come from ``--seed`` or the config file.
 
@@ -33,17 +34,18 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 from .bounds import (
     BoundParams,
     check_beta_b,
+    check_solver_args,
     choose_params,
     composable_insecurity,
     key_rate,
     protocol_failure_bound,
     relaxation_budget,
+    search_n,
 )
 from .canonical import canonical_json, json_int, json_real, read_entries
 
 if TYPE_CHECKING:
     from .protocol import ProtocolConfig
-    from .states import DensityState
 
 log = logging.getLogger("pbitqkd")
 
@@ -231,8 +233,8 @@ def cmd_verify_example(args, cfg: dict) -> int:
         channel_branches,
     )
     from .estimation import decompose_two_local
-    from .linalg import herm_eig
-    from .states import P_STAR, rho_h, sigma_ab
+    from .linalg import herm_eig, partial_transpose, trace_distance
+    from .states import KEY_SHIELD_LAYOUT, P_STAR, rho_h, sigma_ab
     from .twist import build_u_h, gamma_x, gamma_z, untwist_and_trace
 
     p, kappa = P_STAR if cfg["p"] is None else cfg["p"], cfg["kappa"]
@@ -240,18 +242,16 @@ def cmd_verify_example(args, cfg: dict) -> int:
         state = rho_h(p, kappa)
     checks = []
 
-    pt = state.partial_transpose(("B", "B'"))
-    vals, _ = herm_eig(pt)
+    vals, _ = herm_eig(partial_transpose(state, KEY_SHIELD_LAYOUT, ("B", "B'")))
     checks.append(_check("ppt_min_eigenvalue", float(vals.min()), PPT_CLI_TOL, "min_eig"))
 
     u = build_u_h()
-    untwisted = untwist_and_trace(state, u)
-    dev = untwisted.distance_to(sigma_ab(p, kappa))
+    dev = trace_distance(untwist_and_trace(state, u), sigma_ab(p, kappa))
     checks.append(_check("untwist_trace_distance", dev, 1e-9))
 
     phi2 = _phi_phi()
-    through = binding_channel_apply(phi2, p, kappa)
-    checks.append(_check("channel_reproduces_state", through.distance_to(rho_h(p, kappa)), 1e-9))
+    dev = trace_distance(binding_channel_apply(phi2, p, kappa), state)
+    checks.append(_check("channel_reproduces_state", dev, 1e-9))
 
     povm_dev = float(
         np.abs(POVM_M0.conj().T @ POVM_M0 + POVM_M1.conj().T @ POVM_M1 - np.eye(2)).max()
@@ -301,23 +301,22 @@ def cmd_verify_example(args, cfg: dict) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _phi_phi() -> DensityState:
-    """Φ⊗Φ on the key/shield layout."""
-    import numpy as np
-
+def _phi_phi():
+    """Φ⊗Φ on the arena: the pdit of the identity twisting with a Φ shield."""
     from .linalg import proj
-    from .states import KEY_SHIELD_LAYOUT, DensityState, bell_vec
+    from .states import bell_vec
+    from .twist import identity_twisting, make_pdit
 
-    return DensityState(proj(np.kron(bell_vec(0), bell_vec(0))), KEY_SHIELD_LAYOUT)
+    return make_pdit(identity_twisting(), proj(bell_vec(0)))
 
 
-def _six_state_deviation(phi2: DensityState) -> float:
+def _six_state_deviation(phi2) -> float:
     """Max deviation of the aggregated signal ensemble from the equiprobable
     six-state ensemble, over both receiving factors."""
     import numpy as np
 
     from .estimation import pm_signal_ensemble
-    from .linalg import PAULI_EIGVECS, proj
+    from .linalg import PAULI_EIGVECS, partial_trace, proj
 
     projs = {axis + sign: proj(PAULI_EIGVECS[axis][:, k])
              for axis in "XYZ" for k, sign in enumerate("+-")}
@@ -329,10 +328,10 @@ def _six_state_deviation(phi2: DensityState) -> float:
             for prob, cond in pm_signal_ensemble(phi2, label):
                 if prob <= 0.0:
                     continue
-                marg = cond.partial_trace((factor,))
+                marg = partial_trace(cond, ("B", "B'"), (factor,))
                 best_key, best_dev = None, math.inf
                 for key, pr in projs.items():
-                    d = float(np.abs(marg.mat - pr).max())
+                    d = float(np.abs(marg - pr).max())
                     if d < best_dev:
                         best_key, best_dev = key, d
                 worst = max(worst, best_dev)
@@ -382,7 +381,8 @@ def cmd_bounds(args, cfg: dict) -> int:
 
 def cmd_solve_params(args, cfg: dict) -> int:
     with _config_errors("solve-params"):
-        sol = choose_params(*cfg.values())
+        top = check_solver_args(*cfg.values())
+    sol = top if cfg["n"] is not None else search_n(top)
     payload = {"schema": SCHEMA, "solution": sol.to_dict()}
     _emit(payload, args.out)
     if not sol.feasible:
@@ -394,14 +394,15 @@ def cmd_solve_params(args, cfg: dict) -> int:
 
 
 def cmd_estimate(args, cfg: dict) -> int:
-    from .protocol import ProtocolConfig, SourceSpec, run_estimate
+    from .protocol import ProtocolConfig, SourceSpec, check_estimate, run_estimate
 
     seed, m_x, m_prime = cfg["seed"], cfg["m_x"], cfg["m_prime"]
     source = cfg["source"] or SourceSpec()
     candidates = cfg["candidates"] or ProtocolConfig.candidates
 
     with _config_errors("estimate"):
-        estimates = run_estimate(source, seed, m_x, m_prime, candidates)
+        check_estimate(source, seed, m_x, m_prime, candidates)
+    estimates = run_estimate(source, seed, m_x, m_prime, candidates)
     payload = {
         "schema": SCHEMA,
         "seed": seed,
@@ -448,15 +449,15 @@ def cmd_pm_ensemble(args, cfg: dict) -> int:
     if source and source.noise:
         raise UsageError("bad pm-ensemble config: source: pm-ensemble reads no noise")
     default_input = not source
-    state = _phi_phi() if default_input else source.base_state()
+    state = _phi_phi() if default_input else source.base_state().mat
 
     observables = {}
     for label in PAULI_PRODUCT_LABELS:
         observables[label] = [
             {
                 "prob": prob,
-                "state_re": np.round(st.mat.real, 12).tolist(),
-                "state_im": np.round(st.mat.imag, 12).tolist(),
+                "state_re": np.round(st.real, 12).tolist(),
+                "state_im": np.round(st.imag, 12).tolist(),
             }
             for prob, st in pm_signal_ensemble(state, label)
         ]

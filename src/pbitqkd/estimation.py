@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .linalg import PAULI_EIGVECS, PAULI_PRODUCT_LABELS, PAULI_PRODUCTS, reorder
-from .states import _SIDES_LAYOUT, KEY_SHIELD_LAYOUT, DensityState
+from .states import _SIDES_LAYOUT, KEY_SHIELD_LAYOUT
 
 __all__ = [
     "decompose_two_local",
@@ -57,35 +57,25 @@ def support_pairs(coeffs: np.ndarray) -> list[tuple[int, int]]:
     return sorted(zip(ja.tolist(), jb.tolist()))
 
 
-def pm_signal_ensemble(state: DensityState, label_a: str) -> list[tuple[float, DensityState]]:
+def pm_signal_ensemble(rho: np.ndarray, label_a: str) -> list[tuple[float, np.ndarray]]:
     """Signal ensemble Alice prepares on Bob's side by measuring one observable.
 
     Measuring the product observable ``label_a`` (two letters over IXYZ, for
     A and A', identity factors read in the computational basis) on her share
-    (A, A') of ``state`` collapses Bob's share (B, B') to a conditional state
-    with the outcome's probability.  Returns the (probability, normalized state)
-    list in eigenvector order; zero-probability outcomes keep a zero state.
+    (A, A') of the arena state ``rho`` collapses Bob's share (B, B') to a
+    conditional state with the outcome's probability.  Returns the
+    (probability, normalized 4×4 state on (B, B')) list in eigenvector order;
+    zero-probability outcomes keep a zero state.
     """
     if label_a not in PAULI_PRODUCT_LABELS:
         raise ValueError(f"need two Pauli letters over IXYZ, got {label_a!r}")
-    vecs_a = np.array([[1.0]], dtype=complex)
-    for ch in label_a:
-        vecs_a = np.kron(vecs_a, PAULI_EIGVECS[ch])
-    rho = reorder(state.mat, state.layout, _SIDES_LAYOUT)
-    da = vecs_a.shape[0]
-    db = rho.shape[0] // da
-    rho4 = rho.reshape(da, db, da, db)
+    vecs_a = np.kron(*(PAULI_EIGVECS[ch] for ch in label_a))
+    rho4 = reorder(rho, KEY_SHIELD_LAYOUT, _SIDES_LAYOUT).reshape(4, 4, 4, 4)
     out = []
-    for k in range(da):
-        v = vecs_a[:, k]
+    for v in vecs_a.T:
         cond = np.einsum("i,ipjq,j->pq", v.conj(), rho4, v)
         prob = float(np.trace(cond).real)
-        if prob > 1e-15:
-            cond = cond / prob
-        else:
-            prob = 0.0
-            cond = np.zeros((db, db), dtype=complex)
-        out.append((prob, DensityState(cond, _SIDES_LAYOUT[2:])))
+        out.append((prob, cond / prob) if prob > 1e-15 else (0.0, np.zeros((4, 4), complex)))
     return out
 
 

@@ -1,7 +1,8 @@
 """Dense complex linear algebra on a few labeled qubits.
 
-Everything downstream (states, twistings, channels, estimators) works with
-explicit dense matrices on a layout: a tuple of qubit labels such as
+Everything downstream (states, twistings, channels, estimators) takes and
+returns plain dense matrices.  A function that acts on named qubits takes
+the matrix with its layout: a tuple of qubit labels such as
 ``("A", "B", "A'", "B'")``, in the order `numpy.kron` builds the matrix.
 The Paulis come as matrices, their eigenbases (``PAULI_EIGVECS``) and the
 (16, 4, 4) table of two-qubit products (``PAULI_PRODUCTS``).  Protocols at

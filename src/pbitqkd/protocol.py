@@ -47,7 +47,7 @@ from .ecpa import MAX_EC_BLOCK, bits_to_hex, error_correct, pa_length, syndrome_
 from .ecpa import toeplitz_apply, toeplitz_seed
 from .estimation import decompose_two_local, estimate_eps_z_locc, support_pairs
 from .linalg import PAULI_PRODUCT_LABELS, reorder
-from .states import _SIDES_LAYOUT, DensityState, P_STAR, rho_h
+from .states import _SIDES_LAYOUT, KEY_SHIELD_LAYOUT, DensityState, P_STAR, rho_h
 from .twist import build_u_h, gamma_x, identity_twisting, make_pdit
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "Transcript",
     "run_ppp",
     "run_pm",
+    "check_estimate",
     "run_estimate",
     "model_estimates",
     "twisting_by_name",
@@ -119,9 +120,12 @@ class SourceSpec:
             raise ValueError(f"a {self.kind} source reads no {' or '.join(given)}")
 
     def base_state(self) -> DensityState:
-        if self.kind == "rho_h":
-            return rho_h(self.p, self.kappa)
-        return make_pdit(twisting_by_name(self.twisting), _ANCILLAS[self.ancilla]())
+        """The single-copy state on the arena.  The library reads its ``.mat``; it stays
+        a record until perfbench/checks.py, which reads ``.expect`` and ``.layout``,
+        reads the matrix."""
+        mat = (rho_h(self.p, self.kappa) if self.kind == "rho_h"
+               else make_pdit(twisting_by_name(self.twisting), _ANCILLAS[self.ancilla]()))
+        return DensityState(mat, KEY_SHIELD_LAYOUT)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -302,19 +306,19 @@ def _setup(source: SourceSpec, candidates: tuple[str, ...]) -> _Setup:
     support = tuple(sorted({pair for coeffs in decomps.values() for pair in support_pairs(coeffs)}))
     labels = MappingProxyType({pair: "|".join(PAULI_PRODUCT_LABELS[j] for j in pair)
                                for pair in support})
-    base = source.base_state()
+    rho = source.base_state().mat
     sign = np.repeat(_SIGN, 4, axis=1)[:, None, :]  # O_jb's B letter is jb // 4
-    plus = np.clip((1.0 + 4.0 * sign * decompose_two_local(base.mat)) / 2.0, 0.0, 1.0)
-    joint16 = _computational_law(base)[np.arange(16) ^ np.array([[0], [0], [2], [2]])]
+    plus = np.clip((1.0 + 4.0 * sign * decompose_two_local(rho)) / 2.0, 0.0, 1.0)
+    joint16 = _computational_law(rho)[np.arange(16) ^ np.array([[0], [0], [2], [2]])]
     for arr in (plus, joint16, *decomps.values()):
         arr.setflags(write=False)
     return _Setup(MappingProxyType(decomps), support, labels, plus, joint16)
 
 
-def _computational_law(state: DensityState) -> np.ndarray:
-    """Outcome law of every qubit read in the computational basis, (A, A', B, B') order."""
-    rho = reorder(state.mat, state.layout, _SIDES_LAYOUT)
-    probs = np.clip(np.diagonal(rho).real, 0.0, None)
+def _computational_law(rho: np.ndarray) -> np.ndarray:
+    """Outcome law of every qubit of the arena state ``rho`` read in the computational
+    basis, (A, A', B, B') order."""
+    probs = np.clip(np.diagonal(reorder(rho, KEY_SHIELD_LAYOUT, _SIDES_LAYOUT)).real, 0.0, None)
     total = probs.sum()
     if not np.isclose(total, 1.0, atol=1e-8):
         raise ValueError(f"outcome probabilities sum to {total}, state not normalized?")
@@ -699,23 +703,12 @@ def run_pm(config: ProtocolConfig) -> Transcript:
     )
 
 
-def run_estimate(
-    source: SourceSpec,
-    seed: int,
-    m_x: int,
-    m_prime: int,
-    candidates: Sequence[str],
-) -> dict:
-    """One parameter-estimation round: a run with no key copies.
-
-    Same set-up, position layout and measurement core as ``run_ppp`` on
-    n = m_x + |support|*m_prime copies, with no shuffle, so the bit-error
-    sample and the groups are the leading slices of the codes.  Source
-    noise (only a pbit source carries one) acts as in the runs.  Refuses
-    what a run's config would (candidates, m_x or m_prime below 1, a
-    negative seed, 2^60 copies or more).  Returns the ``estimates`` block a
-    run's transcript would carry.
-    """
+def check_estimate(
+    source: SourceSpec, seed: int, m_x: int, m_prime: int, candidates: Sequence[str]
+) -> tuple[_Setup, int]:
+    """Refuse what a run's config would refuse in an estimation round: candidates,
+    m_x or m_prime below 1, a negative seed, 2^60 copies or more.  Returns the
+    round's set-up and its n = m_x + |support|*m_prime copies (at least 4)."""
     candidates = ProtocolConfig.check_candidates(candidates)
     _check_budgets(m_x, m_prime)
     if seed < 0:
@@ -725,6 +718,21 @@ def run_estimate(
     n = max(4, m_x + len(setup.support) * m_prime)
     if n >= _MAX_N:
         raise ValueError(f"need m_x + |support| * m_prime < 2^60 copies, got {n}")
+    return setup, n
+
+
+def run_estimate(
+    source: SourceSpec, seed: int, m_x: int, m_prime: int, candidates: Sequence[str]
+) -> dict:
+    """One parameter-estimation round: a run with no key copies.
+
+    Same set-up, position layout and measurement core as ``run_ppp`` on the
+    n copies that ``check_estimate`` accepts, with no shuffle, so the
+    bit-error sample and the groups are the leading slices of the codes.
+    Source noise (only a pbit source carries one) acts as in the runs.
+    Returns the ``estimates`` block a run's transcript would carry.
+    """
+    setup, n = check_estimate(source, seed, m_x, m_prime, candidates)
     rng = np.random.default_rng(seed)
     codes = _pattern_codes(source, None, n, rng)
     codes_x, group_codes, _ = _split_codes(codes, m_x, m_prime, setup.support)

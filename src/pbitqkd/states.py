@@ -1,8 +1,11 @@
 """State constructors: Bell pairs, the hiding family rho_h, and ccq reductions.
 
 The canonical four-qubit arena is ``A ⊗ B ⊗ A' ⊗ B'``: A/B carry the key
-qubits, A'/B' the two-qubit shield.  All constructors return :class:`DensityState`
-objects that pair the dense matrix with its qubit labels, in `numpy.kron` order.
+qubits, A'/B' the two-qubit shield.  Every constructor returns the dense
+matrix, on the arena in `numpy.kron` order, or on A ⊗ B for a two-qubit
+target.  :class:`DensityState` pairs a matrix with its qubit labels; it is
+the record that perfbench reads, through ``SourceSpec.base_state`` and
+``channels.apply_pauli``.
 """
 
 from __future__ import annotations
@@ -12,20 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (
-    _axes,
-    dagger,
-    herm_eig,
-    partial_trace,
-    partial_transpose,
-    proj,
-    promote,
-    trace_distance,
-)
+from .linalg import dagger, herm_eig, proj, promote
 
 __all__ = [
     "KEY_SHIELD_LAYOUT",
-    "AB_LAYOUT",
     "DensityState",
     "bell_vec",
     "chi_plus_vec",
@@ -39,7 +32,6 @@ __all__ = [
 
 #: Default arena: two key qubits and a two-qubit shield.
 KEY_SHIELD_LAYOUT = ("A", "B", "A'", "B'")
-AB_LAYOUT = ("A", "B")
 #: The arena's qubits by side of the cut: Alice's (A, A'), then Bob's (B, B').
 _SIDES_LAYOUT = ("A", "A'", "B", "B'")
 
@@ -62,29 +54,14 @@ class DensityState:
         if self.mat.shape != (d, d):
             raise ValueError(f"matrix shape {self.mat.shape} != layout dim {d}")
 
-    # --- structure ---------------------------------------------------------
-
-    def partial_trace(self, keep: Sequence[str]) -> "DensityState":
-        red = partial_trace(self.mat, self.layout, keep)
-        return DensityState(red, tuple(lab for lab in self.layout if lab in keep))
-
-    def partial_transpose(self, subsystems: Sequence[str]) -> np.ndarray:
-        return partial_transpose(self.mat, self.layout, subsystems)
-
     def expect(self, op: np.ndarray) -> float:
         """Real expectation value of a Hermitian observable on the full space."""
-        val = np.trace(self.mat @ op)
-        return float(val.real)
+        return float(np.trace(self.mat @ op).real)
 
     def conjugate_by(self, u: np.ndarray, labels: Sequence[str]) -> "DensityState":
         """Return U rho U† with U acting on ``labels``."""
         big = promote(u, self.layout, labels)
         return DensityState(big @ self.mat @ dagger(big), self.layout)
-
-    def distance_to(self, other: "DensityState") -> float:
-        if self.layout != other.layout:
-            raise ValueError("layout mismatch")
-        return trace_distance(self.mat, other.mat)
 
 
 # --- two-qubit vectors -----------------------------------------------------
@@ -141,7 +118,7 @@ def _rho_blocks(p: float) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def rho_h(p: float, kappa: float = 0.0) -> DensityState:
+def rho_h(p: float, kappa: float = 0.0) -> np.ndarray:
     """Four-qubit hiding state on A ⊗ B ⊗ A' ⊗ B'.
 
     A convex combination of the four Bell states on AB, each flagged by a
@@ -160,11 +137,10 @@ def rho_h(p: float, kappa: float = 0.0) -> DensityState:
     acc = np.zeros((16, 16), dtype=complex)
     for ab, flag in _rho_blocks(p):
         acc += np.kron(ab, flag)
-    mat = (1.0 - kappa) * acc + kappa * np.eye(16, dtype=complex) / 16.0
-    return DensityState(mat, KEY_SHIELD_LAYOUT)
+    return (1.0 - kappa) * acc + kappa * np.eye(16, dtype=complex) / 16.0
 
 
-def sigma_ab(p: float, kappa: float = 0.0) -> DensityState:
+def sigma_ab(p: float, kappa: float = 0.0) -> np.ndarray:
     """Two-qubit reduction reached by untwisting rho_h and tracing the shield:
 
         sigma = (1-kappa) * (p psi_0 + (1-p) psi_2) + kappa * I/4.
@@ -173,15 +149,14 @@ def sigma_ab(p: float, kappa: float = 0.0) -> DensityState:
         raise ValueError(f"p = {p} outside [0, 1]")
     if not 0.0 <= kappa <= 1.0:
         raise ValueError(f"kappa = {kappa} outside [0, 1]")
-    mat = (1.0 - kappa) * (p * proj(bell_vec(0)) + (1.0 - p) * proj(bell_vec(2)))
-    mat += kappa * np.eye(4, dtype=complex) / 4.0
-    return DensityState(mat, AB_LAYOUT)
+    mixture = p * proj(bell_vec(0)) + (1.0 - p) * proj(bell_vec(2))
+    return (1.0 - kappa) * mixture + kappa * np.eye(4, dtype=complex) / 4.0
 
 
 # --- purification and ccq reduction ----------------------------------------
 
 
-def purify(state: DensityState) -> np.ndarray:
+def purify(rho: np.ndarray) -> np.ndarray:
     """Canonical purification from the eigendecomposition.
 
     Returns the (dim, rank) matrix W whose columns are sqrt(l_k) |v_k> over
@@ -189,7 +164,7 @@ def purify(state: DensityState) -> np.ndarray:
     purification |psi> = sum_k sqrt(l_k) |v_k> ⊗ |k>_E.  The canonical choice
     makes the construction deterministic given the matrix.
     """
-    vals, vecs = herm_eig(state.mat)
+    vals, vecs = herm_eig(rho)
     keep = vals > 1e-12
     vals, vecs = vals[keep], vecs[:, keep]
     if vals.size == 0:
@@ -197,30 +172,26 @@ def purify(state: DensityState) -> np.ndarray:
     return vecs * np.sqrt(vals)[np.newaxis, :]
 
 
-def ccq_state(state: DensityState, purification: np.ndarray | None = None) -> np.ndarray:
+def ccq_state(rho: np.ndarray, purification: np.ndarray | None = None) -> np.ndarray:
     """ccq reduction: measure the key qubits A, B, keep the purifying system E.
 
-    ``purification`` is a (dim, r) matrix W with rho = W W† on the state's
-    qubits (``purify(state)`` when not given).  Returns the (4r x 4r) matrix
+    ``rho`` is a state whose key qubits A, B come first: on the arena, or a
+    two-qubit (A, B) matrix.  ``purification`` is a (dim, r) matrix W with
+    rho = W W† (``purify(rho)`` when not given).  Returns the (4r x 4r) matrix
 
         sum_ab  P(ab) |ab><ab| ⊗ rho_E(ab),
 
     block-diagonal in the key ab, with the shield qubits traced out of each
     conditional environment state.
     """
-    w = purify(state) if purification is None else np.asarray(purification, dtype=complex)
-    if w.ndim != 2 or w.shape[0] != state.mat.shape[0]:
-        raise ValueError(f"purification shape {w.shape} does not fit a {state.mat.shape} state")
-    n = len(state.layout)
-    key_axes = _axes(state.layout, ("A", "B"))
-    other_axes = [i for i in range(n) if i not in key_axes]
-    # reorder to (key..., other..., env)
-    tens = w.reshape((2,) * n + (-1,)).transpose(key_axes + other_axes + [n])
-    env_dim = tens.shape[-1]
-    tens = tens.reshape(4, 2 ** (n - 2), env_dim)
+    w = purify(rho) if purification is None else np.asarray(purification, dtype=complex)
+    if w.ndim != 2 or w.shape[0] != rho.shape[0]:
+        raise ValueError(f"purification shape {w.shape} does not fit a {rho.shape} state")
+    env_dim = w.shape[1]
+    tens = w.reshape(4, -1, env_dim)  # (key, shield, env)
     out = np.zeros((4 * env_dim, 4 * env_dim), dtype=complex)
     for ab in range(4):
-        block = tens[ab]  # (other, env)
+        block = tens[ab]  # (shield, env)
         sl = slice(ab * env_dim, (ab + 1) * env_dim)
         out[sl, sl] = dagger(block) @ block  # trace over the shield qubits
     return out

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dagger, promote, PAULI_X, PAULI_Z
-from .states import KEY_SHIELD_LAYOUT, CHI_C, CHI_S, DensityState, bell_vec, proj
+from .linalg import dagger, partial_trace, promote, PAULI_X, PAULI_Z
+from .states import KEY_SHIELD_LAYOUT, CHI_C, CHI_S, bell_vec, proj
 
 __all__ = [
     "key_controlled",
@@ -80,7 +80,7 @@ def build_u_h() -> np.ndarray:
     return key_controlled(dagger(v1), dagger(v2), dagger(v2) @ z_shield, dagger(v1) @ z_shield)
 
 
-def make_pdit(u: np.ndarray, anc: np.ndarray) -> DensityState:
+def make_pdit(u: np.ndarray, anc: np.ndarray) -> np.ndarray:
     """Twisted maximally-entangled core U (psi_0 ⊗ anc) U† on A ⊗ B ⊗ A' ⊗ B'.
 
     ``anc`` is the shield state, a 4×4 matrix on A' ⊗ B'.
@@ -89,13 +89,12 @@ def make_pdit(u: np.ndarray, anc: np.ndarray) -> DensityState:
     if anc_mat.shape != (4, 4):
         raise ValueError(f"ancilla shape {anc_mat.shape} != shield dim 4")
     core = np.kron(proj(bell_vec(0)), anc_mat)
-    return DensityState(u @ core @ dagger(u), KEY_SHIELD_LAYOUT)
+    return u @ core @ dagger(u)
 
 
-def untwist_and_trace(state: DensityState, u: np.ndarray) -> DensityState:
-    """Undo the twisting U and keep only the key factors: Tr_shield(U† rho U)."""
-    undone = dagger(u) @ state.mat @ u
-    return DensityState(undone, state.layout).partial_trace(("A", "B"))
+def untwist_and_trace(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Undo the twisting U and keep only the key factors: Tr_shield(U† rho U) on A ⊗ B."""
+    return partial_trace(dagger(u) @ rho @ u, KEY_SHIELD_LAYOUT, ("A", "B"))
 
 
 def gamma_z(layout: tuple[str, ...] = KEY_SHIELD_LAYOUT) -> np.ndarray:

@@ -2,17 +2,21 @@
 
 No CLI command and no protocol run reaches these, so they live with the
 tests: Haar-random unitaries and twistings, Ginibre density matrices, a
-density-matrix check, the Bell projectors, the matrix a coefficient table
-stands for, the local eigen-systems of the Pauli products and the
-joint-outcome projection that the run set-up's tables are checked against.
+density-matrix check, the Bell projectors, expectation values, a Pauli
+pattern's hit on Bob's key qubit, the matrix a coefficient table stands for,
+the local eigen-systems of the Pauli products and the joint-outcome
+projection that the run set-up's tables are checked against.  States are
+plain matrices on the arena ``KEY_SHIELD_LAYOUT`` unless a docstring says
+otherwise.
 """
 
 import numpy as np
 
 from pbitqkd.linalg import (
-    PAULI_EIGVECS, PAULI_PRODUCT_LABELS, PAULI_PRODUCTS, dagger, proj, reorder,
+    PAULI_EIGVECS, PAULI_PRODUCT_LABELS, PAULI_PRODUCTS, PAULI_X, PAULI_Z, dagger, promote, proj,
+    reorder,
 )
-from pbitqkd.states import _SIDES_LAYOUT, AB_LAYOUT, DensityState, bell_vec
+from pbitqkd.states import _SIDES_LAYOUT, KEY_SHIELD_LAYOUT, bell_vec
 from pbitqkd.twist import key_controlled
 
 
@@ -53,9 +57,21 @@ def check_density(mat: np.ndarray) -> None:
         raise ValueError(f"negative eigenvalue {vals.min():.3e}")
 
 
-def bell_state(k: int) -> DensityState:
-    """Bell projector |psi_k><psi_k| as a DensityState on A ⊗ B."""
-    return DensityState(proj(bell_vec(k)), AB_LAYOUT)
+def bell_state(k: int) -> np.ndarray:
+    """Bell projector |psi_k><psi_k| on A ⊗ B."""
+    return proj(bell_vec(k))
+
+
+def expect(rho: np.ndarray, op: np.ndarray) -> float:
+    """Real expectation value Tr[rho op] of a Hermitian observable."""
+    return float(np.trace(rho @ op).real)
+
+
+def pauli_flip(rho: np.ndarray, x: int, z: int) -> np.ndarray:
+    """``rho`` with Bob's key qubit B conjugated by Z^z X^x: a copy hit by pattern code 2x + z."""
+    op = np.linalg.matrix_power(PAULI_Z, z) @ np.linalg.matrix_power(PAULI_X, x)
+    big = promote(op, KEY_SHIELD_LAYOUT, ["B"])
+    return big @ rho @ dagger(big)
 
 
 def random_twisting(rng: np.random.Generator) -> np.ndarray:
@@ -97,7 +113,7 @@ def local_eigensystem(label: str) -> tuple[np.ndarray, np.ndarray]:
     return vals / np.sqrt(2.0 ** len(label)), vecs
 
 
-def joint_outcome_table(state: DensityState, ja: int, jb: int) -> tuple[np.ndarray, np.ndarray]:
+def joint_outcome_table(rho: np.ndarray, ja: int, jb: int) -> tuple[np.ndarray, np.ndarray]:
     """Joint outcome distribution for one product-observable pair O_ja ⊗ O_jb.
 
     ``ja`` and ``jb`` index ``PAULI_PRODUCT_LABELS``, as a coefficient
@@ -109,7 +125,7 @@ def joint_outcome_table(state: DensityState, ja: int, jb: int) -> tuple[np.ndarr
     """
     vals_a, vecs_a = local_eigensystem(PAULI_PRODUCT_LABELS[ja])
     vals_b, vecs_b = local_eigensystem(PAULI_PRODUCT_LABELS[jb])
-    rho = reorder(state.mat, state.layout, _SIDES_LAYOUT)
+    rho = reorder(rho, KEY_SHIELD_LAYOUT, _SIDES_LAYOUT)
     v = np.kron(vecs_a, vecs_b)
     probs = np.real(np.einsum("ik,ij,jk->k", v.conj(), rho, v))
     probs = np.clip(probs, 0.0, None)

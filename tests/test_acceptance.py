@@ -28,15 +28,14 @@ from pbitqkd.bounds import (
     protocol_failure_bound,
     substring_sampling_bound,
 )
-from pbitqkd.channels import POVM_M0, POVM_M1, apply_pauli, binding_channel_apply
+from pbitqkd.channels import POVM_M0, POVM_M1, binding_channel_apply
 from pbitqkd.cli import _six_state_deviation
 from pbitqkd.estimation import decompose_two_local, estimate_eps_z_locc, support_pairs
-from pbitqkd.linalg import herm_eig, trace_distance
+from pbitqkd.linalg import herm_eig, partial_transpose, trace_distance
 from pbitqkd.protocol import ProtocolConfig, run_pm, run_ppp
 from pbitqkd.states import (
     KEY_SHIELD_LAYOUT,
     P_STAR,
-    DensityState,
     bell_vec,
     ccq_state,
     purify,
@@ -50,27 +49,31 @@ from pbitqkd.twist import (
     make_pdit,
     untwist_and_trace,
 )
-from reference import joint_outcome_table, random_density, random_twisting
+from reference import expect, joint_outcome_table, pauli_flip, random_density, random_twisting
 
 mp.mp.dps = 30
 
 
-def _double_phi() -> DensityState:
+def _double_phi() -> np.ndarray:
     vec = np.kron(bell_vec(0), bell_vec(0))
-    return DensityState(np.outer(vec, vec.conj()), KEY_SHIELD_LAYOUT)
+    return np.outer(vec, vec.conj())
+
+
+def _pt_bob(rho: np.ndarray) -> np.ndarray:
+    return partial_transpose(rho, KEY_SHIELD_LAYOUT, ("B", "B'"))
 
 
 def test_criterion_01_ppt_window_of_the_hiding_state():
     t0 = time.monotonic()
-    vals, _ = herm_eig(rho_h(P_STAR, 0.0).partial_transpose(("B", "B'")))
+    vals, _ = herm_eig(_pt_bob(rho_h(P_STAR, 0.0)))
     assert vals.min() >= -1e-10
     # PPT persists across kappa in [0, 0.01] at the critical point ...
     for kappa in np.linspace(0.0, 0.01, 11):
-        v, _ = herm_eig(rho_h(P_STAR, float(kappa)).partial_transpose(("B", "B'")))
+        v, _ = herm_eig(_pt_bob(rho_h(P_STAR, float(kappa))))
         assert v.min() >= -1e-10, f"kappa = {kappa}"
     # ... and across a nonempty p-interval around it once kappa > 0
     for p in np.linspace(P_STAR - 1e-3, P_STAR + 1e-3, 9):
-        v, _ = herm_eig(rho_h(float(p), 0.01).partial_transpose(("B", "B'")))
+        v, _ = herm_eig(_pt_bob(rho_h(float(p), 0.01)))
         assert v.min() >= -1e-10, f"p = {p}"
     elapsed = time.monotonic() - t0
     print(f"min PT eigenvalue at (p*, 0): {vals.min():.3e}; elapsed {elapsed:.2f}s")
@@ -82,9 +85,8 @@ def test_criterion_02_untwisting_reduces_to_the_target_state():
     tw = build_u_h()
     devs = {}
     for p, kappa in ((P_STAR, 0.0), (0.5858, 0.001)):
-        devs[(p, kappa)] = untwist_and_trace(rho_h(p, kappa), tw).distance_to(
-            sigma_ab(p, kappa)
-        )
+        devs[(p, kappa)] = trace_distance(untwist_and_trace(rho_h(p, kappa), tw),
+                                          sigma_ab(p, kappa))
         assert devs[(p, kappa)] <= 1e-9, (p, kappa)
     elapsed = time.monotonic() - t0
     print(f"untwisting trace distances: {devs}; elapsed {elapsed:.2f}s")
@@ -95,7 +97,7 @@ def test_criterion_03_binding_channel_and_povm_identities():
     phi2 = _double_phi()
     devs = {}
     for p in (P_STAR, 0.3):
-        devs[p] = binding_channel_apply(phi2, p, 0.0).distance_to(rho_h(p, 0.0))
+        devs[p] = trace_distance(binding_channel_apply(phi2, p, 0.0), rho_h(p, 0.0))
         assert devs[p] <= 1e-9, p
     povm_dev = float(
         np.abs(POVM_M0.conj().T @ POVM_M0 + POVM_M1.conj().T @ POVM_M1 - np.eye(2)).max()
@@ -136,7 +138,7 @@ def test_criterion_07_ccq_state_invariant_under_shield_twisting():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(50):
-        rho = DensityState(random_density(16, rng), KEY_SHIELD_LAYOUT)
+        rho = random_density(16, rng)
         w = purify(rho)
         u = random_twisting(rng)
         dev = trace_distance(ccq_state(rho, w), ccq_state(rho, u @ w))
@@ -156,19 +158,19 @@ def test_criterion_08_locc_estimator_recovers_planted_phase_errors():
     grid = [(ex, ez) for ex in (0.0, 0.05, 0.11) for ez in (0.0, 0.05, 0.11)]
 
     def planted_mixture(ex, ez):
-        acc = np.zeros_like(pbit.mat)
+        acc = np.zeros_like(pbit)
         for x in (0, 1):
             for z in (0, 1):
                 w = (ex if x else 1.0 - ex) * (ez if z else 1.0 - ez)
                 if w > 0.0:
-                    acc = acc + w * apply_pauli(pbit, x, z, "B").mat
-        return DensityState(acc, pbit.layout)
+                    acc = acc + w * pauli_flip(pbit, x, z)
+        return acc
 
     rng = np.random.default_rng(20260815)
     trials, m_prime, hits = 200, 400, 0
     for trial in range(trials):
         mix = planted_mixture(*grid[trial % len(grid)])
-        truth = (1.0 - float(mix.expect(gx).real)) / 2.0
+        truth = (1.0 - expect(mix, gx)) / 2.0
         records = {}
         for ja, jb in support_pairs(dec):
             probs, products = joint_outcome_table(mix, ja, jb)

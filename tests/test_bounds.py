@@ -289,7 +289,6 @@ def test_group_average_error_bound_dominates_brute_force():
     most dist (total variation) moves the decomposed average by at most
     sqrt(t) * ||L||_HS * dist."""
     from pbitqkd.estimation import decompose_two_local, support_pairs
-    from pbitqkd.states import KEY_SHIELD_LAYOUT, DensityState
     from pbitqkd.twist import gamma_x
     from reference import joint_outcome_table, random_density, random_twisting
 
@@ -298,7 +297,7 @@ def test_group_average_error_bound_dominates_brute_force():
         tw = random_twisting(rng)
         gx = gamma_x(tw)
         dec = decompose_two_local(gx)
-        state = DensityState(random_density(16, rng), KEY_SHIELD_LAYOUT)
+        state = random_density(16, rng)
         support = support_pairs(dec)
         true_avg, pert_avg, max_tv = 0.0, 0.0, 0.0
         for ja, jb in support:

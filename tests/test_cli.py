@@ -918,6 +918,33 @@ def test_internal_errors_are_not_usage_errors(monkeypatch):
         main(["run-ppp", "--n", "2000", "--seed", "1"])
 
 
+def test_an_estimator_fault_is_not_a_usage_error(monkeypatch, capsys):
+    # the estimator runs after the round's settings are accepted
+    def broken(*args):
+        raise ValueError("internal fault in the estimator")
+
+    monkeypatch.setattr(protocol, "estimate_eps_z_locc", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["estimate", "--seed", "3"])
+    assert capsys.readouterr().out == ""
+
+
+def test_a_fault_in_the_n_search_is_not_a_usage_error(monkeypatch, capsys):
+    # the first attempt validates the inputs; the search's attempts come after it
+    made, attempt = [], bounds._attempt
+
+    def broken(*args):
+        made.append(args)
+        if len(made) >= 3:
+            raise ValueError("internal fault in the solver")
+        return attempt(*args)
+
+    monkeypatch.setattr(bounds, "_attempt", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["solve-params"])
+    assert capsys.readouterr().out == ""
+
+
 # sha256[:16] of stdout; the CLI documents are pinned like the run transcripts
 @pytest.mark.parametrize("argv, digest", [
     (["verify-example"], "c8969df4ed864ec1"),

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbitqkd.channels import apply_pauli
 from pbitqkd.estimation import (
     decompose_two_local,
     estimate_eps_z_locc,
@@ -15,11 +14,13 @@ from pbitqkd.estimation import (
     support_pairs,
 )
 from pbitqkd.linalg import PAULI_PRODUCT_LABELS, PAULI_PRODUCTS, dagger, trace_distance
-from pbitqkd.states import KEY_SHIELD_LAYOUT, DensityState
+from pbitqkd.states import KEY_SHIELD_LAYOUT
 from pbitqkd.twist import build_u_h, gamma_x, identity_twisting, make_pdit
 from reference import (
+    expect,
     joint_outcome_table,
     local_eigensystem,
+    pauli_flip,
     random_density,
     random_twisting,
     reconstruct,
@@ -113,10 +114,10 @@ def _expect_product(state, obs_a, obs_b):
     """<O_a ⊗ O_b> with O_a on (A, A') and O_b on (B, B')."""
     from pbitqkd.linalg import promote
 
-    big = promote(obs_a, state.layout, ["A", "A'"]) @ promote(
-        obs_b, state.layout, ["B", "B'"]
+    big = promote(obs_a, KEY_SHIELD_LAYOUT, ["A", "A'"]) @ promote(
+        obs_b, KEY_SHIELD_LAYOUT, ["B", "B'"]
     )
-    return float(np.real(np.trace(state.mat @ big)))
+    return expect(state, big)
 
 
 def test_estimator_on_exact_means_recovers_zero_phase_error():
@@ -143,8 +144,7 @@ def test_pattern_expectations_on_u_h_pbit():
         (1, 1): -1.0 / np.sqrt(2.0),
     }
     for (x, z), val in expected.items():
-        hit = apply_pauli(state, x, z)
-        assert abs(hit.expect(gx) - val) < 1e-12, (x, z)
+        assert abs(expect(pauli_flip(state, x, z), gx) - val) < 1e-12, (x, z)
 
 
 def test_estimator_tracks_planted_pattern_mixtures():
@@ -158,11 +158,10 @@ def test_estimator_tracks_planted_pattern_mixtures():
             w = (eps_x_plant if x else 1 - eps_x_plant) * (
                 eps_z_plant if z else 1 - eps_z_plant
             )
-            term = w * apply_pauli(state, x, z).mat
+            term = w * pauli_flip(state, x, z)
             mix = term if mix is None else mix + term
-    mixed = DensityState(mix, state.layout)
-    res = estimate_eps_z_locc(exact_records(mixed, dec), dec)
-    truth = (1.0 - mixed.expect(gamma_x(build_u_h()))) / 2.0
+    res = estimate_eps_z_locc(exact_records(mix, dec), dec)
+    truth = (1.0 - expect(mix, gamma_x(build_u_h()))) / 2.0
     assert abs(res["eps_z"] - truth) < 1e-10
     assert truth > 0.0  # the plant actually moved the phase error
 
@@ -231,11 +230,11 @@ def test_outcome_tables_average_to_observable_expectation(seed):
     rng = np.random.default_rng(seed)
     tw = random_twisting(rng)
     gx = gamma_x(tw)
-    state = DensityState(random_density(16, rng), KEY_SHIELD_LAYOUT)
+    state = random_density(16, rng)
     dec = decompose_two_local(gx)
     total = 0.0
     for ja, jb in support_pairs(dec):
         probs, products = joint_outcome_table(state, ja, jb)
         total += dec[ja, jb] * float(np.dot(probs, products))
-    assert abs(total - state.expect(gx)) < 1e-8
+    assert abs(total - expect(state, gx)) < 1e-8
 

@@ -22,7 +22,7 @@ DELETED = (
     "random_unitary", "random_density", "bell_state", "random_twisting", "joint_outcome_table",
     "TensorLayout", "ProductDecomposition", "EstimationResult", "best_candidate",
     "local_eigensystem", "TwistingOp", "kron_all", "basis_ket", "trace_norm",
-    "pauli_product_basis",
+    "pauli_product_basis", "AB_LAYOUT",
 )
 
 

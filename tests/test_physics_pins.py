@@ -46,10 +46,10 @@ def physics_digests() -> dict[str, str]:
     out = {f"twisting:{name}": digest(u) for name, u in twistings.items()}
     out.update({f"gamma_x:{name}": digest(gamma_x(u)) for name, u in twistings.items()})
     out["PAULI_PRODUCTS"] = digest(PAULI_PRODUCTS)
-    out["rho_h"] = digest(rho_h(P_STAR, 0.001).mat)
+    out["rho_h"] = digest(rho_h(P_STAR, 0.001))
     for name, u in twistings.items():
         for anc in ("comp00", "maximally_mixed"):
-            out[f"make_pdit:{name}:{anc}"] = digest(make_pdit(u, _ANCILLAS[anc]()).mat)
+            out[f"make_pdit:{name}:{anc}"] = digest(make_pdit(u, _ANCILLAS[anc]()))
     sources = {
         "keyed_pbit": SourceSpec(kind="pbit", noise=PauliNoiseModel(0.02, 0.01)),
         "rho_h": SourceSpec(p=P_STAR, kappa=0.001),

@@ -26,10 +26,10 @@ from pbitqkd.protocol import (
     run_ppp,
     twisting_by_name,
 )
-from pbitqkd.states import P_STAR, DensityState, rho_h
+from pbitqkd.states import KEY_SHIELD_LAYOUT, P_STAR, DensityState, rho_h
 from pbitqkd.twist import build_u_h, gamma_z, make_pdit
-from pbitqkd.linalg import PAULI_PRODUCT_LABELS
-from reference import joint_outcome_table
+from pbitqkd.linalg import PAULI_PRODUCT_LABELS, PAULI_PRODUCTS
+from reference import expect, joint_outcome_table, pauli_flip
 
 
 # the smallest configuration that completes without aborting: same shape as
@@ -409,20 +409,20 @@ def test_pm_signal_ensemble_is_a_valid_ensemble():
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
         for p, state in ens:
             if p > 0:
-                assert np.trace(state.mat).real == pytest.approx(1.0, abs=1e-10)
-                eigs = np.linalg.eigvalsh(state.mat)
+                assert np.trace(state).real == pytest.approx(1.0, abs=1e-10)
+                eigs = np.linalg.eigvalsh(state)
                 assert eigs.min() > -1e-10
-                assert state.layout == ("B", "B'")  # Bob's qubits
+                assert state.shape == (4, 4)  # Bob's qubits (B, B')
 
 
 def test_pm_signal_ensemble_on_hiding_state_matches_partial_trace():
     # averaging the ensemble reproduces Bob's reduced state exactly
     state = rho_h(0.3, 0.02)
     ens = pm_signal_ensemble(state, "ZX")
-    avg = sum(p * s.mat for p, s in ens)
+    avg = sum(p * s for p, s in ens)
     from pbitqkd.linalg import partial_trace
 
-    reduced = partial_trace(state.mat, state.layout, keep=("B", "B'"))
+    reduced = partial_trace(state, KEY_SHIELD_LAYOUT, keep=("B", "B'"))
     np.testing.assert_allclose(avg, reduced, atol=1e-12)
 
 
@@ -606,9 +606,9 @@ def test_cached_setup_is_read_only():
 def _eigenbasis_tables(source, support):
     """The set-up's tables by projecting each code's conjugated state onto each pair's joint
     eigenbasis: (plus of sigma_z sigma_z, joint16, {pair: plus}), each indexed by code 2x + z."""
-    base = source.base_state()
-    components = [channels.apply_pauli(base, code >> 1, code & 1, "B") for code in range(4)]
-    zz_plus = np.clip([(1.0 + c.expect(gamma_z())) / 2.0 for c in components], 0.0, 1.0)
+    base = source.base_state().mat
+    components = [pauli_flip(base, code >> 1, code & 1) for code in range(4)]
+    zz_plus = np.clip([(1.0 + expect(c, gamma_z())) / 2.0 for c in components], 0.0, 1.0)
     zz = PAULI_PRODUCT_LABELS.index("ZZ")
     joint16 = np.array([joint_outcome_table(c, zz, zz)[0] for c in components])
     group_plus = {}
@@ -643,6 +643,32 @@ def test_setup_tables_match_the_eigenbasis_projections(source):
     assert set(group_plus) == set(setup.support)
     for (ja, jb), plus in group_plus.items():
         np.testing.assert_allclose(setup.plus[:, ja, jb], plus, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("source", [
+    {"p": P_STAR, "kappa": 0.001},
+    {"p": 0.3, "kappa": 0.2},
+    {"kind": "pbit", "twisting": "u_h", "ancilla": "comp00"},
+    {"kind": "pbit", "twisting": "u_h", "ancilla": "maximally_mixed"},
+    {"kind": "pbit", "twisting": "identity", "ancilla": "maximally_mixed"},
+], ids=lambda source: json.dumps(source))
+def test_pm_conversion_reproduces_the_run_tables(source):
+    # the prepare-and-measure conversion: Alice measures O_ja and so prepares Bob's
+    # ensemble, Bob measures O_jb; the product reads +1 with the set-up's plus[0, ja, jb]
+    spec = SourceSpec.from_dict(source)
+    plus = protocol._setup(spec, ("identity", "u_h")).plus[0]
+    rho = spec.base_state().mat
+    worst = 0.0
+    for ja, label in enumerate(PAULI_PRODUCT_LABELS):
+        # the sign of Alice's outcome k, eigenvector order: an I letter reads +1
+        signs = np.kron(*([1, 1] if ch == "I" else [1, -1] for ch in label))
+        ensemble = pm_signal_ensemble(rho, label)
+        for jb in range(16):
+            bob = 2.0 * PAULI_PRODUCTS[jb]  # the Pauli product P_jb itself
+            prob = sum(p * (1.0 + s * np.trace(sigma @ bob).real) / 2.0
+                       for (p, sigma), s in zip(ensemble, signs))
+            worst = max(worst, abs(prob - plus[ja, jb]))
+    assert worst <= 1e-12
 
 
 # runs on sources that share cache entries: kappa -0.0 equals 0.0 as a key,
