@@ -296,69 +296,16 @@ class ParamSolution:
     d_prime: int
     t: int
     m_x: int
-    r: int | None = None
-    m_prime: int | None = None
-    m_z: int | None = None
-    n: int | None = None
-    binding_constraint: str | None = None
-    margins: dict = field(default_factory=dict)
-    message: str = ""
+    r: int
+    m_prime: int
+    m_z: int
+    n: int | None
+    binding_constraint: str
+    margins: dict
+    message: str
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _mprime_constraints(
-    s: int, delta: float, d: int, d_prime: int, r: int
-) -> dict[str, Callable[[int], float]]:
-    """Margin functions (>= 0 means satisfied) for the m' constraint groups."""
-    t = d * d * d_prime
-    target = delta * delta / (72.0 * t * t * d * d * d_prime)
-    floor_c = 144.0 * s * t * t * d * d * d_prime / (delta * delta) - 2.0 * math.log2(t)
-    floor_d = (s + 1.0) * 144.0 * d_prime * d * d / (t * t * delta * delta)
-
-    def entropy_gap(mp: int) -> float:
-        if r / mp > 0.5:
-            return -math.inf
-        return target - binary_entropy(r / mp)
-
-    def log_overhead(mp: int) -> float:
-        return mp * target - 2.0 * d_prime * d * d * math.log2(mp / 2.0 + 1.0)
-
-    return {
-        "entropy_gap": entropy_gap,
-        "log_overhead": log_overhead,
-        "sampling_floor": lambda mp: mp - floor_c,
-        "per_group_floor": lambda mp: mp - floor_d,
-    }
-
-
-def _solve_mprime(
-    s: int, delta: float, d: int, d_prime: int, r: int
-) -> tuple[int, str | None, dict]:
-    """Minimal m' meeting all constraint groups, the one that binds, and the margins.
-
-    The search doubles m' from 2r until all hold, then bisects.  The entropy
-    gap holds once r/m' is small enough, and past the double range the next
-    margin raises OverflowError, so the doubling always ends.
-    """
-    cons = _mprime_constraints(s, delta, d, d_prime, r)
-
-    def margins(mp: int) -> dict:
-        return {name: fn(mp) for name, fn in cons.items()}
-
-    def ok(mp: int) -> bool:
-        return all(fn(mp) >= 0.0 for fn in cons.values())
-
-    lo = max(2 * r, 2)
-    mp = lo
-    while not ok(mp):
-        mp *= 2
-    best = _least(ok, lo, mp)
-    binding = None
-    if best > lo:
-        binding = next((name for name, m in margins(best - 1).items() if m < 0.0), None)
-    return best, binding, margins(best)
 
 
 def _least(ok: Callable[[int], bool], lo: int, hi: int) -> int:
@@ -451,41 +398,65 @@ def search_n(top: ParamSolution) -> ParamSolution:
 
 
 def _attempt(s: int, delta: float, d: int, d_prime: int, n: int) -> ParamSolution:
-    """``choose_params`` at one n: m_x, r and m', then the budget and the bound terms."""
+    """``choose_params`` at one n: m_x, r and m', then the budget and the bound terms.
+
+    m' is the least count at which the four groups of ``table`` hold: the
+    search doubles m' from 2r, where the entropy gap fails (H(1/2) = 1), then
+    bisects (``_least``), and the first group to fail at m' - 1 binds.  The
+    entropy gap holds once r/m' is small enough, and past the double range a
+    later margin raises OverflowError, so the doubling always ends.
+    """
     t = d * d * d_prime
     m_x = math.ceil(16.0 * s / (delta * delta))
     r = relaxation_budget(s, n, d, d_prime)
-    mp, binding, margins = _solve_mprime(s, delta, d, d_prime, r)
+    target = delta * delta / (72.0 * t * t * d * d * d_prime)
+    floor_c = 144.0 * s * t * t * d * d * d_prime / (delta * delta) - 2.0 * math.log2(t)
+    floor_d = (s + 1.0) * 144.0 * d_prime * d * d / (t * t * delta * delta)
+
+    def table(mp: int):
+        """(group, margin) for each m' constraint group, in order and lazily; >= 0 holds."""
+        yield "entropy_gap", target - binary_entropy(r / mp)
+        yield "log_overhead", mp * target - 2.0 * d_prime * d * d * math.log2(mp / 2.0 + 1.0)
+        yield "sampling_floor", mp - floor_c
+        yield "per_group_floor", mp - floor_d
+
+    def first_failing(mp: int) -> str | None:
+        """The first group whose margin is not >= 0 at mp; None when all four hold."""
+        for name, margin in table(mp):
+            if not margin >= 0.0:
+                return name
+        return None
+
+    mp = 2 * r
+    while first_failing(mp):
+        mp *= 2
+    mp = _least(lambda x: first_failing(x) is None, 2 * r, mp)
+    binding = first_failing(mp - 1)
+    m_z = t * t * mp
     # r is additive in a security part and a dimension part; expose both so
     # callers can see which one dominates the relaxation budget
-    margins["r_security_part"] = float(4 * s)
-    margins["r_dimension_part"] = float(r - 4 * s)
-    m_z = t * t * mp
-    # every variant below shares this margins dict, which the checks extend
-    sol = ParamSolution(
-        feasible=False, s=s, delta=delta, d=d, d_prime=d_prime, t=t, m_x=m_x,
-        r=r, m_prime=mp, m_z=m_z, n=n, binding_constraint=binding, margins=margins,
-    )
-    margins["n_budget"] = float(n - m_x - m_z)
+    margins = {**dict(table(mp)), "r_security_part": float(4 * s),
+               "r_dimension_part": float(r - 4 * s), "n_budget": float(n - m_x - m_z)}
+    message = ""
     if m_x + m_z >= n:
-        return replace(
-            sol, binding_constraint="n_budget",
-            message=f"estimation budget m_x + m_z = {m_x + m_z} leaves no key copies out of n = {n}",
+        binding = "n_budget"
+        message = f"estimation budget m_x + m_z = {m_x + m_z} leaves no key copies out of n = {n}"
+    else:
+        bound = protocol_failure_bound(
+            BoundParams(n=n, m_x=m_x, m_z=m_z, delta=delta, r=r, d=d, d_prime=d_prime, s=s)
         )
-    bound = protocol_failure_bound(
-        BoundParams(n=n, m_x=m_x, m_z=m_z, delta=delta, r=r, d=d, d_prime=d_prime, s=s)
+        # every aggregate-bound term must come in at or below the per-term target
+        term_target = -float(s) + math.log2(1.0 + 1e-6)
+        margins.update({f"term_{name}": term_target - val for name, val in bound.log2_terms.items()})
+        weak = [name for name, val in bound.log2_terms.items() if val > term_target]
+        if weak:
+            binding = f"term_{weak[0]}"
+            message = f"aggregate-bound term(s) {weak} exceed the 2^-{s} per-term target at n = {n}"
+    # only an infeasible answer carries a message
+    return ParamSolution(
+        feasible=not message, s=s, delta=delta, d=d, d_prime=d_prime, t=t, m_x=m_x, r=r,
+        m_prime=mp, m_z=m_z, n=n, binding_constraint=binding, margins=margins, message=message,
     )
-    # every aggregate-bound term must come in at or below the per-term target
-    term_target = -float(s) + math.log2(1.0 + 1e-6)
-    for term_name, log2_term in bound.log2_terms.items():
-        margins[f"term_{term_name}"] = term_target - log2_term
-    weak = [name for name, val in bound.log2_terms.items() if val > term_target]
-    if weak:
-        return replace(
-            sol, binding_constraint=f"term_{weak[0]}",
-            message=f"aggregate-bound term(s) {weak} exceed the 2^-{s} per-term target at n = {n}",
-        )
-    return replace(sol, feasible=True)
 
 
 # --- helpers ------------------------------------------------------------------
@@ -499,8 +470,6 @@ def _log2_groups(groups: int, m_prime: float, delta: float, r: int, z_size: int)
 
 
 def _pow2(x: float) -> float:
-    if math.isinf(x):
-        return math.inf if x > 0 else 0.0
     try:
         return 2.0**x
     except OverflowError:

@@ -105,21 +105,10 @@ class PauliNoiseModel:
         return from_fields(cls, d, {"eps_x": json_real, "eps_z": json_real})
 
 
-def pauli_op(x: int, z: int) -> np.ndarray:
-    """Single-qubit sigma_x^x sigma_z^z (phases irrelevant under conjugation)."""
-    op = np.eye(2, dtype=complex)
-    if x:
-        op = PAULI_X @ op
-    if z:
-        op = PAULI_Z @ op
-    return op
-
-
 def apply_pauli(state: DensityState, x: int, z: int, label: str = "B") -> DensityState:
-    """Conjugate one labeled qubit factor by sigma_x^x sigma_z^z."""
-    if not x and not z:
-        return DensityState(state.mat.copy(), state.layout)
-    return state.conjugate_by(pauli_op(x, z), [label])
+    """Conjugate one labeled qubit factor by sigma_z^z sigma_x^x (phases cancel)."""
+    op = np.linalg.matrix_power(PAULI_Z, z) @ np.linalg.matrix_power(PAULI_X, x)
+    return state.conjugate_by(op, [label])
 
 
 # --- the binding channel -----------------------------------------------------

@@ -354,7 +354,7 @@ def cmd_bounds(args, cfg: dict) -> int:
     if m_x is None:
         m_x = min(solver.m_x, n // 4)
     if m_z is None:
-        m_z = solver.m_z if (solver.m_z and solver.m_z + m_x < n) else (n - m_x) // 2
+        m_z = solver.m_z if solver.m_z + m_x < n else (n - m_x) // 2
     if m_x < 1 or m_z < 1:
         raise UsageError(f"n = {n} is too small to allocate estimation samples")
     if m_x + m_z >= n:
@@ -386,7 +386,7 @@ def cmd_solve_params(args, cfg: dict) -> int:
     payload = {"schema": SCHEMA, "solution": sol.to_dict()}
     _emit(payload, args.out)
     if not sol.feasible:
-        log.info("infeasible: %s", sol.message or sol.binding_constraint)
+        log.info("infeasible: %s", sol.message)
     return EXIT_OK
 
 

@@ -385,7 +385,7 @@ def _resolve_budgets(config: ProtocolConfig, n_groups: int) -> tuple[int | None,
         if not sol.feasible:
             return None, None, (
                 "parameters_infeasible: "
-                f"binding constraint {sol.binding_constraint!r}; {sol.message or 'see solver margins'}"
+                f"binding constraint {sol.binding_constraint!r}; {sol.message}"
             )
         m_x = m_x if m_x is not None else sol.m_x
         m_prime = m_prime if m_prime is not None else sol.m_prime

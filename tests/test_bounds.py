@@ -3,9 +3,10 @@
 Every closed-form bound is recomputed here with mpmath at 30 significant
 digits, straight from the formula text, and compared in log2 space at
 relative 1e-9.  The parameter solver's outputs are re-checked against each
-inequality they claim to satisfy.
+inequality they claim to satisfy, and its answers on a fixed grid are pinned.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -340,6 +341,19 @@ def test_solver_m_x_monotone_in_s():
     )
 
 
+def _claimed_groups(mp_: int, r: int, s: int, delta: float, d: int, dp: int) -> list[bool]:
+    """Items (3) and (4) of the parameter prescription at m' = mp_, restated: the
+    entropy gap, log overhead, sampling floor and per-group floor, in that order."""
+    t = d * d * dp
+    target = delta**2 / (72 * t * t * d * d * dp)
+    return [
+        binary_entropy(r / mp_) <= target,
+        mp_ * target >= 2 * dp * d * d * math.log2(mp_ / 2 + 1),
+        mp_ >= 144 * s * t * t * d * d * dp / delta**2 - 2 * math.log2(t),
+        mp_ >= (s + 1) * 144 * dp * d * d / (t * t * delta**2),
+    ]
+
+
 def test_solver_outputs_satisfy_every_claimed_inequality():
     """Re-check items (1)-(4) of the parameter prescription, restated here."""
     s, delta, d, dp = 40, 0.05, 2, 4
@@ -351,13 +365,8 @@ def test_solver_outputs_satisfy_every_claimed_inequality():
     assert sol.m_x == math.ceil(16 * s / delta**2)
     # (2) relaxation budget dominates both stated lower bounds
     assert r >= 4 * s and r >= d**4 * dp**2 * math.log(n)
-    # (3) entropy gap, log overhead, sampling floor
-    target = delta**2 / (72 * t * t * d * d * dp)
-    assert binary_entropy(r / mp_) <= target
-    assert mp_ * target >= 2 * dp * d * d * math.log2(mp_ / 2 + 1)
-    assert mp_ >= 144 * s * t * t * d * d * dp / delta**2 - 2 * math.log2(t)
-    # (4) per-group floor
-    assert mp_ >= (s + 1) * 144 * dp * d * d / (t * t * delta**2)
+    # (3) entropy gap, log overhead, sampling floor and (4) per-group floor
+    assert _claimed_groups(mp_, r, s, delta, d, dp) == [True] * 4
     # group count ties m_z to m'
     assert sol.m_z == t * t * mp_
     # budget
@@ -368,11 +377,8 @@ def test_solver_outputs_satisfy_every_claimed_inequality():
 
 def test_solver_m_prime_is_minimal():
     sol = choose_params(40, 0.05)
-    from pbitqkd.bounds import _mprime_constraints
-
-    cons = _mprime_constraints(40, 0.05, 2, 4, sol.r)
-    assert all(fn(sol.m_prime) >= 0 for fn in cons.values())
-    assert any(fn(sol.m_prime - 1) < 0 for fn in cons.values())
+    assert all(_claimed_groups(sol.m_prime, sol.r, 40, 0.05, 2, 4))
+    assert not all(_claimed_groups(sol.m_prime - 1, sol.r, 40, 0.05, 2, 4))
 
 
 def test_solver_n_is_minimal_and_bound_nonvacuous():
@@ -433,6 +439,31 @@ def test_an_infeasible_cap_is_answered_from_its_one_attempt(monkeypatch, s, delt
     assert len(made) == 1
     assert sol == replace(cap, n=None, message="no feasible n below cap 2^200")
     assert _doubling_search(s, delta, d, 4) is None
+
+
+# s, delta, d, d_prime, n: every kind of answer (feasible; infeasible on n_budget,
+# term_bit_sampling or term_post_selection, at an n or at the search's cap) and of
+# refusal (out of range; m_x's ceil of inf; an int past the doubles; delta^2 = 0)
+SOLVER_PIN_INPUTS = [
+    *[(s, delta, d, dp, n) for s in (1, 3, 40) for delta in (0.5, 0.05) for d in (2, 3, 1024)
+      for dp in (1, 4) for n in (10**5, 10**12, 10**19, 10**40, 2**200)],
+    (40, 0.05, 2, 4, None), (1, 0.5, 2, 4, None), (5, 0.5, 1024, 4, None), (40, 0.05, 2**20, 4, None),
+    (0, 0.05, 2, 4, 10**5), (40, 0.05, 2, 4, 1), (10**308, 0.05, 2, 4, 10**5),
+    (40, 0.05, 10**200, 4, 10**5), (40, 1e-170, 2, 4, 10**5),
+]
+
+
+def _solver_answer(args) -> str:
+    try:
+        return canonical_json(choose_params(*args).to_dict())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_solver_answers_are_pinned():
+    # sha256[:16] over each input's answer document or refusal text, one a line
+    texts = "\n".join(_solver_answer(args) for args in SOLVER_PIN_INPUTS)
+    assert hashlib.sha256(texts.encode()).hexdigest()[:16] == "eb1f29d8ae0fcdac"
 
 
 def test_solver_reports_r_composition():

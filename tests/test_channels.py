@@ -18,9 +18,8 @@ from pbitqkd.channels import (
     binding_channel_apply,
     binding_channel_kraus,
     channel_branches,
-    pauli_op,
 )
-from pbitqkd.linalg import PAULI_X, PAULI_Z, dagger, proj, trace_distance
+from pbitqkd.linalg import dagger, proj, trace_distance
 from pbitqkd.states import (
     P_STAR,
     DensityState,
@@ -130,16 +129,6 @@ def test_pauli_noise_json_round_trip():
     ]:
         assert model.to_json() == text
         assert PauliNoiseModel.from_dict(json.loads(text)) == model
-
-
-def test_pauli_op_table():
-    assert np.allclose(pauli_op(0, 0), np.eye(2))
-    assert np.allclose(pauli_op(1, 0), PAULI_X)
-    assert np.allclose(pauli_op(0, 1), PAULI_Z)
-    # XZ product; equals -iY, same conjugation action as Y
-    xz = pauli_op(1, 1)
-    assert np.allclose(xz @ dagger(xz), np.eye(2))
-    assert np.allclose(xz @ PAULI_Z @ dagger(xz), -PAULI_Z)
 
 
 def test_apply_pauli_moves_bell_states():

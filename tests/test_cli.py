@@ -909,13 +909,38 @@ def test_bounds_config_values_are_usage_errors(tmp_path, capsys):
         assert capsys.readouterr().out == ""
 
 
-def test_internal_errors_are_not_usage_errors(monkeypatch):
-    def broken(config):
+_PPP = {"n": 20000, "seed": 1, "m_x": 1000, "m_prime": 1000}
+_PM = {"n": 100000, "seed": 0, "s": 1, "delta": 0.5, "m_x": 2000}
+
+
+# (module, name, argv, config): each fault comes after the command has accepted its settings
+@pytest.mark.parametrize("module, name, argv, config", [
+    pytest.param(protocol, "run_ppp", ["run-ppp", "--n", "2000", "--seed", "1"], None,
+                 id="run_ppp-run-ppp"),  # cmd_run looks it up there
+    pytest.param(protocol, "decide", ["run-ppp"], _PPP, id="decide-run-ppp"),
+    pytest.param(protocol, "decide", ["run-pm"], _PM, id="decide-run-pm"),
+    pytest.param(protocol, "decide", ["sweep", "--out", "sweep.csv"], {**SWEEP, "protocol": "ppp"},
+                 id="decide-sweep"),
+    pytest.param(protocol, "error_correct", ["run-ppp"], {**_PPP, "source": NOISY_PBIT},
+                 id="error_correct-run-ppp"),
+    pytest.param(protocol, "error_correct", ["run-pm"], {**_PM, "source": NOISY_PBIT},
+                 id="error_correct-run-pm"),
+    pytest.param(cli, "protocol_failure_bound", ["bounds", "--n", "100000"], None,
+                 id="protocol_failure_bound-bounds"),
+])
+def test_internal_errors_are_not_usage_errors(monkeypatch, tmp_path, capsys, module, name, argv,
+                                              config):
+    def broken(*args, **kwargs):
         raise ValueError("internal")
 
-    monkeypatch.setattr(protocol, "run_ppp", broken)  # cmd_run looks it up there
+    monkeypatch.setattr(module, name, broken)
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(_json_text(config))
+        argv = [*argv, "--config", "cfg.json"]
     with pytest.raises(ValueError, match="internal"):
-        main(["run-ppp", "--n", "2000", "--seed", "1"])
+        main(argv)
+    assert capsys.readouterr().out == ""
 
 
 def test_an_estimator_fault_is_not_a_usage_error(monkeypatch, capsys):
@@ -960,6 +985,7 @@ def test_a_fault_in_the_n_search_is_not_a_usage_error(monkeypatch, capsys):
     (["pm-ensemble", "--p", "0.5"], "1c60e1a414e0ce3a"),
     (["solve-params", "--d", "1099511627776"], "179e4a8581107dc4"),  # no feasible n below the cap
     (["verify-example", "--kappa", "0.01"], "1cec3b3f0fbe2e80"),  # the channel's kappa > 0 branches
+    (["solve-params", "--s", "1", "--n", "10000000000000000000"], "13a9b02e6308934e"),  # bit sampling binds
 ])
 def test_reference_cli_documents_are_byte_identical(capsys, argv, digest):
     assert main(argv) == EXIT_OK

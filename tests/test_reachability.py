@@ -23,7 +23,6 @@ KEPT = {
     "bounds.estimation_failure_terms": "spec formula of criterion 10",
     "bounds.EstimationFailureTerms.log2_total": "spec formula of criterion 10",
     "bounds.group_average_error_bound": "spec formula of criterion 10",
-    "channels.pauli_op": "apply_pauli calls it, which perfbench/checks.py calls",
     "channels.apply_pauli": "perfbench/checks.py calls it",
     "states.DensityState.conjugate_by": "perfbench/spans.py rebinds it",
     "states.DensityState.expect": "perfbench/checks.py calls it",
